@@ -15,51 +15,14 @@
    backed-off budgets; with --retries 0 (the default) behaviour —
    output bytes included — is identical to the pre-recovery checker.
 
-   The per-spec checking code itself lives in Server.Engine, shared
-   with the --serve request loop so both print the same bytes. *)
+   Everything between "model compiled" and "reports in hand" is
+   Server.Engine.run, the driver the --serve request loop calls too, so
+   both print the same bytes; this file keeps the flags, the file
+   loading, and the --stats / --simulate output around it. *)
 
 module Engine = Server.Engine
 
 let ( let* ) = Result.bind
-
-type options = {
-  file : string option;
-  extra_specs : string list;
-  fair : bool;
-  fair_engine : Ctl.Fair.engine;
-  traces : bool;
-  stats : bool;
-  partitioned : bool;
-  cache_limit : int option;
-  simulate : int option;
-  seed : int;
-  timeout : float option;
-  node_limit : int option;
-  step_limit : int option;
-  jobs : int;
-  retries : int;
-  retry_factor : float;
-  certify : bool;
-  inject : string option;
-  debug : bool;
-  reorder : [ `None | `Once | `Auto ];
-  reorder_threshold : int;
-  serve : bool;
-  socket : string option;
-  cache_models : int;
-  max_pending : int option;
-  max_inflight : int option;
-  default_timeout : float option;
-  default_node_limit : int option;
-  max_timeout : float option;
-  mem_high_water : int option;
-  supervise : bool;
-  state_dir : string option;
-  status : bool;
-}
-
-(* A parsed --inject specification. *)
-type inject = Inject_site of Bdd.Fault.site * int | Inject_worker of int
 
 (* --------------------------------------------------------------- *)
 (* SIGINT (one-shot mode): set the shared cancel flag.  Every per-spec
@@ -69,109 +32,22 @@ type inject = Inject_site of Bdd.Fault.site * int | Inject_worker of int
    reported UNDETERMINED, queued specs are skipped, and the run exits
    cleanly with code 2.  The recovery ladder checks the same flag
    between attempts, so Ctrl-C also means "no more retries".
-   [interrupted] is only ever touched from the main domain (handler +
-   aggregation).
 
    Serve mode deliberately does NOT use this flag: there SIGINT means
    "drain and exit" and each request has a private cancel atomic
    (Server.Daemon installs its own handlers). *)
 
-let interrupted = ref false
 let cancel_flag : bool Atomic.t = Atomic.make false
 
 let install_sigint () =
   match
     Sys.set_signal Sys.sigint
-      (Sys.Signal_handle
-         (fun _ ->
-           interrupted := true;
-           Atomic.set cancel_flag true))
+      (Sys.Signal_handle (fun _ -> Atomic.set cancel_flag true))
   with
   | () -> ()
   | exception (Invalid_argument _ | Sys_error _) ->
     (* no signal support on this platform: run ungoverned *)
     ()
-
-(* The engine's view of the flags: one-shot runs are cancelled through
-   the process-wide SIGINT flag. *)
-let engine_opts opts =
-  {
-    Engine.fair = opts.fair;
-    fair_engine = opts.fair_engine;
-    traces = opts.traces;
-    stats = opts.stats;
-    certify = opts.certify;
-    debug = opts.debug;
-    timeout = opts.timeout;
-    node_limit = opts.node_limit;
-    step_limit = opts.step_limit;
-    retries = opts.retries;
-    retry_factor = opts.retry_factor;
-    cancel = cancel_flag;
-  }
-
-let load opts file =
-  match
-    Smv.load_file ~partitioned:opts.partitioned
-      ~static_order:(opts.reorder <> `None)
-      file
-  with
-  | compiled -> Ok compiled
-  | exception Sys_error msg -> Error msg
-  | exception Smv.Lexer.Error (msg, pos) ->
-    Error (Format.asprintf "%s: lexical error at %a: %s" file Smv.Ast.pp_pos pos msg)
-  | exception Smv.Parser.Error (msg, pos) ->
-    Error (Format.asprintf "%s: syntax error at %a: %s" file Smv.Ast.pp_pos pos msg)
-  | exception (Smv.Compile.Error (msg, pos) | Smv.Flatten.Error (msg, pos))
-    ->
-    let where =
-      match pos with
-      | Some p -> Format.asprintf " at %a" Smv.Ast.pp_pos p
-      | None -> ""
-    in
-    Error (Printf.sprintf "%s: error%s: %s" file where msg)
-
-let compile_extra compiled text =
-  match Smv.Compile.compile_expr compiled text with
-  | f -> Ok (text, f)
-  | exception Smv.Lexer.Error (msg, _) | exception Smv.Parser.Error (msg, _)
-  ->
-    Error (Printf.sprintf "--spec %S: %s" text msg)
-  | exception Smv.Compile.Error (msg, _) ->
-    Error (Printf.sprintf "--spec %S: %s" text msg)
-
-let parse_inject ~seed = function
-  | None -> Ok None
-  | Some s -> (
-    match String.index_opt s ':' with
-    | None ->
-      Error "--inject: expected SITE:COUNT (e.g. mk:1000, step:3, worker:1)"
-    | Some i ->
-      let site = String.sub s 0 i in
-      let count = String.sub s (i + 1) (String.length s - i - 1) in
-      let* n =
-        if count = "rand" then
-          (* Seeded so chaos runs are reproducible: same --seed, same
-             injection point. *)
-          let rng = Random.State.make [| seed; 0x1aB2 |] in
-          Ok (1 + Random.State.int rng 4096)
-        else
-          match int_of_string_opt count with
-          | Some n when n >= 1 -> Ok n
-          | Some _ | None ->
-            Error "--inject: COUNT must be a positive integer or 'rand'"
-      in
-      match site with
-      | "worker" -> Ok (Some (Inject_worker n))
-      | _ -> (
-        match Bdd.Fault.site_of_string site with
-        | Some fs -> Ok (Some (Inject_site (fs, n)))
-        | None ->
-          Error
-            (Printf.sprintf
-               "--inject: unknown site %S (expected mk, probe, gc, step, \
-                reorder or worker)"
-               site)))
 
 let print_model_stats ?limits m =
   let reachable = Kripke.reachable ?limits m in
@@ -230,247 +106,67 @@ let simulate m ~steps ~seed =
     Format.printf "-- random simulation (%d steps, seed %d)@." steps seed;
     Format.printf "%a@." (Kripke.Trace.pp m) tr
 
-let validate opts =
+(* One validator for every flag, one-shot and --serve alike (the check
+   flags go unused by --serve, but a bad value is still an input
+   error).  Returns the check options with --inject parsed, plus the
+   child-crash count that only --serve accepts. *)
+let validate ~serve ~jobs ~seed ~cache_limit ~simulate ~inject check =
+  let nonpositive = function Some n -> n <= 0 | None -> false in
   let* () =
-    match opts.cache_limit with
-    | Some n when n <= 0 -> Error "--cache-limit: N must be positive"
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    match opts.simulate with
-    | Some n when n <= 0 -> Error "--simulate: STEPS must be positive"
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    match opts.timeout with
-    | Some t when t <= 0.0 -> Error "--timeout: SECS must be positive"
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    match opts.node_limit with
-    | Some n when n <= 0 -> Error "--node-limit: N must be positive"
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    match opts.step_limit with
-    | Some n when n <= 0 -> Error "--step-limit: N must be positive"
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    if opts.retries < 0 then Error "--retries: N must be >= 0" else Ok ()
-  in
-  let* () =
-    if opts.reorder_threshold <= 0 then
-      Error "--reorder-threshold: N must be positive"
+    if nonpositive cache_limit then Error "--cache-limit: N must be positive"
     else Ok ()
   in
   let* () =
-    if opts.retry_factor < 1.0 then
-      Error "--retry-budget-factor: F must be >= 1.0"
+    if nonpositive simulate then Error "--simulate: STEPS must be positive"
     else Ok ()
   in
-  let* () =
-    if opts.cache_models < 1 then
-      Error "--cache-models: N must be positive"
-    else Ok ()
+  let* inject =
+    match inject with
+    | None -> Ok None
+    | Some s -> Result.map Option.some (Engine.parse_inject ~seed s)
   in
-  let* inj = parse_inject ~seed:opts.seed opts.inject in
-  let* () =
-    match inj with
-    | Some (Inject_worker _) when opts.jobs < 2 ->
-      Error "--inject worker:N requires a parallel run (--jobs >= 2)"
-    | Some _ | None -> Ok ()
+  let crash_after, inject =
+    match inject with
+    | Some (Engine.Child_crash k) when serve -> (Some k, None)
+    | _ -> (None, inject)
   in
-  if opts.jobs < 0 then Error "--jobs: N must be >= 0 (0 means all cores)"
-  else Ok ()
+  let check = { check with Engine.inject } in
+  let* () = Engine.validate ~jobs check in
+  if jobs < 0 then Error "--jobs: N must be >= 0 (0 means all cores)"
+  else Ok (check, crash_after)
 
 (* Returns Ok (exit code) or Error message (input error, exit 3). *)
-let run opts file =
-  let* () = validate opts in
-  let* inject = parse_inject ~seed:opts.seed opts.inject in
-  let* compiled = load opts file in
-  let eopts = engine_opts opts in
+let run ~check ~extra_specs ~cache_limit ~simulate:walk ~seed ~jobs ~debug
+    file =
+  let* compiled =
+    Engine.compile ~source:file (fun () ->
+        Smv.load_file ~partitioned:check.Engine.partitioned
+          ~static_order:(check.Engine.reorder <> `None)
+          file)
+  in
   let m = compiled.Smv.Compile.model in
-  let main_clusters = compiled.Smv.Compile.clusters in
-  (* The clusters must survive any ladder-triggered gc between the
-     breach and the degraded rung that consumes them. *)
-  let (_ : Bdd.root) =
-    Bdd.add_root m.Kripke.man (fun () -> main_clusters)
+  let prepare () =
+    Option.iter
+      (fun n -> Bdd.set_cache_limit m.Kripke.man (Some n))
+      cache_limit;
+    if check.Engine.stats then print_model_stats m;
+    Option.iter (fun steps -> simulate m ~steps ~seed) walk
   in
-  let site_inject =
-    match inject with Some (Inject_site (s, n)) -> Some (s, n) | _ -> None
+  let* (), outcome =
+    Engine.run Format.std_formatter compiled ~opts:check ~specs:extra_specs
+      ~cancel:cancel_flag ~debug ~warm:false
+      ~warn:(Format.eprintf "warning: %s@.")
+      ~jobs ~prepare
   in
-  (* Dynamic reordering: `once sifts the freshly built model now (on
-     top of the static proximity order both non-none modes seed at
-     compile time); `auto arms the live-node trigger, consumed at the
-     fixpoint checkpoints inside each spec's verdict phase. *)
-  (match opts.reorder with
-  | `None -> ()
-  | `Once -> (
-    match Bdd.reorder m.Kripke.man with
-    | () -> ()
-    | exception Out_of_memory ->
-      (* Reordering is an optimisation: a failed sweep (real pressure
-         or an injected reorder fault) leaves a consistent manager, so
-         warn and check unsifted. *)
-      Format.eprintf "warning: initial reordering failed; continuing@.")
-  | `Auto ->
-    Bdd.Reorder.set_auto m.Kripke.man (Some opts.reorder_threshold));
-  (match opts.cache_limit with
-  | Some _ as limit -> Bdd.set_cache_limit m.Kripke.man limit
-  | None -> ());
-  if opts.stats then print_model_stats m;
-  (match opts.simulate with
-  | Some steps -> simulate m ~steps ~seed:opts.seed
-  | None -> ());
-  let* extra =
-    List.fold_left
-      (fun acc text ->
-        let* acc = acc in
-        let* spec = compile_extra compiled text in
-        Ok (spec :: acc))
-      (Ok []) opts.extra_specs
-  in
-  let specs = compiled.Smv.Compile.specs @ List.rev extra in
-  let jobs =
-    if opts.jobs = 0 then Parallel.default_jobs () else opts.jobs
-  in
-  let reports, worker_stats =
-    if specs = [] then begin
-      Format.printf "no specifications to check@.";
-      ([], [])
-    end
-    else if jobs > 1 && List.length specs > 1 then begin
-      (* Parallel path: fan the specs out over worker domains.  Each
-         task renders its whole report (verdict line, trace) into a
-         private buffer; the buffers are replayed on the main domain in
-         specification order, so the bytes printed are identical to a
-         sequential run's. *)
-      let names = Array.of_list (List.map fst specs) in
-      let formulas = Array.of_list (List.map snd specs) in
-      let f wm spec i =
-        (* Worker managers reorder independently: [Kripke.clone_into]
-           replicated the coordinator's order and pair grouping, and
-           the order-independent [Bdd.transfer] bridges whatever order
-           each side later sifts to. *)
-        (match opts.reorder with
-        | `Auto ->
-          if Bdd.Reorder.auto_threshold wm.Kripke.man = None then
-            Bdd.Reorder.set_auto wm.Kripke.man (Some opts.reorder_threshold)
-        | `None | `Once -> ());
-        let buf = Buffer.create 512 in
-        let ppf = Format.formatter_of_buffer buf in
-        let clusters () =
-          List.map (Bdd.transfer ~src:m.Kripke.man ~dst:wm.Kripke.man) main_clusters
-        in
-        let r =
-          Engine.check_one ppf wm ~opts:eopts ~clusters ?inject:site_inject
-            (names.(i), spec)
-        in
-        Format.pp_print_flush ppf ();
-        (r, Buffer.contents buf)
-      in
-      (* Crashed-worker recovery happens here, on the main domain, in
-         spec order: the crashed attempt seeds the ladder as attempt 1
-         and the re-run climbs from Main_domain.  [overrides] keeps the
-         recovered reports for final aggregation. *)
-      let overrides : (int, Engine.report) Hashtbl.t = Hashtbl.create 4 in
-      let on_result i = function
-        | Ok ((_ : Engine.report), out) ->
-          (* Bypass std_formatter for the replay: a multi-line string
-             printed through %s corrupts Format's column tracking.  All
-             Format output ends in @. (flush), so channel-level writes
-             stay ordered. *)
-          Format.print_flush ();
-          print_string out
-        | Error Parallel.Specs.Cancelled -> ()
-        | Error Parallel.Pool.Worker_crashed
-          when opts.retries > 0 && not !interrupted ->
-          let prior =
-            [
-              {
-                Robust.Ladder.index = 1;
-                strategy = Robust.Ladder.Direct;
-                failure =
-                  Some (Robust.Ladder.Crashed "worker domain died");
-                live_nodes = 0;
-                duration = 0.;
-              };
-            ]
-          in
-          let buf = Buffer.create 512 in
-          let ppf = Format.formatter_of_buffer buf in
-          let r =
-            Engine.check_one ppf m ~opts:eopts
-              ~clusters:(fun () -> main_clusters)
-              ?inject:None ~prior
-              (names.(i), formulas.(i))
-          in
-          Format.pp_print_flush ppf ();
-          Hashtbl.replace overrides i r;
-          Format.print_flush ();
-          print_string (Buffer.contents buf)
-        | Error e when not opts.debug ->
-          Format.printf
-            "-- specification %s is UNDETERMINED (worker failed: %s)@."
-            names.(i) (Printexc.to_string e)
-        | Error e -> raise e
-      in
-      let results, worker_stats =
-        Parallel.Specs.map ~jobs ~cancel:cancel_flag
-          ?chaos_crash:
-            (match inject with Some (Inject_worker n) -> Some n | _ -> None)
-          ~on_result ~f m formulas
-      in
-      let reports =
-        Array.to_list
-          (Array.mapi
-             (fun i r ->
-               match Hashtbl.find_opt overrides i with
-               | Some rr -> Some rr
-               | None -> (
-                 match r with
-                 | Ok (rr, _) -> Some rr
-                 | Error Parallel.Specs.Cancelled -> None
-                 | Error e ->
-                   Some
-                     {
-                       Engine.verdict =
-                         Engine.Undetermined (Printexc.to_string e);
-                       cert_failed = false;
-                     }))
-             results)
-        |> List.filter_map Fun.id
-      in
-      (reports, worker_stats)
-    end
-    else
-      (* Stop early on SIGINT; otherwise check every spec even after
-         failures and breaches (per-spec isolation). *)
-      ( List.filter_map
-          (fun spec ->
-            if !interrupted then None
-            else
-              Some
-                (Engine.check_one Format.std_formatter m ~opts:eopts
-                   ~clusters:(fun () -> main_clusters)
-                   ?inject:site_inject spec))
-          specs,
-        [] )
-  in
-  if !interrupted then begin
-    Format.printf "-- interrupted; statistics so far:@.";
-    print_run_stats ~extra:worker_stats ~fair_engine:opts.fair_engine m
-  end
-  else if opts.stats then
-    print_run_stats ~extra:worker_stats ~fair_engine:opts.fair_engine m;
-  Ok (Engine.exit_code ~interrupted:!interrupted reports)
+  let interrupted = Atomic.get cancel_flag in
+  if interrupted then Format.printf "-- interrupted; statistics so far:@.";
+  if interrupted || check.Engine.stats then
+    print_run_stats ~extra:outcome.Engine.worker_stats
+      ~fair_engine:check.Engine.fair_engine m;
+  Ok outcome.Engine.exit_code
 
 open Cmdliner
 
-(* [string], not [file]: a missing path must flow through our own
-   error reporting (exit 3), not cmdliner's argument-parse exit.
-   Optional because --serve runs without a model argument. *)
 let file_arg =
   Arg.(
     value
@@ -483,54 +179,6 @@ let spec_arg =
     value & opt_all string []
     & info [ "s"; "spec" ] ~docv:"FORMULA"
         ~doc:"Additional CTL specification to check (repeatable).")
-
-let no_fair_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fairness" ]
-        ~doc:
-          "Ignore FAIRNESS constraints when deciding specifications \
-           (counterexample generation still respects them).")
-
-let fair_engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("el", Ctl.Fair.El); ("lockstep", Ctl.Fair.Lockstep) ])
-        Ctl.Fair.El
-    & info [ "fair-engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Fair-cycle detection algorithm.  $(b,el) (default) is the \
-           Emerson-Lei nested fixpoint; $(b,lockstep) finds \
-           fairness-intersecting SCCs by lock-step symbolic SCC \
-           decomposition (asymptotically fewer image computations on \
-           models with long fair-cycle chains).  Verdicts, traces and \
-           exit codes are identical under either engine — witness onion \
-           rings are extracted by shared code after the fixpoint \
-           converges; only speed and the --stats counters differ.  On \
-           --retries breaches, retries always fall back to $(b,el).")
-
-let no_trace_arg =
-  Arg.(
-    value & flag
-    & info [ "q"; "no-trace" ] ~doc:"Do not print counterexample traces.")
-
-let partitioned_arg =
-  Arg.(
-    value & flag
-    & info [ "partitioned" ]
-        ~doc:
-          "Use a conjunctively partitioned transition relation with \
-           early quantification for image computation.")
-
-let stats_arg =
-  Arg.(
-    value & flag
-    & info [ "stats" ]
-        ~doc:
-          "Print model statistics (state counts, deadlocks) before \
-           checking, and BDD-manager counters (cache hits/misses, peak \
-           node count) plus fixpoint iteration counts afterwards.  \
-           With --retries, also the per-spec attempt log.")
 
 let cache_limit_arg =
   Arg.(
@@ -555,34 +203,6 @@ let seed_arg =
     & info [ "seed" ] ~docv:"N"
         ~doc:"Random seed for --simulate and --inject SITE:rand.")
 
-let timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "timeout" ] ~docv:"SECS"
-        ~doc:
-          "Wall-clock budget per specification; a spec that exceeds it \
-           is reported UNDETERMINED and checking continues with the \
-           next one.")
-
-let node_limit_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "node-limit" ] ~docv:"N"
-        ~doc:
-          "Live BDD-node budget per specification; exceeded budgets \
-           report UNDETERMINED like --timeout.")
-
-let step_limit_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "step-limit" ] ~docv:"N"
-        ~doc:
-          "Fixpoint-iteration / ring-descent step budget per \
-           specification (deterministic, unlike --timeout).")
-
 let jobs_arg =
   Arg.(
     value & opt int 1
@@ -593,41 +213,6 @@ let jobs_arg =
            private BDD manager, so verdicts, traces and exit code are \
            byte-identical to a sequential run.  With $(b,--serve): the \
            number of request-processing workers.")
-
-let retries_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Re-attempt a breached, out-of-memory or crashed \
-           specification up to N times with escalating remediation: \
-           garbage collection, a variable-reordering sweep, a degraded \
-           (partitioned, tight-cache) representation, then an \
-           explicit-state fallback when the state space is small \
-           enough.  Recovered verdicts are annotated and their traces \
-           always certified.  Default 0: no recovery, behaviour \
-           identical to earlier versions.")
-
-let retry_factor_arg =
-  Arg.(
-    value & opt float 2.0
-    & info [ "retry-budget-factor" ] ~docv:"F"
-        ~doc:
-          "Exponential budget backoff for retries: attempt k runs \
-           under node/step budgets multiplied by F^(k-1), and the \
-           remaining share of a (timeout * attempts) wall-clock pool.")
-
-let certify_arg =
-  Arg.(
-    value & flag
-    & info [ "certify" ]
-        ~doc:
-          "Independently re-validate every emitted witness or \
-           counterexample trace against path semantics (transition \
-           membership, operand satisfaction, fairness hits on the \
-           cycle).  A trace that fails certification withdraws its \
-           verdict and the run exits 3.  Always on for recovered \
-           (retried) specifications.")
 
 let inject_arg =
   Arg.(
@@ -641,30 +226,6 @@ let inject_arg =
            domain that picks up the COUNT-th task (worker, needs \
            --jobs >= 2).  COUNT may be 'rand' (seeded by --seed).  \
            Combine with --retries to exercise the recovery ladder.")
-
-let reorder_arg =
-  Arg.(
-    value
-    & opt (enum [ ("none", `None); ("once", `Once); ("auto", `Auto) ]) `None
-    & info [ "reorder" ] ~docv:"MODE"
-        ~doc:
-          "BDD variable-order optimisation.  $(b,none) (default) keeps \
-           declaration order and is byte-identical to earlier versions; \
-           $(b,once) seeds a dependency-proximity static order at \
-           compile time and runs one Rudell sifting sweep on the built \
-           model; $(b,auto) additionally re-sifts whenever live nodes \
-           grow past --reorder-threshold (the threshold doubles after \
-           each sweep).  Verdicts, traces and exit codes are unchanged \
-           by any mode.")
-
-let reorder_threshold_arg =
-  Arg.(
-    value & opt int 4096
-    & info [ "reorder-threshold" ] ~docv:"N"
-        ~doc:
-          "Live-node trigger for --reorder auto: a sifting sweep is \
-           scheduled when the manager grows past N live nodes (then \
-           past max(2 * live, N) after each sweep).")
 
 let debug_arg =
   Arg.(
@@ -810,22 +371,9 @@ let status_arg =
            depth, shed and watchdog counters, per-model cache \
            occupancy, worker state) and exit.")
 
-let main file extra_specs no_fair fair_engine no_trace stats partitioned
-    cache_limit simulate seed timeout node_limit step_limit jobs retries
-    retry_factor certify inject reorder reorder_threshold debug serve socket
-    cache_models max_pending max_inflight default_timeout default_node_limit
-    max_timeout mem_high_water supervise state_dir status =
-  let opts =
-    {
-      file; extra_specs; fair = not no_fair; fair_engine;
-      traces = not no_trace; stats;
-      partitioned; cache_limit; simulate; seed; timeout; node_limit;
-      step_limit; jobs; retries; retry_factor; certify; inject; debug;
-      reorder; reorder_threshold; serve; socket; cache_models; max_pending;
-      max_inflight; default_timeout; default_node_limit; max_timeout;
-      mem_high_water; supervise; state_dir; status;
-    }
-  in
+let main file extra_specs check cache_limit simulate seed jobs inject debug
+    serve socket cache_models max_pending max_inflight default_timeout
+    default_node_limit max_timeout mem_high_water supervise state_dir status =
   Printexc.record_backtrace debug;
   if status then begin
     match socket with
@@ -834,63 +382,52 @@ let main file extra_specs no_fair fair_engine no_trace stats partitioned
       Format.eprintf "smv_check --status: --socket PATH is required@.";
       3
   end
-  else if serve then begin
-    if file <> None then
-      Format.eprintf "warning: MODEL.smv argument is ignored with --serve@.";
-    if cache_models < 1 then begin
-      Format.eprintf "--cache-models: N must be positive@.";
-      3
-    end
-    else begin
-      (* In serve mode the only CLI-level injection site is the
-         supervision fault [child-crash:K]; per-request sites travel
-         in the request options instead. *)
-      let crash_after =
-        match inject with
-        | Some s when String.length s > 12 && String.sub s 0 12 = "child-crash:"
-          ->
-          int_of_string_opt (String.sub s 12 (String.length s - 12))
-        | Some _ | None -> None
-      in
-      let dcfg =
-        {
-          Server.Daemon.socket;
-          jobs = (if jobs = 0 then Parallel.default_jobs () else max 1 jobs);
-          capacity = cache_models;
-          debug;
-          max_pending = opts.max_pending;
-          max_inflight = opts.max_inflight;
-          default_timeout = opts.default_timeout;
-          default_node_limit = opts.default_node_limit;
-          max_timeout = opts.max_timeout;
-          mem_high_water = opts.mem_high_water;
-          state_dir = opts.state_dir;
-          crash_after;
-          restarts = 0;
-        }
-      in
-      if supervise then Server.Supervise.run dcfg
-      else Server.Daemon.serve dcfg
-    end
-  end
   else
-    match file with
-    | None ->
-      Format.eprintf "smv_check: required MODEL.smv argument is missing@.";
+    match
+      validate ~serve ~jobs ~seed ~cache_limit ~simulate ~inject check
+    with
+    | Error msg ->
+      Format.eprintf "%s@." msg;
       3
-    | Some f -> (
-      install_sigint ();
-      match run opts f with
-      | Ok code -> code
-      | Error msg ->
-        Format.eprintf "%s@." msg;
-        3
-      | exception e when not debug ->
-        (* Crash guard: anything unexpected outside the per-spec
-           isolation becomes a one-line diagnostic. *)
-        Format.eprintf "smv_check: internal error on %s: %s@." f
-          (Printexc.to_string e);
-        3)
+    | Ok (check, crash_after) -> (
+      let jobs = if jobs = 0 then Parallel.default_jobs () else jobs in
+      if serve then begin
+        if file <> None then
+          Format.eprintf "warning: MODEL.smv argument is ignored with --serve@.";
+        (* Per-request check options travel in the requests; the only
+           CLI-level injection site here is the supervision fault
+           [child-crash:K]. *)
+        let dcfg =
+          {
+            Server.Daemon.socket; jobs; capacity = cache_models; debug;
+            max_pending; max_inflight; default_timeout; default_node_limit;
+            max_timeout; mem_high_water; state_dir; crash_after;
+            restarts = 0;
+          }
+        in
+        if supervise then Server.Supervise.run dcfg
+        else Server.Daemon.serve dcfg
+      end
+      else
+        match file with
+        | None ->
+          Format.eprintf "smv_check: required MODEL.smv argument is missing@.";
+          3
+        | Some f -> (
+          install_sigint ();
+          match
+            run ~check ~extra_specs ~cache_limit ~simulate ~seed ~jobs ~debug f
+          with
+          | Ok code -> code
+          | Error msg ->
+            Format.eprintf "%s@." msg;
+            3
+          | exception e when not debug ->
+            (* Crash guard: anything unexpected outside the per-spec
+               isolation becomes a one-line diagnostic. *)
+            Format.eprintf "smv_check: internal error on %s: %s@." f
+              (Printexc.to_string e);
+            3))
 
 let cmd =
   let doc = "symbolic CTL model checker with counterexample generation" in
@@ -992,11 +529,8 @@ let cmd =
   Cmd.v
     (Cmd.info "smv_check" ~version:"1.0.0" ~doc ~man)
     Term.(
-      const main $ file_arg $ spec_arg $ no_fair_arg $ fair_engine_arg
-      $ no_trace_arg $ stats_arg $ partitioned_arg $ cache_limit_arg $ simulate_arg
-      $ seed_arg $ timeout_arg $ node_limit_arg $ step_limit_arg
-      $ jobs_arg $ retries_arg $ retry_factor_arg $ certify_arg
-      $ inject_arg $ reorder_arg $ reorder_threshold_arg $ debug_arg
+      const main $ file_arg $ spec_arg $ Check_flags.term $ cache_limit_arg
+      $ simulate_arg $ seed_arg $ jobs_arg $ inject_arg $ debug_arg
       $ serve_arg $ socket_arg $ cache_models_arg $ max_pending_arg
       $ max_inflight_arg $ default_timeout_arg $ default_node_limit_arg
       $ max_timeout_arg $ mem_high_water_arg $ supervise_arg

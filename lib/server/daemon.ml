@@ -3,7 +3,7 @@
      main thread          reader threads           pool workers
      ------------         --------------           ------------
      bind + accept   -->  one per connection  -->  one task per check
-     (select tick)        Frame.read loop          Engine.check_one
+     (select tick)        Frame.read loop          Engine.run
      watchdog + reap      parse + dispatch         write reply frame
 
    Stdio mode is the same picture minus accept: the main thread is the
@@ -85,10 +85,10 @@ let send conn payload =
    node-limit gets the server's, and whatever timeout wins is clamped
    to the ceiling.  A request budget below the ceiling is honoured
    as-is — the ceiling caps, it never extends. *)
-let apply_defaults cfg (o : Protocol.options) =
+let apply_defaults cfg (o : Engine.options) =
   let timeout =
     let requested =
-      match o.Protocol.timeout with
+      match o.Engine.timeout with
       | None -> cfg.default_timeout
       | some -> some
     in
@@ -98,86 +98,43 @@ let apply_defaults cfg (o : Protocol.options) =
     | t, None -> t
   in
   let node_limit =
-    match o.Protocol.node_limit with
+    match o.Engine.node_limit with
     | None -> cfg.default_node_limit
     | some -> some
   in
-  { o with Protocol.timeout; node_limit }
+  { o with Engine.timeout; node_limit }
 
 (* ------------------------------------------------------------------ *)
 (* Request processing (runs on a pool worker) *)
 
-let engine_opts (o : Protocol.options) ~cancel =
-  {
-    Engine.fair = o.Protocol.fair;
-    fair_engine = o.Protocol.fair_engine;
-    traces = o.Protocol.traces;
-    stats = o.Protocol.stats;
-    certify = o.Protocol.certify;
-    debug = false (* exceptions must become replies, never crashes *);
-    timeout = o.Protocol.timeout;
-    node_limit = o.Protocol.node_limit;
-    step_limit = o.Protocol.step_limit;
-    retries = o.Protocol.retries;
-    retry_factor = o.Protocol.retry_factor;
-    cancel;
-  }
-
-let describe_compile_error = function
-  | Smv.Lexer.Error (msg, pos) ->
-    Format.asprintf "model: lexical error at %a: %s" Smv.Ast.pp_pos pos msg
-  | Smv.Parser.Error (msg, pos) ->
-    Format.asprintf "model: syntax error at %a: %s" Smv.Ast.pp_pos pos msg
-  | Smv.Compile.Error (msg, pos) | Smv.Flatten.Error (msg, pos) ->
-    let where =
-      match pos with
-      | Some p -> Format.asprintf " at %a" Smv.Ast.pp_pos p
-      | None -> ""
-    in
-    Printf.sprintf "model: error%s: %s" where msg
-  | e -> raise e
-
-(* Compile into the (locked) cache entry; clusters are rooted for the
-   entry's whole life, exactly as the one-shot CLI roots them for the
-   run. *)
+(* Compile into the (locked) cache entry; [Engine.compile] roots the
+   clusters for the entry's whole life. *)
 let build_entry (entry : Cache.entry) ~partitioned ~static_order source =
   match entry.Cache.compiled with
   | Some c -> Ok (c, true)
-  | None -> (
-    match Smv.load_string ~partitioned ~static_order source with
-    | compiled ->
-      let m = compiled.Smv.Compile.model in
-      let (_ : Bdd.root) =
-        Bdd.add_root m.Kripke.man (fun () -> compiled.Smv.Compile.clusters)
-      in
-      entry.Cache.compiled <- Some compiled;
-      Ok (compiled, false)
-    | exception
-        (( Smv.Lexer.Error _ | Smv.Parser.Error _ | Smv.Compile.Error _
-         | Smv.Flatten.Error _ ) as e) ->
-      Error (describe_compile_error e))
+  | None ->
+    Engine.compile ~source:"model" (fun () ->
+        Smv.load_string ~partitioned ~static_order source)
+    |> Result.map (fun compiled ->
+           entry.Cache.compiled <- Some compiled;
+           (compiled, false))
 
-(* Check one request on its (locked) warm entry.  Returns the reply
-   payload; never raises. *)
-let process cache ~id ~model ~specs ~(options : Protocol.options) ~cancel =
+(* Check one request on its (locked) warm entry: the shared driver on
+   one worker, wrapped in the request-scoped work around it.  Returns
+   the reply payload. *)
+let process cache ~id ~model ~specs ~(options : Engine.options) ~cancel =
   let t0 = Bdd.now_monotonic () in
-  let static_order = options.Protocol.reorder <> `None in
-  let key =
-    Cache.digest ~source:model ~partitioned:options.Protocol.partitioned
-      ~static_order
-  in
+  let static_order = options.Engine.reorder <> `None in
+  let partitioned = options.Engine.partitioned in
+  let key = Cache.digest ~source:model ~partitioned ~static_order in
   let entry, _ = Cache.acquire cache ~key in
   Fun.protect ~finally:(fun () -> Cache.release cache entry) @@ fun () ->
   with_lock entry.Cache.lock @@ fun () ->
-  match
-    build_entry entry ~partitioned:options.Protocol.partitioned ~static_order
-      model
-  with
+  match build_entry entry ~partitioned ~static_order model with
   | Error msg -> Protocol.error_reply ~id msg
   | Ok (compiled, warm) -> (
     let m = compiled.Smv.Compile.model in
     let man = m.Kripke.man in
-    let opts = engine_opts options ~cancel in
     (* Request-scoped manager state: a previous request must leak
        nothing into this one.  The engine already disarms its own
        faults on every exit path; disarming again here is the
@@ -186,104 +143,45 @@ let process cache ~id ~model ~specs ~(options : Protocol.options) ~cancel =
     let fired_before = Bdd.Fault.fired man in
     let stats_before = Bdd.stats man in
     Bdd.reset_peak man;
-    (match options.Protocol.reorder with
-    | `None | `Once -> ()
-    | `Auto ->
-      Bdd.Reorder.set_auto man (Some options.Protocol.reorder_threshold));
-    Fun.protect ~finally:(fun () -> Bdd.Reorder.set_auto man None)
-    @@ fun () ->
-    match
-      (* An initial sweep for a cold `once entry; a warm one is
-         already sifted and a repeat sweep is a cheap no-op settle. *)
-      (match options.Protocol.reorder with
-      | `Once when not warm -> (
-        match Bdd.reorder man with () -> () | exception Out_of_memory -> ())
-      | _ -> ());
-      (* Warm the reachability memo (and observe whether it already
-         was): this is the fixpoint a spec-only change gets for free
-         on the next request.  Budgeted — a breach leaves the memo
-         unset and the specs still run. *)
+    (* Warm the reachability memo (and observe whether it already
+       was): this is the fixpoint a spec-only change gets for free on
+       the next request.  Budgeted — a breach leaves the memo unset and
+       the specs still run. *)
+    let warm_reach () =
       let reach_reused = Kripke.reach_memo m <> None in
-      let reach_states =
-        let limits = Engine.mk_limits opts in
-        match
-          Bdd.Limits.with_attached man limits (fun () ->
-              Kripke.reachable ~limits m)
-        with
-        | reach -> Some (Kripke.count_states m reach)
-        | exception Bdd.Limits.Exhausted _ -> None
-      in
-      (* Extra specs are request data, and a request must never be
-         able to raise on a worker: each one compiles to [Ok] or to a
-         structured error naming the offending spec text, and the
-         first error becomes this request's (only) reply. *)
-      let extra_results =
-        List.map
-          (fun text ->
-            match Smv.Compile.compile_expr compiled text with
-            | f -> Ok (text, f)
-            | exception
-                ( Smv.Lexer.Error (msg, _)
-                | Smv.Parser.Error (msg, _)
-                | Smv.Compile.Error (msg, _) ) ->
-              Error (Printf.sprintf "spec %S: %s" text msg))
-          specs
-      in
+      let limits = Engine.mk_limits options ~cancel in
       match
-        List.find_map
-          (function Error msg -> Some msg | Ok _ -> None)
-          extra_results
+        Bdd.Limits.with_attached man limits (fun () ->
+            Kripke.reachable ~limits m)
       with
-      | Some msg -> Error msg
-      | None ->
-        let extra =
-          List.filter_map
-            (function Ok sp -> Some sp | Error _ -> None)
-            extra_results
-        in
-        let all_specs = compiled.Smv.Compile.specs @ extra in
-        let buf = Buffer.create 512 in
-        let ppf = Format.formatter_of_buffer buf in
-        let reports =
-          if all_specs = [] then begin
-            Format.fprintf ppf "no specifications to check@.";
-            []
-          end
-          else
-            List.filter_map
-              (fun spec ->
-                if Atomic.get cancel then None
-                else
-                  Some
-                    (Protocol.
-                       {
-                         sv_name = fst spec;
-                         sv_report =
-                           Engine.check_one ppf m ~opts
-                             ~clusters:(fun () ->
-                               compiled.Smv.Compile.clusters)
-                             ?inject:options.Protocol.inject spec;
-                       }))
-              all_specs
-        in
-        Format.pp_print_flush ppf ();
-        Ok (reach_reused, reach_states, reports, Buffer.contents buf)
+      | reach -> (reach_reused, Some (Kripke.count_states m reach))
+      | exception Bdd.Limits.Exhausted _ -> (reach_reused, None)
+    in
+    let buf = Buffer.create 512 in
+    let ppf = Format.formatter_of_buffer buf in
+    match
+      (* Never [~debug]: exceptions must become replies, not crashes. *)
+      Engine.run ppf compiled ~opts:options ~specs ~cancel ~debug:false ~warm
+        ~warn:(Format.eprintf "smv_check --serve: warning: %s@.")
+        ~jobs:1 ~prepare:warm_reach
     with
-    | Ok (reach_reused, reach_states, verdicts, output) ->
+    | Error msg -> Protocol.error_reply ~id msg
+    | Ok ((reach_reused, reach_states), o) ->
+      Format.pp_print_flush ppf ();
       let stats =
-        if options.Protocol.stats then
+        if options.Engine.stats then
           Some (Bdd.diff_stats (Bdd.stats man) stats_before)
         else None
       in
-      let faults_fired = Bdd.Fault.fired man - fired_before in
-      let exit_code =
-        Engine.exit_code ~interrupted:(Atomic.get cancel)
-          (List.map (fun sv -> sv.Protocol.sv_report) verdicts)
-      in
-      Protocol.check_reply ~id ~exit_code ~verdicts ~output ~warm
-        ~reach_reused ?reach_states ?stats ~faults_fired
-        ~time_ms:((Bdd.now_monotonic () -. t0) *. 1000.) ()
-    | Error msg -> Protocol.error_reply ~id msg)
+      Protocol.check_reply ~id ~exit_code:o.Engine.exit_code
+        ~verdicts:
+          (List.map
+             (fun (sv_name, sv_report) -> { Protocol.sv_name; sv_report })
+             o.Engine.verdicts)
+        ~output:(Buffer.contents buf) ~warm ~reach_reused ?reach_states
+        ?stats
+        ~faults_fired:(Bdd.Fault.fired man - fired_before)
+        ~time_ms:((Bdd.now_monotonic () -. t0) *. 1000.) ())
 
 (* The never-raise wrapper around [process]: whatever escapes the
    engine's own isolation becomes an error reply, and the server
@@ -423,10 +321,10 @@ let handle_request cfg cache pool ov persist conn stop payload =
       let refuse_cold =
         (not (Overload.admit_cold ov))
         &&
-        let static_order = options.Protocol.reorder <> `None in
+        let static_order = options.Engine.reorder <> `None in
         let key =
           Cache.digest ~source:model
-            ~partitioned:options.Protocol.partitioned ~static_order
+            ~partitioned:options.Engine.partitioned ~static_order
         in
         not (Cache.is_warm cache ~key)
       in
@@ -446,7 +344,7 @@ let handle_request cfg cache pool ov persist conn stop payload =
           send conn reply;
           crash_tick ();
           Overload.checked_engine ov
-            ~lockstep:(options.Protocol.fair_engine = Ctl.Fair.Lockstep);
+            ~lockstep:(options.Engine.fair_engine = Ctl.Fair.Lockstep);
           Overload.finished ov (Bdd.now_monotonic () -. t0)
         in
         (* Count the admission before queueing so [inflight] can never

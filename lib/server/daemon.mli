@@ -78,7 +78,7 @@ type config = {
           (reported by the status op); [0] when unsupervised *)
 }
 
-val apply_defaults : config -> Protocol.options -> Protocol.options
+val apply_defaults : config -> Engine.options -> Engine.options
 (** The server-side budget rule, exposed for tests: fill in
     [default_timeout] / [default_node_limit] where the request named
     none, then clamp the winning timeout to [max_timeout]. *)

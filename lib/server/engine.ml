@@ -1,30 +1,128 @@
-(* The per-spec checking engine, extracted from bin/smv_check.ml so
-   the one-shot CLI and the check server run the same code — and
-   therefore print the same bytes.  See the interface for the two
-   behaviour fixes (per-check cancellation, spec-pred rooting) that
-   came with the move. *)
+(* The checking engine shared by the one-shot CLI and the check
+   server: the options record, the per-spec checker and the driver
+   both front ends call.  See the interface for the contract. *)
+
+let ( let* ) = Result.bind
 
 type verdict = Holds | Fails | Undetermined of string
 type report = { verdict : verdict; cert_failed : bool }
 
-type opts = {
+type inject =
+  | Fault of Bdd.Fault.site * int
+  | Worker_crash of int
+  | Child_crash of int
+
+type options = {
   fair : bool;
   fair_engine : Ctl.Fair.engine;
   traces : bool;
   stats : bool;
   certify : bool;
-  debug : bool;
+  partitioned : bool;
+  retries : int;
+  retry_factor : float;
   timeout : float option;
   node_limit : int option;
   step_limit : int option;
-  retries : int;
-  retry_factor : float;
-  cancel : bool Atomic.t;
+  inject : inject option;
+  reorder : [ `None | `Once | `Auto ];
+  reorder_threshold : int;
 }
 
-let mk_limits opts =
+let default =
+  {
+    fair = true;
+    fair_engine = Ctl.Fair.El;
+    traces = true;
+    stats = false;
+    certify = false;
+    partitioned = false;
+    retries = 0;
+    retry_factor = 2.0;
+    timeout = None;
+    node_limit = None;
+    step_limit = None;
+    inject = None;
+    reorder = `None;
+    reorder_threshold = 4096;
+  }
+
+let parse_inject ?(seed = 0) s =
+  match String.index_opt s ':' with
+  | None ->
+    Error "--inject: expected SITE:COUNT (e.g. mk:1000, step:3, worker:1)"
+  | Some i -> (
+    let site = String.sub s 0 i in
+    let count = String.sub s (i + 1) (String.length s - i - 1) in
+    let* n =
+      if count = "rand" then
+        (* Seeded so chaos runs are reproducible: same seed, same
+           injection point. *)
+        let rng = Random.State.make [| seed; 0x1aB2 |] in
+        Ok (1 + Random.State.int rng 4096)
+      else
+        match int_of_string_opt count with
+        | Some n when n >= 1 -> Ok n
+        | Some _ | None ->
+          Error "--inject: COUNT must be a positive integer or 'rand'"
+    in
+    match (site, Bdd.Fault.site_of_string site) with
+    | _, Some fs -> Ok (Fault (fs, n))
+    | "worker", None -> Ok (Worker_crash n)
+    | "child-crash", None -> Ok (Child_crash n)
+    | _, None ->
+      Error
+        (Printf.sprintf
+           "--inject: unknown site %S (expected mk, probe, gc, step, \
+            reorder, worker or child-crash)"
+           site))
+
+let validate ~jobs o =
+  let nonpositive = function Some n -> n <= 0 | None -> false in
+  let problems =
+    [
+      ( (match o.timeout with Some t -> t <= 0.0 | None -> false),
+        "--timeout: SECS must be positive" );
+      (nonpositive o.node_limit, "--node-limit: N must be positive");
+      (nonpositive o.step_limit, "--step-limit: N must be positive");
+      (o.retries < 0, "--retries: N must be >= 0");
+      ( o.reorder_threshold <= 0,
+        "--reorder-threshold: N must be positive" );
+      (o.retry_factor < 1.0, "--retry-budget-factor: F must be >= 1.0");
+      ( (match o.inject with Some (Worker_crash _) -> jobs < 2 | _ -> false),
+        "--inject worker:N requires a parallel run (--jobs >= 2)" );
+      ( (match o.inject with Some (Child_crash _) -> true | _ -> false),
+        "--inject child-crash:K is only valid with --serve" );
+    ]
+  in
+  match List.find_opt fst problems with
+  | Some (_, msg) -> Error msg
+  | None -> Ok ()
+
+let compile ~source load =
+  let at pos = Format.asprintf " at %a" Smv.Ast.pp_pos pos in
+  match load () with
+  | compiled ->
+    (* The clusters must survive any ladder-triggered gc between a
+       breach and the degraded rung that consumes them. *)
+    let (_ : Bdd.root) =
+      Bdd.add_root compiled.Smv.Compile.model.Kripke.man (fun () ->
+          compiled.Smv.Compile.clusters)
+    in
+    Ok compiled
+  | exception Sys_error msg -> Error msg
+  | exception Smv.Lexer.Error (msg, pos) ->
+    Error (Printf.sprintf "%s: lexical error%s: %s" source (at pos) msg)
+  | exception Smv.Parser.Error (msg, pos) ->
+    Error (Printf.sprintf "%s: syntax error%s: %s" source (at pos) msg)
+  | exception (Smv.Compile.Error (msg, pos) | Smv.Flatten.Error (msg, pos))
+    ->
+    let where = match pos with Some p -> at p | None -> "" in
+    Error (Printf.sprintf "%s: error%s: %s" source where msg)
+
+let mk_limits opts ~cancel =
   Bdd.Limits.create ?timeout:opts.timeout ?node_budget:opts.node_limit
-    ?step_budget:opts.step_limit ~cancel:opts.cancel ()
+    ?step_budget:opts.step_limit ~cancel ()
 
 let exit_code ~interrupted reports =
   let verdicts = List.map (fun r -> r.verdict) reports in
@@ -153,7 +251,8 @@ type attempt_result = {
          engine on every retry (the ladder's engine-fallback rung) *)
 }
 
-let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
+let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
+    (name, spec) =
   let man = m.Kripke.man in
   (* Monotonic, not calendar, time: the retry pool arithmetic below
      must not jump when NTP steps the clock mid-spec. *)
@@ -182,11 +281,11 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
         Some (Float.max 0.05 ((total -. elapsed) /. float_of_int left))
   in
   let limits_for k =
-    if k = 1 then mk_limits opts
+    if k = 1 then mk_limits opts ~cancel
     else
       Bdd.Limits.create ?timeout:(timeout_for k)
         ?node_budget:(backoff k opts.node_limit)
-        ?step_budget:(backoff k opts.step_limit) ~cancel:opts.cancel ()
+        ?step_budget:(backoff k opts.step_limit) ~cancel ()
   in
   (* Engine fallback (see Robust.Ladder): attempt 1 honours the
      requested fair engine; any breach or crash retries on the
@@ -263,7 +362,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
          still apply (the enumeration's symbolic steps poll them);
          node/step budgets do not — they measure symbolic work. *)
       let limits =
-        Bdd.Limits.create ?timeout:(timeout_for attempt) ~cancel:opts.cancel ()
+        Bdd.Limits.create ?timeout:(timeout_for attempt) ~cancel ()
       in
       let fb =
         Bdd.Limits.with_attached man limits (fun () ->
@@ -301,7 +400,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
       let outcome =
         match
           Robust.Ladder.run ~retries:opts.retries
-            ~cancelled:(fun () -> Atomic.get opts.cancel)
+            ~cancelled:(fun () -> Atomic.get cancel)
             ~fits_explicit:(fun () -> Robust.Fallback.fits m)
             ~live_nodes:(fun () -> Bdd.live_nodes man)
             ?prior attempt_fn
@@ -315,7 +414,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
           print_breach_progress ppf info;
           ignore (Bdd.gc man);
           Error (Robust.Ladder.Breach info, [])
-        | exception e when not opts.debug ->
+        | exception e when not debug ->
           Format.fprintf ppf
             "-- specification %s is UNDETERMINED (internal error: %s)@."
             name (Printexc.to_string e);
@@ -342,7 +441,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
           print_breach_progress ppf info;
           ignore (Bdd.gc man)
         | Robust.Ladder.Oom, _ :: _ ->
-          if opts.debug && opts.retries = 0 then raise Out_of_memory;
+          if debug && opts.retries = 0 then raise Out_of_memory;
           Format.fprintf ppf
             "-- specification %s is UNDETERMINED (internal error: %s)@." name
             (Printexc.to_string Out_of_memory)
@@ -382,7 +481,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
                     ~fallback:ar.ar_fallback spec)
             with
             | tr -> tr
-            | exception e when not opts.debug ->
+            | exception e when not debug ->
               Format.fprintf ppf "-- (trace construction failed: %s)@."
                 (Printexc.to_string e);
               None
@@ -395,7 +494,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
             (* Certification runs uncapped but cancellable: the trace
                is already in hand, only cancellation may stop its
                re-validation. *)
-            let climits = Bdd.Limits.create ~cancel:opts.cancel () in
+            let climits = Bdd.Limits.create ~cancel () in
             let cert =
               if holds then
                 Robust.Certify.witness ~limits:climits ~engine:ar.ar_engine m
@@ -427,3 +526,164 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
         if cert_failed then
           { verdict = Undetermined "certification failed"; cert_failed = true }
         else { verdict = (if holds then Holds else Fails); cert_failed = false })
+
+type outcome = {
+  verdicts : (string * report) list;
+  worker_stats : Bdd.stats list;
+  exit_code : int;
+}
+
+(* The model's SPECs, then the extra texts; the first text that does
+   not compile is the whole run's (only) error. *)
+let compile_specs compiled texts =
+  List.fold_left
+    (fun acc text ->
+      let* acc = acc in
+      match Smv.Compile.compile_expr compiled text with
+      | f -> Ok ((text, f) :: acc)
+      | exception
+          ( Smv.Lexer.Error (msg, _)
+          | Smv.Parser.Error (msg, _)
+          | Smv.Compile.Error (msg, _) ) ->
+        Error (Printf.sprintf "spec %S: %s" text msg))
+    (Ok []) texts
+  |> Result.map (fun extra -> compiled.Smv.Compile.specs @ List.rev extra)
+
+(* Fan the specs out over worker domains.  Each task renders its whole
+   report into a private buffer; the buffers are replayed on the
+   calling domain in specification order, so the bytes are identical
+   to a sequential run's. *)
+let fan_out ppf compiled ~opts ~cancel ~debug ~jobs ?fault specs =
+  let m = compiled.Smv.Compile.model in
+  let main_clusters = compiled.Smv.Compile.clusters in
+  let names = Array.of_list (List.map fst specs) in
+  let formulas = Array.of_list (List.map snd specs) in
+  let f wm spec i =
+    (* Worker managers reorder independently: [Kripke.clone_into]
+       replicated the coordinator's order and pair grouping, and the
+       order-independent [Bdd.transfer] bridges whatever order each
+       side later sifts to. *)
+    (match opts.reorder with
+    | `Auto ->
+      if Bdd.Reorder.auto_threshold wm.Kripke.man = None then
+        Bdd.Reorder.set_auto wm.Kripke.man (Some opts.reorder_threshold)
+    | `None | `Once -> ());
+    let buf = Buffer.create 512 in
+    let wppf = Format.formatter_of_buffer buf in
+    let clusters () =
+      List.map (Bdd.transfer ~src:m.Kripke.man ~dst:wm.Kripke.man) main_clusters
+    in
+    let r =
+      check_one wppf wm ~opts ~cancel ~debug ~clusters ?inject:fault
+        (names.(i), spec)
+    in
+    Format.pp_print_flush wppf ();
+    (r, Buffer.contents buf)
+  in
+  (* Crashed-worker recovery happens here, on the calling domain, in
+     spec order: the crashed attempt seeds the ladder as attempt 1 and
+     the re-run climbs from Main_domain.  [overrides] keeps the
+     recovered reports for final aggregation. *)
+  let overrides : (int, report) Hashtbl.t = Hashtbl.create 4 in
+  let on_result i = function
+    | Ok ((_ : report), out) ->
+      (* One token, then a flush: the flush resets Format's column
+         tracking, which a multi-line string would otherwise corrupt. *)
+      Format.pp_print_string ppf out;
+      Format.pp_print_flush ppf ()
+    | Error Parallel.Specs.Cancelled -> ()
+    | Error Parallel.Pool.Worker_crashed
+      when opts.retries > 0 && not (Atomic.get cancel) ->
+      let prior =
+        [
+          {
+            Robust.Ladder.index = 1;
+            strategy = Robust.Ladder.Direct;
+            failure = Some (Robust.Ladder.Crashed "worker domain died");
+            live_nodes = 0;
+            duration = 0.;
+          };
+        ]
+      in
+      Hashtbl.replace overrides i
+        (check_one ppf m ~opts ~cancel ~debug
+           ~clusters:(fun () -> main_clusters)
+           ~prior (names.(i), formulas.(i)))
+    | Error e when not debug ->
+      Format.fprintf ppf
+        "-- specification %s is UNDETERMINED (worker failed: %s)@."
+        names.(i) (Printexc.to_string e)
+    | Error e -> raise e
+  in
+  let results, worker_stats =
+    Parallel.Specs.map ~jobs ~cancel
+      ?chaos_crash:
+        (match opts.inject with Some (Worker_crash n) -> Some n | _ -> None)
+      ~on_result ~f m formulas
+  in
+  let report i r =
+    match (Hashtbl.find_opt overrides i, r) with
+    | Some r, _ | None, Ok (r, _) -> Some r
+    | None, Error Parallel.Specs.Cancelled -> None
+    | None, Error e ->
+      Some { verdict = Undetermined (Printexc.to_string e); cert_failed = false }
+  in
+  ( List.filter_map Fun.id
+      (Array.to_list
+         (Array.mapi
+            (fun i r -> Option.map (fun r -> (names.(i), r)) (report i r))
+            results)),
+    worker_stats )
+
+let run ppf compiled ~opts ~specs ~cancel ~debug ~warm ~warn ~jobs ~prepare =
+  let m = compiled.Smv.Compile.model in
+  let man = m.Kripke.man in
+  (* Dynamic reordering: `Auto arms the live-node trigger, consumed at
+     the fixpoint checkpoints inside each spec's verdict phase; `Once
+     sifts the freshly built model now (on top of the static proximity
+     order both non-none modes seed at compile time). *)
+  (match opts.reorder with
+  | `Auto -> Bdd.Reorder.set_auto man (Some opts.reorder_threshold)
+  | `None | `Once -> ());
+  Fun.protect ~finally:(fun () -> Bdd.Reorder.set_auto man None) @@ fun () ->
+  (match opts.reorder with
+  | `Once when not warm -> (
+    match Bdd.reorder man with
+    | () -> ()
+    | exception Out_of_memory ->
+      (* Reordering is an optimisation: a failed sweep (real pressure
+         or an injected reorder fault) leaves a consistent manager, so
+         warn and check unsifted. *)
+      warn "initial reordering failed; continuing")
+  | `None | `Once | `Auto -> ());
+  let prepared = prepare () in
+  let* specs = compile_specs compiled specs in
+  let fault =
+    match opts.inject with Some (Fault (s, n)) -> Some (s, n) | _ -> None
+  in
+  let verdicts, worker_stats =
+    if specs = [] then begin
+      Format.fprintf ppf "no specifications to check@.";
+      ([], [])
+    end
+    else if jobs > 1 && List.length specs > 1 then
+      fan_out ppf compiled ~opts ~cancel ~debug ~jobs ?fault specs
+    else
+      (* Stop early once cancelled; otherwise check every spec even
+         after failures and breaches (per-spec isolation). *)
+      ( List.filter_map
+          (fun ((name, _) as spec) ->
+            if Atomic.get cancel then None
+            else
+              Some
+                ( name,
+                  check_one ppf m ~opts ~cancel ~debug
+                    ~clusters:(fun () -> compiled.Smv.Compile.clusters)
+                    ?inject:fault spec ))
+          specs,
+        [] )
+  in
+  let exit_code =
+    exit_code ~interrupted:(Atomic.get cancel) (List.map snd verdicts)
+  in
+  Ok (prepared, { verdicts; worker_stats; exit_code })

@@ -3,42 +3,9 @@
 
 let ( let* ) = Result.bind
 
-type options = {
-  fair : bool;
-  fair_engine : Ctl.Fair.engine;
-  traces : bool;
-  stats : bool;
-  certify : bool;
-  partitioned : bool;
-  retries : int;
-  retry_factor : float;
-  timeout : float option;
-  node_limit : int option;
-  step_limit : int option;
-  inject : (Bdd.Fault.site * int) option;
-  reorder : [ `None | `Once | `Auto ];
-  reorder_threshold : int;
-}
+type options = Engine.options
 
-(* Defaults mirror the one-shot CLI flag defaults: an option-less
-   check request must behave exactly like `smv_check MODEL`. *)
-let default_options =
-  {
-    fair = true;
-    fair_engine = Ctl.Fair.El;
-    traces = true;
-    stats = false;
-    certify = false;
-    partitioned = false;
-    retries = 0;
-    retry_factor = 2.0;
-    timeout = None;
-    node_limit = None;
-    step_limit = None;
-    inject = None;
-    reorder = `None;
-    reorder_threshold = 4096;
-  }
+let default_options = Engine.default
 
 type request =
   | Check of {
@@ -71,26 +38,6 @@ let opt_field fields name decode kind =
     | None -> field_error name kind)
 
 let with_default default = Result.map (Option.value ~default)
-
-let parse_inject s =
-  match String.index_opt s ':' with
-  | None -> Error "\"inject\" must be SITE:COUNT (e.g. mk:1000)"
-  | Some i -> (
-    let site = String.sub s 0 i in
-    let count = String.sub s (i + 1) (String.length s - i - 1) in
-    let* n =
-      match int_of_string_opt count with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error "\"inject\": COUNT must be a positive integer"
-    in
-    match Bdd.Fault.site_of_string site with
-    | Some fs -> Ok (fs, n)
-    | None ->
-      Error
-        (Printf.sprintf
-           "\"inject\": unknown site %S (expected mk, probe, gc, step or \
-            reorder)"
-           site))
 
 let parse_reorder = function
   | "none" -> Ok `None
@@ -127,7 +74,7 @@ let parse_options json =
   let* inject =
     match inject_s with
     | None -> Ok None
-    | Some s -> Result.map Option.some (parse_inject s)
+    | Some s -> Result.map Option.some (Engine.parse_inject s)
   in
   let* reorder_s = opt_field fields "reorder" Json.to_str "a string" in
   let* reorder =
@@ -145,41 +92,17 @@ let parse_options json =
           (Printf.sprintf "\"fair_engine\": unknown engine %S (el or lockstep)"
              s))
   in
-  (* The same sanity checks the CLI's [validate] performs, so a bad
-     option is a request error, not a mid-check surprise. *)
-  let* () =
-    if retries < 0 then Error "\"retries\" must be >= 0" else Ok ()
-  in
-  let* () =
-    if retry_factor < 1.0 then Error "\"retry_factor\" must be >= 1.0"
-    else Ok ()
-  in
-  let* () =
-    match timeout with
-    | Some t when t <= 0.0 -> Error "\"timeout\" must be positive"
-    | _ -> Ok ()
-  in
-  let* () =
-    match node_limit with
-    | Some n when n <= 0 -> Error "\"node_limit\" must be positive"
-    | _ -> Ok ()
-  in
-  let* () =
-    match step_limit with
-    | Some n when n <= 0 -> Error "\"step_limit\" must be positive"
-    | _ -> Ok ()
-  in
-  let* () =
-    if reorder_threshold <= 0 then
-      Error "\"reorder_threshold\" must be positive"
-    else Ok ()
-  in
-  Ok
+  let options =
     {
-      fair; fair_engine; traces; stats; certify; partitioned; retries;
-      retry_factor; timeout; node_limit; step_limit; inject; reorder;
-      reorder_threshold;
+      Engine.fair; fair_engine; traces; stats; certify; partitioned;
+      retries; retry_factor; timeout; node_limit; step_limit; inject;
+      reorder; reorder_threshold;
     }
+  in
+  (* The CLI's own validator: a request runs on one worker, so
+     "worker:N" is refused exactly as on a sequential command line. *)
+  let* () = Engine.validate ~jobs:1 options in
+  Ok options
 
 let parse_request payload =
   let* json =

@@ -21,13 +21,15 @@
        counters.  The probe load balancers and CI poll.}
     {- [{"op":"shutdown"}] — stop accepting requests, drain, exit.}}
 
-    Option fields (all optional; defaults in {!default_options} match
-    the one-shot CLI's defaults so an option-less request behaves
-    exactly like [smv_check MODEL]): booleans [fair], [traces],
+    Option fields (all optional; omitted ones take {!default_options},
+    the very value the one-shot CLI's flag defaults read, so an
+    option-less request behaves exactly like [smv_check MODEL]; bad
+    values are refused by the CLI's own validator, with its messages):
+    booleans [fair], [traces],
     [stats], [certify], [partitioned]; integers [retries],
     [node_limit], [step_limit], [reorder_threshold]; numbers
     [timeout], [retry_factor]; strings [inject] ("SITE:COUNT" as on
-    the CLI, minus "worker"), [reorder] ("none"/"once"/"auto") and
+    the CLI, minus "worker" and "child-crash"), [reorder] ("none"/"once"/"auto") and
     [fair_engine] ("el"/"lockstep", the CLI's [--fair-engine]).
 
     {2 Replies}
@@ -49,24 +51,12 @@
     BDD work: snapshot-diffed manager counters, so concurrent
     requests don't bleed into each other) and ["reach_states"]. *)
 
-type options = {
-  fair : bool;
-  fair_engine : Ctl.Fair.engine;
-  traces : bool;
-  stats : bool;
-  certify : bool;
-  partitioned : bool;
-  retries : int;
-  retry_factor : float;
-  timeout : float option;
-  node_limit : int option;
-  step_limit : int option;
-  inject : (Bdd.Fault.site * int) option;
-  reorder : [ `None | `Once | `Auto ];
-  reorder_threshold : int;
-}
+type options = Engine.options
+(** The one check-options record, shared with the CLI's flags. *)
 
 val default_options : options
+(** [Engine.default]: an option-less request is a flagless
+    [smv_check MODEL]. *)
 
 type request =
   | Check of {

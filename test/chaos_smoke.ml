@@ -12,39 +12,7 @@
 
    Any deviation fails the alias. *)
 
-let exe = Filename.concat (Filename.concat ".." "bin") "smv_check.exe"
-
-let run args =
-  let cmd = Filename.quote_command exe args ^ " 2>&1" in
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
-  in
-  (code, Buffer.contents buf)
-
-let failures = ref 0
-
-let expect what cond =
-  if cond then Printf.printf "ok: %s\n%!" what
-  else begin
-    incr failures;
-    Printf.printf "FAIL: %s\n%!" what
-  end
-
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i =
-    i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1))
-  in
-  nl = 0 || go 0
+open Smoke
 
 (* Just the verdict lines, recovery annotations stripped: the
    fault-free/faulted comparison is on verdicts, not on how they were
@@ -64,20 +32,16 @@ let verdicts out =
   |> List.filter (contains ~needle:"-- specification")
   |> List.map strip_recovery
 
-let model name =
-  Filename.concat (Filename.concat (Filename.concat ".." "examples") "models")
-    name
-
 let () =
   (* 1. The acceptance scenario: counter12 flat-fails under a tiny step
      budget on the plain path... *)
-  let code, out = run [ model "counter12.smv"; "--step-limit"; "3"; "-q" ] in
+  let code, out = run [ model_path "counter12.smv"; "--step-limit"; "3"; "-q" ] in
   expect "starved counter12 exits 2 without retries" (code = 2);
   expect "starved counter12 is UNDETERMINED without retries"
     (contains ~needle:"UNDETERMINED (step budget" out);
   (* ... and completes, correctly and certified, with --retries 2. *)
   let code, out =
-    run [ model "counter12.smv"; "--step-limit"; "3"; "--retries"; "2"; "-q" ]
+    run [ model_path "counter12.smv"; "--step-limit"; "3"; "--retries"; "2"; "-q" ]
   in
   expect "recovered counter12 exits 0" (code = 0);
   expect "recovered counter12 decides the starved spec true"
@@ -90,7 +54,7 @@ let () =
 
   (* 2. Verdict equality under injection: every site, verdicts match
      the fault-free run on the mutex workload. *)
-  let _, clean = run [ model "mutex.smv"; "-q" ] in
+  let _, clean = run [ model_path "mutex.smv"; "-q" ] in
   let clean_verdicts = verdicts clean in
   expect "fault-free mutex run has 3 verdicts"
     (List.length clean_verdicts = 3);
@@ -98,7 +62,7 @@ let () =
     (fun site ->
       let inject = site ^ ":20" in
       let code, out =
-        run [ model "mutex.smv"; "--inject"; inject; "--retries"; "2"; "-q" ]
+        run [ model_path "mutex.smv"; "--inject"; inject; "--retries"; "2"; "-q" ]
       in
       expect
         (Printf.sprintf "inject %s: exit within contract" inject)
@@ -115,7 +79,7 @@ let () =
      it synthesizes must be recovered like a real breach. *)
   let code, out =
     run
-      [ model "mutex.smv"; "--inject"; "step:2"; "--step-limit"; "10000";
+      [ model_path "mutex.smv"; "--inject"; "step:2"; "--step-limit"; "10000";
         "--retries"; "2"; "-q" ]
   in
   expect "inject step: exit within contract" (code >= 0 && code <= 3);
@@ -124,7 +88,7 @@ let () =
 
   (* 3. Without a ladder the injected fault is contained: UNDETERMINED
      verdicts, exit 2, no crash. *)
-  let code, out = run [ model "mutex.smv"; "--inject"; "mk:20"; "-q" ] in
+  let code, out = run [ model_path "mutex.smv"; "--inject"; "mk:20"; "-q" ] in
   expect "unladdered fault exits 2" (code = 2);
   expect "unladdered fault reported as UNDETERMINED"
     (contains ~needle:"UNDETERMINED (internal error: Out of memory)" out);
@@ -134,7 +98,7 @@ let () =
      the main domain and the run's verdicts are unchanged. *)
   let code, out =
     run
-      [ model "mutex.smv"; "--jobs"; "2"; "--inject"; "worker:1";
+      [ model_path "mutex.smv"; "--jobs"; "2"; "--inject"; "worker:1";
         "--retries"; "1"; "-q" ]
   in
   expect "worker crash recovered: exit matches fault-free" (code = 1);
@@ -143,7 +107,7 @@ let () =
   expect "worker crash recovery annotated"
     (contains ~needle:"(recovered: attempt 2 via main-domain)" out);
   let code, out =
-    run [ model "mutex.smv"; "--jobs"; "2"; "--inject"; "worker:1"; "-q" ]
+    run [ model_path "mutex.smv"; "--jobs"; "2"; "--inject"; "worker:1"; "-q" ]
   in
   expect "worker crash without retries exits 2" (code = 2);
   expect "worker crash without retries is UNDETERMINED"
@@ -153,7 +117,7 @@ let () =
      fault plus recovery must still respect the budget contract. *)
   let code, out =
     run
-      [ model "counter26.smv"; "--step-limit"; "3"; "--inject"; "mk:1000";
+      [ model_path "counter26.smv"; "--step-limit"; "3"; "--inject"; "mk:1000";
         "--retries"; "2"; "-q" ]
   in
   expect "counter26 chaos run exits 2 (budget still wins)" (code = 2);
@@ -166,8 +130,5 @@ let () =
   expect "counter26 trivial spec still decided"
     (contains ~needle:"(AG (b0 | !b0)) is true" out);
 
-  if !failures > 0 then begin
-    Printf.printf "%d chaos-smoke failure(s)\n%!" !failures;
-    exit 1
-  end;
+  finish "chaos-smoke failure(s)";
   print_endline "chaos-smoke: all checks passed"

@@ -15,41 +15,7 @@
    too.  A final check pins the --stats seam: the lock-step counters
    line appears exactly when the lock-step engine was selected. *)
 
-let exe = Filename.concat (Filename.concat ".." "bin") "smv_check.exe"
-
-let run args =
-  let cmd = Filename.quote_command exe args ^ " 2>&1" in
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
-  in
-  (code, Buffer.contents buf)
-
-let failures = ref 0
-
-let expect what cond =
-  if cond then Printf.printf "ok: %s\n%!" what
-  else begin
-    incr failures;
-    Printf.printf "FAIL: %s\n%!" what
-  end
-
-let model name =
-  Filename.concat (Filename.concat (Filename.concat ".." "examples") "models")
-    name
-
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+open Smoke
 
 (* Every unbudgeted model must be byte-identical across engines.
    counter26 runs under a step budget, where the two engines
@@ -58,13 +24,13 @@ let contains_substring hay needle =
    engine-stable, not the UNDETERMINED fine print. *)
 let workloads =
   [
-    ("arbiter", `Identical, [ model "arbiter.smv" ]);
-    ("cache", `Identical, [ model "cache.smv" ]);
-    ("counter12", `Identical, [ model "counter12.smv" ]);
-    ("counter26", `Governed, [ model "counter26.smv"; "--step-limit"; "64" ]);
-    ("mutex", `Identical, [ model "mutex.smv" ]);
-    ("philosophers", `Identical, [ model "philosophers.smv" ]);
-    ("ring", `Identical, [ model "ring.smv" ]);
+    ("arbiter", `Identical, [ model_path "arbiter.smv" ]);
+    ("cache", `Identical, [ model_path "cache.smv" ]);
+    ("counter12", `Identical, [ model_path "counter12.smv" ]);
+    ("counter26", `Governed, [ model_path "counter26.smv"; "--step-limit"; "64" ]);
+    ("mutex", `Identical, [ model_path "mutex.smv" ]);
+    ("philosophers", `Identical, [ model_path "philosophers.smv" ]);
+    ("ring", `Identical, [ model_path "ring.smv" ]);
   ]
 
 let check (name, gate, args) =
@@ -83,10 +49,10 @@ let check (name, gate, args) =
       Printf.printf "--- el ---\n%s\n--- lockstep ---\n%s\n%!" el_out ls_out
   | `Governed ->
     expect (name ^ ": breach reported under both engines")
-      (contains_substring el_out "UNDETERMINED"
-      && contains_substring ls_out "UNDETERMINED"));
+      (contains ~needle:"UNDETERMINED" el_out
+      && contains ~needle:"UNDETERMINED" ls_out));
   expect (name ^ ": no certification failure")
-    (not (contains_substring ls_out "CERTIFICATION FAILED"))
+    (not (contains ~needle:"CERTIFICATION FAILED" ls_out))
 
 let () =
   List.iter check workloads;
@@ -94,15 +60,11 @@ let () =
      when the lock-step engine ran, so default --stats output stays
      byte-stable across PRs. *)
   let _, ls_stats =
-    run [ model "philosophers.smv"; "--stats"; "--fair-engine"; "lockstep" ]
+    run [ model_path "philosophers.smv"; "--stats"; "--fair-engine"; "lockstep" ]
   in
-  let _, el_stats = run [ model "philosophers.smv"; "--stats" ] in
+  let _, el_stats = run [ model_path "philosophers.smv"; "--stats" ] in
   expect "stats: lock-step line present under --fair-engine lockstep"
-    (contains_substring ls_stats "lock-step:");
+    (contains ~needle:"lock-step:" ls_stats);
   expect "stats: no lock-step line in a default run"
-    (not (contains_substring el_stats "lock-step:"));
-  if !failures > 0 then begin
-    Printf.printf "%d deviation(s) from the --fair-engine contract\n%!"
-      !failures;
-    exit 1
-  end
+    (not (contains ~needle:"lock-step:" el_stats));
+  finish "deviation(s) from the --fair-engine contract"

@@ -4,46 +4,12 @@
    pass case (exit 1 on mutex.smv: a false spec, nothing undetermined).
    Any deviation fails the alias. *)
 
-let exe = Filename.concat (Filename.concat ".." "bin") "smv_check.exe"
-
-let run args =
-  let cmd = Filename.quote_command exe args ^ " 2>&1" in
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
-  in
-  (code, Buffer.contents buf)
-
-let failures = ref 0
-
-let expect what cond =
-  if cond then Printf.printf "ok: %s\n%!" what
-  else begin
-    incr failures;
-    Printf.printf "FAIL: %s\n%!" what
-  end
-
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
-let model name =
-  Filename.concat (Filename.concat (Filename.concat ".." "examples") "models")
-    name
+open Smoke
 
 let () =
   (* Trip case: the engineered counter exhausts a step budget on its
      first spec; the trivial second spec must still be decided. *)
-  let code, out = run [ model "counter26.smv"; "--step-limit"; "64"; "-q" ] in
+  let code, out = run [ model_path "counter26.smv"; "--step-limit"; "64"; "-q" ] in
   expect "trip case exits 2" (code = 2);
   expect "trip case reports UNDETERMINED"
     (contains ~needle:"UNDETERMINED (step budget of 64 exceeded" out);
@@ -53,13 +19,10 @@ let () =
      like an ungoverned one — mutex.smv has one false spec, exit 1. *)
   let code, out =
     run
-      [ model "mutex.smv"; "--timeout"; "300"; "--node-limit"; "50000000";
+      [ model_path "mutex.smv"; "--timeout"; "300"; "--node-limit"; "50000000";
         "-q" ]
   in
   expect "pass case exits 1" (code = 1);
   expect "pass case leaves nothing undetermined"
     (not (contains ~needle:"UNDETERMINED" out));
-  if !failures > 0 then begin
-    Printf.printf "%d deviation(s) from the exit-code contract\n%!" !failures;
-    exit 1
-  end
+  finish "deviation(s) from the exit-code contract"

@@ -4,36 +4,7 @@
    on a plain model (mutex) and a fairness-constrained one
    (philosophers).  Any deviation fails the alias. *)
 
-let exe = Filename.concat (Filename.concat ".." "bin") "smv_check.exe"
-
-let run args =
-  let cmd = Filename.quote_command exe args ^ " 2>&1" in
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
-  in
-  (code, Buffer.contents buf)
-
-let failures = ref 0
-
-let expect what cond =
-  if cond then Printf.printf "ok: %s\n%!" what
-  else begin
-    incr failures;
-    Printf.printf "FAIL: %s\n%!" what
-  end
-
-let model name =
-  Filename.concat (Filename.concat (Filename.concat ".." "examples") "models")
-    name
+open Smoke
 
 let check name args =
   let seq_code, seq_out = run args in
@@ -46,10 +17,6 @@ let check name args =
   end
 
 let () =
-  check "mutex" [ model "mutex.smv" ];
-  check "philosophers" [ model "philosophers.smv" ];
-  if !failures > 0 then begin
-    Printf.printf "%d deviation(s) from the --jobs determinism contract\n%!"
-      !failures;
-    exit 1
-  end
+  check "mutex" [ model_path "mutex.smv" ];
+  check "philosophers" [ model_path "philosophers.smv" ];
+  finish "deviation(s) from the --jobs determinism contract"

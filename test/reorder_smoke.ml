@@ -16,36 +16,7 @@
    there — with no stats block the whole output must be
    byte-identical. *)
 
-let exe = Filename.concat (Filename.concat ".." "bin") "smv_check.exe"
-
-let run args =
-  let cmd = Filename.quote_command exe args ^ " 2>&1" in
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
-  in
-  (code, Buffer.contents buf)
-
-let failures = ref 0
-
-let expect what cond =
-  if cond then Printf.printf "ok: %s\n%!" what
-  else begin
-    incr failures;
-    Printf.printf "FAIL: %s\n%!" what
-  end
-
-let model name =
-  Filename.concat (Filename.concat (Filename.concat ".." "examples") "models")
-    name
+open Smoke
 
 (* The order-independent slice of a run's output: verdicts, traces and
    governance reports — everything except the stats block. *)
@@ -83,7 +54,7 @@ let check ?(stats = false) name args =
   (none_out, auto_out)
 
 let () =
-  let none_out, auto_out = check ~stats:true "arbiter" [ model "arbiter.smv" ] in
+  let none_out, auto_out = check ~stats:true "arbiter" [ model_path "arbiter.smv" ] in
   (match (peak_nodes none_out, peak_nodes auto_out) with
   | Some p_none, Some p_auto ->
     expect
@@ -93,8 +64,5 @@ let () =
   | _ -> expect "arbiter: peak node counts parsed" false);
   (* counter26's first spec needs ~2^26 backward steps; the budget trips
      it into UNDETERMINED quickly in both runs. *)
-  ignore (check "counter26" [ model "counter26.smv"; "--step-limit"; "64" ]);
-  if !failures > 0 then begin
-    Printf.printf "%d deviation(s) from the --reorder contract\n%!" !failures;
-    exit 1
-  end
+  ignore (check "counter26" [ model_path "counter26.smv"; "--step-limit"; "64" ]);
+  finish "deviation(s) from the --reorder contract"

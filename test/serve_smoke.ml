@@ -19,99 +19,7 @@
    same code the server uses, which is fine because what is under test
    here is the *process* behaviour, not the codec. *)
 
-module Json = Server.Json
-module Frame = Server.Frame
-
-let exe = Filename.concat (Filename.concat ".." "bin") "smv_check.exe"
-
-let model_path name =
-  Filename.concat (Filename.concat (Filename.concat ".." "examples") "models")
-    name
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let failures = ref 0
-
-let expect what cond =
-  if cond then Printf.printf "ok: %s\n%!" what
-  else begin
-    incr failures;
-    Printf.printf "FAIL: %s\n%!" what
-  end
-
-(* Run the one-shot CLI, capturing stdout only (stderr untouched: the
-   server's output field carries stdout bytes). *)
-let run_cli args =
-  let cmd = Filename.quote_command exe args in
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
-  in
-  (code, Buffer.contents buf)
-
-(* ------------------------------------------------------------------ *)
-(* A server subprocess over stdio pipes *)
-
-type server = {
-  pid : int;
-  to_server : Unix.file_descr;
-  from_server : Unix.file_descr;
-}
-
-let spawn_server args =
-  let stdin_r, stdin_w = Unix.pipe ~cloexec:false () in
-  let stdout_r, stdout_w = Unix.pipe ~cloexec:false () in
-  let pid =
-    Unix.create_process exe
-      (Array.of_list ((exe :: "--serve" :: args)))
-      stdin_r stdout_w Unix.stderr
-  in
-  Unix.close stdin_r;
-  Unix.close stdout_w;
-  { pid; to_server = stdin_w; from_server = stdout_r }
-
-let send srv obj = Frame.write srv.to_server (Json.to_string obj)
-
-let recv srv =
-  match Frame.read srv.from_server with
-  | None -> None
-  | Some payload -> (
-    match Json.of_string payload with
-    | Ok v -> Some v
-    | Error e -> failwith ("server sent bad JSON: " ^ e))
-
-let wait_exit srv =
-  (try Unix.close srv.to_server with Unix.Unix_error _ -> ());
-  (try Unix.close srv.from_server with Unix.Unix_error _ -> ());
-  match Unix.waitpid [] srv.pid with
-  | _, Unix.WEXITED n -> n
-  | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> 128 + n
-
-let str k v = Option.bind (Json.member k v) Json.to_str
-let num k v = Option.bind (Json.member k v) Json.to_num
-let boolean k v = Option.bind (Json.member k v) Json.to_bool
-
-let check_req ?(options = []) ~id model_src =
-  Json.Obj
-    ([
-       ("op", Json.Str "check");
-       ("id", Json.Str id);
-       ("model", Json.Str model_src);
-     ]
-    @ if options = [] then [] else [ ("options", Json.Obj options) ])
+open Smoke
 
 (* Read replies until every id in [ids] has answered (replies arrive
    in completion order, not request order). *)
@@ -350,7 +258,4 @@ let () =
   test_protocol_errors ();
   test_sigint_drain ();
   test_socket_mode ();
-  if !failures > 0 then begin
-    Printf.printf "%d deviation(s) from the --serve contract\n%!" !failures;
-    exit 1
-  end
+  finish "deviation(s) from the --serve contract"

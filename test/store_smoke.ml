@@ -17,43 +17,7 @@
       recovery annotations allowed) and must never crash or degrade to
       UNDETERMINED. *)
 
-let exe = Filename.concat (Filename.concat ".." "bin") "smv_check.exe"
-
-let run args =
-  let cmd = Filename.quote_command exe args ^ " 2>&1" in
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
-  in
-  (code, Buffer.contents buf)
-
-let failures = ref 0
-
-let expect what cond =
-  if cond then Printf.printf "ok: %s\n%!" what
-  else begin
-    incr failures;
-    Printf.printf "FAIL: %s\n%!" what
-  end
-
-let model name =
-  Filename.concat (Filename.concat (Filename.concat ".." "examples") "models")
-    name
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+open Smoke
 
 (* ------------------------------------------------------------------ *)
 (* 1. Byte identity against the boxed-seed goldens.                   *)
@@ -84,7 +48,7 @@ let truth_pattern out =
 
 let chaos name inject =
   let args =
-    [ model "arbiter.smv"; "--retries"; "2"; "--seed"; "7";
+    [ model_path "arbiter.smv"; "--retries"; "2"; "--seed"; "7";
       "--inject"; inject ]
   in
   let code, out = run args in
@@ -103,10 +67,10 @@ let chaos name inject =
           (truth_pattern out)))
 
 let () =
-  check_golden "arbiter" [ model "arbiter.smv" ]
+  check_golden "arbiter" [ model_path "arbiter.smv" ]
     ~golden:"golden/store_arbiter.golden" ~code:1;
   check_golden "counter26"
-    [ model "counter26.smv"; "--step-limit"; "64" ]
+    [ model_path "counter26.smv"; "--step-limit"; "64" ]
     ~golden:"golden/store_counter26.golden" ~code:2;
   List.iter
     (fun (name, inject) -> chaos name inject)
@@ -114,7 +78,4 @@ let () =
       ("mk-early", "mk:1"); ("mk-mid", "mk:2000"); ("mk-late", "mk:40000");
       ("gc-first", "gc:1"); ("gc-second", "gc:2");
     ];
-  if !failures > 0 then begin
-    Printf.printf "%d deviation(s) from the node-store contract\n%!" !failures;
-    exit 1
-  end
+  finish "deviation(s) from the node-store contract"

@@ -22,79 +22,10 @@
    Like serve_smoke, this links the server library for Frame/Json —
    under test is the *process* behaviour. *)
 
-module Json = Server.Json
-module Frame = Server.Frame
+open Smoke
 
-let exe = Filename.concat (Filename.concat ".." "bin") "smv_check.exe"
-
-let model_path name =
-  Filename.concat (Filename.concat (Filename.concat ".." "examples") "models")
-    name
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let failures = ref 0
-
-let expect what cond =
-  if cond then Printf.printf "ok: %s\n%!" what
-  else begin
-    incr failures;
-    Printf.printf "FAIL: %s\n%!" what
-  end
-
-type server = {
-  pid : int;
-  to_server : Unix.file_descr;
-  from_server : Unix.file_descr;
-}
-
-let spawn_server args =
-  let stdin_r, stdin_w = Unix.pipe ~cloexec:false () in
-  let stdout_r, stdout_w = Unix.pipe ~cloexec:false () in
-  let pid =
-    Unix.create_process exe
-      (Array.of_list (exe :: "--serve" :: args))
-      stdin_r stdout_w Unix.stderr
-  in
-  Unix.close stdin_r;
-  Unix.close stdout_w;
-  { pid; to_server = stdin_w; from_server = stdout_r }
-
-let send srv obj =
-  try Frame.write srv.to_server (Json.to_string obj)
-  with Frame.Closed -> ()
-
-let recv srv =
-  match Frame.read srv.from_server with
-  | None -> None
-  | Some payload -> (
-    match Json.of_string payload with
-    | Ok v -> Some v
-    | Error e -> failwith ("server sent bad JSON: " ^ e))
-
-let wait_exit srv =
-  (try Unix.close srv.to_server with Unix.Unix_error _ -> ());
-  (try Unix.close srv.from_server with Unix.Unix_error _ -> ());
-  match Unix.waitpid [] srv.pid with
-  | _, Unix.WEXITED n -> n
-  | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> 128 + n
-
-let str k v = Option.bind (Json.member k v) Json.to_str
-let num k v = Option.bind (Json.member k v) Json.to_num
-
-let check_req ?(options = []) ~id model_src =
-  Json.Obj
-    ([
-       ("op", Json.Str "check");
-       ("id", Json.Str id);
-       ("model", Json.Str model_src);
-     ]
-    @ if options = [] then [] else [ ("options", Json.Obj options) ])
+(* A server that went away mid-flood must not kill this process. *)
+let send srv obj = try send srv obj with Frame.Closed -> ()
 
 (* ------------------------------------------------------------------ *)
 (* 1. Flood past --max-pending: every frame gets exactly one reply,
@@ -114,19 +45,7 @@ let spawn_socket_server args =
   in
   Unix.close null_in;
   Unix.close null_out;
-  let rec connect tries =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> fd
-    | exception Unix.Unix_error _ ->
-      Unix.close fd;
-      if tries = 0 then failwith "socket never came up"
-      else begin
-        Unix.sleepf 0.1;
-        connect (tries - 1)
-      end
-  in
-  (pid, path, connect)
+  (pid, path, fun tries -> connect ~tries path)
 
 let test_flood_and_status () =
   let flood_n = 200 in
@@ -396,7 +315,4 @@ let () =
   test_duplicate_and_inflight_cap ();
   test_default_budgets ();
   test_watchdog_eviction ();
-  if !failures > 0 then begin
-    Printf.printf "%d deviation(s) from the overload contract\n%!" !failures;
-    exit 1
-  end
+  finish "deviation(s) from the overload contract"

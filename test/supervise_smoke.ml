@@ -19,46 +19,7 @@
    - circuit breaker: a deterministic crash loop (child-crash:1) trips
      the breaker and the supervisor gives up with exit 3. *)
 
-module Json = Server.Json
-module Frame = Server.Frame
-
-let exe = Filename.concat (Filename.concat ".." "bin") "smv_check.exe"
-
-let model_path name =
-  Filename.concat (Filename.concat (Filename.concat ".." "examples") "models")
-    name
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let failures = ref 0
-
-let expect what cond =
-  if cond then Printf.printf "ok: %s\n%!" what
-  else begin
-    incr failures;
-    Printf.printf "FAIL: %s\n%!" what
-  end
-
-let run_cli args =
-  let cmd = Filename.quote_command exe args in
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
-  in
-  (code, Buffer.contents buf)
+open Smoke
 
 (* ------------------------------------------------------------------ *)
 (* Spawning and talking to a server over its Unix socket *)
@@ -98,30 +59,10 @@ let spawn ?(env = []) args =
   Unix.close null_out;
   pid
 
-let connect path =
-  let rec go tries =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> fd
-    | exception Unix.Unix_error _ ->
-      Unix.close fd;
-      if tries = 0 then failwith "socket never came up"
-      else begin
-        Unix.sleepf 0.1;
-        go (tries - 1)
-      end
-  in
-  go 100
-
-let send fd obj = Frame.write fd (Json.to_string obj)
-
-let recv fd =
-  match Frame.read fd with
-  | None -> None
-  | Some payload -> (
-    match Json.of_string payload with
-    | Ok v -> Some v
-    | Error e -> failwith ("server sent bad JSON: " ^ e))
+(* This file talks to sockets and pids, not to a stdio [server]. *)
+let send = write_json
+let recv = read_json
+let wait_exit = wait_pid
 
 (* A recv that treats a killed peer (reset mid-frame) as end of
    stream: exactly what a client sees when the child is SIGKILLed. *)
@@ -130,27 +71,9 @@ let recv_or_eof fd =
   | v -> v
   | exception (Frame.Closed | Unix.Unix_error _) -> None
 
-let str k v = Option.bind (Json.member k v) Json.to_str
-let num k v = Option.bind (Json.member k v) Json.to_num
-let boolean k v = Option.bind (Json.member k v) Json.to_bool
-
 let counter k v =
   Option.bind (Json.member "counters" v) (fun c ->
       Option.bind (Json.member k c) Json.to_num)
-
-let check_req ?(options = []) ~id model_src =
-  Json.Obj
-    ([
-       ("op", Json.Str "check");
-       ("id", Json.Str id);
-       ("model", Json.Str model_src);
-     ]
-    @ if options = [] then [] else [ ("options", Json.Obj options) ])
-
-let wait_exit pid =
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED n -> n
-  | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> 128 + n
 
 let warm_files dir =
   Sys.readdir dir |> Array.to_list
@@ -394,8 +317,4 @@ let () =
   test_crash_restart_rehydrate ();
   test_corrupt_snapshots_quarantined ();
   test_circuit_breaker ();
-  if !failures > 0 then begin
-    Printf.printf "%d deviation(s) from the crash-only contract\n%!"
-      !failures;
-    exit 1
-  end
+  finish "deviation(s) from the crash-only contract"

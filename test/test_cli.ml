@@ -3,30 +3,7 @@
    per-spec fault isolation, and flag validation.  The binary is built
    as a dependency and invoked as a subprocess. *)
 
-let exe = Filename.concat (Filename.concat ".." "bin") "smv_check.exe"
-
-let run args =
-  let cmd = Filename.quote_command exe args ^ " 2>&1" in
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
-  in
-  (code, Buffer.contents buf)
-
-let contains ~needle haystack =
-  Astring.String.is_infix ~affix:needle haystack
-
-let model_path name =
-  Filename.concat (Filename.concat (Filename.concat ".." "examples") "models")
-    name
+open Smoke
 
 let temp_model source =
   let path = Filename.temp_file "smv_cli_test" ".smv" in
@@ -119,7 +96,38 @@ let test_recovery_flags_validated () =
   Alcotest.(check int) "--inject worker without --jobs: exit 3" 3 code;
   Alcotest.(check bool) "worker-inject message" true
     (contains ~needle:"requires a parallel run" out);
+  (* --serve runs the same validator: same exit code, same message. *)
+  List.iter
+    (fun flags ->
+      let what = String.concat " " ("--serve" :: flags) in
+      let code, out = run ("--serve" :: flags) in
+      let _, one_shot = run (path :: flags) in
+      Alcotest.(check int) (what ^ ": exit 3") 3 code;
+      Alcotest.(check string) (what ^ ": one-shot message") one_shot out)
+    [
+      [ "--inject"; "bogus" ];
+      [ "--inject"; "child-crash:abc" ];
+      [ "--timeout"; "0" ];
+    ];
   Sys.remove path
+
+(* Both front ends read one default: the flagless command line and an
+   option-less check request carry the same check options. *)
+let test_flagless_is_optionless_request () =
+  let flagless =
+    match
+      Cmdliner.Cmd.eval_value ~argv:[| "smv_check" |]
+        (Cmdliner.Cmd.v (Cmdliner.Cmd.info "smv_check") Check_flags.term)
+    with
+    | Ok (`Ok options) -> options
+    | Ok (`Help | `Version) | Error _ -> Alcotest.fail "flagless parse failed"
+  in
+  match
+    Server.Protocol.parse_request {|{"op":"check","id":"a","model":"m"}|}
+  with
+  | Ok (Server.Protocol.Check { options; _ }) ->
+    Alcotest.(check bool) "same options" true (options = flagless)
+  | Ok _ | Error _ -> Alcotest.fail "option-less check request must parse"
 
 (* --retries must decide the budget-starved counter12 spec that the
    plain path leaves UNDETERMINED, annotate the recovery, certify the
@@ -199,4 +207,6 @@ let suite =
       test_inject_contained_and_recovered;
     Alcotest.test_case "--simulate walks symbolically" `Quick
       test_simulate_runs;
+    Alcotest.test_case "flagless CLI = option-less request" `Quick
+      test_flagless_is_optionless_request;
   ]

@@ -156,26 +156,14 @@ let test_server_warm_switch () =
   Kripke.set_fair_memo m None;
   let spec = ("starvation", Ctl.AG (Ctl.Imp (mx.Models.t1, Ctl.AF mx.Models.c1))) in
   let opts engine =
-    {
-      Server.Engine.fair = true;
-      fair_engine = engine;
-      traces = true;
-      stats = false;
-      certify = true;
-      debug = false;
-      timeout = None;
-      node_limit = None;
-      step_limit = None;
-      retries = 0;
-      retry_factor = 2.0;
-      cancel = Atomic.make false;
-    }
+    { Server.Engine.default with fair_engine = engine; certify = true }
   in
   let run engine =
     let buf = Buffer.create 256 in
     let ppf = Format.formatter_of_buffer buf in
     let r =
       Server.Engine.check_one ppf m ~opts:(opts engine)
+        ~cancel:(Atomic.make false)
         ~clusters:(fun () -> [])
         spec
     in

@@ -219,15 +219,15 @@ let test_protocol_parse_check () =
     Alcotest.(check string) "id" "r1" id;
     Alcotest.(check string) "model" "MODULE main" model;
     Alcotest.(check (list string)) "specs" [ "EF x" ] specs;
-    Alcotest.(check bool) "fair" false options.Protocol.fair;
-    Alcotest.(check bool) "stats" true options.Protocol.stats;
-    Alcotest.(check int) "retries" 2 options.Protocol.retries;
+    Alcotest.(check bool) "fair" false options.Engine.fair;
+    Alcotest.(check bool) "stats" true options.Engine.stats;
+    Alcotest.(check int) "retries" 2 options.Engine.retries;
     Alcotest.(check (option (float 1e-9))) "timeout" (Some 1.5)
-      options.Protocol.timeout;
+      options.Engine.timeout;
     Alcotest.(check bool) "inject parsed" true
-      (options.Protocol.inject = Some (Bdd.Fault.Mk, 10));
+      (options.Engine.inject = Some (Engine.Fault (Bdd.Fault.Mk, 10)));
     Alcotest.(check bool) "reorder auto" true
-      (options.Protocol.reorder = `Auto)
+      (options.Engine.reorder = `Auto)
   | Ok _ -> Alcotest.fail "parsed as the wrong op"
   | Error e -> Alcotest.failf "parse failed: %s" e
 
@@ -364,28 +364,12 @@ SPEC AG !(p = crit & p = idle)
 
 let compile source = Smv.load_string source
 
-let engine_opts ?(cancel = Atomic.make false) () =
-  {
-    Engine.fair = true;
-    fair_engine = Ctl.Fair.El;
-    traces = true;
-    stats = false;
-    certify = false;
-    debug = false;
-    timeout = None;
-    node_limit = None;
-    step_limit = None;
-    retries = 0;
-    retry_factor = 2.0;
-    cancel;
-  }
-
-let check_to_string ?cancel compiled (name, spec) =
+let check_to_string ?(cancel = Atomic.make false) compiled (name, spec) =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   let r =
     Engine.check_one ppf compiled.Smv.Compile.model
-      ~opts:(engine_opts ?cancel ())
+      ~opts:Engine.default ~cancel
       ~clusters:(fun () -> compiled.Smv.Compile.clusters)
       (name, spec)
   in
@@ -442,7 +426,7 @@ let test_engine_fault_is_scoped () =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   let r =
-    Engine.check_one ppf m ~opts:(engine_opts ())
+    Engine.check_one ppf m ~opts:Engine.default ~cancel:(Atomic.make false)
       ~clusters:(fun () -> compiled.Smv.Compile.clusters)
       ~inject:(Bdd.Fault.Step, 1) spec
   in
@@ -627,7 +611,7 @@ let daemon_cfg ?default_timeout ?default_node_limit ?max_timeout () =
 
 let test_daemon_apply_defaults () =
   let o = Protocol.default_options in
-  let get cfg o = (Daemon.apply_defaults cfg o).Protocol.timeout in
+  let get cfg o = (Daemon.apply_defaults cfg o).Engine.timeout in
   Alcotest.(check (option (float 1e-9))) "no defaults: untouched" None
     (get (daemon_cfg ()) o);
   Alcotest.(check (option (float 1e-9))) "default fills the gap" (Some 5.)
@@ -636,12 +620,12 @@ let test_daemon_apply_defaults () =
     (Some 2.)
     (get
        (daemon_cfg ~default_timeout:5. ())
-       { o with Protocol.timeout = Some 2. });
+       { o with Engine.timeout = Some 2. });
   Alcotest.(check (option (float 1e-9))) "ceiling clamps the request"
     (Some 3.)
     (get
        (daemon_cfg ~max_timeout:3. ())
-       { o with Protocol.timeout = Some 60. });
+       { o with Engine.timeout = Some 60. });
   Alcotest.(check (option (float 1e-9)))
     "ceiling applies even with no request budget" (Some 3.)
     (get (daemon_cfg ~max_timeout:3. ()) o);
@@ -649,14 +633,14 @@ let test_daemon_apply_defaults () =
     (Some 1.)
     (get
        (daemon_cfg ~max_timeout:3. ())
-       { o with Protocol.timeout = Some 1. });
-  let node cfg o = (Daemon.apply_defaults cfg o).Protocol.node_limit in
+       { o with Engine.timeout = Some 1. });
+  let node cfg o = (Daemon.apply_defaults cfg o).Engine.node_limit in
   Alcotest.(check (option int)) "node default fills the gap" (Some 100)
     (node (daemon_cfg ~default_node_limit:100 ()) o);
   Alcotest.(check (option int)) "request node limit wins" (Some 7)
     (node
        (daemon_cfg ~default_node_limit:100 ())
-       { o with Protocol.node_limit = Some 7 })
+       { o with Engine.node_limit = Some 7 })
 
 let test_overload_retry_hint () =
   let ov = Overload.create ~log:ignore () in
@@ -821,6 +805,67 @@ let test_daemon_bad_extra_spec () =
       send (Json.Obj [ ("op", Json.Str "shutdown") ]);
       ignore (recv ()))
 
+(* One driver compiles extra specs for both front ends: a bad one reads
+   the same on the CLI's stderr as in the server's error reply. *)
+let test_bad_extra_spec_same_message () =
+  let path = Filename.temp_file "bad_extra_spec" ".smv" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc mutex_source);
+  let code, cli_out = Smoke.run [ path; "--spec"; "AG (p = " ] in
+  Sys.remove path;
+  Alcotest.(check int) "CLI: exit 3" 3 code;
+  let srv = Smoke.spawn_server [] in
+  Smoke.send srv
+    (Json.Obj
+       [
+         ("op", Json.Str "check");
+         ("id", Json.Str "bad");
+         ("model", Json.Str mutex_source);
+         ("specs", Json.Arr [ Json.Str "AG (p = " ]);
+       ]);
+  let reply = Smoke.recv srv in
+  Smoke.send srv (Json.Obj [ ("op", Json.Str "shutdown") ]);
+  ignore (Smoke.recv srv);
+  ignore (Smoke.wait_exit srv);
+  Alcotest.(check (option string)) "server error = CLI stderr" (Some cli_out)
+    (Option.map (fun msg -> msg ^ "\n") (Option.bind reply (Smoke.str "error")))
+
+(* The driver's initial --reorder once sweep: a failed sweep is
+   reported through [warn] and changes no verdict and no output byte. *)
+let test_driver_failed_sweep_warns () =
+  let run ~fault =
+    let compiled = Smv.load_string ~static_order:true mutex_source in
+    if fault then
+      Bdd.Fault.arm compiled.Smv.Compile.model.Kripke.man
+        ~site:Bdd.Fault.Reorder ~after:1;
+    let warnings = ref [] in
+    let buf = Buffer.create 256 in
+    let ppf = Format.formatter_of_buffer buf in
+    match
+      Engine.run ppf compiled
+        ~opts:{ Engine.default with reorder = `Once }
+        ~specs:[ "EF (p = crit)" ] ~cancel:(Atomic.make false) ~debug:false
+        ~warm:false
+        ~warn:(fun w -> warnings := w :: !warnings)
+        ~jobs:1 ~prepare:ignore
+    with
+    | Ok ((), o) ->
+      Format.pp_print_flush ppf ();
+      ( !warnings,
+        List.map (fun (name, r) -> (name, r.Engine.verdict)) o.Engine.verdicts,
+        o.Engine.exit_code,
+        Buffer.contents buf )
+    | Error e -> Alcotest.fail e
+  in
+  let w_clean, v_clean, code_clean, out_clean = run ~fault:false in
+  let w_fault, v_fault, code_fault, out_fault = run ~fault:true in
+  Alcotest.(check (list string)) "a clean sweep is silent" [] w_clean;
+  Alcotest.(check (list string)) "the failed sweep is reported"
+    [ "initial reordering failed; continuing" ] w_fault;
+  Alcotest.(check int) "two verdicts" 2 (List.length v_fault);
+  Alcotest.(check bool) "same verdicts" true (v_clean = v_fault);
+  Alcotest.(check int) "same exit code" code_clean code_fault;
+  Alcotest.(check string) "same output" out_clean out_fault
+
 let suite =
   [
     Alcotest.test_case "json: compact printing" `Quick test_json_print;
@@ -876,4 +921,8 @@ let suite =
       test_overload_watchdog_ladder;
     Alcotest.test_case "daemon: bad extra spec is a structured error" `Quick
       test_daemon_bad_extra_spec;
+    Alcotest.test_case "driver: bad extra spec reads the same on both ends"
+      `Quick test_bad_extra_spec_same_message;
+    Alcotest.test_case "driver: failed initial sweep warns, changes nothing"
+      `Quick test_driver_failed_sweep_warns;
   ]

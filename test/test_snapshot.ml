@@ -145,26 +145,11 @@ let check_all compiled =
      byte-identity oracle. *)
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  let opts =
-    {
-      Server.Engine.fair = true;
-      fair_engine = Ctl.Fair.El;
-      traces = true;
-      stats = false;
-      certify = false;
-      debug = false;
-      timeout = None;
-      node_limit = None;
-      step_limit = None;
-      retries = 0;
-      retry_factor = 2.0;
-      cancel = Atomic.make false;
-    }
-  in
   List.iter
     (fun spec ->
       ignore
-        (Server.Engine.check_one ppf compiled.Smv.Compile.model ~opts
+        (Server.Engine.check_one ppf compiled.Smv.Compile.model
+           ~opts:Server.Engine.default ~cancel:(Atomic.make false)
            ~clusters:(fun () -> compiled.Smv.Compile.clusters)
            spec))
     compiled.Smv.Compile.specs;
