@@ -100,15 +100,6 @@ let retries_arg =
            always certified.  Default 0: no recovery, behaviour \
            identical to earlier versions.")
 
-let retry_factor_arg =
-  Arg.(
-    value & opt float d.retry_factor
-    & info [ "retry-budget-factor" ] ~docv:"F"
-        ~doc:
-          "Exponential budget backoff for retries: attempt k runs \
-           under node/step budgets multiplied by F^(k-1), and the \
-           remaining share of a (timeout * attempts) wall-clock pool.")
-
 let certify_arg =
   Arg.(
     value & flag
@@ -132,24 +123,14 @@ let reorder_arg =
            $(b,once) seeds a dependency-proximity static order at \
            compile time and runs one Rudell sifting sweep on the built \
            model; $(b,auto) additionally re-sifts whenever live nodes \
-           grow past --reorder-threshold (the threshold doubles after \
-           each sweep).  Verdicts, traces and exit codes are unchanged \
-           by any mode.")
-
-let reorder_threshold_arg =
-  Arg.(
-    value & opt int d.reorder_threshold
-    & info [ "reorder-threshold" ] ~docv:"N"
-        ~doc:
-          "Live-node trigger for --reorder auto: a sifting sweep is \
-           scheduled when the manager grows past N live nodes (then \
-           past max(2 * live, N) after each sweep).")
+           grow past 4096 (the threshold doubles after each sweep).  \
+           Verdicts, traces and exit codes are unchanged by any mode.")
 
 (* A boolean flag only moves its field away from the default:
    --no-fairness and -q switch one off, the others switch one on. *)
 let term =
   let make no_fair fair_engine no_trace stats partitioned timeout node_limit
-      step_limit retries retry_factor certify reorder reorder_threshold =
+      step_limit retries certify reorder =
     {
       Engine.fair = d.fair && not no_fair;
       fair_engine;
@@ -158,17 +139,14 @@ let term =
       certify = d.certify || certify;
       partitioned = d.partitioned || partitioned;
       retries;
-      retry_factor;
       timeout;
       node_limit;
       step_limit;
       inject = d.inject;
       reorder;
-      reorder_threshold;
     }
   in
   Term.(
     const make $ no_fair_arg $ fair_engine_arg $ no_trace_arg $ stats_arg
     $ partitioned_arg $ timeout_arg $ node_limit_arg $ step_limit_arg
-    $ retries_arg $ retry_factor_arg $ certify_arg $ reorder_arg
-    $ reorder_threshold_arg)
+    $ retries_arg $ certify_arg $ reorder_arg)

@@ -383,6 +383,8 @@ let main file extra_specs check cache_limit simulate seed jobs inject debug
       3
   end
   else
+    (* Resolve --jobs 0 first: "worker:N" must see the real count. *)
+    let jobs = if jobs = 0 then Parallel.default_jobs () else jobs in
     match
       validate ~serve ~jobs ~seed ~cache_limit ~simulate ~inject check
     with
@@ -390,7 +392,6 @@ let main file extra_specs check cache_limit simulate seed jobs inject debug
       Format.eprintf "%s@." msg;
       3
     | Ok (check, crash_after) -> (
-      let jobs = if jobs = 0 then Parallel.default_jobs () else jobs in
       if serve then begin
         if file <> None then
           Format.eprintf "warning: MODEL.smv argument is ignored with --serve@.";

@@ -1169,9 +1169,10 @@ let any_sat m f =
       if lo = 0 then go ((m.n_var.(f), true) :: acc) m.n_hi.(f)
       else go ((m.n_var.(f), false) :: acc) lo
   in
-  (* The diagram walk visits variables in level order; return the cube
-     sorted by variable index so callers see an order-independent
-     result (identical to the historic one under the identity order). *)
+  (* The walk prefers [false] branches in level order, so the cube
+     depends on the variable order; only its listing is sorted by
+     variable index.  Callers needing an order-independent point
+     cofactor variable by variable instead (see [Kripke.pick_state]). *)
   go [] f |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
 
 let any_sat_total m f ~vars =

@@ -200,8 +200,9 @@ val sat_count : man -> t -> int -> float
 
 val any_sat : man -> t -> (int * bool) list
 (** One satisfying {e partial} assignment (the least cube in the
-    manager's current order, preferring [false] branches), as
-    (variable, value) pairs sorted by variable.  Variables on which the cube does not depend
+    manager's current order, preferring [false] branches — so it can
+    change when the order is sifted), as (variable, value) pairs
+    sorted by variable.  Variables on which the cube does not depend
     (don't-cares) are {e omitted}: any completion of the returned pairs
     satisfies the diagram.  Callers that need one concrete point must
     pin the don't-cares themselves or use {!any_sat_total}.  Raises
@@ -210,10 +211,10 @@ val any_sat : man -> t -> (int * bool) list
 val any_sat_total : man -> t -> vars:int list -> (int * bool) list
 (** [any_sat_total m f ~vars] — one satisfying {e total} assignment over
     [vars]: the {!any_sat} cube with every unmentioned variable of
-    [vars] pinned to [false] (the lexicographically least satisfying
-    point).  The support of [f] must be contained in [vars]; raises
-    [Invalid_argument] otherwise and [Not_found] on the constant
-    false. *)
+    [vars] pinned to [false] (the least satisfying point in the
+    current variable order).  The support of [f] must be contained in
+    [vars]; raises [Invalid_argument] otherwise and [Not_found] on the
+    constant false. *)
 
 val fold_sat :
   man -> t -> int list -> init:'a -> f:('a -> bool array -> 'a) -> 'a

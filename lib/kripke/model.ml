@@ -364,16 +364,23 @@ let pick_state m set =
   let set = Bdd.and_ m.man set m.space in
   if Bdd.is_zero set then None
   else begin
-    (* [Bdd.any_sat] returns a partial cube; bits it leaves unmentioned
-       are don't-cares, and pinning a don't-care to [false] stays inside
-       the set, so the result is a genuine single state. *)
-    let partial = Bdd.any_sat m.man set in
+    (* The least state in bit-index order, whatever the variable order:
+       cofactor the current-copy bits 0..nbits-1 in turn, taking
+       [false] whenever the set allows it.  (A cube read off the
+       diagram would be least in *level* order, so a sifted manager
+       would pick a different representative and change traces.) *)
     let st = Array.make m.nbits false in
-    List.iter
-      (fun (v, b) -> if v mod 2 = 0 then st.(v / 2) <- b)
-      partial;
+    let cur = ref set in
+    for b = 0 to m.nbits - 1 do
+      let f0 = Bdd.restrict m.man !cur (2 * b) false in
+      if Bdd.is_zero f0 then begin
+        st.(b) <- true;
+        cur := Bdd.restrict m.man !cur (2 * b) true
+      end
+      else cur := f0
+    done;
     (* A state set must constrain current-copy variables only; if the
-       pinned state fell outside the set, the cube required a next-copy
+       pinned state fell outside the set, it required a next-copy
        variable we cannot represent in a state. *)
     if not (Bdd.eval m.man set (fun v -> v mod 2 = 0 && st.(v / 2))) then
       invalid_arg "Kripke.pick_state: set constrains next-state variables";

@@ -217,7 +217,8 @@ val state_to_bdd : t -> state -> Bdd.t
 
 val pick_state : t -> Bdd.t -> state option
 (** A deterministic representative of a state set (lexicographically
-    least within [space]); [None] if the set is empty.  The result is a
+    least within [space], by bit index — the same under any variable
+    order); [None] if the set is empty.  The result is a
     {e total} assignment: state bits the set does not constrain are
     pinned to [false], so [state_to_bdd] of the result is always a
     subset of the set.  Raises [Invalid_argument] if the set constrains

@@ -20,13 +20,11 @@ type options = {
   certify : bool;
   partitioned : bool;
   retries : int;
-  retry_factor : float;
   timeout : float option;
   node_limit : int option;
   step_limit : int option;
   inject : inject option;
   reorder : [ `None | `Once | `Auto ];
-  reorder_threshold : int;
 }
 
 let default =
@@ -38,14 +36,17 @@ let default =
     certify = false;
     partitioned = false;
     retries = 0;
-    retry_factor = 2.0;
     timeout = None;
     node_limit = None;
     step_limit = None;
     inject = None;
     reorder = `None;
-    reorder_threshold = 4096;
   }
+
+(* Retry k scales node/step budgets by [retry_factor]^(k-1); `Auto
+   first sifts past [reorder_threshold] live nodes. *)
+let retry_factor = 2.0
+let reorder_threshold = 4096
 
 let parse_inject ?(seed = 0) s =
   match String.index_opt s ':' with
@@ -86,9 +87,6 @@ let validate ~jobs o =
       (nonpositive o.node_limit, "--node-limit: N must be positive");
       (nonpositive o.step_limit, "--step-limit: N must be positive");
       (o.retries < 0, "--retries: N must be >= 0");
-      ( o.reorder_threshold <= 0,
-        "--reorder-threshold: N must be positive" );
-      (o.retry_factor < 1.0, "--retry-budget-factor: F must be >= 1.0");
       ( (match o.inject with Some (Worker_crash _) -> jobs < 2 | _ -> false),
         "--inject worker:N requires a parallel run (--jobs >= 2)" );
       ( (match o.inject with Some (Child_crash _) -> true | _ -> false),
@@ -266,7 +264,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
   let backoff k = function
     | None -> None
     | Some n ->
-      let scaled = float_of_int n *. (opts.retry_factor ** float_of_int (k - 1)) in
+      let scaled = float_of_int n *. (retry_factor ** float_of_int (k - 1)) in
       Some (if scaled >= 1e18 then max_int else int_of_float scaled)
   in
   let timeout_for k =
@@ -566,7 +564,7 @@ let fan_out ppf compiled ~opts ~cancel ~debug ~jobs ?fault specs =
     (match opts.reorder with
     | `Auto ->
       if Bdd.Reorder.auto_threshold wm.Kripke.man = None then
-        Bdd.Reorder.set_auto wm.Kripke.man (Some opts.reorder_threshold)
+        Bdd.Reorder.set_auto wm.Kripke.man (Some reorder_threshold)
     | `None | `Once -> ());
     let buf = Buffer.create 512 in
     let wppf = Format.formatter_of_buffer buf in
@@ -643,7 +641,7 @@ let run ppf compiled ~opts ~specs ~cancel ~debug ~warm ~warn ~jobs ~prepare =
      sifts the freshly built model now (on top of the static proximity
      order both non-none modes seed at compile time). *)
   (match opts.reorder with
-  | `Auto -> Bdd.Reorder.set_auto man (Some opts.reorder_threshold)
+  | `Auto -> Bdd.Reorder.set_auto man (Some reorder_threshold)
   | `None | `Once -> ());
   Fun.protect ~finally:(fun () -> Bdd.Reorder.set_auto man None) @@ fun () ->
   (match opts.reorder with

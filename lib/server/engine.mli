@@ -55,13 +55,11 @@ type options = {
   certify : bool;       (** re-validate every emitted trace *)
   partitioned : bool;   (** compile a partitioned transition relation *)
   retries : int;
-  retry_factor : float;
   timeout : float option;
   node_limit : int option;
   step_limit : int option;
   inject : inject option;
   reorder : [ `None | `Once | `Auto ];
-  reorder_threshold : int;
 }
 
 val default : options

@@ -62,14 +62,9 @@ let parse_options json =
   let* certify = bool_f "certify" d.certify in
   let* partitioned = bool_f "partitioned" d.partitioned in
   let* retries = int_f "retries" d.retries in
-  let* retry_factor =
-    with_default d.retry_factor
-      (opt_field fields "retry_factor" Json.to_num "a number")
-  in
   let* timeout = opt_field fields "timeout" Json.to_num "a number" in
   let* node_limit = opt_field fields "node_limit" Json.to_int "an integer" in
   let* step_limit = opt_field fields "step_limit" Json.to_int "an integer" in
-  let* reorder_threshold = int_f "reorder_threshold" d.reorder_threshold in
   let* inject_s = opt_field fields "inject" Json.to_str "a string" in
   let* inject =
     match inject_s with
@@ -95,8 +90,7 @@ let parse_options json =
   let options =
     {
       Engine.fair; fair_engine; traces; stats; certify; partitioned;
-      retries; retry_factor; timeout; node_limit; step_limit; inject;
-      reorder; reorder_threshold;
+      retries; timeout; node_limit; step_limit; inject; reorder;
     }
   in
   (* The CLI's own validator: a request runs on one worker, so

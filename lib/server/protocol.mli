@@ -27,10 +27,13 @@
     values are refused by the CLI's own validator, with its messages):
     booleans [fair], [traces],
     [stats], [certify], [partitioned]; integers [retries],
-    [node_limit], [step_limit], [reorder_threshold]; numbers
-    [timeout], [retry_factor]; strings [inject] ("SITE:COUNT" as on
-    the CLI, minus "worker" and "child-crash"), [reorder] ("none"/"once"/"auto") and
-    [fair_engine] ("el"/"lockstep", the CLI's [--fair-engine]).
+    [node_limit], [step_limit]; number [timeout]; strings [inject]
+    ("SITE:COUNT" as on the CLI, minus "worker" and "child-crash"),
+    [reorder] ("none"/"once"/"auto") and [fair_engine]
+    ("el"/"lockstep", the CLI's [--fair-engine]).  Like any unknown
+    field, the former [retry_factor] and [reorder_threshold] fields
+    are ignored: the retry backoff factor (2) and the [auto] reorder
+    trigger (4096 live nodes) are fixed.
 
     {2 Replies}
 

@@ -80,10 +80,6 @@ let test_recovery_flags_validated () =
   Alcotest.(check int) "--retries -1: exit 3" 3 code;
   Alcotest.(check bool) "--retries message" true
     (contains ~needle:"N must be >= 0" out);
-  let code, out = run [ path; "--retry-budget-factor"; "0.5" ] in
-  Alcotest.(check int) "--retry-budget-factor 0.5: exit 3" 3 code;
-  Alcotest.(check bool) "factor message" true
-    (contains ~needle:"F must be >= 1.0" out);
   let code, _ = run [ path; "--inject"; "bogus" ] in
   Alcotest.(check int) "--inject without a colon: exit 3" 3 code;
   let code, out = run [ path; "--inject"; "quantum:3" ] in
