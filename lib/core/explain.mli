@@ -19,6 +19,30 @@
 
 exception Cannot_explain of string
 
+(** What the recursion needs of a representation: ['set] is a state
+    set, ['state] a single state.  [sat] evaluates under fair
+    semantics; [fair] intersects a set with the fair states; [ex],
+    [eu] and [eg] are the witness primitives for a start state that
+    satisfies the operator ([ex] and [eu] return the path from
+    [start], [eg] a (prefix, cycle) lasso whose prefix may be empty
+    when the cycle starts at [start]). *)
+type ('set, 'state) ops = {
+  sat : Ctl.t -> 'set;
+  mem : 'set -> 'state -> bool;
+  fair : 'set -> 'set;
+  ex : f:'set -> start:'state -> 'state list;
+  eu : f:'set -> g:'set -> start:'state -> 'state list;
+  eg : f:'set -> start:'state -> 'state list * 'state list;
+}
+
+val explain_with :
+  ('set, 'state) ops -> Ctl.t -> start:'state -> 'state list * 'state list
+(** The explanation recursion over any representation: the (prefix,
+    cycle) of a path demonstrating the formula at [start] (raises
+    {!Cannot_explain} when it does not hold there).  {!explain} is its
+    symbolic instance; [Robust.Fallback] runs it over explicit graph
+    indices. *)
+
 val explain :
   ?limits:Bdd.Limits.t ->
   ?engine:Ctl.Fair.engine ->

@@ -220,25 +220,3 @@ let eg_stats ?limits ?engine ?(strategy = Restart) ?(max_restarts = 1_000_000)
 
 let eg ?limits ?engine ?strategy m ~f ~start =
   fst (eg_stats ?limits ?engine ?strategy m ~f ~start)
-
-(* ------------------------------------------------------------------ *)
-(* Fair EX / EU: reduce to the unfair operator against [g /\ fair] and
-   extend to an infinite fair path with an [EG true] witness.          *)
-
-let extend_fair ?limits ?engine m trace =
-  match List.rev (Kripke.Trace.states trace) with
-  | [] -> raise (No_witness "internal: empty trace")
-  | last :: _ ->
-    let tail = eg ?limits ?engine m ~f:m.Kripke.space ~start:last in
-    Kripke.Trace.append trace tail
-
-let ex_fair ?limits ?engine m ~f ~start =
-  let bman = m.Kripke.man in
-  let fair = Ctl.Fair.fair_states ?limits ?engine m in
-  extend_fair ?limits ?engine m (ex ?limits m ~f:(Bdd.and_ bman f fair) ~start)
-
-let eu_fair ?limits ?engine m ~f ~g ~start =
-  let bman = m.Kripke.man in
-  let fair = Ctl.Fair.fair_states ?limits ?engine m in
-  extend_fair ?limits ?engine m
-    (eu ?limits m ~f ~g:(Bdd.and_ bman g fair) ~start)

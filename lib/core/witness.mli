@@ -86,17 +86,3 @@ val eg_stats :
     above the state-count bound on legitimate restarts) caps the failed
     rounds; exceeding it raises {!Restart_bound_exceeded} with the
     collected prefix and counts. *)
-
-val ex_fair :
-  ?limits:Bdd.Limits.t ->
-  ?engine:Ctl.Fair.engine ->
-  Kripke.t -> f:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
-(** Witness for [EX f] under fairness: a step into [f /\ fair],
-    extended to an infinite fair path by an [EG true] witness. *)
-
-val eu_fair :
-  ?limits:Bdd.Limits.t ->
-  ?engine:Ctl.Fair.engine ->
-  Kripke.t -> f:Bdd.t -> g:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
-(** Witness for [E[f U g]] under fairness: a finite prefix to
-    [g /\ fair], extended to an infinite fair path. *)

@@ -23,109 +23,46 @@ let holds t ~fair formula =
     Explicit.Ectl.holds_fair t.graph ~atom:(atom t) ~pred:t.mask formula
   else Explicit.Ectl.holds t.graph ~atom:(atom t) ~pred:t.mask formula
 
-(* ------------------------------------------------------------------ *)
-(* Trace construction, mirroring [Counterex.Explain]: fair path
-   semantics throughout, conjunctions explain their first temporal
-   conjunct, negated temporal subformulas are opaque state sets.  The
-   recursion works on graph-node indices and is lifted to concrete
-   states only at the very end. *)
+(* Trace construction: [Counterex.Explain]'s recursion over graph-node
+   indices, lifted to concrete states only at the very end. *)
 
-exception Unexplained
-
-(* Same question as Explain's [is_temporal]: does the boolean skeleton
-   expose a temporal operator a path can exhibit? *)
-let rec is_temporal = function
-  | Ctl.EX _ | Ctl.EU _ | Ctl.EG _ -> true
-  | Ctl.And (a, b) | Ctl.Or (a, b) -> is_temporal a || is_temporal b
-  | Ctl.True | Ctl.False | Ctl.Atom _ | Ctl.Pred _ | Ctl.Not _ -> false
-  | Ctl.Imp _ | Ctl.Iff _ | Ctl.EF _ | Ctl.AX _ | Ctl.AF _ | Ctl.AG _
-  | Ctl.AU _ ->
-    (* the recursion below runs on push_neg-normalised formulas *)
-    raise Unexplained
-
-type itrace = { ipre : int list; icyc : int list }
-
-let mask_and = Array.map2 ( && )
+let sat_fair t formula =
+  Explicit.Ectl.sat_fair t.graph ~atom:(atom t) ~pred:t.mask formula
 
 let explain t formula ~start =
-  let g = t.graph in
-  let fair_mask = Explicit.Ectl.fair_states g in
-  let satm f = Explicit.Ectl.sat_fair g ~atom:(atom t) ~pred:t.mask f in
-  let rec go f i =
-    if not (satm f).(i) then raise Unexplained;
-    match f with
-    | Ctl.True | Ctl.False | Ctl.Atom _ | Ctl.Pred _ | Ctl.Not _ ->
-      { ipre = [ i ]; icyc = [] }
-    | Ctl.And (a, b) ->
-      if is_temporal a then go a i
-      else if is_temporal b then go b i
-      else { ipre = [ i ]; icyc = [] }
-    | Ctl.Or (a, b) -> if (satm a).(i) then go a i else go b i
-    | Ctl.EX a -> (
-      let target = mask_and (satm a) fair_mask in
-      match Explicit.Ewitness.ex g ~f:target ~start:i with
-      | None -> raise Unexplained
-      | Some path -> continue path a)
-    | Ctl.EU (a, b) -> (
-      let target = mask_and (satm b) fair_mask in
-      match Explicit.Ewitness.eu g ~f:(satm a) ~g:target ~start:i with
-      | None -> raise Unexplained
-      | Some path -> continue path b)
-    | Ctl.EG a -> (
-      match Explicit.Ewitness.fair_eg g ~f:(satm a) ~start:i with
-      | None -> raise Unexplained
-      | Some (p, c) -> { ipre = p; icyc = c })
-    | Ctl.Imp _ | Ctl.Iff _ | Ctl.EF _ | Ctl.AX _ | Ctl.AF _ | Ctl.AG _
-    | Ctl.AU _ ->
-      raise Unexplained
-  (* Extend a finite path by explaining [f] at its final node. *)
-  and continue path f =
-    if not (is_temporal f) then { ipre = path; icyc = [] }
-    else
-      match List.rev path with
-      | [] -> raise Unexplained
-      | last :: _ -> (
-        let tb = go f last in
-        match tb.ipre with
-        | first :: rest ->
-          assert (first = last);
-          { ipre = path @ rest; icyc = tb.icyc }
-        | [] ->
-          (* The continuation is a pure cycle beginning at the junction
-             node; keep the junction only in the cycle so the lasso does
-             not duplicate it. *)
-          {
-            ipre = List.filteri (fun k _ -> k < List.length path - 1) path;
-            icyc = tb.icyc;
-          })
+  let graph = t.graph in
+  let fair_mask = Explicit.Ectl.fair_states graph in
+  let found = function
+    | Some path -> path
+    | None -> raise (Counterex.Explain.Cannot_explain "no explicit-state path")
   in
-  go (Ctl.push_neg formula) start
+  let prefix, cycle =
+    Counterex.Explain.explain_with
+      {
+        sat = sat_fair t;
+        mem = (fun mask i -> mask.(i));
+        fair = (fun mask -> Array.map2 ( && ) mask fair_mask);
+        ex = (fun ~f ~start -> found (Explicit.Ewitness.ex graph ~f ~start));
+        eu =
+          (fun ~f ~g ~start -> found (Explicit.Ewitness.eu graph ~f ~g ~start));
+        eg =
+          (fun ~f ~start -> found (Explicit.Ewitness.fair_eg graph ~f ~start));
+      }
+      formula ~start
+  in
+  let lift = List.map (fun i -> t.states.(i)) in
+  Kripke.Trace.lasso ~prefix:(lift prefix) ~cycle:(lift cycle)
 
-let to_trace t { ipre; icyc } =
-  Kripke.Trace.lasso
-    ~prefix:(List.map (fun i -> t.states.(i)) ipre)
-    ~cycle:(List.map (fun i -> t.states.(i)) icyc)
+let first_init t p = List.find_opt p t.graph.Explicit.Egraph.init
 
 let witness t formula =
-  let sat =
-    Explicit.Ectl.sat_fair t.graph ~atom:(atom t) ~pred:t.mask formula
-  in
-  match List.find_opt (fun i -> sat.(i)) t.graph.Explicit.Egraph.init with
-  | None -> None
-  | Some start -> (
-    match explain t formula ~start with
-    | it -> Some (to_trace t it)
-    | exception Unexplained -> None)
+  let sat = sat_fair t formula in
+  Option.map
+    (fun start -> explain t formula ~start)
+    (first_init t (fun i -> sat.(i)))
 
 let counterexample t formula =
-  let sat =
-    Explicit.Ectl.sat_fair t.graph ~atom:(atom t) ~pred:t.mask formula
-  in
-  match
-    List.find_opt (fun i -> not sat.(i)) t.graph.Explicit.Egraph.init
-  with
-  | None -> None
-  | Some start -> (
-    match explain t (Ctl.Not formula) ~start with
-    | it -> Some (to_trace t it)
-    | exception Unexplained -> None)
+  let sat = sat_fair t formula in
+  Option.map
+    (fun start -> explain t (Ctl.Not formula) ~start)
+    (first_init t (fun i -> not sat.(i)))

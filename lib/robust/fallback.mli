@@ -14,9 +14,9 @@
     mapped back through the bridge's state array into an ordinary
     [Kripke.Trace.t] over the original model — so the standard
     validator certifies them exactly like symbolic ones.  The
-    explanation recursion mirrors [Counterex.Explain] (fair path
-    semantics, first temporal conjunct, opaque negations); [None] when
-    the shape cannot be explained by a single path. *)
+    explanation recursion is [Counterex.Explain.explain_with] itself
+    (fair path semantics, first temporal conjunct, opaque negations),
+    run over graph indices. *)
 
 type t
 (** A bridged model: the explicit graph, the concrete state of each
@@ -47,10 +47,11 @@ val holds : t -> fair:bool -> Ctl.t -> bool
 
 val witness : t -> Ctl.t -> Kripke.Trace.t option
 (** A trace demonstrating the (existential) formula from some initial
-    state; [None] when no initial state satisfies it or the shape has
-    no single-path explanation. *)
+    state; [None] when no initial state satisfies it under fair
+    semantics.  Raises [Counterex.Explain.Cannot_explain] like the
+    symbolic explainer. *)
 
 val counterexample : t -> Ctl.t -> Kripke.Trace.t option
 (** A trace demonstrating the negation from some initial state;
-    [None] when the formula holds everywhere initial or no single-path
-    explanation exists. *)
+    [None] when the formula holds on every initial state under fair
+    semantics. *)

@@ -159,9 +159,9 @@ let print_breach_progress ppf (info : Bdd.Limits.info) =
    checker) — the trace for a determined verdict.  A resource breach
    here is reported as a note but keeps the verdict: the answer was
    already computed, only its explanation ran out of budget.
-   [fallback] switches the source of the trace to the explicit-state
-   bridge (the ladder's last rung); the surrounding text stays the
-   same, so downstream tooling parses both alike. *)
+   [fallback] only chooses the explainer: the explicit-state bridge
+   (the ladder's last rung) or the symbolic model under [limits] and
+   [engine]. *)
 let trace_for ppf m ~limits ~engine ~emit ~holds ~fallback spec =
   let emitf fmt =
     if emit then Format.fprintf ppf fmt else Format.ifprintf ppf fmt
@@ -170,68 +170,51 @@ let trace_for ppf m ~limits ~engine ~emit ~holds ~fallback spec =
     emitf "-- as demonstrated by the following execution sequence@.";
     emitf "%a@." (Kripke.Trace.pp m) tr
   in
-  let show_fail tr =
-    show tr;
-    emitf "-- trace length: %d states%s@." (Kripke.Trace.length tr)
-      (if Kripke.Trace.is_lasso tr then
-         Printf.sprintf " (cycle of length %d)"
-           (List.length tr.Kripke.Trace.cycle)
-       else "")
+  let witness, counterexample =
+    match fallback with
+    | Some fb -> (Robust.Fallback.witness fb, Robust.Fallback.counterexample fb)
+    | None ->
+      ( Counterex.Explain.witness ~limits ~engine m,
+        Counterex.Explain.counterexample ~limits ~engine m )
   in
-  match fallback with
-  | Some fb ->
-    if holds then begin
-      if not (existential spec) then None
-      else
-        match Robust.Fallback.witness fb spec with
-        | Some tr ->
-          show tr;
-          Some tr
-        | None -> None
-    end
-    else begin
-      match Robust.Fallback.counterexample fb spec with
+  if holds then begin
+    if not (existential spec) then None
+    else
+      match witness spec with
       | Some tr ->
-        show_fail tr;
+        show tr;
         Some tr
-      | None ->
-        emitf "-- (no explicit-state trace for this formula shape)@.";
-        None
-    end
-  | None ->
-    if holds then begin
-      if not (existential spec) then None
-      else
-        match Counterex.Explain.witness ~limits ~engine m spec with
-        | Some tr ->
-          show tr;
-          Some tr
-        | None -> None
-        | exception Counterex.Explain.Cannot_explain _ -> None
-        | exception Bdd.Limits.Exhausted info ->
-          emitf "-- (witness construction hit a resource limit: %s)@."
-            (describe_breach info);
-          None
-    end
-    else begin
-      (* Counterexamples always use fair semantics when constraints are
-         declared, as SMV does. *)
-      match Counterex.Explain.counterexample ~limits ~engine m spec with
-      | Some tr ->
-        show_fail tr;
-        Some tr
-      | None ->
-        emitf
-          "-- (no initial-state counterexample: the formula fails only under plain semantics)@.";
-        None
-      | exception Counterex.Explain.Cannot_explain msg ->
-        emitf "-- (could not build a linear counterexample: %s)@." msg;
-        None
+      | None -> None
+      | exception Counterex.Explain.Cannot_explain _ -> None
       | exception Bdd.Limits.Exhausted info ->
-        emitf "-- (counterexample construction hit a resource limit: %s)@."
+        emitf "-- (witness construction hit a resource limit: %s)@."
           (describe_breach info);
         None
-    end
+  end
+  else begin
+    (* Counterexamples always use fair semantics when constraints are
+       declared, as SMV does. *)
+    match counterexample spec with
+    | Some tr ->
+      show tr;
+      emitf "-- trace length: %d states%s@." (Kripke.Trace.length tr)
+        (if Kripke.Trace.is_lasso tr then
+           Printf.sprintf " (cycle of length %d)"
+             (List.length tr.Kripke.Trace.cycle)
+         else "");
+      Some tr
+    | None ->
+      emitf
+        "-- (no initial-state counterexample: the formula fails only under plain semantics)@.";
+      None
+    | exception Counterex.Explain.Cannot_explain msg ->
+      emitf "-- (could not build a linear counterexample: %s)@." msg;
+      None
+    | exception Bdd.Limits.Exhausted info ->
+      emitf "-- (counterexample construction hit a resource limit: %s)@."
+        (describe_breach info);
+      None
+  end
 
 (* What one ladder attempt produced: the verdict, the model it was
    decided on (the degraded rung may swap in a partitioned variant),

@@ -125,12 +125,23 @@ let variants = function
   | "counter26" -> List.hd engines :: perf_flags
   | _ -> engines @ perf_flags
 
+(* One step starves every symbolic attempt, so the retry decides on
+   the explicit-state rung and its traces are certified like symbolic
+   ones.  arbiter and counter26 do not fit the bridge. *)
+let explicit_rung = [ "--step-limit"; "1"; "--retries"; "1" ]
+
+let fits_bridge name = not (List.mem name [ "arbiter"; "counter26" ])
+
 let invariance =
   List.map
     (fun (name, code) ->
       let budget = if name = "counter26" then [ "--step-limit"; "64" ] else [] in
       let base = model name ("--certify" :: budget) in
-      (name, base, code, List.map (fun v -> Same (base @ v)) (variants name)))
+      ( name, base, code,
+        List.map (fun v -> Same (base @ v)) (variants name)
+        @
+        if fits_bridge name then [ Same_verdicts (base @ explicit_rung) ]
+        else [] ))
     models
 
 (* ------------------------------------------------------------------ *)
@@ -185,6 +196,14 @@ let rows =
           Has "b11)) is true"; Has "(recovered: attempt";
           Has "certificate: trace independently validated";
           Lacks "UNDETERMINED";
+        ] );
+      (* The explicit rung reports a formula that fails only under
+         plain semantics as the symbolic one does. *)
+      ( "ring plain explicit", model "ring" ("--no-fairness" :: explicit_rung),
+        1,
+        [
+          Has "fails only under plain semantics";
+          Lacks "no explicit-state trace";
         ] );
       (* Every injection site recovers to the fault-free verdicts. *)
       ( "mutex", model "mutex" [ "-q" ], 1,

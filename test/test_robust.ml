@@ -278,15 +278,24 @@ let prop_fallback_agrees_plain =
       let fb = Robust.Fallback.build m in
       Robust.Fallback.holds fb ~fair:false f = Ctl.Check.holds m f)
 
+(* A missing fallback trace is accepted only where the symbolic
+   explainer has none either. *)
 let prop_fallback_traces_certify =
   prop "fallback traces certify on the symbolic model" ~count:200
     (with_formula ())
     (fun (rm, f) ->
       let m = rm.Models.sym in
       let fb = Robust.Fallback.build m in
+      let no_symbolic_trace explain =
+        match explain m f with
+        | None -> true
+        | Some _ ->
+          QCheck2.Test.fail_reportf
+            "fallback has no trace where the symbolic explainer has one"
+      in
       if Robust.Fallback.holds fb ~fair:true f then
         match Robust.Fallback.witness fb f with
-        | None -> true
+        | None -> no_symbolic_trace Counterex.Explain.witness
         | Some tr -> (
           match Robust.Certify.witness m f tr with
           | Ok () -> true
@@ -295,7 +304,7 @@ let prop_fallback_traces_certify =
               "fallback witness failed certification: %s" msg)
       else
         match Robust.Fallback.counterexample fb f with
-        | None -> true
+        | None -> no_symbolic_trace Counterex.Explain.counterexample
         | Some tr -> (
           match Robust.Certify.counterexample m f tr with
           | Ok () -> true

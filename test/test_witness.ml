@@ -102,26 +102,6 @@ let prop_ex_witness =
           && Kripke.Trace.length tr = 2)
         (Kripke.states_in m ex))
 
-let prop_eu_fair_witness =
-  prop "fair EU witnesses are fair lassos" ~count:100
-    (QCheck2.Gen.pair (Models.random_model_gen ~nfair:2 ())
-       (QCheck2.Gen.pair Models.formula_gen Models.formula_gen))
-    (fun (rm, (af, ag)) ->
-      let m = rm.Models.sym in
-      let f = Ctl.Fair.sat m af and g = Ctl.Fair.sat m ag in
-      let eu_fair = Ctl.Fair.eu m f g in
-      List.for_all
-        (fun st ->
-          let tr = Counterex.Witness.eu_fair m ~f ~g ~start:st in
-          check_valid "path" (Counterex.Validate.path_ok m tr)
-          && Kripke.Trace.is_lasso tr
-          (* the fair extension must hit every constraint on the cycle *)
-          && check_valid "fair cycle"
-               (Counterex.Validate.eg_witness m ~f:m.Kripke.space tr)
-          (* some state along the trace satisfies g *)
-          && List.exists (Kripke.eval_in_state m g) (Kripke.Trace.states tr))
-        (Kripke.states_in m eu_fair))
-
 (* The heuristic witness is never shorter than the exact NP-hard
    minimum (it cannot be — minimality check of Minwit), and both agree
    on existence. *)
@@ -238,6 +218,33 @@ let test_explain_rejects_false_formula () =
     | _ -> Alcotest.fail "expected Cannot_explain"
     | exception Counterex.Explain.Cannot_explain _ -> ())
 
+(* The junction rule of the shared recursion, on a toy representation
+   (integer states, every set is everything): an EG continuation that
+   is a pure cycle starting at the EX step's end keeps that state in
+   the cycle only; one with a prefix is spliced without duplicating it. *)
+let test_explain_with_junction () =
+  let ops eg_prefix =
+    {
+      Counterex.Explain.sat = (fun _ -> ());
+      mem = (fun () _ -> true);
+      fair = Fun.id;
+      ex = (fun ~f:() ~start -> [ start; start + 1 ]);
+      eu = (fun ~f:() ~g:() ~start -> [ start ]);
+      eg =
+        (fun ~f:() ~start ->
+          if eg_prefix then ([ start ], [ start + 1 ])
+          else ([], [ start; start + 1 ]));
+    }
+  in
+  let f = Ctl.EX (Ctl.EG (Ctl.atom "p")) in
+  let check name eg_prefix want =
+    Alcotest.(check (pair (list int) (list int)))
+      name want
+      (Counterex.Explain.explain_with (ops eg_prefix) f ~start:0)
+  in
+  check "pure cycle at the junction" false ([ 0 ], [ 1; 2 ]);
+  check "prefix from the junction" true ([ 0; 1 ], [ 2 ])
+
 let test_ef_witness_on_counter () =
   let m = Models.counter 3 in
   let target = Ctl.(atom "b0" &&& atom "b1" &&& atom "b2") in
@@ -308,7 +315,6 @@ let suite =
     prop_eg_rejects_nonmembers;
     prop_eu_witness;
     prop_ex_witness;
-    prop_eu_fair_witness;
     prop_heuristic_vs_minimal;
     prop_counterexample_exists_iff_fails;
     prop_witness_exists_iff_holds_somewhere;
@@ -316,6 +322,7 @@ let suite =
     Alcotest.test_case "mutex starvation counterexample" `Quick test_mutex_starvation_trace;
     Alcotest.test_case "mutex safety has no counterexample" `Quick test_mutex_safety_no_counterexample;
     Alcotest.test_case "explain rejects false formulas" `Quick test_explain_rejects_false_formula;
+    Alcotest.test_case "explain_with junction rule" `Quick test_explain_with_junction;
     Alcotest.test_case "EF witness on counter" `Quick test_ef_witness_on_counter;
     Alcotest.test_case "eg_stats two-SCC chain" `Quick test_eg_stats_strategies;
     Alcotest.test_case "eg_stats restart bound" `Quick
