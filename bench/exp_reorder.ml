@@ -1,20 +1,19 @@
-(* E13 — variable-order sensitivity and dynamic reordering.
+(* E13 — variable-order sensitivity: declaration order, the static
+   proximity order, and the static order plus one sifting sweep.
 
-   Three questions the reordering PR must answer, on the arbiter
-   workload (whose declaration order is deliberately adversarial: all
-   request bits, then all acknowledge bits, then the token, so the
-   transition relation is the textbook exponential copier) and on a
-   binary counter (whose diagrams are nearly order-insensitive, so any
-   cost reordering adds shows up undiluted):
+   Two questions, on the arbiter workload (whose declaration order is
+   deliberately adversarial: all request bits, then all acknowledge
+   bits, then the token, so the transition relation is the textbook
+   exponential copier) and on a binary counter (whose diagrams are
+   nearly order-insensitive, so any cost sifting adds shows up
+   undiluted):
 
    1. How much does the static interleaved/proximity order
-      (--reorder's compile-time seeding) save over declaration order?
-   2. Does the full --reorder auto pipeline (static seed + sifting at
-      fixpoint checkpoints) at least halve the peak, with identical
-      verdicts?  This is the acceptance gate BENCH_reorder.json
-      records.
-   3. Can sifting alone rescue a bad declaration order at run time
-      (no static seed — the trigger fires mid-check instead)?
+      (--reorder static) save over declaration order?
+   2. Does one Rudell sifting sweep of the built model on top of the
+      static seed pay for itself?  This is the negative result that
+      removed run-time sifting as a check option: the sweep stays
+      only as a recovery-ladder rung.
 
    Every configuration must report byte-identical verdicts; only node
    counts and times may move. *)
@@ -80,38 +79,26 @@ let counter_smv n =
   pf "SPEC AG (b0 -> EF !b0)\n";
   Buffer.contents b
 
-type config = Declared | Static | Auto | Rescue
+type config = Declared | Static | Sifted
 
 let config_name = function
   | Declared -> "declared"
   | Static -> "static"
-  | Auto -> "auto"
-  | Rescue -> "rescue"
+  | Sifted -> "static+sift"
 
 (* One measured run: fresh manager, chosen order policy, check every
-   spec sequentially (the CLI's single-job path).  [Auto] mirrors
-   --reorder auto exactly: static seed plus the live-node trigger
-   consumed at fixpoint checkpoints; [Rescue] arms the same trigger on
-   the unseeded declaration order, so any saving is sifting's alone. *)
+   spec sequentially (the CLI's single-job path).  [Sifted] is the
+   static seed plus one [Bdd.reorder] sweep of the built model before
+   checking, with the sweep inside the timed region. *)
 let run_config src config =
-  let static = match config with Static | Auto -> true | _ -> false in
-  let c = Smv.load_string ~static_order:static src in
+  let c = Smv.load_string ~static_order:(config <> Declared) src in
   let m = c.Smv.Compile.model in
-  let man = m.Kripke.man in
-  (match config with
-  | Auto | Rescue -> Bdd.Reorder.set_auto man (Some 1024)
-  | Declared | Static -> ());
-  let check () =
-    List.map (fun (_, f) -> Ctl.Check.holds m f) c.Smv.Compile.specs
-  in
   let verdicts, t =
     Harness.time_once (fun () ->
-        match config with
-        | Auto | Rescue -> Bdd.Reorder.with_checkpoints man check
-        | Declared | Static -> check ())
+        if config = Sifted then Bdd.reorder m.Kripke.man;
+        List.map (fun (_, f) -> Ctl.Check.holds m f) c.Smv.Compile.specs)
   in
-  let s = Bdd.stats man in
-  (verdicts, t, s)
+  (verdicts, t, Bdd.stats m.Kripke.man)
 
 let sweep ~workload src rows =
   let baseline = ref [] in
@@ -158,7 +145,7 @@ let sweep ~workload src rows =
           ];
         ])
     rows
-    [ Declared; Static; Auto; Rescue ]
+    [ Declared; Static; Sifted ]
 
 let run ~full =
   let arb_users = if full then 10 else 8 in
@@ -170,7 +157,7 @@ let run ~full =
   Harness.print_table
     ~title:
       "E13: variable order — declaration order vs static interleaving vs \
-       sifting (identical verdicts enforced)"
+       static + one sifting sweep (identical verdicts enforced)"
     ~header:[ "workload"; "order"; "peak nodes"; "vs declared"; "sifts"; "check" ]
     rows;
   Harness.note
@@ -178,18 +165,15 @@ let run ~full =
   Harness.note
     "static: the compile-time interleaved/proximity order (free, no sweeps).";
   Harness.note
-    "auto: static seed + live-node trigger at fixpoint checkpoints — what";
+    "static+sift: the static seed plus one Rudell sweep of the built model";
   Harness.note
-    "`--reorder auto` runs; the acceptance gate wants peak >= 2x smaller than";
+    "before checking (sweep time included) — the sweep the recovery ladder's";
   Harness.note
-    "declared on the arbiter.  rescue: trigger alone on the unseeded order —";
-  Harness.note
-    "sifting recovering mid-check from a bad static choice.  The counter is";
-  Harness.note
-    "near order-insensitive: its rows bound reordering's overhead, not its win."
+    "reorder rung runs.  The counter is near order-insensitive: its rows";
+  Harness.note "bound sifting's overhead, not its win."
 
 let bechamel =
   let src = lazy (arbiter_smv 6) in
-  Bechamel.Test.make ~name:"e13-arbiter6-auto-reorder"
+  Bechamel.Test.make ~name:"e13-arbiter6-static"
     (Bechamel.Staged.stage (fun () ->
-         run_config (Lazy.force src) Auto))
+         run_config (Lazy.force src) Static))

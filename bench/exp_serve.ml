@@ -5,7 +5,7 @@
    construction, variable ordering, and — via the memoised reachable
    set — the whole forward fixpoint, and starts from hot op-caches.
    This experiment measures what that buys on the two families the
-   smoke tests use: the arbiter (order-sensitive, reordering pays) and
+   smoke tests use: the arbiter (declared order, the build pays) and
    the binary counter (deep fixpoint, the reachable-set memo pays).
 
    Three request shapes per workload, driven through the same
@@ -312,7 +312,7 @@ let bechamel_overload =
    a restarted child is warm within its first request because it loads
    the last snapshot instead of recompiling.  This experiment measures
    exactly that trade on the arbiter (the workload where cold is most
-   expensive: reordering dominates):
+   expensive: the declared-order build dominates):
 
      cold recheck      compile + order + reach + all specs on a fresh
                        manager — what a crashed server without durable

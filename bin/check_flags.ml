@@ -115,16 +115,16 @@ let certify_arg =
 let reorder_arg =
   Arg.(
     value
-    & opt (enum [ ("none", `None); ("once", `Once); ("auto", `Auto) ]) d.reorder
+    & opt (enum [ ("none", `None); ("static", `Static) ]) d.reorder
     & info [ "reorder" ] ~docv:"MODE"
         ~doc:
-          "BDD variable-order optimisation.  $(b,none) (default) keeps \
-           declaration order and is byte-identical to earlier versions; \
-           $(b,once) seeds a dependency-proximity static order at \
-           compile time and runs one Rudell sifting sweep on the built \
-           model; $(b,auto) additionally re-sifts whenever live nodes \
-           grow past 4096 (the threshold doubles after each sweep).  \
-           Verdicts, traces and exit codes are unchanged by any mode.")
+          "BDD variable order.  $(b,none) (default) keeps declaration \
+           order and is byte-identical to earlier versions; $(b,static) \
+           seeds a dependency-proximity order at compile time: \
+           variables that share small constraints are placed together, \
+           current/next bit pairs interleaved.  Neither mode sifts at \
+           run time.  Verdicts, traces and exit codes are unchanged by \
+           either mode.")
 
 (* A boolean flag only moves its field away from the default:
    --no-fairness and -q switch one off, the others switch one on. *)

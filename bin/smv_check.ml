@@ -10,9 +10,9 @@
 
    Recovery: with --retries N a breached / out-of-memory / crashed
    specification is re-attempted up to N times through the
-   Robust.Ladder rungs (gc-retry, degraded representation,
-   explicit-state fallback), each attempt under exponentially
-   backed-off budgets; with --retries 0 (the default) behaviour —
+   Robust.Ladder rungs (gc-retry, a sifting sweep, degraded
+   representation, explicit-state fallback), each attempt under
+   exponentially backed-off budgets; with --retries 0 (the default) behaviour —
    output bytes included — is identical to the pre-recovery checker.
 
    Everything between "model compiled" and "reports in hand" is
@@ -141,7 +141,7 @@ let run ~check ~extra_specs ~cache_limit ~simulate:walk ~seed ~jobs ~debug
   let* compiled =
     Engine.compile ~source:file (fun () ->
         Smv.load_file ~partitioned:check.Engine.partitioned
-          ~static_order:(check.Engine.reorder <> `None)
+          ~static_order:(check.Engine.reorder = `Static)
           file)
   in
   let m = compiled.Smv.Compile.model in
@@ -154,9 +154,7 @@ let run ~check ~extra_specs ~cache_limit ~simulate:walk ~seed ~jobs ~debug
   in
   let* (), outcome =
     Engine.run Format.std_formatter compiled ~opts:check ~specs:extra_specs
-      ~cancel:cancel_flag ~debug ~warm:false
-      ~warn:(Format.eprintf "warning: %s@.")
-      ~jobs ~prepare
+      ~cancel:cancel_flag ~debug ~jobs ~prepare
   in
   let interrupted = Atomic.get cancel_flag in
   if interrupted then Format.printf "-- interrupted; statistics so far:@.";
@@ -243,9 +241,9 @@ let serve_arg =
         ~doc:
           "Run as a check server: accept framed JSON check requests on \
            stdin/stdout (or $(b,--socket)) and keep compiled models \
-           warm between requests — hot operation caches, sifted \
-           variable orders and memoised reachable sets are reused when \
-           only the specification changes.  Each request runs under \
+           warm between requests — hot operation caches, variable \
+           orders and memoised reachable sets are reused when only the \
+           specification changes.  Each request runs under \
            its own budgets and cancellation flag; SIGINT drains \
            in-flight requests and exits.")
 
@@ -458,11 +456,10 @@ let cmd =
          $(b,--inject) plants deterministic faults to exercise every \
          rung in CI.";
       `P
-        "Variable order: $(b,--reorder once) seeds a dependency-aware \
-         static order and sifts the built model once; $(b,--reorder \
-         auto) keeps sifting as the tables grow (Rudell's algorithm, \
-         current/next bit pairs moved as blocks).  Orders only change \
-         sizes and times — never verdicts, traces or exit codes.";
+        "Variable order: $(b,--reorder static) seeds a dependency-aware \
+         static order at compile time instead of declaration order.  \
+         Orders only change sizes and times — never verdicts, traces or \
+         exit codes.";
       `P
         "Parallelism: $(b,--jobs N) checks specifications on N worker \
          domains, each with a private clone of the model in its own \
@@ -501,16 +498,6 @@ let cmd =
          pool instead of recompiling — together they make a SIGKILL \
          at any moment cost one restart latency, not the accumulated \
          warmth.";
-      `S Manpage.s_exit_status;
-      `P "0 — every specification holds.";
-      `P "1 — at least one specification is false (none undetermined).";
-      `P
-        "2 — a resource limit tripped, some verdict is undetermined, or \
-         the run was interrupted.";
-      `P
-        "3 — input error (unreadable or invalid model, bad flags), \
-         internal failure, or an emitted trace failed $(b,--certify) \
-         validation.";
       `S Manpage.s_examples;
       `P "smv_check examples/models/mutex.smv";
       `P "smv_check --spec 'AG (tr1 -> AF ta1)' arbiter.smv";
@@ -527,8 +514,25 @@ let cmd =
       `P "smv_check --status --socket /tmp/smv.sock";
     ]
   in
+  (* The program's own exit codes, the only list --help prints:
+     cmdliner's parse and term errors are mapped onto 3 below. *)
+  let exits =
+    [
+      Cmd.Exit.info 0 ~doc:"every specification holds.";
+      Cmd.Exit.info 1
+        ~doc:"at least one specification is false (none undetermined).";
+      Cmd.Exit.info 2
+        ~doc:
+          "a resource limit tripped, some verdict is undetermined, or the \
+           run was interrupted.";
+      Cmd.Exit.info 3
+        ~doc:
+          "input error (unreadable or invalid model, bad flags), internal \
+           failure, or an emitted trace failed $(b,--certify) validation.";
+    ]
+  in
   Cmd.v
-    (Cmd.info "smv_check" ~version:"1.0.0" ~doc ~man)
+    (Cmd.info "smv_check" ~version:"1.0.0" ~doc ~man ~exits)
     Term.(
       const main $ file_arg $ spec_arg $ Check_flags.term $ cache_limit_arg
       $ simulate_arg $ seed_arg $ jobs_arg $ inject_arg $ debug_arg
@@ -537,4 +541,9 @@ let cmd =
       $ max_timeout_arg $ mem_high_water_arg $ supervise_arg
       $ state_dir_arg $ status_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () =
+  exit
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> 0
+    | Error (`Parse | `Term | `Exn) -> 3)

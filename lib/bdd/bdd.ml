@@ -199,7 +199,7 @@ type man = {
   mutable lvl2var : int array; (* level -> variable, its inverse *)
   mutable pair_with : int array;
       (* grouped-sifting partner of each variable, or -1; pairs are
-         kept level-adjacent by [Reorder.sift] *)
+         kept level-adjacent by [reorder] *)
   mutable live : int; (* total nodes across the subtables *)
   mutable zombies : int list;
       (* slots detached from the unique table by a reordering reap but
@@ -239,13 +239,6 @@ type man = {
   mutable faults_fired : int;
   (* --- dynamic reordering state --- *)
   mutable in_reorder : bool;   (* a swap/sift is running *)
-  mutable reorder_pending : bool;
-      (* [mk] crossed the auto threshold; serviced at checkpoints *)
-  mutable auto_ok : bool;
-      (* checkpoints may run a pending sift: true only inside regions
-         whose live intermediates are all reachable from GC roots *)
-  mutable reorder_threshold : int;  (* live nodes; [max_int] = auto off *)
-  mutable reorder_threshold0 : int; (* initial threshold (doubling floor) *)
   mutable reorders : int;
   mutable reorder_ms : float;
   mutable reorder_saved : int;      (* nodes reclaimed by reordering *)
@@ -342,10 +335,6 @@ let create ?(unique_size = 20_011) ?(cache_size = 20_011) ?cache_limit () =
     fault = None;
     faults_fired = 0;
     in_reorder = false;
-    reorder_pending = false;
-    auto_ok = false;
-    reorder_threshold = max_int;
-    reorder_threshold0 = max_int;
     reorders = 0;
     reorder_ms = 0.0;
     reorder_saved = 0;
@@ -843,12 +832,6 @@ let mk m v lo hi =
       else slots.(!j) <- n;
       s.s_count <- s.s_count + 1;
       if 4 * (s.s_count + s.s_tombs + 1) > 3 * (mask + 1) then sub_grow m s;
-      (* Auto-reorder trigger: note the threshold crossing; the sift
-         itself runs only at an explicit checkpoint (a safe point where
-         every live intermediate is root-reachable), never here in the
-         middle of an operation's recursion. *)
-      if m.live > m.reorder_threshold && not m.in_reorder then
-        m.reorder_pending <- true;
       n
     end
   end
@@ -1698,8 +1681,7 @@ let swap_levels m pr protect l =
 (* Prologue shared by every reordering entry point: build the in-table
    parent counts and the protection set (parentless tops + registered
    roots), run the body with [in_reorder] set, and on any exit flush
-   the caches, clear the pending flag, advance the auto threshold and
-   account the stats. *)
+   the caches and account the stats. *)
 let with_reorder m body =
   if m.in_reorder then invalid_arg "Bdd.reorder: reentrant reorder";
   fault_tick m Reorder;
@@ -1709,10 +1691,7 @@ let with_reorder m body =
   Fun.protect
     ~finally:(fun () ->
       m.in_reorder <- false;
-      m.reorder_pending <- false;
       clear_caches m;
-      if m.reorder_threshold <> max_int then
-        m.reorder_threshold <- max (2 * m.live) m.reorder_threshold0;
       m.reorders <- m.reorders + 1;
       m.reorder_ms <- m.reorder_ms +. ((now_monotonic () -. t0) *. 1000.0);
       m.reorder_saved <- m.reorder_saved + (before - m.live))
@@ -1871,8 +1850,6 @@ module Reorder = struct
     m.lvl2var.(l)
   let order m = Array.sub m.lvl2var 0 m.nvars
 
-  let sift = reorder
-
   let swap m l =
     if l < 0 || l >= m.nvars - 1 then invalid_arg "Bdd.Reorder.swap: bad level";
     with_reorder m (fun pr protect -> swap_levels m pr protect l)
@@ -1933,30 +1910,7 @@ module Reorder = struct
     done;
     !acc
 
-  let set_auto m threshold =
-    match threshold with
-    | None ->
-      m.reorder_threshold <- max_int;
-      m.reorder_threshold0 <- max_int;
-      m.reorder_pending <- false
-    | Some n ->
-      if n <= 0 then invalid_arg "Bdd.Reorder.set_auto: non-positive threshold";
-      m.reorder_threshold <- n;
-      m.reorder_threshold0 <- n;
-      if m.live > n then m.reorder_pending <- true
-
-  let auto_threshold m =
-    if m.reorder_threshold = max_int then None else Some m.reorder_threshold
-
-  let pending m = m.reorder_pending
-
-  let with_checkpoints m k =
-    let prev = m.auto_ok in
-    m.auto_ok <- true;
-    Fun.protect ~finally:(fun () -> m.auto_ok <- prev) k
-
-  let checkpoint m =
-    if m.reorder_pending && m.auto_ok && not m.in_reorder then reorder m
+  let with_checkpoints _ k = k ()
 end
 
 (* ------------------------------------------------------------------ *)

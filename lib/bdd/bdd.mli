@@ -410,9 +410,6 @@ module Reorder : sig
   (** Exchange levels [l] and [l+1].  The primitive every other
       entry point is built from; exposed chiefly for tests. *)
 
-  val sift : man -> unit
-  (** Alias of {!Bdd.reorder}. *)
-
   val set_pairs : man -> (int * int) list -> unit
   (** Declare variable pairs (e.g. current/next state bits) that
       sifting must keep adjacent and move as one block.  Replaces any
@@ -422,32 +419,10 @@ module Reorder : sig
   val pairs : man -> (int * int) list
   (** The declared pairs, each as [(v, partner)] with [v < partner]. *)
 
-  val set_auto : man -> int option -> unit
-  (** [set_auto m (Some n)] arms automatic reordering: whenever live
-      nodes exceed the threshold (initially [n]), the manager marks a
-      reorder as pending; the next {!checkpoint} inside a
-      {!with_checkpoints} region runs the sweep, after which the
-      threshold becomes [max (2 * live) n].  [set_auto m None]
-      disarms.  Raises [Invalid_argument] on [Some n] with [n <= 0]. *)
-
-  val auto_threshold : man -> int option
-  (** The current automatic threshold, if armed. *)
-
-  val pending : man -> bool
-  (** Whether an automatic reorder is pending. *)
-
   val with_checkpoints : man -> (unit -> 'a) -> 'a
-  (** Run a computation with {!checkpoint} enabled.  Checkpoints are
-      opt-in per region because a sweep reclaims unrooted nodes:
-      enable them only where every needed diagram is rooted (fixpoint
-      engines root their frontiers; witness construction does not
-      enable them). *)
-
-  val checkpoint : man -> unit
-  (** If a reorder is pending, automatic reordering is armed, and the
-      current region has checkpoints enabled, run {!Bdd.reorder}.
-      Cheap no-op otherwise; safe to call from operation tick
-      sites. *)
+  (** [with_checkpoints m k] is [k ()].  Kept only for
+      [perfbench/probe.ml], which wraps its verdict phase in it and
+      must build unchanged against every version it measures. *)
 end
 
 (** {1 Resource governance}

@@ -28,12 +28,8 @@ let reset_fixpoint_stats () =
   Atomic.set rings_built 0
 
 (* Charge one fixpoint iteration against the optional resource limits
-   (shared by every fixpoint loop below).  Also a reorder checkpoint:
-   every loop roots its frontier, so a pending auto-reorder may run
-   here safely — and only does when the driver opted the region in via
-   [Bdd.Reorder.with_checkpoints]. *)
+   (shared by every fixpoint loop below). *)
 let tick (m : Kripke.t) limits =
-  Bdd.Reorder.checkpoint m.Kripke.man;
   match limits with
   | None -> ()
   | Some l -> Bdd.Limits.step m.Kripke.man l
@@ -107,9 +103,9 @@ let sat_with ~ex ~eu ~eg (m : Kripke.t) formula =
     | exception Not_found -> raise (Unknown_atom name)
   in
   (* Root every subformula's satisfaction set for the duration of the
-     traversal: a sibling subtree's fixpoint may hit a reorder
-     checkpoint (which, like gc, reclaims unrooted diagrams) while an
-     earlier result is only held in this recursion's frames. *)
+     traversal: an earlier result held only in this recursion's frames
+     must survive a gc or sifting sweep (both reclaim unrooted
+     diagrams) run while a sibling subtree is being evaluated. *)
   let keep = ref [] in
   Bdd.with_root bman
     (fun () -> !keep)

@@ -57,8 +57,8 @@ let constraints (m : Kripke.t) =
 (* One step of the outer greatest fixpoint:
    z |-> f /\ /\_k EX (E[f U (z /\ h_k)]).
    [scratch] roots the fold's running conjunction and [z] across the
-   nested EU sweeps, whose reorder checkpoints reclaim unrooted
-   diagrams. *)
+   nested EU sweeps, so a gc or sifting sweep between them cannot
+   reclaim either. *)
 let eg_step ?limits m f hs ~scratch z =
   let bman = m.Kripke.man in
   List.fold_left
@@ -80,7 +80,6 @@ let eg_el ?limits (m : Kripke.t) f =
     (fun () ->
       let rec go z =
         Atomic.incr outer_iters;
-        Bdd.Reorder.checkpoint bman;
         (match limits with
         | Some l -> Bdd.Limits.step bman l
         | None -> ());

@@ -62,8 +62,8 @@ let eg ?limits (m : Kripke.t) f =
   let hs = constraints m in
   let f = Bdd.and_ bman f m.Kripke.space in
   let zero = Bdd.zero bman in
-  (* Mutable state of the decomposition, all rooted below so the
-     reorder checkpoints and gcs fired from [poll] never sweep a live
+  (* Mutable state of the decomposition, all rooted below so a gc or
+     sifting sweep between rounds never reclaims a live
      intermediate. *)
   let hull = ref zero in
   let work = ref [ f ] in
@@ -76,10 +76,9 @@ let eg ?limits (m : Kripke.t) f =
       :: (!work @ hs))
     (fun () ->
       (* Same funnel discipline as the Emerson-Lei loop: every round
-         offers the manager a reorder checkpoint (where [--inject]
-         faults also fire) and charges one step against the budget. *)
+         charges one step against the budget (where [--inject step]
+         faults also fire). *)
       let poll () =
-        Bdd.Reorder.checkpoint bman;
         match limits with
         | Some l -> Bdd.Limits.step bman l
         | None -> ()

@@ -24,6 +24,5 @@ val eg : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t
     nontrivial SCCs of the [f]-subgraph intersecting every fairness
     constraint.  Returns the same set — hence, BDDs being canonical,
     the same diagram — as [Fair.eg]'s Emerson-Lei fixpoint.  Each
-    lock-step round polls [Bdd.Reorder.checkpoint] and charges one
-    [?limits] step, the same funnel discipline as the classical
-    engine. *)
+    lock-step round charges one [?limits] step, the same funnel
+    discipline as the classical engine. *)

@@ -285,12 +285,8 @@ let post m s =
     let img = Bdd.and_exists m.man (cur_cube m) m.trans s in
     unprime m img
 
-(* Charge one fixpoint iteration against the optional limits.  Also a
-   reorder checkpoint: the fixpoint engines root their frontiers, so a
-   pending auto-reorder may safely run between iterations (it only
-   does when the caller opted in via [Bdd.Reorder.with_checkpoints]). *)
+(* Charge one fixpoint iteration against the optional limits. *)
 let tick m limits =
-  Bdd.Reorder.checkpoint m.man;
   match limits with None -> () | Some l -> Bdd.Limits.step m.man l
 
 let reachable ?limits m =

@@ -2,8 +2,8 @@
 
     The whole point of serve mode is that the second request for a
     model skips everything expensive: parsing and compilation, BDD
-    construction, the sifted variable order the first request paid
-    for, the hot operation caches, and — via [Kripke.reach_memo] —
+    construction, the variable order the first request compiled
+    with, the hot operation caches, and — via [Kripke.reach_memo] —
     the reachable-set fixpoint.  The pool maps a digest of
     [(source, partitioned, static_order)] to a compiled model whose
     manager carries all of that accumulated warmth.
@@ -11,10 +11,10 @@
     Compilation options are part of the key because they change the
     manager's contents: a partitioned compile builds different
     transition structure, and a static-order compile seeds a
-    different variable order.  Keeping them distinct preserves the
-    byte-identity guarantee — a request with [reorder = none] must
-    see declaration order, never an order some earlier [reorder =
-    auto] request sifted to.
+    different variable order.  Keeping them distinct means a request
+    with [reorder = none] always sees declaration order, never the
+    proximity order an earlier [reorder = static] request compiled
+    with: verdicts and traces would agree, node counts would not.
 
     Concurrency: a BDD manager is single-domain (hash-consing is not
     thread-safe), so each entry has a lock and requests for the same

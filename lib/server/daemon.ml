@@ -107,6 +107,15 @@ let apply_defaults cfg (o : Engine.options) =
 (* ------------------------------------------------------------------ *)
 (* Request processing (runs on a pool worker) *)
 
+(* The warm-pool key of a check request, with the two compile flags it
+   digests: the one derivation both [process] and the cold-model
+   admission check use. *)
+let pool_key ~model (options : Engine.options) =
+  let partitioned = options.Engine.partitioned in
+  let static_order = options.Engine.reorder = `Static in
+  (Cache.digest ~source:model ~partitioned ~static_order, partitioned,
+   static_order)
+
 (* Compile into the (locked) cache entry; [Engine.compile] roots the
    clusters for the entry's whole life. *)
 let build_entry (entry : Cache.entry) ~partitioned ~static_order source =
@@ -124,9 +133,7 @@ let build_entry (entry : Cache.entry) ~partitioned ~static_order source =
    the reply payload. *)
 let process cache ~id ~model ~specs ~(options : Engine.options) ~cancel =
   let t0 = Bdd.now_monotonic () in
-  let static_order = options.Engine.reorder <> `None in
-  let partitioned = options.Engine.partitioned in
-  let key = Cache.digest ~source:model ~partitioned ~static_order in
+  let key, partitioned, static_order = pool_key ~model options in
   let entry, _ = Cache.acquire cache ~key in
   Fun.protect ~finally:(fun () -> Cache.release cache entry) @@ fun () ->
   with_lock entry.Cache.lock @@ fun () ->
@@ -161,8 +168,7 @@ let process cache ~id ~model ~specs ~(options : Engine.options) ~cancel =
     let ppf = Format.formatter_of_buffer buf in
     match
       (* Never [~debug]: exceptions must become replies, not crashes. *)
-      Engine.run ppf compiled ~opts:options ~specs ~cancel ~debug:false ~warm
-        ~warn:(Format.eprintf "smv_check --serve: warning: %s@.")
+      Engine.run ppf compiled ~opts:options ~specs ~cancel ~debug:false
         ~jobs:1 ~prepare:warm_reach
     with
     | Error msg -> Protocol.error_reply ~id msg
@@ -321,11 +327,7 @@ let handle_request cfg cache pool ov persist conn stop payload =
       let refuse_cold =
         (not (Overload.admit_cold ov))
         &&
-        let static_order = options.Engine.reorder <> `None in
-        let key =
-          Cache.digest ~source:model
-            ~partitioned:options.Engine.partitioned ~static_order
-        in
+        let key, _, _ = pool_key ~model options in
         not (Cache.is_warm cache ~key)
       in
       if refuse_cold then begin

@@ -24,7 +24,7 @@ type options = {
   node_limit : int option;
   step_limit : int option;
   inject : inject option;
-  reorder : [ `None | `Once | `Auto ];
+  reorder : [ `None | `Static ];
 }
 
 let default =
@@ -43,10 +43,8 @@ let default =
     reorder = `None;
   }
 
-(* Retry k scales node/step budgets by [retry_factor]^(k-1); `Auto
-   first sifts past [reorder_threshold] live nodes. *)
+(* Retry k scales node/step budgets by [retry_factor]^(k-1). *)
 let retry_factor = 2.0
-let reorder_threshold = 4096
 
 let parse_inject ?(seed = 0) s =
   match String.index_opt s ':' with
@@ -277,13 +275,9 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
     if attempt = 1 then opts.fair_engine else Ctl.Fair.El
   in
   let run_symbolic model limits ~engine =
-    (* Checkpoints on: the verdict phase runs only rooted fixpoints, so
-       a pending auto-reorder may fire between iterations.  Witness and
-       certification phases below never enable them. *)
     Bdd.Limits.with_attached model.Kripke.man limits (fun () ->
-        Bdd.Reorder.with_checkpoints model.Kripke.man (fun () ->
-            if opts.fair then Ctl.Fair.holds ~limits ~engine model spec
-            else Ctl.Check.holds ~limits model spec))
+        if opts.fair then Ctl.Fair.holds ~limits ~engine model spec
+        else Ctl.Check.holds ~limits model spec)
   in
   (* The degraded representation, built once per spec: partitioned
      transition relation (from the compiler's clusters) when the model
@@ -540,15 +534,9 @@ let fan_out ppf compiled ~opts ~cancel ~debug ~jobs ?fault specs =
   let names = Array.of_list (List.map fst specs) in
   let formulas = Array.of_list (List.map snd specs) in
   let f wm spec i =
-    (* Worker managers reorder independently: [Kripke.clone_into]
-       replicated the coordinator's order and pair grouping, and the
-       order-independent [Bdd.transfer] bridges whatever order each
-       side later sifts to. *)
-    (match opts.reorder with
-    | `Auto ->
-      if Bdd.Reorder.auto_threshold wm.Kripke.man = None then
-        Bdd.Reorder.set_auto wm.Kripke.man (Some reorder_threshold)
-    | `None | `Once -> ());
+    (* [Kripke.clone_into] replicated the coordinator's order and pair
+       grouping; the order-independent [Bdd.transfer] bridges whatever
+       order a worker's recovery ladder later sifts to. *)
     let buf = Buffer.create 512 in
     let wppf = Format.formatter_of_buffer buf in
     let clusters () =
@@ -616,27 +604,8 @@ let fan_out ppf compiled ~opts ~cancel ~debug ~jobs ?fault specs =
             results)),
     worker_stats )
 
-let run ppf compiled ~opts ~specs ~cancel ~debug ~warm ~warn ~jobs ~prepare =
+let run ppf compiled ~opts ~specs ~cancel ~debug ~jobs ~prepare =
   let m = compiled.Smv.Compile.model in
-  let man = m.Kripke.man in
-  (* Dynamic reordering: `Auto arms the live-node trigger, consumed at
-     the fixpoint checkpoints inside each spec's verdict phase; `Once
-     sifts the freshly built model now (on top of the static proximity
-     order both non-none modes seed at compile time). *)
-  (match opts.reorder with
-  | `Auto -> Bdd.Reorder.set_auto man (Some reorder_threshold)
-  | `None | `Once -> ());
-  Fun.protect ~finally:(fun () -> Bdd.Reorder.set_auto man None) @@ fun () ->
-  (match opts.reorder with
-  | `Once when not warm -> (
-    match Bdd.reorder man with
-    | () -> ()
-    | exception Out_of_memory ->
-      (* Reordering is an optimisation: a failed sweep (real pressure
-         or an injected reorder fault) leaves a consistent manager, so
-         warn and check unsifted. *)
-      warn "initial reordering failed; continuing")
-  | `None | `Once | `Auto -> ());
   let prepared = prepare () in
   let* specs = compile_specs compiled specs in
   let fault =

@@ -59,7 +59,11 @@ type options = {
   node_limit : int option;
   step_limit : int option;
   inject : inject option;
-  reorder : [ `None | `Once | `Auto ];
+  reorder : [ `None | `Static ];
+      (** [`Static]: the front end compiles with the
+          dependency-proximity variable order ([Smv.Compile.compile]'s
+          [~static_order]) instead of declaration order; neither mode
+          sifts *)
 }
 
 val default : options
@@ -139,19 +143,12 @@ val run :
   specs:string list ->
   cancel:bool Atomic.t ->
   debug:bool ->
-  warm:bool ->
-  warn:(string -> unit) ->
   jobs:int ->
   prepare:(unit -> 'a) ->
   ('a * outcome, string) result
 (** The check driver of both front ends: everything between "model
     compiled" and "reports in hand".  In order:
     {ol
-    {- reorder mode: [`Auto] arms the live-node trigger (cleared again
-       on exit); [`Once] runs the initial sifting sweep unless [warm]
-       says the run that compiled the model swept it already; a
-       failed sweep is reported through [warn] and checking continues
-       unsifted;}
     {- [prepare ()], the caller's own step (the CLI's model statistics
        and simulation, the server's reach-memo warming);}
     {- the extra [specs] texts compile after the model's SPECs; the
@@ -159,9 +156,8 @@ val run :
     {- the specs are checked in order, stopping early once [cancel]
        is set, with [opts.inject]'s fault armed for each — or, when
        [jobs > 1] and there are several specs, fanned out over worker
-       domains ([`Auto] re-armed per worker, [Worker_crash] planted)
-       and replayed in order, a crashed worker's spec re-checked here
-       when [retries > 0].}}
+       domains ([Worker_crash] planted) and replayed in order, a
+       crashed worker's spec re-checked here when [retries > 0].}}
     All check output goes to the formatter; [debug] lets unexpected
     exceptions escape; the exit code treats a set [cancel] as an
     interruption. *)

@@ -41,11 +41,9 @@ let with_default default = Result.map (Option.value ~default)
 
 let parse_reorder = function
   | "none" -> Ok `None
-  | "once" -> Ok `Once
-  | "auto" -> Ok `Auto
+  | "static" -> Ok `Static
   | s ->
-    Error
-      (Printf.sprintf "\"reorder\": unknown mode %S (none, once or auto)" s)
+    Error (Printf.sprintf "\"reorder\": unknown mode %S (none or static)" s)
 
 let parse_options json =
   let fields = Json.obj_or_empty json in

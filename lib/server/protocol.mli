@@ -29,11 +29,10 @@
     [stats], [certify], [partitioned]; integers [retries],
     [node_limit], [step_limit]; number [timeout]; strings [inject]
     ("SITE:COUNT" as on the CLI, minus "worker" and "child-crash"),
-    [reorder] ("none"/"once"/"auto") and [fair_engine]
-    ("el"/"lockstep", the CLI's [--fair-engine]).  Like any unknown
-    field, the former [retry_factor] and [reorder_threshold] fields
-    are ignored: the retry backoff factor (2) and the [auto] reorder
-    trigger (4096 live nodes) are fixed.
+    [reorder] ("none"/"static") and [fair_engine]
+    ("el"/"lockstep", the CLI's [--fair-engine]).  Unknown fields,
+    including ones older clients may still send, are ignored; the
+    retry backoff factor (2) is fixed.
 
     {2 Replies}
 

@@ -112,7 +112,7 @@ let engines = [ [ "--fair-engine"; "el" ]; [ "--fair-engine"; "lockstep" ] ]
 
 let perf_flags =
   [
-    [ "--jobs"; "4" ]; [ "--reorder"; "once" ]; [ "--reorder"; "auto" ];
+    [ "--jobs"; "4" ]; [ "--reorder"; "static" ];
     [ "--cache-limit"; "256" ]; [ "--partitioned" ];
     [ "--timeout"; "300"; "--node-limit"; "50000000" ];
   ]
@@ -171,7 +171,8 @@ let rows =
        [ Lacks "lock-step:" ]);
       (* The arbiter's declaration order is adversarial (E13). *)
       ( "arbiter peak", model "arbiter" [ "--stats" ], 1,
-        [ Peak_halved (model "arbiter" [ "--stats"; "--reorder"; "auto" ]) ] );
+        [ Peak_halved (model "arbiter" [ "--stats"; "--reorder"; "static" ]) ]
+      );
       (* Goldens captured from the boxed node store; the packed store's
          own fault sites (unique-table insert, collection entry) must
          recover to the clean verdicts. *)
@@ -216,6 +217,17 @@ let rows =
             [ "--inject"; "step:2"; "--step-limit"; "10000"; "--retries"; "2" ];
           ]
         @ [ Same_verdicts (worker_crash ~jobs:"2" ~retries:true) ] );
+      (* A two-step budget starves the EF spec's direct and gc-retry
+         attempts; attempt 3, with the budget doubled twice, runs after
+         the ladder's sifting sweep — the one run-time sift left — and
+         decides it. *)
+      ( "reorder rung",
+        model "mutex" [ "--certify"; "--step-limit"; "2"; "--retries"; "3" ],
+        1,
+        [
+          Has "(recovered: attempt 3 via reorder)";
+          Same_verdicts (model "mutex" []);
+        ] );
       ( "unladdered fault", model "mutex" [ "--inject"; "mk:20"; "-q" ], 2,
         [ Has "UNDETERMINED (internal error: Out of memory)" ] );
       ( "worker crash recovered", worker_crash ~jobs:"2" ~retries:true, 1,

@@ -107,6 +107,31 @@ let test_recovery_flags_validated () =
     ];
   Sys.remove path
 
+(* A value cmdliner itself cannot parse is a bad flag too: exit 3 like
+   every other input error, not cmdliner's own 124. *)
+let expect_bad_flag flags =
+  let code, out = run (model_path "mutex.smv" :: flags) in
+  let what = String.concat " " flags in
+  Alcotest.(check int) (what ^ ": exit 3") 3 code;
+  Alcotest.(check bool) (what ^ ": nothing checked") false
+    (contains ~needle:"-- specification" out);
+  out
+
+(* The removed sifting modes are refused like any unknown mode, with
+   the valid ones named. *)
+let test_bad_reorder_exits_3 () =
+  ignore (expect_bad_flag [ "--reorder"; "bogus" ]);
+  List.iter
+    (fun mode ->
+      let out = expect_bad_flag [ "--reorder"; mode ] in
+      Alcotest.(check bool) (mode ^ ": valid modes named") true
+        (contains ~needle:(Printf.sprintf "invalid value '%s'" mode) out
+        && contains ~needle:"'none'" out
+        && contains ~needle:"'static'" out))
+    [ "once"; "auto" ]
+
+let test_bad_jobs_exits_3 () = ignore (expect_bad_flag [ "--jobs"; "x" ])
+
 (* Both front ends read one default: the flagless command line and an
    option-less check request carry the same check options. *)
 let test_flagless_is_optionless_request () =
@@ -195,6 +220,9 @@ let suite =
       test_exit_input_errors;
     Alcotest.test_case "recovery flags validated" `Quick
       test_recovery_flags_validated;
+    Alcotest.test_case "--reorder bogus exits 3" `Quick
+      test_bad_reorder_exits_3;
+    Alcotest.test_case "--jobs x exits 3" `Quick test_bad_jobs_exits_3;
     Alcotest.test_case "--retries recovers a starved spec" `Slow
       test_retries_recover_starved_spec;
     Alcotest.test_case "--certify on a clean run" `Quick

@@ -11,9 +11,9 @@
    - witness reconciliation: lock-step onion-ring witnesses validate
      with [Counterex.Validate] and render byte-identically to
      Emerson-Lei ones;
-   - the funnel discipline: limits breaches, auto-reorder sweeps and
-     injected faults all fire *inside* the lock-step computation, and
-     verdicts recover to the fault-free ones. *)
+   - the funnel discipline: limits breaches and injected faults fire
+     *inside* the lock-step computation, and verdicts recover to the
+     fault-free ones. *)
 
 let prop name ?(count = 200) gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
@@ -183,7 +183,7 @@ let test_server_warm_switch () =
   Kripke.set_fair_memo m None
 
 (* ------------------------------------------------------------------ *)
-(* Funnel discipline: limits, auto-reorder, faults inside lock-step    *)
+(* Funnel discipline: limits and faults inside lock-step               *)
 
 let test_limits_breach_inside_lockstep () =
   let mx = Models.mutex () in
@@ -197,47 +197,6 @@ let test_limits_breach_inside_lockstep () =
       Alcotest.(check int) "budget" 2 budget;
       Alcotest.(check bool) "steps exceed budget" true (steps > 2)
     | b -> Alcotest.failf "wrong breach: %a" Bdd.Limits.pp_breach b)
-
-let test_auto_reorder_inside_lockstep () =
-  let mx = Models.mutex () in
-  let m = mx.Models.m in
-  let man = m.Kripke.man in
-  let clean = Ctl.Fair.eg ~engine:Ctl.Fair.Lockstep m m.Kripke.space in
-  let before = (Bdd.stats man).Bdd.reorders in
-  Bdd.Reorder.set_auto man (Some 1);
-  let sifted =
-    Fun.protect
-      ~finally:(fun () -> Bdd.Reorder.set_auto man None)
-      (fun () ->
-        Bdd.Reorder.with_checkpoints man (fun () ->
-            Ctl.Fair.eg ~engine:Ctl.Fair.Lockstep m m.Kripke.space))
-  in
-  let after = (Bdd.stats man).Bdd.reorders in
-  Alcotest.(check bool) "a sweep fired inside lock-step" true (after > before);
-  Alcotest.(check bool) "result unchanged by the sweep" true
-    (Bdd.equal clean sifted)
-
-(* A reorder fault fired from a lock-step checkpoint (mid-sift abort)
-   must surface as the documented exception, leave the manager sound,
-   and the retried verdict must match the clean one. *)
-let test_midsift_abort_inside_lockstep () =
-  let mx = Models.mutex () in
-  let m = mx.Models.m in
-  let man = m.Kripke.man in
-  let clean = Ctl.Fair.eg ~engine:Ctl.Fair.Lockstep m m.Kripke.space in
-  Bdd.Reorder.set_auto man (Some 1);
-  Bdd.Fault.arm man ~site:Bdd.Fault.Reorder ~after:1;
-  (match
-     Bdd.Reorder.with_checkpoints man (fun () ->
-         Ctl.Fair.eg ~engine:Ctl.Fair.Lockstep m m.Kripke.space)
-   with
-  | _ -> ()  (* the fault may land after convergence on tiny models *)
-  | exception Out_of_memory -> ());
-  Bdd.Fault.disarm man;
-  Bdd.Reorder.set_auto man None;
-  let retried = Ctl.Fair.eg ~engine:Ctl.Fair.Lockstep m m.Kripke.space in
-  Alcotest.(check bool) "verdict stable after mid-sift abort" true
-    (Bdd.equal clean retried)
 
 let sites =
   [
@@ -305,10 +264,6 @@ let suite =
       test_server_warm_switch;
     Alcotest.test_case "limits breach inside lock-step" `Quick
       test_limits_breach_inside_lockstep;
-    Alcotest.test_case "auto-reorder fires inside lock-step" `Quick
-      test_auto_reorder_inside_lockstep;
-    Alcotest.test_case "mid-sift abort inside lock-step" `Quick
-      test_midsift_abort_inside_lockstep;
     Alcotest.test_case "fault-site sweep (lock-step)" `Quick
       test_fault_sweep_lockstep;
   ]

@@ -242,36 +242,6 @@ let test_set_pairs_validates () =
       Bdd.Reorder.set_pairs man [ (0, 1); (1, 2) ])
 
 (* -------------------------------------------------------------------- *)
-(* Automatic triggering and checkpoints.                                *)
-
-let test_auto_trigger_gating () =
-  let man = Bdd.create () in
-  Bdd.Reorder.set_auto man (Some 8);
-  let f = copier man 4 in
-  Alcotest.(check bool) "growth marked a reorder pending" true
-    (Bdd.Reorder.pending man);
-  (* A checkpoint outside any with_checkpoints region must not sift:
-     the caller has not promised its intermediates are rooted. *)
-  Bdd.Reorder.checkpoint man;
-  Alcotest.(check bool) "checkpoint outside region is inert" true
-    (Bdd.Reorder.pending man && (Bdd.stats man).Bdd.reorders = 0);
-  Bdd.with_root man (fun () -> [ f ]) (fun () ->
-      Bdd.Reorder.with_checkpoints man (fun () -> Bdd.Reorder.checkpoint man));
-  Alcotest.(check int) "checkpoint inside region sifts" 1
-    (Bdd.stats man).Bdd.reorders;
-  Alcotest.(check bool) "no longer pending" false (Bdd.Reorder.pending man);
-  Alcotest.(check bool) "threshold backed off" true
-    (match Bdd.Reorder.auto_threshold man with
-     | Some n -> n >= 8
-     | None -> false);
-  Bdd.Reorder.set_auto man None;
-  Alcotest.(check bool) "disarmed" true
-    (Bdd.Reorder.auto_threshold man = None);
-  Alcotest.check_raises "non-positive threshold rejected" (Invalid_argument
-    "Bdd.Reorder.set_auto: non-positive threshold") (fun () ->
-      Bdd.Reorder.set_auto man (Some 0))
-
-(* -------------------------------------------------------------------- *)
 (* Interactions: limits, fault injection, validated traces.             *)
 
 let test_limits_abort_mid_sift () =
@@ -355,8 +325,6 @@ let suite =
       test_pairs_stay_adjacent;
     Alcotest.test_case "set_pairs validates input" `Quick
       test_set_pairs_validates;
-    Alcotest.test_case "auto trigger fires only at checkpoints" `Quick
-      test_auto_trigger_gating;
     Alcotest.test_case "limits abort a sweep consistently" `Quick
       test_limits_abort_mid_sift;
     Alcotest.test_case "reorder fault site fires one-shot" `Quick

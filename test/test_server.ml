@@ -213,7 +213,7 @@ let test_protocol_parse_check () =
     Protocol.parse_request
       {|{"op":"check","id":"r1","model":"MODULE main","specs":["EF x"],
          "options":{"fair":false,"retries":2,"timeout":1.5,
-                    "inject":"mk:10","reorder":"auto","stats":true}}|}
+                    "inject":"mk:10","reorder":"static","stats":true}}|}
   with
   | Ok (Protocol.Check { id; model; specs; options }) ->
     Alcotest.(check string) "id" "r1" id;
@@ -226,8 +226,24 @@ let test_protocol_parse_check () =
       options.Engine.timeout;
     Alcotest.(check bool) "inject parsed" true
       (options.Engine.inject = Some (Engine.Fault (Bdd.Fault.Mk, 10)));
-    Alcotest.(check bool) "reorder auto" true
-      (options.Engine.reorder = `Auto)
+    Alcotest.(check bool) "reorder static" true
+      (options.Engine.reorder = `Static);
+    (* The removed sifting modes are refused, naming the valid ones. *)
+    List.iter
+      (fun mode ->
+        match
+          Protocol.parse_request
+            (Printf.sprintf
+               {|{"op":"check","id":"r2","model":"m","options":{"reorder":%S}}|}
+               mode)
+        with
+        | Error e ->
+          Alcotest.(check string) ("reorder " ^ mode ^ " refused")
+            (Printf.sprintf
+               "\"reorder\": unknown mode %S (none or static)" mode)
+            e
+        | Ok _ -> Alcotest.failf "reorder %s accepted" mode)
+      [ "once"; "auto" ]
   | Ok _ -> Alcotest.fail "parsed as the wrong op"
   | Error e -> Alcotest.failf "parse failed: %s" e
 
@@ -829,43 +845,6 @@ let test_bad_extra_spec_same_message () =
   Alcotest.(check (option string)) "server error = CLI stderr" (Some cli_out)
     (Option.map (fun msg -> msg ^ "\n") (Option.bind reply (Smoke.str "error")))
 
-(* The driver's initial --reorder once sweep: a failed sweep is
-   reported through [warn] and changes no verdict and no output byte. *)
-let test_driver_failed_sweep_warns () =
-  let run ~fault =
-    let compiled = Smv.load_string ~static_order:true mutex_source in
-    if fault then
-      Bdd.Fault.arm compiled.Smv.Compile.model.Kripke.man
-        ~site:Bdd.Fault.Reorder ~after:1;
-    let warnings = ref [] in
-    let buf = Buffer.create 256 in
-    let ppf = Format.formatter_of_buffer buf in
-    match
-      Engine.run ppf compiled
-        ~opts:{ Engine.default with reorder = `Once }
-        ~specs:[ "EF (p = crit)" ] ~cancel:(Atomic.make false) ~debug:false
-        ~warm:false
-        ~warn:(fun w -> warnings := w :: !warnings)
-        ~jobs:1 ~prepare:ignore
-    with
-    | Ok ((), o) ->
-      Format.pp_print_flush ppf ();
-      ( !warnings,
-        List.map (fun (name, r) -> (name, r.Engine.verdict)) o.Engine.verdicts,
-        o.Engine.exit_code,
-        Buffer.contents buf )
-    | Error e -> Alcotest.fail e
-  in
-  let w_clean, v_clean, code_clean, out_clean = run ~fault:false in
-  let w_fault, v_fault, code_fault, out_fault = run ~fault:true in
-  Alcotest.(check (list string)) "a clean sweep is silent" [] w_clean;
-  Alcotest.(check (list string)) "the failed sweep is reported"
-    [ "initial reordering failed; continuing" ] w_fault;
-  Alcotest.(check int) "two verdicts" 2 (List.length v_fault);
-  Alcotest.(check bool) "same verdicts" true (v_clean = v_fault);
-  Alcotest.(check int) "same exit code" code_clean code_fault;
-  Alcotest.(check string) "same output" out_clean out_fault
-
 let suite =
   [
     Alcotest.test_case "json: compact printing" `Quick test_json_print;
@@ -923,6 +902,4 @@ let suite =
       test_daemon_bad_extra_spec;
     Alcotest.test_case "driver: bad extra spec reads the same on both ends"
       `Quick test_bad_extra_spec_same_message;
-    Alcotest.test_case "driver: failed initial sweep warns, changes nothing"
-      `Quick test_driver_failed_sweep_warns;
   ]
