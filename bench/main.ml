@@ -29,7 +29,6 @@ let experiments =
     ("E15", Exp_serve.run_overload, Exp_serve.bechamel_overload);
     ("E16", Exp_nodestore.run, Exp_nodestore.bechamel);
     ("E17", Exp_serve.run_restart, Exp_serve.bechamel_restart);
-    ("E18", Exp_faircycle.run, Exp_faircycle.bechamel);
   ]
 
 let run_raw () =

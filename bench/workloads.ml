@@ -141,96 +141,3 @@ let xor_automaton n =
     else Kripke.Builder.build b
   in
   (build false, build true)
-
-(* ------------------------------------------------------------------ *)
-(* Parametric SMV sources for the fair-cycle engine comparison (E18): *)
-(* scaled siblings of examples/models/{arbiter,philosophers,counter*} *)
-(* built as source text and loaded through Smv.load_string, so the    *)
-(* benchmark exercises the same front-end path as the CLI.            *)
-
-(* Round-robin token arbiter with [n] users (the committed 8-user
-   arbiter.smv, scaled).  With [fairness] one FAIRNESS constraint per
-   token position turns fair-state computation into a real multi-
-   constraint fair-cycle problem. *)
-let arbiter_smv ?(fairness = false) n =
-  let b = Buffer.create 2048 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "MODULE main\nVAR\n";
-  for i = 0 to n - 1 do pf "  req%d : boolean;\n" i done;
-  for i = 0 to n - 1 do pf "  ack%d : boolean;\n" i done;
-  pf "  token : {%s};\n"
-    (String.concat ", " (List.init n (Printf.sprintf "t%d")));
-  pf "ASSIGN\n";
-  for i = 0 to n - 1 do pf "  init(req%d) := FALSE;\n" i done;
-  for i = 0 to n - 1 do pf "  init(ack%d) := FALSE;\n" i done;
-  pf "  init(token) := t0;\n";
-  pf "  next(token) := case\n";
-  for i = 0 to n - 2 do pf "      token = t%d : t%d;\n" i (i + 1) done;
-  pf "      TRUE : t0;\n    esac;\n";
-  for i = 0 to n - 1 do
-    pf "  next(ack%d) := req%d & token = t%d;\n" i i i
-  done;
-  for i = 0 to n - 1 do
-    pf
-      "  next(req%d) := case ack%d : {TRUE, FALSE}; req%d : TRUE; TRUE : \
-       {TRUE, FALSE}; esac;\n"
-      i i i
-  done;
-  if fairness then
-    for i = 0 to n - 1 do pf "FAIRNESS token = t%d\n" i done;
-  Buffer.contents b
-
-(* [n] dining philosophers under scheduling fairness (the committed
-   three-philosopher model, scaled): one FAIRNESS constraint per
-   philosopher, so the Emerson-Lei outer fixpoint runs [n] nested EU
-   sweeps per iteration. *)
-let philosophers_smv n =
-  let b = Buffer.create 2048 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "MODULE phil(go, left_free, right_free)\n";
-  pf "VAR\n  st : {think, hungry, left, eat};\n";
-  pf "ASSIGN\n  init(st) := think;\n";
-  pf "  next(st) := case\n";
-  pf "      go & st = think : {think, hungry};\n";
-  pf "      go & st = hungry & left_free : left;\n";
-  pf "      go & st = left & right_free : eat;\n";
-  pf "      go & st = eat : think;\n";
-  pf "      TRUE : st;\n    esac;\n";
-  pf "DEFINE\n";
-  pf "  holds_left := st = left | st = eat;\n";
-  pf "  eating := st = eat;\n\n";
-  pf "MODULE main\nVAR\n";
-  pf "  sched : 0..%d;\n" (n - 1);
-  for i = 0 to n - 1 do
-    pf "  p%d : phil(sched = %d, fork%d_free, fork%d_free);\n" i i i
-      ((i + 1) mod n)
-  done;
-  pf "DEFINE\n";
-  for i = 0 to n - 1 do
-    pf "  fork%d_free := !p%d.holds_left & !p%d.eating;\n" i i
-      ((i - 1 + n) mod n)
-  done;
-  pf "ASSIGN\n  next(sched) := {%s};\n"
-    (String.concat ", " (List.init n string_of_int));
-  for i = 0 to n - 1 do pf "FAIRNESS sched = %d\n" i done;
-  Buffer.contents b
-
-(* A [bits]-wide binary counter (the committed counter12, scaled).
-   The interesting E18 query is fair [EG (not all-ones)]: that
-   subgraph is a pure 2^bits-long chain with no cycle, the
-   Emerson-Lei worst case (each outer iteration peels one tail state
-   and re-runs a full EU sweep — quadratic in the chain), while the
-   lock-step engine's trimming deletes the whole chain in one pass. *)
-let counter_smv bits =
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "MODULE main\nVAR\n";
-  for i = 0 to bits - 1 do pf "  b%d : boolean;\n" i done;
-  pf "ASSIGN\n";
-  for i = 0 to bits - 1 do pf "  init(b%d) := FALSE;\n" i done;
-  pf "  next(b0) := !b0;\n";
-  for i = 1 to bits - 1 do
-    pf "  next(b%d) := !(b%d <-> (%s));\n" i i
-      (String.concat " & " (List.init i (Printf.sprintf "b%d")))
-  done;
-  Buffer.contents b

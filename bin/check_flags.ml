@@ -18,23 +18,6 @@ let no_fair_arg =
           "Ignore FAIRNESS constraints when deciding specifications \
            (counterexample generation still respects them).")
 
-let fair_engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("el", Ctl.Fair.El); ("lockstep", Ctl.Fair.Lockstep) ])
-        d.fair_engine
-    & info [ "fair-engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Fair-cycle detection algorithm.  $(b,el) (default) is the \
-           Emerson-Lei nested fixpoint; $(b,lockstep) finds \
-           fairness-intersecting SCCs by lock-step symbolic SCC \
-           decomposition (asymptotically fewer image computations on \
-           models with long fair-cycle chains).  Verdicts, traces and \
-           exit codes are identical under either engine — witness onion \
-           rings are extracted by shared code after the fixpoint \
-           converges; only speed and the --stats counters differ.  On \
-           --retries breaches, retries always fall back to $(b,el).")
-
 let no_trace_arg =
   Arg.(
     value & flag
@@ -129,11 +112,10 @@ let reorder_arg =
 (* A boolean flag only moves its field away from the default:
    --no-fairness and -q switch one off, the others switch one on. *)
 let term =
-  let make no_fair fair_engine no_trace stats partitioned timeout node_limit
+  let make no_fair no_trace stats partitioned timeout node_limit
       step_limit retries certify reorder =
     {
       Engine.fair = d.fair && not no_fair;
-      fair_engine;
       traces = d.traces && not no_trace;
       stats = d.stats || stats;
       certify = d.certify || certify;
@@ -147,6 +129,6 @@ let term =
     }
   in
   Term.(
-    const make $ no_fair_arg $ fair_engine_arg $ no_trace_arg $ stats_arg
+    const make $ no_fair_arg $ no_trace_arg $ stats_arg
     $ partitioned_arg $ timeout_arg $ node_limit_arg $ step_limit_arg
     $ retries_arg $ certify_arg $ reorder_arg)

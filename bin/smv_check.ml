@@ -66,7 +66,7 @@ let print_model_stats ?limits m =
    per-worker manager snapshots of a parallel run, merged into the main
    manager's counters so --stats reports one totalled view of the whole
    run regardless of --jobs. *)
-let print_run_stats ?(extra = []) ?(fair_engine = Ctl.Fair.El) m =
+let print_run_stats ?(extra = []) m =
   let s = List.fold_left Bdd.merge_stats (Bdd.stats m.Kripke.man) extra in
   Format.printf "%a@." Bdd.pp_stats s;
   let c = Ctl.Check.fixpoint_stats () in
@@ -77,14 +77,7 @@ let print_run_stats ?(extra = []) ?(fair_engine = Ctl.Fair.El) m =
     c.Ctl.Check.ring_layers;
   Format.printf
     "fair fixpoints: %d outer iterations, %d ring layers saved@."
-    f.Ctl.Fair.outer_iterations f.Ctl.Fair.ring_layers;
-  (* Printed only under --fair-engine lockstep, keeping the default
-     --stats output byte-identical to earlier versions. *)
-  if fair_engine = Ctl.Fair.Lockstep then
-    Format.printf
-      "lock-step: %d rounds, %d SCCs examined, %d regions skipped@."
-      f.Ctl.Fair.lockstep_rounds f.Ctl.Fair.lockstep_sccs_examined
-      f.Ctl.Fair.lockstep_sccs_skipped
+    f.Ctl.Fair.outer_iterations f.Ctl.Fair.ring_layers
 
 (* Random walk from a random initial state, choosing uniformly at each
    step with symbolic cofactor-weighted sampling — no state
@@ -159,8 +152,7 @@ let run ~check ~extra_specs ~cache_limit ~simulate:walk ~seed ~jobs ~debug
   let interrupted = Atomic.get cancel_flag in
   if interrupted then Format.printf "-- interrupted; statistics so far:@.";
   if interrupted || check.Engine.stats then
-    print_run_stats ~extra:outcome.Engine.worker_stats
-      ~fair_engine:check.Engine.fair_engine m;
+    print_run_stats ~extra:outcome.Engine.worker_stats m;
   Ok outcome.Engine.exit_code
 
 open Cmdliner

@@ -1993,7 +1993,9 @@ module Limits = struct
   (* The [Step] fault site lives here rather than in [fault_tick]: a
      tripped deadline is a [Limits] breach, not an allocation failure,
      so it must funnel through [limits_breach] to carry the usual stats
-     snapshot and partial progress. *)
+     snapshot and partial progress.  The simulated deadline reports
+     elapsed equal to its limit, not the clock, so an injected breach
+     renders the same text however loaded the machine is. *)
   let fault_step_tick m l =
     match m.fault with
     | Some f when f.f_site = Step ->
@@ -2001,12 +2003,8 @@ module Limits = struct
       if f.f_remaining <= 0 then begin
         m.fault <- None;
         m.faults_fired <- m.faults_fired + 1;
-        limits_breach m l
-          (Deadline
-             {
-               timeout = (match l.timeout with Some t -> t | None -> 0.0);
-               elapsed = now_monotonic () -. l.started;
-             })
+        let timeout = match l.timeout with Some t -> t | None -> 0.0 in
+        limits_breach m l (Deadline { timeout; elapsed = timeout })
       end
     | Some _ | None -> ()
 

@@ -65,35 +65,37 @@ let explain_with ops formula ~start =
   in
   go (Ctl.push_neg formula) start
 
-let explain ?limits ?engine m formula ~start =
+let explain ?limits m formula ~start =
   let bman = m.Kripke.man in
-  let fair = Ctl.Fair.fair_states ?limits ?engine m in
+  let fair = Ctl.Fair.fair_states ?limits m in
   let ops =
     {
-      sat = Ctl.Fair.sat ?limits ?engine m;
+      sat = Ctl.Fair.sat ?limits m;
       mem = Kripke.eval_in_state m;
       fair = (fun set -> Bdd.and_ bman set fair);
       ex = (fun ~f ~start -> (Witness.ex ?limits m ~f ~start).prefix);
       eu = (fun ~f ~g ~start -> (Witness.eu ?limits m ~f ~g ~start).prefix);
       eg =
         (fun ~f ~start ->
-          let tr = Witness.eg ?limits ?engine m ~f ~start in
+          let tr = Witness.eg ?limits m ~f ~start in
           (tr.prefix, tr.cycle));
     }
   in
   let prefix, cycle = explain_with ops formula ~start in
   { Kripke.Trace.prefix; cycle }
 
-let witness ?limits ?engine m formula =
-  let sat = Ctl.Fair.sat ?limits ?engine m formula in
+(* [?engine] is ignored on [witness] and [counterexample]: kept only
+   because perfbench/probe.ml passes it. *)
+let witness ?limits ?engine:_ m formula =
+  let sat = Ctl.Fair.sat ?limits m formula in
   let good = Bdd.and_ m.Kripke.man m.Kripke.init sat in
   match Kripke.pick_state m good with
   | None -> None
-  | Some st -> Some (explain ?limits ?engine m formula ~start:st)
+  | Some st -> Some (explain ?limits m formula ~start:st)
 
-let counterexample ?limits ?engine m formula =
-  let sat = Ctl.Fair.sat ?limits ?engine m formula in
+let counterexample ?limits ?engine:_ m formula =
+  let sat = Ctl.Fair.sat ?limits m formula in
   let bad = Bdd.diff m.Kripke.man m.Kripke.init sat in
   match Kripke.pick_state m bad with
   | None -> None
-  | Some st -> Some (explain ?limits ?engine m (Ctl.Not formula) ~start:st)
+  | Some st -> Some (explain ?limits m (Ctl.Not formula) ~start:st)

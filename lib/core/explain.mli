@@ -45,7 +45,6 @@ val explain_with :
 
 val explain :
   ?limits:Bdd.Limits.t ->
-  ?engine:Ctl.Fair.engine ->
   Kripke.t -> Ctl.t -> start:Kripke.state -> Kripke.Trace.t
 (** [explain m f ~start] — a trace demonstrating [f] at [start]; the
     formula must hold there under fair semantics (raises
@@ -68,4 +67,6 @@ val counterexample :
   Kripke.t -> Ctl.t -> Kripke.Trace.t option
 (** A trace from some initial state demonstrating the *negation* of the
     formula; [None] when the formula holds on every initial state
-    (i.e. the specification is true and there is nothing to show). *)
+    (i.e. the specification is true and there is nothing to show).
+    [?engine] here and on {!witness} is ignored, kept only for
+    [perfbench/probe.ml]. *)

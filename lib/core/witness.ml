@@ -180,10 +180,10 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
       Closed (round_states, closing)
     | None -> Failed round_states)
 
-let eg_stats ?limits ?engine ?(strategy = Restart) ?(max_restarts = 1_000_000)
+let eg_stats ?limits ?(strategy = Restart) ?(max_restarts = 1_000_000)
     m ~f ~start =
   let f = Bdd.and_ m.Kripke.man f m.Kripke.space in
-  let egf, rings = Ctl.Fair.eg_with_rings ?limits ?engine m f in
+  let egf, rings = Ctl.Fair.eg_with_rings ?limits m f in
   if not (in_set m egf start) then
     raise (No_witness "EG: start state does not satisfy fair EG f");
   (* Each failed round strictly descends the DAG of strongly connected
@@ -218,5 +218,5 @@ let eg_stats ?limits ?engine ?(strategy = Restart) ?(max_restarts = 1_000_000)
   in
   loop [ start ] start 0
 
-let eg ?limits ?engine ?strategy m ~f ~start =
-  fst (eg_stats ?limits ?engine ?strategy m ~f ~start)
+let eg ?limits ?strategy m ~f ~start =
+  fst (eg_stats ?limits ?strategy m ~f ~start)

@@ -61,19 +61,14 @@ val eu :
 
 val eg :
   ?limits:Bdd.Limits.t ->
-  ?engine:Ctl.Fair.engine ->
   ?strategy:strategy ->
   Kripke.t -> f:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
 (** Lasso witness for [EG f] under the model's fairness constraints
     (all of Section 6).  With no declared constraints this degenerates
-    to a plain [EG] witness.  [engine] selects the fair-cycle engine
-    used to converge the hull; the rings the construction walks are
-    extracted by engine-independent code, so the witness is
-    byte-identical under either. *)
+    to a plain [EG] witness. *)
 
 val eg_stats :
   ?limits:Bdd.Limits.t ->
-  ?engine:Ctl.Fair.engine ->
   ?strategy:strategy ->
   ?max_restarts:int ->
   Kripke.t ->

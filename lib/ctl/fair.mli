@@ -15,39 +15,16 @@ type rings = {
 }
 (** The "onion rings" Section 6's witness construction descends. *)
 
-type engine =
-  | El  (** the paper's Emerson-Lei nested fixpoint (the default) *)
-  | Lockstep
-      (** lock-step symbolic SCC decomposition restricted to
-          fairness-intersecting SCCs (Chatterjee et al., arXiv
-          1804.00206) *)
-(** Which fair-cycle algorithm runs the [EG] fixpoint.  The two are
-    verdict-identical by construction — they compute the same state
-    set, and BDDs are canonical — and witness rings are extracted by
-    shared code after either engine converges, so traces and
-    certificates are byte-identical too.  Only the symbolic-step cost
-    (and the {!fixpoint_stats} counters that expose it) differs. *)
-
-val engine_name : engine -> string
-(** ["el"] or ["lockstep"] — the tag stored in [Kripke.fair_memo] and
-    accepted by the CLI/server selectors. *)
-
-val engine_of_string : string -> engine option
-(** Inverse of {!engine_name}. *)
+type engine = El  (** the paper's Emerson-Lei nested fixpoint *)
+(** Kept only because [perfbench/probe.ml] names [El] and passes it to
+    {!holds}; Emerson-Lei is the only fair-cycle engine.  Remove with
+    the [?engine] argument of {!holds} once perfbench may change. *)
 
 type fixpoint_stats = {
   outer_iterations : int;
-      (** iterations of the fair-[EG] outer greatest fixpoint
-          (Emerson-Lei engine) *)
+      (** iterations of the fair-[EG] outer greatest fixpoint *)
   ring_layers : int;
       (** layers saved by {!eg_with_rings} for witness generation *)
-  lockstep_rounds : int;
-      (** lock-step image rounds (lock-step engine) *)
-  lockstep_sccs_examined : int;
-      (** SCCs the lock-step engine isolated and tested for fairness *)
-  lockstep_sccs_skipped : int;
-      (** regions the lock-step engine dropped for missing a fairness
-          constraint *)
 }
 (** Counters accumulated process-wide since the last
     {!reset_fixpoint_stats}; the nested [EU] sweeps the outer fixpoint
@@ -63,42 +40,33 @@ val constraints : Kripke.t -> Bdd.t list
 (** The effective fairness constraints: the model's list, or [[true]]
     when it is empty. *)
 
-val eg : ?limits:Bdd.Limits.t -> ?engine:engine -> Kripke.t -> Bdd.t -> Bdd.t
-(** [CheckFairEG] — with [El] (the default) the greatest fixpoint
-    [gfp Z. f /\ /\_k EX (E[f U (Z /\ h_k)])], with [Lockstep] the
-    equivalent [E[f U hull]] over the lock-step SCC hull.  Every
-    function below accepts [?limits]: outer iterations (resp. lock-step
-    rounds) and nested fixpoint iterations each charge one step against
-    the budget (raising [Bdd.Limits.Exhausted] on a breach); limits
-    never change results, only whether the computation is allowed to
-    finish. *)
+val eg : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t
+(** [CheckFairEG] — the Emerson-Lei greatest fixpoint
+    [gfp Z. f /\ /\_k EX (E[f U (Z /\ h_k)])].  Every function below
+    accepts [?limits]: outer iterations and nested fixpoint iterations
+    each charge one step against the budget (raising
+    [Bdd.Limits.Exhausted] on a breach); limits never change results,
+    only whether the computation is allowed to finish. *)
 
 val eg_with_rings :
-  ?limits:Bdd.Limits.t ->
-  ?engine:engine ->
-  Kripke.t ->
-  Bdd.t ->
-  Bdd.t * rings list
+  ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t * rings list
 (** Fair [EG] together with the ring sequences, one per effective
-    constraint.  The rings are extracted by engine-independent code
-    from the converged fixpoint ([Check.eu_rings] against [Z /\ h_k]),
-    so both engines yield byte-identical rings — and hence witnesses. *)
+    constraint, extracted from the converged fixpoint
+    ([Check.eu_rings] against [Z /\ h_k]). *)
 
-val fair_states : ?limits:Bdd.Limits.t -> ?engine:engine -> Kripke.t -> Bdd.t
+val fair_states : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t
 (** [fair = CheckFairEG true]: states at the start of some fair path.
-    Memoised on the model ([Kripke.fair_memo]) together with the
-    producing engine's name; a call under the other engine recomputes
-    and retags rather than silently reusing the cached diagram. *)
+    Memoised on the model ([Kripke.fair_memo]). *)
 
-val ex : ?limits:Bdd.Limits.t -> ?engine:engine -> Kripke.t -> Bdd.t -> Bdd.t
+val ex : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t
 (** [CheckFairEX f = CheckEX (f /\ fair)]. *)
 
-val eu :
-  ?limits:Bdd.Limits.t -> ?engine:engine -> Kripke.t -> Bdd.t -> Bdd.t -> Bdd.t
+val eu : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t -> Bdd.t
 (** [CheckFairEU f g = CheckEU f (g /\ fair)]. *)
 
-val sat : ?limits:Bdd.Limits.t -> ?engine:engine -> Kripke.t -> Syntax.t -> Bdd.t
+val sat : ?limits:Bdd.Limits.t -> Kripke.t -> Syntax.t -> Bdd.t
 (** Full CTL over fair paths ([CheckFair]). *)
 
 val holds : ?limits:Bdd.Limits.t -> ?engine:engine -> Kripke.t -> Syntax.t -> bool
-(** Does every initial state satisfy the formula over fair paths? *)
+(** Does every initial state satisfy the formula over fair paths?
+    [?engine] is ignored, kept only for [perfbench/probe.ml]. *)

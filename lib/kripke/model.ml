@@ -34,11 +34,8 @@ type t = {
   labels : (string * Bdd.t) list;
   (* Cached fair-EG greatest fixpoint (Ctl.Fair.fair_states): computed
      once per (model, fairness) and reused across specs.  Owned here so
-     it is rooted with the rest of the model's diagrams.  The string
-     tags which fair engine produced the set (Ctl.Fair.engine_name) —
-     a warm server switching engines between requests must recompute,
-     never reuse the other engine's diagram silently. *)
-  mutable fair_memo : (Bdd.t * string) option;
+     it is rooted with the rest of the model's diagrams. *)
+  mutable fair_memo : Bdd.t option;
   (* Cached reachable-state fixpoint ([reachable]): depends only on
      [init] and [trans], both immutable, so it is valid for the model's
      whole life — a warm check server reuses it across requests.  Same
@@ -59,7 +56,7 @@ let roots m =
   @ List.map snd m.labels
   @ schedule_roots m.pre_schedule
   @ schedule_roots m.post_schedule
-  @ Option.to_list (Option.map fst m.fair_memo)
+  @ Option.to_list m.fair_memo
   @ Option.to_list m.reach_memo
 
 let register_roots m =
@@ -267,7 +264,7 @@ let clone_into dst m =
       post_schedule = Option.map clone_steps m.post_schedule;
       fairness = List.map t m.fairness;
       labels = List.map (fun (name, b) -> (name, t b)) m.labels;
-      fair_memo = Option.map (fun (z, tag) -> (t z, tag)) m.fair_memo;
+      fair_memo = Option.map t m.fair_memo;
       reach_memo = Option.map t m.reach_memo;
     }
 
@@ -471,7 +468,7 @@ type skeleton = {
   sk_post : (Bdd.t * Bdd.t) list option;
   sk_fairness : Bdd.t list;
   sk_labels : (string * Bdd.t) list;
-  sk_fair_memo : (Bdd.t * string) option;
+  sk_fair_memo : Bdd.t option;
   sk_reach_memo : Bdd.t option;
 }
 

@@ -50,9 +50,8 @@ type t = private {
   post_schedule : schedule_step list option;
   fairness : Bdd.t list;  (** fairness constraints, as state sets *)
   labels : (string * Bdd.t) list;  (** named atomic propositions *)
-  mutable fair_memo : (Bdd.t * string) option;
-      (** cached fair-EG fixpoint tagged with the producing engine's
-          name; see {!fair_memo} *)
+  mutable fair_memo : Bdd.t option;
+      (** cached fair-EG fixpoint; see {!fair_memo} *)
   mutable reach_memo : Bdd.t option;
       (** cached reachable-state fixpoint; see {!reach_memo} *)
 }
@@ -115,17 +114,13 @@ val with_fairness : t -> Bdd.t list -> t
     [GF p] conjuncts into fairness constraints (Section 7).  The
     fair-states cache is reset — it depends on the constraints. *)
 
-val fair_memo : t -> (Bdd.t * string) option
+val fair_memo : t -> Bdd.t option
 (** The cached set of fair states ([Ctl.Fair.fair_states] computes and
-    stores it), valid for this model's current fairness constraints,
-    paired with the name of the fair engine that produced it
-    ([Ctl.Fair.engine_name]).  The tag keeps the memo honest when a
-    warm server switches engines between requests: a consumer must
-    recompute on a tag mismatch rather than reuse the other engine's
-    diagram.  Rooted with the model's other diagrams, so it survives
-    [Bdd.gc] and reordering. *)
+    stores it), valid for this model's current fairness constraints.
+    Rooted with the model's other diagrams, so it survives [Bdd.gc]
+    and reordering. *)
 
-val set_fair_memo : t -> (Bdd.t * string) option -> unit
+val set_fair_memo : t -> Bdd.t option -> unit
 (** Store (or clear) the fair-states cache.  Intended for the fair
     checking layer; the cached diagram must live in the model's own
     manager. *)

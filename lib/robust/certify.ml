@@ -33,8 +33,8 @@ let suffix (tr : Kripke.Trace.t) k =
    same decomposition [Counterex.Explain] used to build it.  Operand
    satisfaction sets are recomputed here under fair semantics — the
    certificate shares only the model with the generator. *)
-let demonstrates ?limits ?engine m f tr =
-  let satf g = Ctl.Fair.sat ?limits ?engine m g in
+let demonstrates ?limits m f tr =
+  let satf g = Ctl.Fair.sat ?limits m g in
   let anchor label g tr =
     v label (Counterex.Validate.starts_at m (satf g) tr)
   in
@@ -101,14 +101,16 @@ let demonstrates ?limits ?engine m f tr =
   in
   go f tr
 
-let certify ?limits ?engine m formula tr =
+let certify ?limits m formula tr =
   let* () = v "path" (Counterex.Validate.path_ok m tr) in
   let* () =
     v "start" (Counterex.Validate.starts_at m m.Kripke.init tr)
   in
-  demonstrates ?limits ?engine m (Ctl.push_neg formula) tr
+  demonstrates ?limits m (Ctl.push_neg formula) tr
 
-let witness ?limits ?engine m f tr = certify ?limits ?engine m f tr
+(* [?engine] is ignored: kept only because perfbench/probe.ml passes
+   it. *)
+let witness ?limits ?engine:_ m f tr = certify ?limits m f tr
 
-let counterexample ?limits ?engine m f tr =
-  certify ?limits ?engine m (Ctl.Not f) tr
+let counterexample ?limits ?engine:_ m f tr =
+  certify ?limits m (Ctl.Not f) tr

@@ -31,10 +31,8 @@ val witness :
     initial state.  [Error msg] pinpoints the first violated
     requirement.  [limits] governs the satisfaction-set fixpoints (at
     minimum pass a cancellable bundle so SIGINT interrupts
-    certification too).  [engine] selects the fair-cycle engine for
-    those fixpoints — both engines compute identical sets, so the
-    choice affects only cost (and keeps a warm model's fair-states
-    memo keyed to the engine the caller requested). *)
+    certification too).  [?engine] here and on {!counterexample} is
+    ignored, kept only for [perfbench/probe.ml]. *)
 
 val counterexample :
   ?limits:Bdd.Limits.t ->

@@ -1,12 +1,3 @@
-(* Note on fair-engine fallback: the ladder itself is engine-agnostic —
-   rungs change *how much* budget and fidelity an attempt gets, not
-   which algorithm decides fair cycles.  The engine dimension is
-   handled by the caller (Server.Engine): attempt 1 honours the
-   requested --fair-engine, and every retry (any rung, index > 1) runs
-   the classical Emerson-Lei engine, so a lock-step breach or crash
-   retries on the battle-tested engine before any fidelity is traded
-   away.  Both engines are verdict-identical, so the switch can never
-   change an answer — only recover one. *)
 type strategy =
   | Direct
   | Gc_retry

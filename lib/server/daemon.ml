@@ -263,8 +263,7 @@ let send_status cfg cache pool ov persist conn =
            ss_restores = pc.Persist.restores;
            ss_quarantines = pc.Persist.quarantines;
            ss_restarts = cfg.restarts;
-           ss_checks_el = s.Overload.checks_el;
-           ss_checks_lockstep = s.Overload.checks_lockstep;
+           ss_checks = s.Overload.checks;
            ss_cache_capacity = Cache.capacity cache;
            ss_models = models;
          })
@@ -345,8 +344,6 @@ let handle_request cfg cache pool ov persist conn stop payload =
           drop_id ();
           send conn reply;
           crash_tick ();
-          Overload.checked_engine ov
-            ~lockstep:(options.Engine.fair_engine = Ctl.Fair.Lockstep);
           Overload.finished ov (Bdd.now_monotonic () -. t0)
         in
         (* Count the admission before queueing so [inflight] can never

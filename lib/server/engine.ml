@@ -14,7 +14,6 @@ type inject =
 
 type options = {
   fair : bool;
-  fair_engine : Ctl.Fair.engine;
   traces : bool;
   stats : bool;
   certify : bool;
@@ -30,7 +29,6 @@ type options = {
 let default =
   {
     fair = true;
-    fair_engine = Ctl.Fair.El;
     traces = true;
     stats = false;
     certify = false;
@@ -158,9 +156,8 @@ let print_breach_progress ppf (info : Bdd.Limits.info) =
    here is reported as a note but keeps the verdict: the answer was
    already computed, only its explanation ran out of budget.
    [fallback] only chooses the explainer: the explicit-state bridge
-   (the ladder's last rung) or the symbolic model under [limits] and
-   [engine]. *)
-let trace_for ppf m ~limits ~engine ~emit ~holds ~fallback spec =
+   (the ladder's last rung) or the symbolic model under [limits]. *)
+let trace_for ppf m ~limits ~emit ~holds ~fallback spec =
   let emitf fmt =
     if emit then Format.fprintf ppf fmt else Format.ifprintf ppf fmt
   in
@@ -172,8 +169,8 @@ let trace_for ppf m ~limits ~engine ~emit ~holds ~fallback spec =
     match fallback with
     | Some fb -> (Robust.Fallback.witness fb, Robust.Fallback.counterexample fb)
     | None ->
-      ( Counterex.Explain.witness ~limits ~engine m,
-        Counterex.Explain.counterexample ~limits ~engine m )
+      ( Counterex.Explain.witness ~limits m,
+        Counterex.Explain.counterexample ~limits m )
   in
   if holds then begin
     if not (existential spec) then None
@@ -224,10 +221,6 @@ type attempt_result = {
   ar_model : Kripke.t;
   ar_limits : Bdd.Limits.t;
   ar_fallback : Robust.Fallback.t option;
-  ar_engine : Ctl.Fair.engine;
-      (* the fair engine the verdict (and hence any trace) ran under:
-         the requested one on attempt 1, the classical Emerson-Lei
-         engine on every retry (the ladder's engine-fallback rung) *)
 }
 
 let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
@@ -266,17 +259,9 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
         ?node_budget:(backoff k opts.node_limit)
         ?step_budget:(backoff k opts.step_limit) ~cancel ()
   in
-  (* Engine fallback (see Robust.Ladder): attempt 1 honours the
-     requested fair engine; any breach or crash retries on the
-     battle-tested Emerson-Lei engine before the ladder trades away
-     fidelity, so a lock-step pathology can never make a verdict
-     *less* available than the default engine would. *)
-  let engine_for ~attempt =
-    if attempt = 1 then opts.fair_engine else Ctl.Fair.El
-  in
-  let run_symbolic model limits ~engine =
+  let run_symbolic model limits =
     Bdd.Limits.with_attached model.Kripke.man limits (fun () ->
-        if opts.fair then Ctl.Fair.holds ~limits ~engine model spec
+        if opts.fair then Ctl.Fair.holds ~limits model spec
         else Ctl.Check.holds ~limits model spec)
   in
   (* The degraded representation, built once per spec: partitioned
@@ -299,17 +284,16 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
   in
   let attempt_fn ~attempt strategy =
     let limits = limits_for attempt in
-    let engine = engine_for ~attempt in
     match strategy with
     | Robust.Ladder.Direct | Robust.Ladder.Main_domain ->
-      { ar_holds = run_symbolic m limits ~engine; ar_model = m;
-        ar_limits = limits; ar_fallback = None; ar_engine = engine }
+      { ar_holds = run_symbolic m limits; ar_model = m;
+        ar_limits = limits; ar_fallback = None }
     | Robust.Ladder.Gc_retry ->
       (* Reclaim the breached computation's intermediate nodes and drop
          the op-caches, then re-run plainly under backed-off budgets. *)
       ignore (Bdd.gc man);
-      { ar_holds = run_symbolic m limits ~engine; ar_model = m;
-        ar_limits = limits; ar_fallback = None; ar_engine = engine }
+      { ar_holds = run_symbolic m limits; ar_model = m;
+        ar_limits = limits; ar_fallback = None }
     | Robust.Ladder.Reorder ->
       (* Shrink the tables with a sifting sweep before giving up any
          fidelity.  The sweep runs under this attempt's limits, so a
@@ -317,8 +301,8 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
          (including an injected reorder fault) is classified by the
          ladder like any other and climbs to the next rung. *)
       Bdd.Limits.with_attached man limits (fun () -> Bdd.reorder man);
-      { ar_holds = run_symbolic m limits ~engine; ar_model = m;
-        ar_limits = limits; ar_fallback = None; ar_engine = engine }
+      { ar_holds = run_symbolic m limits; ar_model = m;
+        ar_limits = limits; ar_fallback = None }
     | Robust.Ladder.Degraded ->
       (* Trade speed for footprint: tight op-caches plus a partitioned
          relation with early quantification. *)
@@ -329,8 +313,8 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
       in
       Bdd.set_cache_limit man (Some tightened);
       let dm = degraded_model () in
-      { ar_holds = run_symbolic dm limits ~engine; ar_model = dm;
-        ar_limits = limits; ar_fallback = None; ar_engine = engine }
+      { ar_holds = run_symbolic dm limits; ar_model = dm;
+        ar_limits = limits; ar_fallback = None }
     | Robust.Ladder.Explicit_state ->
       (* Abandon the symbolic representation: enumerate the (small)
          state space and decide explicitly.  Deadline and cancellation
@@ -348,7 +332,6 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
         ar_model = m;
         ar_limits = limits;
         ar_fallback = Some fb;
-        ar_engine = engine;
       }
   in
   (* The spec's embedded Pred state sets live on [man] but are not
@@ -452,8 +435,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
               Bdd.Limits.with_attached ar.ar_model.Kripke.man ar.ar_limits
                 (fun () ->
                   trace_for ppf ar.ar_model ~limits:ar.ar_limits
-                    ~engine:ar.ar_engine ~emit:opts.traces ~holds
-                    ~fallback:ar.ar_fallback spec)
+                    ~emit:opts.traces ~holds ~fallback:ar.ar_fallback spec)
             with
             | tr -> tr
             | exception e when not debug ->
@@ -471,12 +453,8 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
                re-validation. *)
             let climits = Bdd.Limits.create ~cancel () in
             let cert =
-              if holds then
-                Robust.Certify.witness ~limits:climits ~engine:ar.ar_engine m
-                  spec tr
-              else
-                Robust.Certify.counterexample ~limits:climits
-                  ~engine:ar.ar_engine m spec tr
+              if holds then Robust.Certify.witness ~limits:climits m spec tr
+              else Robust.Certify.counterexample ~limits:climits m spec tr
             in
             match
               Bdd.Limits.with_attached man climits (fun () -> cert)

@@ -46,10 +46,6 @@ type inject =
     request. *)
 type options = {
   fair : bool;          (** honour FAIRNESS constraints *)
-  fair_engine : Ctl.Fair.engine;
-      (** which fair-cycle engine decides fair [EG] fixpoints on the
-          first attempt; retries always fall back to the classical
-          Emerson-Lei engine (see [Robust.Ladder]) *)
   traces : bool;        (** print witness / counterexample traces *)
   stats : bool;         (** print per-spec attempt logs on retries *)
   certify : bool;       (** re-validate every emitted trace *)

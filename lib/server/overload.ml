@@ -21,8 +21,7 @@ type stats = {
   clamps : int;
   unclamps : int;
   transitions : int;
-  checks_el : int;
-  checks_lockstep : int;
+  checks : int;
   avg_check_s : float option;
 }
 
@@ -46,10 +45,7 @@ type t = {
   mutable clamps_n : int;
   mutable unclamps_n : int;
   mutable transitions_n : int;
-  (* Per-fair-engine check counts, so `status` shows how much traffic
-     each engine actually serves on a warm server. *)
-  mutable checks_el_n : int;
-  mutable checks_lockstep_n : int;
+  mutable checks_n : int;
 }
 
 let with_lock mu f =
@@ -80,8 +76,7 @@ let create ?mem_high_water
     clamps_n = 0;
     unclamps_n = 0;
     transitions_n = 0;
-    checks_el_n = 0;
-    checks_lockstep_n = 0;
+    checks_n = 0;
   }
 
 let admitted t =
@@ -93,6 +88,7 @@ let retract t =
 let finished t dur =
   with_lock t.lock @@ fun () ->
   t.inflight_n <- max 0 (t.inflight_n - 1);
+  t.checks_n <- t.checks_n + 1;
   (* Ring update: subtract the overwritten slot so [dsum] tracks the
      window, not the whole history. *)
   if t.dcount = window then t.dsum <- t.dsum -. t.durations.(t.dnext)
@@ -100,11 +96,6 @@ let finished t dur =
   t.durations.(t.dnext) <- dur;
   t.dsum <- t.dsum +. dur;
   t.dnext <- (t.dnext + 1) mod window
-
-let checked_engine t ~lockstep =
-  with_lock t.lock @@ fun () ->
-  if lockstep then t.checks_lockstep_n <- t.checks_lockstep_n + 1
-  else t.checks_el_n <- t.checks_el_n + 1
 
 let inflight t = with_lock t.lock @@ fun () -> t.inflight_n
 
@@ -210,8 +201,7 @@ let stats t =
     clamps = t.clamps_n;
     unclamps = t.unclamps_n;
     transitions = t.transitions_n;
-    checks_el = t.checks_el_n;
-    checks_lockstep = t.checks_lockstep_n;
+    checks = t.checks_n;
     avg_check_s =
       (if t.dcount = 0 then None else Some (t.dsum /. float_of_int t.dcount));
   }

@@ -65,11 +65,8 @@ val retract : t -> unit
 
 val finished : t -> float -> unit
 (** A check replied; the argument is its duration in seconds, fed to
-    the rolling window behind {!retry_after_ms}. *)
-
-val checked_engine : t -> lockstep:bool -> unit
-(** Count one completed check against the fair engine that served it;
-    surfaced as the [checks_el] / [checks_lockstep] status counters. *)
+    the rolling window behind {!retry_after_ms}.  Also counted in the
+    [checks] status counter. *)
 
 val inflight : t -> int
 (** Checks admitted and not yet replied (queued or running). *)
@@ -110,8 +107,7 @@ type stats = {
   clamps : int;              (** managers whose op-caches were clamped *)
   unclamps : int;            (** clamps restored after pressure cleared *)
   transitions : int;         (** watchdog level changes *)
-  checks_el : int;           (** checks served by the Emerson-Lei engine *)
-  checks_lockstep : int;     (** checks served by the lock-step engine *)
+  checks : int;              (** checks replied ({!finished} calls) *)
   avg_check_s : float option;
 }
 

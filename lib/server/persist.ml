@@ -37,11 +37,11 @@ type t = {
 
 type counters = { snapshots : int; restores : int; quarantines : int }
 
-(* Bumped whenever the marshalled payload shape changes ("SMVWARM1"
-   predates the engine-tagged fair memo in [Kripke.skeleton]); a
+(* Bumped whenever the marshalled payload shape changes ("SMVWARM2"
+   carried an engine-tagged fair memo in [Kripke.skeleton]); a
    mismatch quarantines the stale file instead of unmarshalling it as
    garbage. *)
-let magic = "SMVWARM2"
+let magic = "SMVWARM3"
 let suffix = ".warm"
 
 let warn t fmt =

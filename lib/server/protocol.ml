@@ -73,21 +73,9 @@ let parse_options json =
   let* reorder =
     match reorder_s with None -> Ok d.reorder | Some s -> parse_reorder s
   in
-  let* engine_s = opt_field fields "fair_engine" Json.to_str "a string" in
-  let* fair_engine =
-    match engine_s with
-    | None -> Ok d.fair_engine
-    | Some s -> (
-      match Ctl.Fair.engine_of_string s with
-      | Some e -> Ok e
-      | None ->
-        Error
-          (Printf.sprintf "\"fair_engine\": unknown engine %S (el or lockstep)"
-             s))
-  in
   let options =
     {
-      Engine.fair; fair_engine; traces; stats; certify; partitioned;
+      Engine.fair; traces; stats; certify; partitioned;
       retries; timeout; node_limit; step_limit; inject; reorder;
     }
   in
@@ -256,8 +244,7 @@ type server_status = {
   ss_restores : int;
   ss_quarantines : int;
   ss_restarts : int;
-  ss_checks_el : int;
-  ss_checks_lockstep : int;
+  ss_checks : int;
   ss_cache_capacity : int;
   ss_models : model_status list;
 }
@@ -311,8 +298,7 @@ let status_reply s =
                ("restores", Num (float_of_int s.ss_restores));
                ("quarantines", Num (float_of_int s.ss_quarantines));
                ("restarts", Num (float_of_int s.ss_restarts));
-               ("checks_el", Num (float_of_int s.ss_checks_el));
-               ("checks_lockstep", Num (float_of_int s.ss_checks_lockstep));
+               ("checks", Num (float_of_int s.ss_checks));
              ] );
          ("pressure_level", Num (float_of_int s.ss_pressure_level));
          ("mem_live_nodes", Num (float_of_int s.ss_mem_live_nodes));

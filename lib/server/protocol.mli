@@ -28,9 +28,8 @@
     booleans [fair], [traces],
     [stats], [certify], [partitioned]; integers [retries],
     [node_limit], [step_limit]; number [timeout]; strings [inject]
-    ("SITE:COUNT" as on the CLI, minus "worker" and "child-crash"),
-    [reorder] ("none"/"static") and [fair_engine]
-    ("el"/"lockstep", the CLI's [--fair-engine]).  Unknown fields,
+    ("SITE:COUNT" as on the CLI, minus "worker" and "child-crash")
+    and [reorder] ("none"/"static").  Unknown fields,
     including ones older clients may still send, are ignored; the
     retry backoff factor (2) is fixed.
 
@@ -145,8 +144,7 @@ type server_status = {
   ss_restores : int;
   ss_quarantines : int;
   ss_restarts : int;
-  ss_checks_el : int;      (** checks served by the Emerson-Lei engine *)
-  ss_checks_lockstep : int;  (** checks served by the lock-step engine *)
+  ss_checks : int;         (** checks replied since startup *)
   ss_cache_capacity : int;
   ss_models : model_status list;
 }

@@ -108,8 +108,6 @@ let models =
     ("mutex", 1); ("philosophers", 1); ("ring", 1);
   ]
 
-let engines = [ [ "--fair-engine"; "el" ]; [ "--fair-engine"; "lockstep" ] ]
-
 let perf_flags =
   [
     [ "--jobs"; "4" ]; [ "--reorder"; "static" ];
@@ -117,13 +115,10 @@ let perf_flags =
     [ "--timeout"; "300"; "--node-limit"; "50000000" ];
   ]
 
-(* counter12 takes seconds a run, so it covers the engines only.  On
-   governed counter26 the two engines spend their steps on different
-   fixpoints: the lock-step run gets a row of its own below. *)
+(* counter12 takes seconds a run, so it keeps one variant. *)
 let variants = function
-  | "counter12" -> engines
-  | "counter26" -> List.hd engines :: perf_flags
-  | _ -> engines @ perf_flags
+  | "counter12" -> [ [ "--partitioned" ] ]
+  | _ -> perf_flags
 
 (* One step starves every symbolic attempt, so the retry decides on
    the explicit-state rung and its traces are certified like symbolic
@@ -158,17 +153,6 @@ let cores = Domain.recommended_domain_count ()
 let rows =
   invariance
   @ [
-      ( "counter26 lock-step",
-        model "counter26"
-          [ "--certify"; "--step-limit"; "64"; "--fair-engine"; "lockstep" ],
-        2, [ Has "UNDETERMINED" ] );
-      (* The lock-step counters line appears exactly when that engine
-         ran, so default --stats output stays stable. *)
-      ( "lock-step stats",
-        model "philosophers" [ "--stats"; "--fair-engine"; "lockstep" ],
-        1, [ Has "lock-step:" ] );
-      ("default stats", model "philosophers" [ "--stats" ], 1,
-       [ Lacks "lock-step:" ]);
       (* The arbiter's declaration order is adversarial (E13). *)
       ( "arbiter peak", model "arbiter" [ "--stats" ], 1,
         [ Peak_halved (model "arbiter" [ "--stats"; "--reorder"; "static" ]) ]

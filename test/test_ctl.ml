@@ -162,7 +162,15 @@ let prop_fair_states_vs_explicit =
     (fun rm ->
       let symbolic = Ctl.Fair.fair_states rm.Models.sym in
       let explicit = Explicit.Ectl.fair_states rm.Models.graph in
-      Models.sets_agree rm symbolic explicit)
+      (* The set is memoised on the model, and a second call serves it. *)
+      let memoised =
+        match Kripke.fair_memo rm.Models.sym with
+        | Some z -> Bdd.equal z symbolic
+        | None -> false
+      in
+      memoised
+      && Bdd.equal (Ctl.Fair.fair_states rm.Models.sym) symbolic
+      && Models.sets_agree rm symbolic explicit)
 
 let prop_rings_last_is_eu =
   prop "last onion ring equals the EU set" ~count:100

@@ -39,24 +39,50 @@ let test_deadline () =
     "some progress recorded" true
     (info.Bdd.Limits.progress.Bdd.Limits.iterations >= 1)
 
+(* Both the plain checker and the fair-EG fixpoint charge the budget. *)
 let test_step_budget () =
   let mx = Models.mutex () in
   let m = mx.Models.m in
-  let limits = Bdd.Limits.create ~step_budget:2 () in
-  let info =
-    exhausted_info (fun () -> Ctl.Check.holds ~limits m (starvation mx))
-  in
-  (match info.Bdd.Limits.breach with
-  | Bdd.Limits.Step_budget { budget; steps } ->
-    Alcotest.(check int) "budget" 2 budget;
-    Alcotest.(check bool) "steps exceed budget" true (steps > 2)
-  | b -> Alcotest.failf "wrong breach: %a" Bdd.Limits.pp_breach b);
-  Alcotest.(check int)
-    "progress agrees with the breach"
-    (match info.Bdd.Limits.breach with
-    | Bdd.Limits.Step_budget { steps; _ } -> steps
-    | _ -> assert false)
-    info.Bdd.Limits.progress.Bdd.Limits.steps
+  List.iter
+    (fun run ->
+      let limits = Bdd.Limits.create ~step_budget:2 () in
+      let info = exhausted_info (fun () -> run limits) in
+      (match info.Bdd.Limits.breach with
+      | Bdd.Limits.Step_budget { budget; steps } ->
+        Alcotest.(check int) "budget" 2 budget;
+        Alcotest.(check bool) "steps exceed budget" true (steps > 2)
+      | b -> Alcotest.failf "wrong breach: %a" Bdd.Limits.pp_breach b);
+      Alcotest.(check int)
+        "progress agrees with the breach"
+        (match info.Bdd.Limits.breach with
+        | Bdd.Limits.Step_budget { steps; _ } -> steps
+        | _ -> assert false)
+        info.Bdd.Limits.progress.Bdd.Limits.steps)
+    [
+      (fun limits -> ignore (Ctl.Check.holds ~limits m (starvation mx)));
+      (fun limits -> ignore (Ctl.Fair.eg ~limits m m.Kripke.space));
+    ]
+
+(* An injected step fault simulates a deadline; its text must not
+   depend on how long the check ran before the fault fired. *)
+let test_injected_breach_text () =
+  let mx = Models.mutex () in
+  let m = mx.Models.m in
+  List.iter
+    (fun (timeout, expected) ->
+      let limits = Bdd.Limits.create ?timeout () in
+      Bdd.Fault.arm m.Kripke.man ~site:Bdd.Fault.Step ~after:1;
+      Unix.sleepf 0.025;
+      let info =
+        exhausted_info (fun () -> Ctl.Check.holds ~limits m (starvation mx))
+      in
+      Bdd.Fault.disarm m.Kripke.man;
+      Alcotest.(check string) "breach text" expected
+        (Format.asprintf "%a" Bdd.Limits.pp_breach info.Bdd.Limits.breach))
+    [
+      (None, "timeout after 0.00s (limit 0s)");
+      (Some 300., "timeout after 300.00s (limit 300s)");
+    ]
 
 let test_node_budget () =
   let mx = Models.mutex () in
@@ -167,6 +193,8 @@ let suite =
     Alcotest.test_case "deadline breach" `Quick test_deadline;
     Alcotest.test_case "step-budget breach" `Quick test_step_budget;
     Alcotest.test_case "node-budget breach" `Quick test_node_budget;
+    Alcotest.test_case "injected step breach text" `Quick
+      test_injected_breach_text;
     Alcotest.test_case "cancellation" `Quick test_cancel;
     Alcotest.test_case "create validates budgets" `Quick
       test_create_validation;

@@ -21,7 +21,6 @@ let () =
       ("reorder", Test_reorder.suite);
       ("robust", Test_robust.suite);
       ("chaos", Test_chaos.suite);
-      ("faircycle", Test_faircycle.suite);
       ("server", Test_server.suite);
       ("snapshot", Test_snapshot.suite);
       ("cli", Test_cli.suite);

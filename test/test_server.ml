@@ -243,7 +243,17 @@ let test_protocol_parse_check () =
                "\"reorder\": unknown mode %S (none or static)" mode)
             e
         | Ok _ -> Alcotest.failf "reorder %s accepted" mode)
-      [ "once"; "auto" ]
+      [ "once"; "auto" ];
+    (* The removed "fair_engine" selector is an unknown field now, and
+       unknown fields are ignored. *)
+    (match
+       Protocol.parse_request
+         {|{"op":"check","id":"r3","model":"m","options":{"fair_engine":"lockstep"}}|}
+     with
+    | Ok (Protocol.Check { options; _ }) ->
+      Alcotest.(check bool) "fair_engine ignored" true
+        (options = Protocol.default_options)
+    | Ok _ | Error _ -> Alcotest.fail "fair_engine request must parse")
   | Ok _ -> Alcotest.fail "parsed as the wrong op"
   | Error e -> Alcotest.failf "parse failed: %s" e
 
@@ -546,8 +556,7 @@ let test_protocol_status_reply () =
         ss_restores = 1;
         ss_quarantines = 0;
         ss_restarts = 3;
-        ss_checks_el = 5;
-        ss_checks_lockstep = 2;
+        ss_checks = 7;
         ss_cache_capacity = 8;
         ss_models =
           [
@@ -591,10 +600,8 @@ let test_protocol_status_reply () =
       (Option.bind (Json.member "quarantines" counters) Json.to_num);
     Alcotest.(check (option (float 0.))) "restarts" (Some 3.)
       (Option.bind (Json.member "restarts" counters) Json.to_num);
-    Alcotest.(check (option (float 0.))) "checks_el" (Some 5.)
-      (Option.bind (Json.member "checks_el" counters) Json.to_num);
-    Alcotest.(check (option (float 0.))) "checks_lockstep" (Some 2.)
-      (Option.bind (Json.member "checks_lockstep" counters) Json.to_num);
+    Alcotest.(check (option (float 0.))) "checks" (Some 7.)
+      (Option.bind (Json.member "checks" counters) Json.to_num);
     let cache = Json.member "cache" v |> Option.get in
     Alcotest.(check (option (float 0.))) "cache entries" (Some 1.)
       (Option.bind (Json.member "entries" cache) Json.to_num);
@@ -670,6 +677,8 @@ let test_overload_retry_hint () =
   Overload.finished ov 0.1;
   Overload.finished ov 0.3;
   Alcotest.(check int) "finished drains inflight" 0 (Overload.inflight ov);
+  Alcotest.(check int) "finished checks counted" 2
+    (Overload.stats ov).Overload.checks;
   Alcotest.(check (option (float 1e-9))) "rolling mean" (Some 0.2)
     (Overload.avg_check_s ov);
   (* 5 queued ahead + this one = 6 slots over 2 workers = 3 rounds of

@@ -212,16 +212,19 @@ let test_persist_rehydrate_and_quarantine () =
   in
   let p = Persist.create ~dir ~debug:false in
   Alcotest.(check bool) "save" true (Persist.save_entry p ~key ~uses:1 compiled);
-  (* Drop two bad files beside the good one: a truncated copy and a
-     bit-flipped copy.  Rehydration must seed the good entry and
-     quarantine both bad ones without raising. *)
-  let good = Filename.concat dir (key ^ ".warm") in
-  let blob =
-    let ic = open_in_bin good in
+  (* Drop three bad files beside the good one: a truncated copy, a
+     bit-flipped copy, and a valid entry under its own key re-stamped
+     with the previous format's magic (its name and checksum still
+     match, so only the version check stands between it and
+     [Marshal]).  Rehydration must seed the good entry and quarantine
+     all three without raising. *)
+  let read path =
+    let ic = open_in_bin path in
     let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
     s
   in
+  let blob = read (Filename.concat dir (key ^ ".warm")) in
   let write path s =
     let oc = open_out_bin path in
     output_string oc s;
@@ -230,17 +233,28 @@ let test_persist_rehydrate_and_quarantine () =
   write (Filename.concat dir "truncated.warm")
     (String.sub blob 0 (String.length blob / 3));
   write (Filename.concat dir "flipped.warm") (flip blob 12);
+  let stale_key =
+    Cache.digest ~source:mutex_source ~partitioned:true ~static_order:false
+  in
+  let stale = Filename.concat dir (stale_key ^ ".warm") in
+  Alcotest.(check bool) "save stale" true
+    (Persist.save_entry p ~key:stale_key ~uses:1 compiled);
+  let stale_blob = read stale in
+  write stale
+    ("SMVWARM2" ^ String.sub stale_blob 8 (String.length stale_blob - 8));
   let p' = Persist.create ~dir ~debug:false in
   let cache = Cache.create ~capacity:4 in
   let restored = Persist.rehydrate p' cache in
   Alcotest.(check int) "one entry restored" 1 restored;
-  Alcotest.(check int) "two files quarantined" 2
+  Alcotest.(check int) "three files quarantined" 3
     (Persist.counters p').Persist.quarantines;
   Alcotest.(check bool) "restored entry is warm in the pool" true
     (Cache.is_warm cache ~key);
   Alcotest.(check bool) "bad files renamed out of the way" true
     (Sys.file_exists (Filename.concat dir "truncated.warm.quarantined")
     && Sys.file_exists (Filename.concat dir "flipped.warm.quarantined")
+    && Sys.file_exists (stale ^ ".quarantined")
+    && not (Cache.is_warm cache ~key:stale_key)
     && not (Sys.file_exists (Filename.concat dir "truncated.warm")));
   (* A second rehydrate finds only the good file — quarantined files
      do not come back. *)
