@@ -162,15 +162,27 @@ let prop_fair_states_vs_explicit =
     (fun rm ->
       let symbolic = Ctl.Fair.fair_states rm.Models.sym in
       let explicit = Explicit.Ectl.fair_states rm.Models.graph in
-      (* The set is memoised on the model, and a second call serves it. *)
-      let memoised =
-        match Kripke.fair_memo rm.Models.sym with
-        | Some z -> Bdd.equal z symbolic
-        | None -> false
-      in
-      memoised
-      && Bdd.equal (Ctl.Fair.fair_states rm.Models.sym) symbolic
-      && Models.sets_agree rm symbolic explicit)
+      Models.sets_agree rm symbolic explicit)
+
+(* The fair-states set is memoised on the model, and a later call
+   serves the cached diagram rather than recomputing it: poisoning the
+   memo with [zero] must show through. *)
+let test_fair_memo () =
+  let mx = Models.mutex () in
+  let m = mx.Models.m in
+  Kripke.set_fair_memo m None;
+  let fair = Ctl.Fair.fair_states m in
+  (match Kripke.fair_memo m with
+  | Some z ->
+    Alcotest.(check bool) "memo holds the computed set" true (Bdd.equal z fair)
+  | None -> Alcotest.fail "memo not populated by fair_states");
+  Kripke.set_fair_memo m (Some (Bdd.zero m.Kripke.man));
+  Alcotest.(check bool) "the cached diagram is served" true
+    (Bdd.is_zero (Ctl.Fair.fair_states m));
+  Kripke.set_fair_memo m None;
+  Alcotest.(check bool) "a cleared memo recomputes" true
+    (Bdd.equal (Ctl.Fair.fair_states m) fair);
+  Kripke.set_fair_memo m None
 
 let prop_rings_last_is_eu =
   prop "last onion ring equals the EU set" ~count:100
@@ -228,6 +240,8 @@ let suite =
     prop_symbolic_vs_explicit;
     prop_symbolic_vs_explicit_fair;
     prop_fair_states_vs_explicit;
+    Alcotest.test_case "fair-states memo serves the cache" `Quick
+      test_fair_memo;
     prop_rings_last_is_eu;
     prop_rings_monotone;
     prop_fair_eg_subset_eg;

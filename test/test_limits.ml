@@ -39,29 +39,34 @@ let test_deadline () =
     "some progress recorded" true
     (info.Bdd.Limits.progress.Bdd.Limits.iterations >= 1)
 
-(* Both the plain checker and the fair-EG fixpoint charge the budget. *)
+let check_step_breach (info : Bdd.Limits.info) =
+  (match info.Bdd.Limits.breach with
+  | Bdd.Limits.Step_budget { budget; steps } ->
+    Alcotest.(check int) "budget" 2 budget;
+    Alcotest.(check bool) "steps exceed budget" true (steps > 2)
+  | b -> Alcotest.failf "wrong breach: %a" Bdd.Limits.pp_breach b);
+  Alcotest.(check int)
+    "progress agrees with the breach"
+    (match info.Bdd.Limits.breach with
+    | Bdd.Limits.Step_budget { steps; _ } -> steps
+    | _ -> assert false)
+    info.Bdd.Limits.progress.Bdd.Limits.steps
+
 let test_step_budget () =
   let mx = Models.mutex () in
   let m = mx.Models.m in
-  List.iter
-    (fun run ->
-      let limits = Bdd.Limits.create ~step_budget:2 () in
-      let info = exhausted_info (fun () -> run limits) in
-      (match info.Bdd.Limits.breach with
-      | Bdd.Limits.Step_budget { budget; steps } ->
-        Alcotest.(check int) "budget" 2 budget;
-        Alcotest.(check bool) "steps exceed budget" true (steps > 2)
-      | b -> Alcotest.failf "wrong breach: %a" Bdd.Limits.pp_breach b);
-      Alcotest.(check int)
-        "progress agrees with the breach"
-        (match info.Bdd.Limits.breach with
-        | Bdd.Limits.Step_budget { steps; _ } -> steps
-        | _ -> assert false)
-        info.Bdd.Limits.progress.Bdd.Limits.steps)
-    [
-      (fun limits -> ignore (Ctl.Check.holds ~limits m (starvation mx)));
-      (fun limits -> ignore (Ctl.Fair.eg ~limits m m.Kripke.space));
-    ]
+  let limits = Bdd.Limits.create ~step_budget:2 () in
+  check_step_breach
+    (exhausted_info (fun () -> Ctl.Check.holds ~limits m (starvation mx)))
+
+(* The fair-EG fixpoint charges the budget too. *)
+let test_step_budget_fair_eg () =
+  let mx = Models.mutex () in
+  let m = mx.Models.m in
+  Kripke.set_fair_memo m None;
+  let limits = Bdd.Limits.create ~step_budget:2 () in
+  check_step_breach
+    (exhausted_info (fun () -> Ctl.Fair.eg ~limits m m.Kripke.space))
 
 (* An injected step fault simulates a deadline; its text must not
    depend on how long the check ran before the fault fired. *)
@@ -192,6 +197,8 @@ let suite =
   [
     Alcotest.test_case "deadline breach" `Quick test_deadline;
     Alcotest.test_case "step-budget breach" `Quick test_step_budget;
+    Alcotest.test_case "step-budget breach inside fair EG" `Quick
+      test_step_budget_fair_eg;
     Alcotest.test_case "node-budget breach" `Quick test_node_budget;
     Alcotest.test_case "injected step breach text" `Quick
       test_injected_breach_text;
