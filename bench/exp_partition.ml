@@ -1,48 +1,119 @@
-(* E9 (ablation) — monolithic vs conjunctively partitioned transition
-   relations with early quantification (the image-computation design
-   choice DESIGN.md calls out; SMV's technique of Burch-Clarke-Long).
+(* E9 — the image method the compiler picks: monolithic vs
+   conjunctively partitioned transition relation with early
+   quantification (SMV's technique of Burch-Clarke-Long).
 
-   Workload: an n-cell XOR cellular automaton with a free input cell —
-   the transition relation is naturally one conjunct per cell.  Rows
-   compare reachability time and the size of the relation BDDs. *)
+   [Kripke.Builder.build] partitions exactly when the monolithic
+   relation has more than [Kripke.Builder.partition_ratio] (8) times
+   the total nodes of its clusters.  For every committed model under
+   both variable orders, each row reports the two node counts, their
+   ratio, the rule's choice, and the time to decide every SPEC (fair
+   semantics, the CLI default) both ways — the chosen representation
+   as compiled, the other one built by hand — as the median of five
+   runs, each on a fresh compile.  Verdicts must agree.  counter26 runs each spec under a 64-step
+   budget, as the CLI smoke does.  Run from the repository root. *)
 
-let run ~full =
-  let sizes = if full then [ 4; 8; 12; 16; 20; 24 ] else [ 4; 8; 12; 16 ] in
+let models =
+  [ "arbiter"; "cache"; "counter12"; "counter26"; "mutex"; "philosophers";
+    "ring" ]
+
+let load ~static_order name =
+  Smv.load_file ~static_order (Filename.concat "examples/models" (name ^ ".smv"))
+
+(* The model of [c] with the requested image method: as compiled when
+   the rule chose it, otherwise rebuilt from the same diagrams. *)
+let with_method c ~partitioned =
+  let m = c.Smv.Compile.model in
+  if Kripke.partitioned m = partitioned then m
+  else if partitioned then Kripke.with_partition m c.Smv.Compile.clusters
+  else
+    Kripke.make ~man:m.Kripke.man ~vars:(Array.to_list m.Kripke.vars)
+      ~nbits:m.Kripke.nbits ~space:m.Kripke.space ~init:m.Kripke.init
+      ~trans:m.Kripke.trans ~fairness:m.Kripke.fairness
+      ~labels:m.Kripke.labels ()
+
+(* Decide every SPEC on a fresh compile: verdict letters and seconds. *)
+let check_once name ~static_order ~partitioned =
+  let c = load ~static_order name in
+  let m = with_method c ~partitioned in
+  let decide (_, spec) =
+    let limits =
+      if name = "counter26" then Bdd.Limits.create ~step_budget:64 ()
+      else Bdd.Limits.create ()
+    in
+    match
+      Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
+          Ctl.Fair.holds ~limits m spec)
+    with
+    | true -> 'T'
+    | false -> 'F'
+    | exception Bdd.Limits.Exhausted _ -> 'U'
+  in
+  let verdicts, t =
+    Harness.time_once (fun () -> List.map decide c.Smv.Compile.specs)
+  in
+  (String.of_seq (List.to_seq verdicts), t)
+
+let check name ~static_order ~partitioned =
+  let runs =
+    List.init 5 (fun _ -> check_once name ~static_order ~partitioned)
+  in
+  let times = List.sort Float.compare (List.map snd runs) in
+  (fst (List.hd runs), List.nth times 2)
+
+let row name ~static_order =
+  let c = load ~static_order name in
+  let m = c.Smv.Compile.model in
+  let man = m.Kripke.man in
+  let clusters = c.Smv.Compile.clusters in
+  let relation = Bdd.size man m.Kripke.trans in
+  let cluster_nodes = Kripke.Builder.cluster_nodes man clusters in
+  let ratio = float_of_int relation /. float_of_int (max 1 cluster_nodes) in
+  let choice = if Kripke.partitioned m then "partitioned" else "monolithic" in
+  let v_mono, t_mono = check name ~static_order ~partitioned:false in
+  let v_part, t_part = check name ~static_order ~partitioned:true in
+  if v_mono <> v_part then
+    failwith (Printf.sprintf "E9: %s verdicts differ by image method" name);
+  let order = if static_order then "static" else "declared" in
+  Harness.emit_json ~experiment:"E9"
+    [
+      ("model", Harness.String name);
+      ("order", Harness.String order);
+      ("relation_nodes", Harness.Int relation);
+      ("clusters", Harness.Int (List.length clusters));
+      ("cluster_nodes", Harness.Int cluster_nodes);
+      ("ratio", Harness.Float (Float.round (ratio *. 100.) /. 100.));
+      ("choice", Harness.String choice);
+      ("mono_check_s", Harness.Float t_mono);
+      ("part_check_s", Harness.Float t_part);
+      ("verdicts", Harness.String v_mono);
+    ];
+  [
+    name; order; string_of_int relation; string_of_int cluster_nodes;
+    Printf.sprintf "%.2f" ratio; choice;
+    Harness.seconds_string t_mono; Harness.seconds_string t_part;
+  ]
+
+let run ~full:_ =
   let rows =
-    List.map
-      (fun n ->
-        let mono, part = Workloads.xor_automaton n in
-        let t_mono = Harness.estimate_ns (fun () -> Kripke.reachable mono) in
-        let t_part = Harness.estimate_ns (fun () -> Kripke.reachable part) in
-        let cluster_sizes =
-          match part.Kripke.pre_schedule with
-          | Some steps ->
-            List.fold_left
-              (fun acc s -> acc + Bdd.size part.Kripke.man s.Kripke.cluster)
-              0 steps
-          | None -> 0
-        in
-        [
-          string_of_int n;
-          string_of_int (Bdd.size mono.Kripke.man mono.Kripke.trans);
-          string_of_int cluster_sizes;
-          Harness.ns_string t_mono;
-          Harness.ns_string t_part;
-        ])
-      sizes
+    List.concat_map
+      (fun name ->
+        let declared = row name ~static_order:false in
+        [ declared; row name ~static_order:true ])
+      models
   in
   Harness.print_table
-    ~title:
-      "E9 (ablation): monolithic vs partitioned transition relation (XOR automaton)"
+    ~title:"E9: the compiler's image method (partition when relation > 8x clusters)"
     ~header:
-      [ "cells"; "mono BDD"; "clusters BDD"; "reach (mono)"; "reach (part)" ]
+      [ "model"; "order"; "relation"; "cluster nodes"; "ratio"; "choice";
+        "check (mono)"; "check (part)" ]
     rows;
   Harness.note
-    "early quantification conjoins one per-cell cluster at a time and";
+    "only the adversarially ordered arbiter crosses the bound (~100x faster";
   Harness.note
-    "eliminates next-state variables as soon as no later cluster mentions";
+    "partitioned); every other relation is within 2.5x of its clusters, where";
   Harness.note
-    "them, keeping intermediate products small as the model grows."
+    "the cluster-by-cluster schedule is at best level with one product over";
+  Harness.note "the whole relation (counter12: about 2x slower)."
 
 let bechamel =
   let prepared = lazy (Workloads.xor_automaton 12) in

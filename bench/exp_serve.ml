@@ -27,7 +27,7 @@
    window — the same accounting the server reports per reply). *)
 let request cache ~source ?extra_spec () =
   let key =
-    Server.Cache.digest ~source ~partitioned:false ~static_order:false
+    Server.Cache.digest ~source ~static_order:false
   in
   let entry, warm = Server.Cache.acquire cache ~key in
   Fun.protect ~finally:(fun () -> Server.Cache.release cache entry)
@@ -224,7 +224,7 @@ let run_overload ~full =
   let cache = Server.Cache.create ~capacity:2 in
   ignore (request cache ~source:src ());
   let key =
-    Server.Cache.digest ~source:src ~partitioned:false ~static_order:false
+    Server.Cache.digest ~source:src ~static_order:false
   in
   let ov2 = Server.Overload.create ~log:ignore () in
   let pool2 = Pool.create ~max_pending:8 2 in
@@ -339,7 +339,7 @@ let run_restart ~full =
     Harness.time_once (fun () -> request cache ~source:src ())
   in
   let key =
-    Server.Cache.digest ~source:src ~partitioned:false ~static_order:false
+    Server.Cache.digest ~source:src ~static_order:false
   in
   let compiled =
     let entry, _ = Server.Cache.acquire cache ~key in
@@ -432,8 +432,7 @@ let bechamel_restart =
        let src = Exp_reorder.arbiter_smv 6 in
        ignore (request cache ~source:src ());
        let key =
-         Server.Cache.digest ~source:src ~partitioned:false
-           ~static_order:false
+         Server.Cache.digest ~source:src ~static_order:false
        in
        let entry, _ = Server.Cache.acquire cache ~key in
        let compiled = Option.get entry.Server.Cache.compiled in

@@ -117,27 +117,24 @@ let process0_fair n =
    nondeterministic input cell: every step, cell i becomes the XOR of
    its two neighbours (cell 0 reads a free input).  The relation is
    naturally one conjunct per cell, the partitioning showcase.
-   Returns both the monolithic and the partitioned model. *)
+   Returns the model as built and the same model partitioned. *)
 let xor_automaton n =
-  let build partitioned =
-    let b = Kripke.Builder.create () in
-    let cells =
-      Array.init n (fun i -> Kripke.Builder.bool_var b (Printf.sprintf "x%d" i))
-    in
-    let man = Kripke.Builder.man b in
-    let v = Kripke.Builder.v b and v' = Kripke.Builder.v' b in
-    Array.iter (fun c -> Kripke.Builder.add_init b (Bdd.not_ man (v c))) cells;
-    Array.iteri
-      (fun i c ->
-        if i = 0 then () (* free input: unconstrained next value *)
-        else
-          let left = v cells.(i - 1) in
-          let right = v cells.((i + 1) mod n) in
-          Kripke.Builder.add_trans b
-            (Bdd.iff man (v' c) (Bdd.xor man left right)))
-      cells;
-    Kripke.Builder.label_all_bools b;
-    if partitioned then Kripke.Builder.build_partitioned b
-    else Kripke.Builder.build b
+  let b = Kripke.Builder.create () in
+  let cells =
+    Array.init n (fun i -> Kripke.Builder.bool_var b (Printf.sprintf "x%d" i))
   in
-  (build false, build true)
+  let man = Kripke.Builder.man b in
+  let v = Kripke.Builder.v b and v' = Kripke.Builder.v' b in
+  Array.iter (fun c -> Kripke.Builder.add_init b (Bdd.not_ man (v c))) cells;
+  Array.iteri
+    (fun i c ->
+      if i = 0 then () (* free input: unconstrained next value *)
+      else
+        let left = v cells.(i - 1) in
+        let right = v cells.((i + 1) mod n) in
+        Kripke.Builder.add_trans b
+          (Bdd.iff man (v' c) (Bdd.xor man left right)))
+    cells;
+  Kripke.Builder.label_all_bools b;
+  let m = Kripke.Builder.build b in
+  (m, Kripke.with_partition m (Kripke.Builder.clusters b))

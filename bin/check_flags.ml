@@ -33,14 +33,6 @@ let stats_arg =
            node count) plus fixpoint iteration counts afterwards.  \
            With --retries, also the per-spec attempt log.")
 
-let partitioned_arg =
-  Arg.(
-    value & flag
-    & info [ "partitioned" ]
-        ~doc:
-          "Use a conjunctively partitioned transition relation with \
-           early quantification for image computation.")
-
 let timeout_arg =
   Arg.(
     value
@@ -112,14 +104,13 @@ let reorder_arg =
 (* A boolean flag only moves its field away from the default:
    --no-fairness and -q switch one off, the others switch one on. *)
 let term =
-  let make no_fair no_trace stats partitioned timeout node_limit
-      step_limit retries certify reorder =
+  let make no_fair no_trace stats timeout node_limit step_limit retries
+      certify reorder =
     {
       Engine.fair = d.fair && not no_fair;
       traces = d.traces && not no_trace;
       stats = d.stats || stats;
       certify = d.certify || certify;
-      partitioned = d.partitioned || partitioned;
       retries;
       timeout;
       node_limit;
@@ -129,6 +120,6 @@ let term =
     }
   in
   Term.(
-    const make $ no_fair_arg $ no_trace_arg $ stats_arg
-    $ partitioned_arg $ timeout_arg $ node_limit_arg $ step_limit_arg
-    $ retries_arg $ certify_arg $ reorder_arg)
+    const make $ no_fair_arg $ no_trace_arg $ stats_arg $ timeout_arg
+    $ node_limit_arg $ step_limit_arg $ retries_arg $ certify_arg
+    $ reorder_arg)

@@ -49,12 +49,22 @@ let install_sigint () =
     (* no signal support on this platform: run ungoverned *)
     ()
 
-let print_model_stats ?limits m =
-  let reachable = Kripke.reachable ?limits m in
+let print_model_stats m ~clusters =
+  let reachable = Kripke.reachable m in
   Format.printf "model: %d state bits, %.0f states in the state space, %.0f reachable@."
     m.Kripke.nbits
     (Kripke.count_states m m.Kripke.space)
     (Kripke.count_states m reachable);
+  (* [Kripke.Builder.build]'s choice; it keeps a relation monolithic
+     only below this cap, so the capped count is exact. *)
+  let nodes = Kripke.Builder.cluster_nodes m.Kripke.man clusters in
+  if Kripke.partitioned m then
+    Format.printf "transition relation: partitioned (%d clusters, %d nodes)@."
+      (List.length clusters) nodes
+  else
+    Format.printf "transition relation: monolithic (%d nodes)@."
+      (Bdd.size ~cap:(Kripke.Builder.partition_ratio * nodes) m.Kripke.man
+         m.Kripke.trans);
   let dead = Kripke.deadlocks m in
   if not (Bdd.is_zero dead) then
     Format.printf
@@ -133,16 +143,15 @@ let run ~check ~extra_specs ~cache_limit ~simulate:walk ~seed ~jobs ~debug
     file =
   let* compiled =
     Engine.compile ~source:file (fun () ->
-        Smv.load_file ~partitioned:check.Engine.partitioned
-          ~static_order:(check.Engine.reorder = `Static)
-          file)
+        Smv.load_file ~static_order:(check.Engine.reorder = `Static) file)
   in
   let m = compiled.Smv.Compile.model in
   let prepare () =
     Option.iter
       (fun n -> Bdd.set_cache_limit m.Kripke.man (Some n))
       cache_limit;
-    if check.Engine.stats then print_model_stats m;
+    if check.Engine.stats then
+      print_model_stats m ~clusters:compiled.Smv.Compile.clusters;
     Option.iter (fun steps -> simulate m ~steps ~seed) walk
   in
   let* (), outcome =

@@ -1087,10 +1087,11 @@ let support m f =
   Hashtbl.fold (fun v () acc -> v :: acc) vars []
   |> List.sort Stdlib.compare
 
-let size m f =
+let size ?(cap = max_int) m f =
   let seen = Hashtbl.create 64 in
   let rec go f =
-    if f >= 2 && not (Hashtbl.mem seen f) then begin
+    if f >= 2 && Hashtbl.length seen <= cap && not (Hashtbl.mem seen f)
+    then begin
       Hashtbl.add seen f ();
       go m.n_lo.(f);
       go m.n_hi.(f)

@@ -185,8 +185,9 @@ val rename : man -> t -> (int -> int) -> t
 val support : man -> t -> int list
 (** Variables occurring in the diagram, sorted increasingly. *)
 
-val size : man -> t -> int
-(** Number of distinct internal nodes (constants not counted). *)
+val size : ?cap:int -> man -> t -> int
+(** Number of distinct internal nodes (constants not counted); with
+    [~cap], counting stops past [cap] (a result above it means "more"). *)
 
 val eval : man -> t -> (int -> bool) -> bool
 (** Evaluate under an assignment. *)

@@ -177,15 +177,23 @@ let clusters b =
     in
     conjs @ [ d ]
 
-let build b =
-  let trans = Bdd.conj b.bman (clusters b) in
-  Model.make ~man:b.bman ~vars:(List.rev b.vars) ~nbits:b.nbits
-    ~space:b.space ~init:b.init ~trans ~fairness:b.fairness
-    ~labels:(List.rev b.labels) ()
+let partition_ratio = 8
+let cluster_nodes man cs = List.fold_left (fun n c -> n + Bdd.size man c) 0 cs
 
-let build_partitioned b =
-  let m = build b in
-  Model.with_partition m (clusters b)
+(* Partition exactly when the monolithic relation has more than
+   [partition_ratio] times the clusters' nodes; counting stops at that
+   bound, so judging a huge relation stays cheap. *)
+let build b =
+  let cs = clusters b in
+  let m =
+    Model.make ~man:b.bman ~vars:(List.rev b.vars) ~nbits:b.nbits
+      ~space:b.space ~init:b.init ~trans:(Bdd.conj b.bman cs)
+      ~fairness:b.fairness ~labels:(List.rev b.labels) ()
+  in
+  let bound = partition_ratio * cluster_nodes b.bman cs in
+  if Bdd.size ~cap:bound b.bman m.Model.trans > bound then
+    Model.with_partition m cs
+  else m
 
 let totalize (m : Model.t) =
   let dead = Model.deadlocks m in

@@ -99,19 +99,20 @@ val clusters : b -> Bdd.t list
 (** The accumulated transition clusters: every {!add_trans} conjunct
     plus (when any case was added) the disjunction of the
     {!add_trans_case}s as one more cluster.  Their conjunction is the
-    monolithic relation {!build} installs; handing them to
-    {!Model.with_partition} later (e.g. when a recovery ladder degrades
-    to a partitioned relation) avoids re-deriving them. *)
+    monolithic relation {!build} installs. *)
+
+val partition_ratio : int
+(** {!build}'s threshold (8). *)
+
+val cluster_nodes : Bdd.man -> Bdd.t list -> int
+(** The sum of the clusters' [Bdd.size]s. *)
 
 val build : b -> Model.t
-(** Seal the model.  The builder can keep being used afterwards (e.g.
-    to build a variant), but this is rarely useful. *)
-
-val build_partitioned : b -> Model.t
-(** Like {!build}, but install the accumulated [add_trans] conjuncts
-    (plus, if any, the disjunction of the [add_trans_case]s as one
-    extra cluster) as a conjunctively partitioned transition relation
-    with early quantification — see {!Model.with_partition}. *)
+(** Seal the model, computing images over the partitioned relation
+    ({!Model.with_partition} over {!clusters}) exactly when the
+    monolithic one has more than {!partition_ratio} times their
+    {!cluster_nodes}; both give the same images.  The builder can keep
+    being used afterwards, but this is rarely useful. *)
 
 val totalize : Model.t -> Model.t
 (** Add a self-loop to every deadlocked state, making the transition

@@ -5,13 +5,12 @@
     construction, the variable order the first request compiled
     with, the hot operation caches, and — via [Kripke.reach_memo] —
     the reachable-set fixpoint.  The pool maps a digest of
-    [(source, partitioned, static_order)] to a compiled model whose
-    manager carries all of that accumulated warmth.
+    [(static_order, source)] to a compiled model whose manager carries
+    all of that accumulated warmth.
 
-    Compilation options are part of the key because they change the
-    manager's contents: a partitioned compile builds different
-    transition structure, and a static-order compile seeds a
-    different variable order.  Keeping them distinct means a request
+    The compile option is part of the key because it changes the
+    manager's contents: a static-order compile seeds a different
+    variable order.  Keeping the two distinct means a request
     with [reorder = none] always sees declaration order, never the
     proximity order an earlier [reorder = static] request compiled
     with: verdicts and traces would agree, node counts would not.
@@ -48,7 +47,7 @@ val create : capacity:int -> t
 (** A pool evicting down to [capacity] idle entries
     (raises [Invalid_argument] when [capacity < 1]). *)
 
-val digest : source:string -> partitioned:bool -> static_order:bool -> string
+val digest : source:string -> static_order:bool -> string
 (** The pool key for a check request. *)
 
 val acquire : t -> key:string -> entry * bool

@@ -107,23 +107,21 @@ let apply_defaults cfg (o : Engine.options) =
 (* ------------------------------------------------------------------ *)
 (* Request processing (runs on a pool worker) *)
 
-(* The warm-pool key of a check request, with the two compile flags it
+(* The warm-pool key of a check request, with the compile flag it
    digests: the one derivation both [process] and the cold-model
    admission check use. *)
 let pool_key ~model (options : Engine.options) =
-  let partitioned = options.Engine.partitioned in
   let static_order = options.Engine.reorder = `Static in
-  (Cache.digest ~source:model ~partitioned ~static_order, partitioned,
-   static_order)
+  (Cache.digest ~source:model ~static_order, static_order)
 
 (* Compile into the (locked) cache entry; [Engine.compile] roots the
    clusters for the entry's whole life. *)
-let build_entry (entry : Cache.entry) ~partitioned ~static_order source =
+let build_entry (entry : Cache.entry) ~static_order source =
   match entry.Cache.compiled with
   | Some c -> Ok (c, true)
   | None ->
     Engine.compile ~source:"model" (fun () ->
-        Smv.load_string ~partitioned ~static_order source)
+        Smv.load_string ~static_order source)
     |> Result.map (fun compiled ->
            entry.Cache.compiled <- Some compiled;
            (compiled, false))
@@ -133,11 +131,11 @@ let build_entry (entry : Cache.entry) ~partitioned ~static_order source =
    the reply payload. *)
 let process cache ~id ~model ~specs ~(options : Engine.options) ~cancel =
   let t0 = Bdd.now_monotonic () in
-  let key, partitioned, static_order = pool_key ~model options in
+  let key, static_order = pool_key ~model options in
   let entry, _ = Cache.acquire cache ~key in
   Fun.protect ~finally:(fun () -> Cache.release cache entry) @@ fun () ->
   with_lock entry.Cache.lock @@ fun () ->
-  match build_entry entry ~partitioned ~static_order model with
+  match build_entry entry ~static_order model with
   | Error msg -> Protocol.error_reply ~id msg
   | Ok (compiled, warm) -> (
     let m = compiled.Smv.Compile.model in
@@ -326,7 +324,7 @@ let handle_request cfg cache pool ov persist conn stop payload =
       let refuse_cold =
         (not (Overload.admit_cold ov))
         &&
-        let key, _, _ = pool_key ~model options in
+        let key, _ = pool_key ~model options in
         not (Cache.is_warm cache ~key)
       in
       if refuse_cold then begin

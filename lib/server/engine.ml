@@ -17,7 +17,6 @@ type options = {
   traces : bool;
   stats : bool;
   certify : bool;
-  partitioned : bool;
   retries : int;
   timeout : float option;
   node_limit : int option;
@@ -32,7 +31,6 @@ let default =
     traces = true;
     stats = false;
     certify = false;
-    partitioned = false;
     retries = 0;
     timeout = None;
     node_limit = None;

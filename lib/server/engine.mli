@@ -49,7 +49,6 @@ type options = {
   traces : bool;        (** print witness / counterexample traces *)
   stats : bool;         (** print per-spec attempt logs on retries *)
   certify : bool;       (** re-validate every emitted trace *)
-  partitioned : bool;   (** compile a partitioned transition relation *)
   retries : int;
   timeout : float option;
   node_limit : int option;

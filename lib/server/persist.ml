@@ -37,11 +37,12 @@ type t = {
 
 type counters = { snapshots : int; restores : int; quarantines : int }
 
-(* Bumped whenever the marshalled payload shape changes ("SMVWARM2"
-   carried an engine-tagged fair memo in [Kripke.skeleton]); a
-   mismatch quarantines the stale file instead of unmarshalling it as
+(* Bumped whenever the marshalled payload or its key changes shape
+   ("SMVWARM2" carried an engine-tagged fair memo in [Kripke.skeleton],
+   "SMVWARM3" keys digested a partitioned flag); a mismatch
+   quarantines the stale file instead of unmarshalling it as
    garbage. *)
-let magic = "SMVWARM3"
+let magic = "SMVWARM4"
 let suffix = ".warm"
 
 let warn t fmt =

@@ -58,7 +58,6 @@ let parse_options json =
   let* traces = bool_f "traces" d.traces in
   let* stats = bool_f "stats" d.stats in
   let* certify = bool_f "certify" d.certify in
-  let* partitioned = bool_f "partitioned" d.partitioned in
   let* retries = int_f "retries" d.retries in
   let* timeout = opt_field fields "timeout" Json.to_num "a number" in
   let* node_limit = opt_field fields "node_limit" Json.to_int "an integer" in
@@ -75,8 +74,8 @@ let parse_options json =
   in
   let options =
     {
-      Engine.fair; traces; stats; certify; partitioned;
-      retries; timeout; node_limit; step_limit; inject; reorder;
+      Engine.fair; traces; stats; certify; retries;
+      timeout; node_limit; step_limit; inject; reorder;
     }
   in
   (* The CLI's own validator: a request runs on one worker, so

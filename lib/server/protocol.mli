@@ -26,7 +26,7 @@
     option-less request behaves exactly like [smv_check MODEL]; bad
     values are refused by the CLI's own validator, with its messages):
     booleans [fair], [traces],
-    [stats], [certify], [partitioned]; integers [retries],
+    [stats], [certify]; integers [retries],
     [node_limit], [step_limit]; number [timeout]; strings [inject]
     ("SITE:COUNT" as on the CLI, minus "worker" and "child-crash")
     and [reorder] ("none"/"static").  Unknown fields,

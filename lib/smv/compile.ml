@@ -490,8 +490,7 @@ let running_name (u : Flatten.unit_decls) =
   if String.equal u.Flatten.upath "" then "running"
   else u.Flatten.upath ^ ".running"
 
-let compile ?(partitioned = false) ?(static_order = false)
-    (program : Ast.program) =
+let compile ?partitioned:_ ?(static_order = false) (program : Ast.program) =
   let units = Flatten.flatten_units program in
   let with_processes = List.length units > 1 in
   let decls = List.concat_map (fun u -> u.Flatten.udecls) units in
@@ -626,10 +625,7 @@ let compile ?(partitioned = false) ?(static_order = false)
           (Bdd.conj env.bman ((selected :: frozen) @ unit_rels.(ui))))
       units;
   Kripke.Builder.label_all_bools builder;
-  let model =
-    if partitioned then Kripke.Builder.build_partitioned builder
-    else Kripke.Builder.build builder
-  in
+  let model = Kripke.Builder.build builder in
   let compiled =
     {
       model;

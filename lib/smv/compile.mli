@@ -30,10 +30,9 @@ type compiled = {
 }
 
 val compile : ?partitioned:bool -> ?static_order:bool -> Ast.program -> compiled
-(** With [~partitioned:true] the model uses a conjunctively partitioned
-    transition relation with early quantification (one cluster per
-    [next] assignment / [TRANS] constraint) — see
-    {!Kripke.with_partition}.
+(** The image method (monolithic, or partitioned with one cluster per
+    [next] assignment / [TRANS] constraint) is {!Kripke.Builder.build}'s
+    choice; [?partitioned] is accepted and ignored, for old callers.
 
     With [~static_order:true] the BDD variable order is seeded by a
     dependency-graph proximity heuristic instead of declaration order:

@@ -8,13 +8,13 @@ module Flatten = Flatten
 module Compile = Compile
 
 (** Parse and compile an SMV source text. *)
-let load_string ?partitioned ?static_order source =
-  Compile.compile ?partitioned ?static_order (Parser.program source)
+let load_string ?static_order source =
+  Compile.compile ?static_order (Parser.program source)
 
 (** Parse and compile an SMV file. *)
-let load_file ?partitioned ?static_order path =
+let load_file ?static_order path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let source = really_input_string ic n in
   close_in ic;
-  load_string ?partitioned ?static_order source
+  load_string ?static_order source

@@ -20,6 +20,7 @@ type check =
           annotations stripped *)
   | Golden of string  (** output equals the file *)
   | Has of string
+  | Has_in of string list * string  (** that argv's output has it *)
   | Lacks of string
   | Peak_halved of string list
       (** that argv: same exit code, at most half the peak live nodes *)
@@ -85,6 +86,10 @@ let check_row (name, argv, code, checks) =
         expect (label ("byte-identical to " ^ path)) (out = want);
         if out <> want then differ [ path ] want
       | Has needle -> expect (label ("has " ^ needle)) (contains ~needle out)
+      | Has_in (argv', needle) ->
+        expect
+          (label (Printf.sprintf "%s has %s" (show argv') needle))
+          (contains ~needle (snd (run_once argv')))
       | Lacks needle ->
         expect (label ("lacks " ^ needle)) (not (contains ~needle out))
       | Peak_halved argv' -> (
@@ -111,13 +116,13 @@ let models =
 let perf_flags =
   [
     [ "--jobs"; "4" ]; [ "--reorder"; "static" ];
-    [ "--cache-limit"; "256" ]; [ "--partitioned" ];
+    [ "--cache-limit"; "256" ];
     [ "--timeout"; "300"; "--node-limit"; "50000000" ];
   ]
 
 (* counter12 takes seconds a run, so it keeps one variant. *)
 let variants = function
-  | "counter12" -> [ [ "--partitioned" ] ]
+  | "counter12" -> [ [ "--reorder"; "static" ] ]
   | _ -> perf_flags
 
 (* One step starves every symbolic attempt, so the retry decides on
@@ -153,10 +158,18 @@ let cores = Domain.recommended_domain_count ()
 let rows =
   invariance
   @ [
-      (* The arbiter's declaration order is adversarial (E13). *)
+      (* The arbiter's declaration order is adversarial (E13): its
+         relation is hundreds of times its clusters' size, so the
+         compiler partitions it; the static order makes it small enough
+         to stay monolithic (E9). *)
       ( "arbiter peak", model "arbiter" [ "--stats" ], 1,
-        [ Peak_halved (model "arbiter" [ "--stats"; "--reorder"; "static" ]) ]
-      );
+        [
+          Peak_halved (model "arbiter" [ "--stats"; "--reorder"; "static" ]);
+          Has "transition relation: partitioned (17 clusters, 108 nodes)";
+          Has_in
+            ( model "arbiter" [ "--stats"; "--reorder"; "static" ],
+              "transition relation: monolithic (194 nodes)" );
+        ] );
       (* Goldens captured from the boxed node store; the packed store's
          own fault sites (unique-table insert, collection entry) must
          recover to the clean verdicts. *)
@@ -211,6 +224,15 @@ let rows =
         [
           Has "(recovered: attempt 3 via reorder)";
           Same_verdicts (model "mutex" []);
+        ] );
+      (* The degraded rung on a model that is already partitioned
+         keeps its relation and only tightens the caches. *)
+      ( "degraded rung",
+        model "arbiter" [ "--step-limit"; "4"; "--retries"; "3"; "-q" ],
+        1,
+        [
+          Has "(recovered: attempt 4 via degraded)";
+          Same_verdicts (model "arbiter" []);
         ] );
       ( "unladdered fault", model "mutex" [ "--inject"; "mk:20"; "-q" ], 2,
         [ Has "UNDETERMINED (internal error: Out of memory)" ] );

@@ -118,9 +118,11 @@ let expect_bad_flag flags =
   out
 
 (* The removed sifting modes are refused like any unknown mode, with
-   the valid ones named. *)
+   the valid ones named; the removed --partitioned like any unknown
+   flag. *)
 let test_bad_reorder_exits_3 () =
   ignore (expect_bad_flag [ "--reorder"; "bogus" ]);
+  ignore (expect_bad_flag [ "--partitioned" ]);
   List.iter
     (fun mode ->
       let out = expect_bad_flag [ "--reorder"; mode ] in

@@ -44,31 +44,43 @@ let test_bad_partition_rejected () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-let test_smv_partitioned_end_to_end () =
-  let src =
-    "MODULE main\n\
-     VAR a : boolean; c : 0..5; s : {x, y, z};\n\
-     ASSIGN\n\
-     init(a) := FALSE; next(a) := !a;\n\
-     init(c) := 0; next(c) := (c + 1) mod 6;\n\
-     init(s) := x;\n\
-     next(s) := case s = x : {x, y}; s = y : z; TRUE : x; esac;\n\
-     FAIRNESS s = z\n\
-     SPEC AG (c = 5 -> AX c = 0)\n\
-     SPEC AG AF s = x\n\
-     SPEC AG !(a & c = 1)\n"
+(* The compiler's image-method rule: the adversarially ordered arbiter
+   (relation hundreds of times its clusters) compiles partitioned; the
+   same source under the static order, and models whose relation stays
+   near its clusters' size, compile monolithic.  Either way the other
+   representation, built by hand, computes the same images. *)
+let test_smv_partition_rule () =
+  let load ?static_order name =
+    Smv.load_file ?static_order (Filename.concat "../examples/models" name)
   in
-  let mono = Smv.load_string src in
-  let part = Smv.load_string ~partitioned:true src in
-  Alcotest.(check bool) "partitioned" true
-    (Kripke.partitioned part.Smv.Compile.model);
-  List.iter2
-    (fun (name, f_mono) (_, f_part) ->
-      Alcotest.(check bool)
-        ("same verdict for " ^ name)
-        (Ctl.Fair.holds mono.Smv.Compile.model f_mono)
-        (Ctl.Fair.holds part.Smv.Compile.model f_part))
-    mono.Smv.Compile.specs part.Smv.Compile.specs
+  let images m =
+    let post1 = Kripke.post m m.Kripke.init in
+    (post1, Kripke.post m post1, Kripke.pre m post1)
+  in
+  List.iter
+    (fun (label, compiled, expect) ->
+      let m = compiled.Smv.Compile.model in
+      Alcotest.(check bool) (label ^ " partitioned") expect
+        (Kripke.partitioned m);
+      let other =
+        if expect then
+          Kripke.make ~man:m.Kripke.man ~vars:(Array.to_list m.Kripke.vars)
+            ~nbits:m.Kripke.nbits ~space:m.Kripke.space ~init:m.Kripke.init
+            ~trans:m.Kripke.trans ~fairness:m.Kripke.fairness
+            ~labels:m.Kripke.labels ()
+        else Kripke.with_partition m compiled.Smv.Compile.clusters
+      in
+      Alcotest.(check bool) (label ^ " other representation") (not expect)
+        (Kripke.partitioned other);
+      let a1, a2, a3 = images m and b1, b2, b3 = images other in
+      Alcotest.(check bool) (label ^ " images agree") true
+        (Bdd.equal a1 b1 && Bdd.equal a2 b2 && Bdd.equal a3 b3))
+    [
+      ("arbiter", load "arbiter.smv", true);
+      ("arbiter static", load ~static_order:true "arbiter.smv", false);
+      ("mutex", load "mutex.smv", false);
+      ("counter12", load "counter12.smv", false);
+    ]
 
 let prop_partitioned_ctl_agrees =
   (* On random models (single-cluster partition through the builder's
@@ -110,7 +122,8 @@ let suite =
   [
     Alcotest.test_case "images agree" `Quick test_images_agree;
     Alcotest.test_case "bad partition rejected" `Quick test_bad_partition_rejected;
-    Alcotest.test_case "SMV partitioned end to end" `Quick test_smv_partitioned_end_to_end;
+    Alcotest.test_case "SMV partitioned end to end" `Quick
+      test_smv_partition_rule;
     prop_partitioned_ctl_agrees;
     prop_counter_witnesses_survive_partitioning;
   ]

@@ -244,16 +244,20 @@ let test_protocol_parse_check () =
             e
         | Ok _ -> Alcotest.failf "reorder %s accepted" mode)
       [ "once"; "auto" ];
-    (* The removed "fair_engine" selector is an unknown field now, and
-       unknown fields are ignored. *)
-    (match
-       Protocol.parse_request
-         {|{"op":"check","id":"r3","model":"m","options":{"fair_engine":"lockstep"}}|}
-     with
-    | Ok (Protocol.Check { options; _ }) ->
-      Alcotest.(check bool) "fair_engine ignored" true
-        (options = Protocol.default_options)
-    | Ok _ | Error _ -> Alcotest.fail "fair_engine request must parse")
+    (* The removed "fair_engine" and "partitioned" selectors are
+       unknown fields now, and unknown fields are ignored. *)
+    List.iter
+      (fun field ->
+        match
+          Protocol.parse_request
+            (Printf.sprintf
+               {|{"op":"check","id":"r3","model":"m","options":{%s}}|} field)
+        with
+        | Ok (Protocol.Check { options; _ }) ->
+          Alcotest.(check bool) (field ^ " ignored") true
+            (options = Protocol.default_options)
+        | Ok _ | Error _ -> Alcotest.failf "%s request must parse" field)
+      [ {|"fair_engine":"lockstep"|}; {|"partitioned":true|} ]
   | Ok _ -> Alcotest.fail "parsed as the wrong op"
   | Error e -> Alcotest.failf "parse failed: %s" e
 
@@ -333,7 +337,7 @@ let test_protocol_reply_shapes () =
 
 let test_cache_warm_flag () =
   let cache = Cache.create ~capacity:4 in
-  let key = Cache.digest ~source:"m" ~partitioned:false ~static_order:false in
+  let key = Cache.digest ~source:"m" ~static_order:false in
   let e1, warm1 = Cache.acquire cache ~key in
   Alcotest.(check bool) "first acquire is cold" false warm1;
   (* Still cold on re-acquire: nothing was compiled into the entry. *)
@@ -347,16 +351,12 @@ let test_cache_warm_flag () =
 
 let test_cache_key_includes_options () =
   let d = Cache.digest ~source:"m" in
-  Alcotest.(check bool) "partitioned changes the key" true
-    (d ~partitioned:false ~static_order:false
-    <> d ~partitioned:true ~static_order:false);
   Alcotest.(check bool) "static order changes the key" true
-    (d ~partitioned:false ~static_order:false
-    <> d ~partitioned:false ~static_order:true)
+    (d ~static_order:false <> d ~static_order:true)
 
 let test_cache_eviction () =
   let cache = Cache.create ~capacity:1 in
-  let key n = Cache.digest ~source:n ~partitioned:false ~static_order:false in
+  let key n = Cache.digest ~source:n ~static_order:false in
   let e1, _ = Cache.acquire cache ~key:(key "a") in
   (* e1 is busy: inserting a second entry must not evict it. *)
   let e2, _ = Cache.acquire cache ~key:(key "b") in
@@ -697,7 +697,7 @@ let test_overload_retry_hint () =
 (* Put a real compiled model into a cache entry so live_nodes has
    something to measure. *)
 let warm_into cache source =
-  let key = Cache.digest ~source ~partitioned:false ~static_order:false in
+  let key = Cache.digest ~source ~static_order:false in
   let e, _ = Cache.acquire cache ~key in
   e.Cache.compiled <- Some (compile source);
   Cache.release cache e;

@@ -181,7 +181,7 @@ let test_persist_roundtrip () =
   ignore (Kripke.reachable compiled.Smv.Compile.model);
   let expected = check_all compiled in
   let key =
-    Cache.digest ~source:mutex_source ~partitioned:false ~static_order:false
+    Cache.digest ~source:mutex_source ~static_order:false
   in
   let p = Persist.create ~dir ~debug:false in
   Alcotest.(check bool) "save_entry succeeds" true
@@ -208,16 +208,16 @@ let test_persist_rehydrate_and_quarantine () =
   let compiled = Smv.load_string mutex_source in
   ignore (check_all compiled);
   let key =
-    Cache.digest ~source:mutex_source ~partitioned:false ~static_order:false
+    Cache.digest ~source:mutex_source ~static_order:false
   in
   let p = Persist.create ~dir ~debug:false in
   Alcotest.(check bool) "save" true (Persist.save_entry p ~key ~uses:1 compiled);
-  (* Drop three bad files beside the good one: a truncated copy, a
-     bit-flipped copy, and a valid entry under its own key re-stamped
-     with the previous format's magic (its name and checksum still
-     match, so only the version check stands between it and
-     [Marshal]).  Rehydration must seed the good entry and quarantine
-     all three without raising. *)
+  (* Drop four bad files beside the good one: a truncated copy, a
+     bit-flipped copy, and two valid entries under their own keys
+     re-stamped with the two previous formats' magics (their names and
+     checksums still match, so only the version check stands between
+     them and [Marshal]).  Rehydration must seed the good entry and
+     quarantine all four without raising. *)
   let read path =
     let ic = open_in_bin path in
     let s = really_input_string ic (in_channel_length ic) in
@@ -233,28 +233,33 @@ let test_persist_rehydrate_and_quarantine () =
   write (Filename.concat dir "truncated.warm")
     (String.sub blob 0 (String.length blob / 3));
   write (Filename.concat dir "flipped.warm") (flip blob 12);
-  let stale_key =
-    Cache.digest ~source:mutex_source ~partitioned:true ~static_order:false
+  let restamp source magic =
+    let stale_key = Cache.digest ~source ~static_order:true in
+    let stale = Filename.concat dir (stale_key ^ ".warm") in
+    Alcotest.(check bool) ("save " ^ magic) true
+      (Persist.save_entry p ~key:stale_key ~uses:1 compiled);
+    let stale_blob = read stale in
+    write stale
+      (magic ^ String.sub stale_blob 8 (String.length stale_blob - 8));
+    (stale_key, stale)
   in
-  let stale = Filename.concat dir (stale_key ^ ".warm") in
-  Alcotest.(check bool) "save stale" true
-    (Persist.save_entry p ~key:stale_key ~uses:1 compiled);
-  let stale_blob = read stale in
-  write stale
-    ("SMVWARM2" ^ String.sub stale_blob 8 (String.length stale_blob - 8));
+  let stale = [ restamp mutex_source "SMVWARM2"; restamp "m" "SMVWARM3" ] in
   let p' = Persist.create ~dir ~debug:false in
   let cache = Cache.create ~capacity:4 in
   let restored = Persist.rehydrate p' cache in
   Alcotest.(check int) "one entry restored" 1 restored;
-  Alcotest.(check int) "three files quarantined" 3
+  Alcotest.(check int) "four files quarantined" 4
     (Persist.counters p').Persist.quarantines;
   Alcotest.(check bool) "restored entry is warm in the pool" true
     (Cache.is_warm cache ~key);
   Alcotest.(check bool) "bad files renamed out of the way" true
     (Sys.file_exists (Filename.concat dir "truncated.warm.quarantined")
     && Sys.file_exists (Filename.concat dir "flipped.warm.quarantined")
-    && Sys.file_exists (stale ^ ".quarantined")
-    && not (Cache.is_warm cache ~key:stale_key)
+    && List.for_all
+         (fun (stale_key, stale) ->
+           Sys.file_exists (stale ^ ".quarantined")
+           && not (Cache.is_warm cache ~key:stale_key))
+         stale
     && not (Sys.file_exists (Filename.concat dir "truncated.warm")));
   (* A second rehydrate finds only the good file — quarantined files
      do not come back. *)
@@ -267,7 +272,7 @@ let test_persist_dirty_tracking () =
   with_state_dir @@ fun dir ->
   let compiled = Smv.load_string mutex_source in
   let key =
-    Cache.digest ~source:mutex_source ~partitioned:false ~static_order:false
+    Cache.digest ~source:mutex_source ~static_order:false
   in
   let p = Persist.create ~dir ~debug:false in
   let cache = Cache.create ~capacity:4 in
