@@ -4,69 +4,158 @@
 
    For each workload: time to decide the specification vs time to
    produce the counterexample / witness trace, and the latter's share
-   of the total. *)
+   of the total, each the median of five runs on a fresh model; plus
+   the EU fixpoint iterations each phase ran.  The deep-witness row is
+   perfbench's witness-deep input: a 10-bit counter and EF of two
+   values in its top eighth, so each witness is about 1000 states
+   long. *)
 
-let row name ~check ~trace =
-  let _, t_check = Harness.time_once check in
-  let _, t_trace = Harness.time_once trace in
+let runs = 5
+
+let median xs =
+  List.nth (List.sort Float.compare xs) (List.length xs / 2)
+
+let eu_iterations () = (Ctl.Check.fixpoint_stats ()).Ctl.Check.eu_iterations
+
+(* [setup] builds a fresh model for every run, so neither op-cache hits
+   nor memoised fair states carry over from one run to the next. *)
+let row name ~setup ~check ~trace =
+  let once () =
+    let x = setup () in
+    let eu0 = eu_iterations () in
+    let (), t_check = Harness.time_once (fun () -> check x) in
+    let eu1 = eu_iterations () in
+    let (), t_trace = Harness.time_once (fun () -> trace x) in
+    (t_check, t_trace, eu1 - eu0, eu_iterations () - eu1)
+  in
+  let samples = List.init runs (fun _ -> once ()) in
+  let _, _, eu_check, eu_trace = List.hd samples in
+  let t_check = median (List.map (fun (c, _, _, _) -> c) samples) in
+  let t_trace = median (List.map (fun (_, t, _, _) -> t) samples) in
+  let share = t_trace /. (t_check +. t_trace) in
+  Harness.emit_json ~experiment:"E8"
+    [
+      ("workload", Harness.String name);
+      ("check_s", Harness.Float t_check);
+      ("trace_s", Harness.Float t_trace);
+      ("trace_share", Harness.Float share);
+      ("check_eu_iterations", Harness.Int eu_check);
+      ("trace_eu_iterations", Harness.Int eu_trace);
+    ];
   [
     name;
     Harness.seconds_string t_check;
     Harness.seconds_string t_trace;
-    Printf.sprintf "%.0f%%" (100.0 *. t_trace /. (t_check +. t_trace));
+    Printf.sprintf "%.0f%%" (100.0 *. share);
+    string_of_int eu_check;
+    string_of_int eu_trace;
   ]
+
+(* witness-deep's fixed EF targets. *)
+let deep_targets = [ 959; 1021 ]
+
+(* perfbench's counter (bit i toggles when all lower bits are 1), with
+   one EF spec per target. *)
+let deep_counter bits =
+  let b = Buffer.create 1024 in
+  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  pf "MODULE main\nVAR\n";
+  for i = 0 to bits - 1 do
+    pf "  b%d : boolean;\n" i
+  done;
+  pf "ASSIGN\n";
+  for i = 0 to bits - 1 do
+    pf "  init(b%d) := FALSE;\n" i
+  done;
+  pf "  next(b0) := !b0;\n";
+  for i = 1 to bits - 1 do
+    pf "  next(b%d) := !(b%d <-> (%s));\n" i i
+      (String.concat " & " (List.init i (Printf.sprintf "b%d")))
+  done;
+  List.iter
+    (fun v ->
+      pf "SPEC EF (%s)\n"
+        (String.concat " & "
+           (List.init bits (fun i ->
+                let neg = if (v lsr i) land 1 = 1 then "" else "!" in
+                Printf.sprintf "%sb%d" neg i))))
+    deep_targets;
+  Buffer.contents b
 
 let run ~full =
   let rows = ref [] in
   let add r = rows := r :: !rows in
   (* Arbiter liveness counterexample. *)
   let arb_users = if full then 3 else 2 in
-  let arb = Circuit.Arbiter.model arb_users in
   let arb_spec = Circuit.Arbiter.liveness_spec arb_users in
   add
     (row
        (Printf.sprintf "arbiter-%d liveness" arb_users)
-       ~check:(fun () -> ignore (Ctl.Fair.holds arb arb_spec))
-       ~trace:(fun () ->
+       ~setup:(fun () -> Circuit.Arbiter.model arb_users)
+       ~check:(fun arb -> ignore (Ctl.Fair.holds arb arb_spec))
+       ~trace:(fun arb ->
          ignore (Counterex.Explain.counterexample arb arb_spec)));
   (* Fair EG witness on the SCC chain. *)
   let chain =
     Workloads.scc_chain ~fair_last:true ~components:(if full then 10 else 6)
       ~size:4 ()
   in
-  let cm, encode = Explicit.Bridge.to_kripke chain in
-  let cstart = encode 0 in
   add
     (row "scc-chain EG true"
-       ~check:(fun () -> ignore (Ctl.Fair.eg cm cm.Kripke.space))
-       ~trace:(fun () ->
-         ignore (Counterex.Witness.eg cm ~f:cm.Kripke.space ~start:cstart)));
+       ~setup:(fun () -> Explicit.Bridge.to_kripke chain)
+       ~check:(fun (cm, _) -> ignore (Ctl.Fair.eg cm cm.Kripke.space))
+       ~trace:(fun (cm, encode) ->
+         ignore
+           (Counterex.Witness.eg cm ~f:cm.Kripke.space ~start:(encode 0))));
   (* CTL* witness. *)
-  let tog = Workloads.togglers (if full then 7 else 5) in
-  let cs =
-    List.init 3 (fun j ->
-        let p = Ctl.Check.sat tog (Ctl.atom (Printf.sprintf "t%d" j)) in
-        { Ctlstar.Gffg.gf = p; fg = Bdd.diff tog.Kripke.man tog.Kripke.space p })
-  in
-  let tstart =
+  let togglers = if full then 7 else 5 in
+  let setup () =
+    let tog = Workloads.togglers togglers in
+    let cs =
+      List.init 3 (fun j ->
+          let p = Ctl.Check.sat tog (Ctl.atom (Printf.sprintf "t%d" j)) in
+          { Ctlstar.Gffg.gf = p; fg = Bdd.diff tog.Kripke.man tog.Kripke.space p })
+    in
     match Kripke.pick_state tog tog.Kripke.init with
-    | Some st -> st
+    | Some st -> (tog, cs, st)
     | None -> assert false
   in
   add
-    (row "ctlstar 3 conjuncts"
-       ~check:(fun () -> ignore (Ctlstar.Gffg.check tog cs))
-       ~trace:(fun () -> ignore (Ctlstar.Gffg.witness tog cs ~start:tstart)));
+    (row "ctlstar 3 conjuncts" ~setup
+       ~check:(fun (tog, cs, _) -> ignore (Ctlstar.Gffg.check tog cs))
+       ~trace:(fun (tog, cs, start) ->
+         ignore (Ctlstar.Gffg.witness tog cs ~start)));
+  (* Deep EF witnesses on the counter, last: its garbage would skew the
+     timings of the microsecond rows. *)
+  let source = deep_counter 10 in
+  add
+    (row "counter-10 EF deep"
+       ~setup:(fun () -> Smv.load_string source)
+       ~check:(fun c ->
+         List.iter
+           (fun (_, spec) ->
+             if not (Ctl.Fair.holds c.Smv.Compile.model spec) then
+               failwith "E8: a deep EF spec failed")
+           c.Smv.Compile.specs)
+       ~trace:(fun c ->
+         List.iter
+           (fun (_, spec) ->
+             ignore (Counterex.Explain.witness c.Smv.Compile.model spec))
+           c.Smv.Compile.specs));
   Harness.print_table
     ~title:"E8: counterexample generation as a share of total verification time"
-    ~header:[ "workload"; "check"; "trace"; "trace share" ]
+    ~header:
+      [ "workload"; "check"; "trace"; "trace share"; "check EU iters";
+        "trace EU iters" ]
     (List.rev !rows);
   Harness.note
     "Section 9: \"finding a counterexample can sometimes take most of the";
   Harness.note
-    "execution time required for model checking\" — witness construction";
+    "execution time required for model checking\" — a trace re-runs the";
   Harness.note
-    "re-runs nested fixpoints (rings, closure sets), so its share is large."
+    "fair-EG rings, cycle-closure sets and, for CTL*, one check per";
+  Harness.note
+    "disjunction; an EU witness descends the one sweep that gave its set."
 
 let bechamel =
   let m = lazy (Circuit.Arbiter.model 2) in

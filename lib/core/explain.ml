@@ -65,37 +65,83 @@ let explain_with ops formula ~start =
   in
   go (Ctl.push_neg formula) start
 
-let explain ?limits m formula ~start =
+(* The symbolic ops for one trace, over a memo that lives as long as
+   the trace: the fair set of every formula [sat] is asked for (keyed
+   by the formula; [Bdd.t] is a plain handle, so structural hashing is
+   sound), the rings of every [EU] and the hull of every fair [EG] its
+   traversal meets (keyed by their operand sets, which is how the
+   witness primitives ask for them).  An [EU]'s set is the last of its
+   rings — [eu_rings] is the sweep [Ctl.Fair.eu_with] runs — so no
+   fixpoint runs twice in one trace, and diagrams being canonical, every
+   set is the very [Bdd.t] [Ctl.Fair.sat] returns.  The memo is rooted
+   while [k] runs and dropped with it. *)
+let with_ops ?limits m k =
   let bman = m.Kripke.man in
   let fair = Ctl.Fair.fair_states ?limits m in
+  let sets = Hashtbl.create 16 in
+  let rings = Hashtbl.create 4 in
+  let hulls = Hashtbl.create 4 in
+  let memo tbl key compute =
+    match Hashtbl.find_opt tbl key with
+    | Some v -> v
+    | None ->
+      let v = compute () in
+      Hashtbl.replace tbl key v;
+      v
+  in
+  let eu _ f g =
+    let g = Bdd.and_ bman g fair in
+    let r = memo rings (f, g) (fun () -> Ctl.Check.eu_rings ?limits m f g) in
+    r.(Array.length r - 1)
+  in
+  let eg _ f = memo hulls f (fun () -> Ctl.Fair.eg ?limits m f) in
+  let sat f =
+    memo sets f (fun () ->
+        Ctl.Check.sat_with ~ex:(Ctl.Fair.ex ?limits) ~eu ~eg m f)
+  in
+  let roots () =
+    Hashtbl.fold (fun _ s acc -> s :: acc) sets
+      (Hashtbl.fold (fun _ r acc -> Array.to_list r @ acc) rings
+         (Hashtbl.fold (fun _ z acc -> z :: acc) hulls []))
+  in
   let ops =
     {
-      sat = Ctl.Fair.sat ?limits m;
+      sat;
       mem = Kripke.eval_in_state m;
       fair = (fun set -> Bdd.and_ bman set fair);
       ex = (fun ~f ~start -> (Witness.ex ?limits m ~f ~start).prefix);
-      eu = (fun ~f ~g ~start -> (Witness.eu ?limits m ~f ~g ~start).prefix);
+      eu =
+        (fun ~f ~g ~start ->
+          let rings = Hashtbl.find_opt rings (f, g) in
+          (Witness.eu ?limits ?rings m ~f ~g ~start).prefix);
       eg =
         (fun ~f ~start ->
-          let tr = Witness.eg ?limits m ~f ~start in
+          let hull = Hashtbl.find_opt hulls f in
+          let tr = Witness.eg ?limits ?hull m ~f ~start in
           (tr.prefix, tr.cycle));
     }
   in
-  let prefix, cycle = explain_with ops formula ~start in
-  { Kripke.Trace.prefix; cycle }
+  Bdd.with_root bman roots (fun () -> k ops)
+
+let trace_of (prefix, cycle) = { Kripke.Trace.prefix; cycle }
+
+let explain ?limits m formula ~start =
+  with_ops ?limits m (fun ops -> trace_of (explain_with ops formula ~start))
+
+(* A trace from the first initial state satisfying [formula] (under
+   fair semantics), explaining it there.  [counterexample] explains
+   [Not formula], so it picks among the initial states violating the
+   formula. *)
+let from_init ?limits m formula =
+  with_ops ?limits m (fun ops ->
+      let set = ops.sat (Ctl.push_neg formula) in
+      match Kripke.pick_state m (Bdd.and_ m.Kripke.man m.Kripke.init set) with
+      | None -> None
+      | Some st -> Some (trace_of (explain_with ops formula ~start:st)))
 
 (* [?engine] is ignored on [witness] and [counterexample]: kept only
    because perfbench/probe.ml passes it. *)
-let witness ?limits ?engine:_ m formula =
-  let sat = Ctl.Fair.sat ?limits m formula in
-  let good = Bdd.and_ m.Kripke.man m.Kripke.init sat in
-  match Kripke.pick_state m good with
-  | None -> None
-  | Some st -> Some (explain ?limits m formula ~start:st)
+let witness ?limits ?engine:_ m formula = from_init ?limits m formula
 
 let counterexample ?limits ?engine:_ m formula =
-  let sat = Ctl.Fair.sat ?limits m formula in
-  let bad = Bdd.diff m.Kripke.man m.Kripke.init sat in
-  match Kripke.pick_state m bad with
-  | None -> None
-  | Some st -> Some (explain ?limits m (Ctl.Not formula) ~start:st)
+  from_init ?limits m (Ctl.Not formula)

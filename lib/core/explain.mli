@@ -52,7 +52,10 @@ val explain :
     continuation is required (purely propositional facts, [EU] into a
     propositional target), and a lasso when an [EG] is involved.
     [limits] is threaded to every fixpoint and ring descent involved; a
-    breach raises [Bdd.Limits.Exhausted]. *)
+    breach raises [Bdd.Limits.Exhausted].  Each fixpoint of one call
+    runs once: the call memoises every subformula's set, and the
+    witness primitives descend the rings and hulls of the fixpoints
+    that computed them.  The memo lives only as long as the call. *)
 
 val witness :
   ?limits:Bdd.Limits.t ->

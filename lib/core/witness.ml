@@ -34,46 +34,51 @@ let pick m set =
   | Some st -> st
   | None -> raise (No_witness "internal: empty pick")
 
-(* Smallest ring index below [limit] whose intersection with [set] is
-   non-empty, together with a representative state; scanning from 0
-   yields the shortest continuation. *)
-let min_layer m ?limit (layers : Bdd.t array) set =
-  let bman = m.Kripke.man in
-  let bound =
-    match limit with Some j -> j | None -> Array.length layers
-  in
-  let rec scan i =
-    if i >= bound then None
+(* Ring layers are cumulative ([Q_0 ⊆ Q_1 ⊆ ...]), so whether a layer
+   meets a set, or holds a state, is monotone in the index: bisection
+   finds the least index [i < n] where [p] holds ([n] if none). *)
+let least_index n p =
+  let rec bisect lo hi =
+    if lo >= hi then lo
     else
-      let inter = Bdd.and_ bman layers.(i) set in
-      if Bdd.is_zero inter then scan (i + 1) else Some (i, pick m inter)
+      let mid = (lo + hi) / 2 in
+      if p mid then bisect lo mid else bisect (mid + 1) hi
   in
-  scan 0
+  bisect 0 n
 
-(* Walk from [start] (a member of [layers.(j0)]) down to a layer-0
-   state; returns the states strictly after [start], in order.  The
-   strictly-descending scan is expressed as an index bound on
-   [min_layer] — copying a ring-array prefix per step ([Array.sub])
-   would make each descent quadratic in the ring count. *)
+(* Smallest ring index whose intersection with [set] is non-empty,
+   together with a representative state (the shortest continuation). *)
+let min_layer m (layers : Bdd.t array) set =
+  let meet i = Bdd.and_ m.Kripke.man layers.(i) set in
+  let n = Array.length layers in
+  let i = least_index n (fun i -> not (Bdd.is_zero (meet i))) in
+  if i = n then None else Some (i, pick m (meet i))
+
+(* Walk from [start], whose least layer is [j0], down to a layer-0
+   state; returns the states strictly after [start], in order.  A state
+   in [Q_j] but not in [Q_(j-1)] is an [f]-state with a successor in
+   [Q_(j-1)] and none in [Q_(j-2)] (else it would lie in [Q_(j-1)]), so
+   each step intersects [layers.(j-1)] alone and the picked successor's
+   least layer is again [j-1]: one intersection per step, a linear
+   descent. *)
 let descend ?limits m layers ~start ~level:j0 =
+  let bman = m.Kripke.man in
   let rec go acc st j =
     if j = 0 then List.rev acc
     else begin
       ring_tick m limits;
-      match min_layer m ~limit:j layers (succ_set m st) with
-      | Some (j', next) -> go (next :: acc) next j'
+      let below = Bdd.and_ bman layers.(j - 1) (succ_set m st) in
+      match Kripke.pick_state m below with
+      | Some next -> go (next :: acc) next (j - 1)
       | None -> raise (No_witness "internal: ring descent stuck")
     end
   in
   go [] start j0
 
 let level_of m layers st =
-  let rec scan i =
-    if i >= Array.length layers then None
-    else if in_set m layers.(i) st then Some i
-    else scan (i + 1)
-  in
-  scan 0
+  let n = Array.length layers in
+  let i = least_index n (fun i -> in_set m layers.(i) st) in
+  if i = n then None else Some i
 
 (* ------------------------------------------------------------------ *)
 (* EX and EU (no fairness).                                            *)
@@ -86,8 +91,12 @@ let ex ?limits m ~f ~start =
   | Some next -> Kripke.Trace.finite [ start; next ]
   | None -> raise (No_witness "EX: start state has no successor in f")
 
-let eu ?limits m ~f ~g ~start =
-  let rings = Ctl.Check.eu_rings ?limits m f g in
+let eu ?limits ?rings m ~f ~g ~start =
+  let rings =
+    match rings with
+    | Some rings -> rings
+    | None -> Ctl.Check.eu_rings ?limits m f g
+  in
   match level_of m rings start with
   | None -> raise (No_witness "EU: start state does not satisfy E[f U g]")
   | Some j ->
@@ -180,10 +189,10 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
       Closed (round_states, closing)
     | None -> Failed round_states)
 
-let eg_stats ?limits ?(strategy = Restart) ?(max_restarts = 1_000_000)
+let eg_stats ?limits ?hull ?(strategy = Restart) ?(max_restarts = 1_000_000)
     m ~f ~start =
   let f = Bdd.and_ m.Kripke.man f m.Kripke.space in
-  let egf, rings = Ctl.Fair.eg_with_rings ?limits m f in
+  let egf, rings = Ctl.Fair.eg_with_rings ?limits ?hull m f in
   if not (in_set m egf start) then
     raise (No_witness "EG: start state does not satisfy fair EG f");
   (* Each failed round strictly descends the DAG of strongly connected
@@ -218,5 +227,5 @@ let eg_stats ?limits ?(strategy = Restart) ?(max_restarts = 1_000_000)
   in
   loop [ start ] start 0
 
-let eg ?limits ?strategy m ~f ~start =
-  fst (eg_stats ?limits ?strategy m ~f ~start)
+let eg ?limits ?hull ?strategy m ~f ~start =
+  fst (eg_stats ?limits ?hull ?strategy m ~f ~start)

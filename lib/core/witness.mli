@@ -55,20 +55,27 @@ val ex :
 
 val eu :
   ?limits:Bdd.Limits.t ->
+  ?rings:Bdd.t array ->
   Kripke.t -> f:Bdd.t -> g:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
 (** Finite witness for [E[f U g]] (no fairness): a shortest-via-rings
-    path from [start] through [f]-states to a [g]-state. *)
+    path from [start] through [f]-states to a [g]-state.  [rings], when
+    given, must be [Ctl.Check.eu_rings m f g] already computed (the
+    fixpoint that decided [E[f U g]]); otherwise they are built here. *)
 
 val eg :
   ?limits:Bdd.Limits.t ->
+  ?hull:Bdd.t ->
   ?strategy:strategy ->
   Kripke.t -> f:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
 (** Lasso witness for [EG f] under the model's fairness constraints
     (all of Section 6).  With no declared constraints this degenerates
-    to a plain [EG] witness. *)
+    to a plain [EG] witness.  [hull], when given, must be
+    [Ctl.Fair.eg m f] already computed; only the rings are then built
+    ({!Ctl.Fair.eg_with_rings}). *)
 
 val eg_stats :
   ?limits:Bdd.Limits.t ->
+  ?hull:Bdd.t ->
   ?strategy:strategy ->
   ?max_restarts:int ->
   Kripke.t ->

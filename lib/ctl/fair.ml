@@ -71,10 +71,11 @@ let eg ?limits (m : Kripke.t) f =
       go f)
 
 (* The onion rings are the per-constraint [E[f U (z /\ h)]]
-   approximation sequences re-run against the converged hull [z]. *)
-let eg_with_rings ?limits (m : Kripke.t) f =
+   approximation sequences re-run against the converged hull [z]
+   ([hull] when the caller already holds it). *)
+let eg_with_rings ?limits ?hull (m : Kripke.t) f =
   let bman = m.Kripke.man in
-  let z = eg ?limits m f in
+  let z = match hull with Some z -> z | None -> eg ?limits m f in
   let f = Bdd.and_ bman f m.Kripke.space in
   let saved = ref [ z; f ] in
   Bdd.with_root bman

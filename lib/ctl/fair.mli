@@ -49,10 +49,15 @@ val eg : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t
     only whether the computation is allowed to finish. *)
 
 val eg_with_rings :
-  ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t * rings list
+  ?limits:Bdd.Limits.t ->
+  ?hull:Bdd.t ->
+  Kripke.t ->
+  Bdd.t ->
+  Bdd.t * rings list
 (** Fair [EG] together with the ring sequences, one per effective
     constraint, extracted from the converged fixpoint
-    ([Check.eu_rings] against [Z /\ h_k]). *)
+    ([Check.eu_rings] against [Z /\ h_k]).  [hull], when given, must be
+    [eg m f] already computed: the outer fixpoint is then not re-run. *)
 
 val fair_states : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t
 (** [fair = CheckFairEG true]: states at the start of some fair path.

@@ -80,6 +80,10 @@ let prop_eu_witness =
         (fun st ->
           let tr = Counterex.Witness.eu m ~f ~g ~start:st in
           check_valid "eu witness" (Counterex.Validate.eu_witness m ~f ~g tr)
+          (* The rings of the fixpoint that decided E[f U g], passed in,
+             give the same trace as rings built by the witness. *)
+          && Kripke.Trace.states (Counterex.Witness.eu ~rings m ~f ~g ~start:st)
+             = Kripke.Trace.states tr
           (* Ring-minimality: the trace length equals 1 + the smallest
              ring index containing the start state. *)
           &&
@@ -173,6 +177,51 @@ let prop_ag_counterexample_reaches_violation =
           (fun st -> not (Kripke.eval_in_state m p st))
           (Kripke.Trace.states tr))
 
+(* The explainer over un-memoised ops: every [sat] re-runs
+   [Ctl.Fair.sat], and the witness primitives rebuild their rings and
+   hulls. *)
+let unmemoised_ops m =
+  let fair = Ctl.Fair.fair_states m in
+  {
+    Counterex.Explain.sat = Ctl.Fair.sat m;
+    mem = Kripke.eval_in_state m;
+    fair = (fun set -> Bdd.and_ m.Kripke.man set fair);
+    ex = (fun ~f ~start -> (Counterex.Witness.ex m ~f ~start).prefix);
+    eu = (fun ~f ~g ~start -> (Counterex.Witness.eu m ~f ~g ~start).prefix);
+    eg =
+      (fun ~f ~start ->
+        let tr = Counterex.Witness.eg m ~f ~start in
+        (tr.prefix, tr.cycle));
+  }
+
+let prop_memo_matches_unmemoised =
+  prop "memoised traces equal unmemoised ones" ~count:150 (with_formula ())
+    (fun (rm, f) ->
+      let m = rm.Models.sym in
+      let outcome run =
+        match run () with
+        | Some (tr : Kripke.Trace.t) -> Ok (Some (tr.prefix, tr.cycle))
+        | None -> Ok None
+        | exception
+            (( Counterex.Explain.Cannot_explain _
+             | Counterex.Witness.No_witness _ ) as e) ->
+          Error (Printexc.to_string e)
+      in
+      let unmemoised f () =
+        let good = Bdd.and_ m.Kripke.man m.Kripke.init (Ctl.Fair.sat m f) in
+        Option.map
+          (fun st ->
+            let prefix, cycle =
+              Counterex.Explain.explain_with (unmemoised_ops m) f ~start:st
+            in
+            { Kripke.Trace.prefix; cycle })
+          (Kripke.pick_state m good)
+      in
+      outcome (fun () -> Counterex.Explain.witness m f)
+      = outcome (unmemoised f)
+      && outcome (fun () -> Counterex.Explain.counterexample m f)
+         = outcome (unmemoised (Ctl.Not f)))
+
 (* ------------------------------------------------------------------ *)
 (* Unit tests: the mutex starvation counterexample, end to end.        *)
 
@@ -256,6 +305,25 @@ let test_ef_witness_on_counter () =
     Alcotest.(check bool) "valid" true
       (Counterex.Validate.path_ok m tr = Ok ())
 
+(* A witness descends the rings of the one fixpoint that decided its
+   formula: after the verdict, an EF witness sweeps E[true U target]
+   once, saving every layer it computes, so the EU iterations it adds
+   equal the ring layers it adds. *)
+let test_one_fixpoint_per_trace () =
+  let m = Models.counter 4 in
+  let spec = Ctl.EF Ctl.(atom "b0" &&& atom "b1" &&& atom "b2" &&& atom "b3") in
+  Alcotest.(check bool) "verdict" true (Ctl.Fair.holds m spec);
+  let before = Ctl.Check.fixpoint_stats () in
+  (match Counterex.Explain.witness m spec with
+  | None -> Alcotest.fail "expected witness"
+  | Some tr ->
+    Alcotest.(check int) "shortest path to 1111" 16 (Kripke.Trace.length tr));
+  let after = Ctl.Check.fixpoint_stats () in
+  let layers = after.ring_layers - before.ring_layers in
+  Alcotest.(check bool) "rings were built" true (layers > 0);
+  Alcotest.(check int) "EU iterations = ring layers" layers
+    (after.eu_iterations - before.eu_iterations)
+
 let test_eg_stats_strategies () =
   (* A chain of two SCCs: states 0-1 form a cycle that cannot satisfy
      the fairness constraint {3}; 2-3 form a fair cycle reachable from
@@ -319,11 +387,13 @@ let suite =
     prop_counterexample_exists_iff_fails;
     prop_witness_exists_iff_holds_somewhere;
     prop_ag_counterexample_reaches_violation;
+    prop_memo_matches_unmemoised;
     Alcotest.test_case "mutex starvation counterexample" `Quick test_mutex_starvation_trace;
     Alcotest.test_case "mutex safety has no counterexample" `Quick test_mutex_safety_no_counterexample;
     Alcotest.test_case "explain rejects false formulas" `Quick test_explain_rejects_false_formula;
     Alcotest.test_case "explain_with junction rule" `Quick test_explain_with_junction;
     Alcotest.test_case "EF witness on counter" `Quick test_ef_witness_on_counter;
+    Alcotest.test_case "one fixpoint per trace" `Quick test_one_fixpoint_per_trace;
     Alcotest.test_case "eg_stats two-SCC chain" `Quick test_eg_stats_strategies;
     Alcotest.test_case "eg_stats restart bound" `Quick
       test_eg_stats_restart_bound;
