@@ -22,7 +22,6 @@ let experiments =
     ("E8", Exp_overhead.run, Exp_overhead.bechamel);
     ("E9", Exp_partition.run, Exp_partition.bechamel);
     ("E10", Exp_govern.run, Exp_govern.bechamel);
-    ("E11", Exp_parallel.run, Exp_parallel.bechamel);
     ("E12", Exp_recover.run, Exp_recover.bechamel);
     ("E13", Exp_reorder.run, Exp_reorder.bechamel);
     ("E14", Exp_serve.run, Exp_serve.bechamel);

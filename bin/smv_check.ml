@@ -8,7 +8,7 @@
    was left undetermined, or the run was interrupted; 3 input error,
    internal failure, or a trace that failed certification.
 
-   Recovery: with --retries N a breached / out-of-memory / crashed
+   Recovery: with --retries N a breached / out-of-memory
    specification is re-attempted up to N times through the
    Robust.Ladder rungs (gc-retry, a sifting sweep, degraded
    representation, explicit-state fallback), each attempt under
@@ -26,12 +26,12 @@ let ( let* ) = Result.bind
 
 (* --------------------------------------------------------------- *)
 (* SIGINT (one-shot mode): set the shared cancel flag.  Every per-spec
-   Limits bundle — sequential or on a worker domain — is created with
-   this flag, so one atomic store cancels them all: the next poll point
-   inside each running BDD operation raises, the in-flight specs are
-   reported UNDETERMINED, queued specs are skipped, and the run exits
-   cleanly with code 2.  The recovery ladder checks the same flag
-   between attempts, so Ctrl-C also means "no more retries".
+   Limits bundle is created with this flag, so one atomic store cancels
+   them all: the next poll point inside the running BDD operation
+   raises, the in-flight spec is reported UNDETERMINED, the remaining
+   specs are skipped, and the run exits cleanly with code 2.  The
+   recovery ladder checks the same flag between attempts, so Ctrl-C
+   also means "no more retries".
 
    Serve mode deliberately does NOT use this flag: there SIGINT means
    "drain and exit" and each request has a private cancel atomic
@@ -72,13 +72,9 @@ let print_model_stats m ~clusters =
       (Kripke.count_states m dead)
 
 (* The post-run half of --stats: BDD manager counters and fixpoint
-   iteration counts accumulated while checking.  [extra] carries the
-   per-worker manager snapshots of a parallel run, merged into the main
-   manager's counters so --stats reports one totalled view of the whole
-   run regardless of --jobs. *)
-let print_run_stats ?(extra = []) m =
-  let s = List.fold_left Bdd.merge_stats (Bdd.stats m.Kripke.man) extra in
-  Format.printf "%a@." Bdd.pp_stats s;
+   iteration counts accumulated while checking. *)
+let print_run_stats m =
+  Format.printf "%a@." Bdd.pp_stats (Bdd.stats m.Kripke.man);
   let c = Ctl.Check.fixpoint_stats () in
   let f = Ctl.Fair.fixpoint_stats () in
   Format.printf
@@ -110,9 +106,10 @@ let simulate m ~steps ~seed =
     Format.printf "%a@." (Kripke.Trace.pp m) tr
 
 (* One validator for every flag, one-shot and --serve alike (the check
-   flags go unused by --serve, but a bad value is still an input
-   error).  Returns the check options with --inject parsed, plus the
-   child-crash count that only --serve accepts. *)
+   flags go unused by --serve and --jobs by a one-shot run, but a bad
+   value is still an input error).  Returns the check options with
+   --inject parsed, plus the child-crash count that only --serve
+   accepts. *)
 let validate ~serve ~jobs ~seed ~cache_limit ~simulate ~inject check =
   let nonpositive = function Some n -> n <= 0 | None -> false in
   let* () =
@@ -134,13 +131,12 @@ let validate ~serve ~jobs ~seed ~cache_limit ~simulate ~inject check =
     | _ -> (None, inject)
   in
   let check = { check with Engine.inject } in
-  let* () = Engine.validate ~jobs check in
+  let* () = Engine.validate check in
   if jobs < 0 then Error "--jobs: N must be >= 0 (0 means all cores)"
   else Ok (check, crash_after)
 
 (* Returns Ok (exit code) or Error message (input error, exit 3). *)
-let run ~check ~extra_specs ~cache_limit ~simulate:walk ~seed ~jobs ~debug
-    file =
+let run ~check ~extra_specs ~cache_limit ~simulate:walk ~seed ~debug file =
   let* compiled =
     Engine.compile ~source:file (fun () ->
         Smv.load_file ~static_order:(check.Engine.reorder = `Static) file)
@@ -156,12 +152,12 @@ let run ~check ~extra_specs ~cache_limit ~simulate:walk ~seed ~jobs ~debug
   in
   let* (), outcome =
     Engine.run Format.std_formatter compiled ~opts:check ~specs:extra_specs
-      ~cancel:cancel_flag ~debug ~jobs ~prepare
+      ~cancel:cancel_flag ~debug ~prepare
   in
   let interrupted = Atomic.get cancel_flag in
   if interrupted then Format.printf "-- interrupted; statistics so far:@.";
   if interrupted || check.Engine.stats then
-    print_run_stats ~extra:outcome.Engine.worker_stats m;
+    print_run_stats m;
   Ok outcome.Engine.exit_code
 
 open Cmdliner
@@ -207,11 +203,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Check specifications on N worker domains in parallel (0 \
-           means one per core).  Each worker clones the model into a \
-           private BDD manager, so verdicts, traces and exit code are \
-           byte-identical to a sequential run.  With $(b,--serve): the \
-           number of request-processing workers.")
+          "With $(b,--serve): check requests on N worker domains (0 \
+           means one per core).  A one-shot run checks its \
+           specifications in order on one domain and ignores N.")
 
 let inject_arg =
   Arg.(
@@ -221,10 +215,9 @@ let inject_arg =
         ~doc:
           "Chaos testing: deterministically fail the COUNT-th visit to \
            SITE (mk, probe, gc, step or reorder — raising the same \
-           errors real resource exhaustion would) or kill the worker \
-           domain that picks up the COUNT-th task (worker, needs \
-           --jobs >= 2).  COUNT may be 'rand' (seeded by --seed).  \
-           Combine with --retries to exercise the recovery ladder.")
+           errors real resource exhaustion would).  COUNT may be \
+           'rand' (seeded by --seed).  Combine with --retries to \
+           exercise the recovery ladder.")
 
 let debug_arg =
   Arg.(
@@ -382,7 +375,6 @@ let main file extra_specs check cache_limit simulate seed jobs inject debug
       3
   end
   else
-    (* Resolve --jobs 0 first: "worker:N" must see the real count. *)
     let jobs = if jobs = 0 then Parallel.default_jobs () else jobs in
     match
       validate ~serve ~jobs ~seed ~cache_limit ~simulate ~inject check
@@ -416,7 +408,7 @@ let main file extra_specs check cache_limit simulate seed jobs inject debug
         | Some f -> (
           install_sigint ();
           match
-            run ~check ~extra_specs ~cache_limit ~simulate ~seed ~jobs ~debug f
+            run ~check ~extra_specs ~cache_limit ~simulate ~seed ~debug f
           with
           | Ok code -> code
           | Error msg ->
@@ -461,14 +453,6 @@ let cmd =
          static order at compile time instead of declaration order.  \
          Orders only change sizes and times — never verdicts, traces or \
          exit codes.";
-      `P
-        "Parallelism: $(b,--jobs N) checks specifications on N worker \
-         domains, each with a private clone of the model in its own \
-         BDD manager (shared-nothing, no locks on the BDD hot paths).  \
-         Output order, traces and the exit code are byte-identical to \
-         a sequential run.  A crashed worker is respawned, and with \
-         $(b,--retries) its specification is re-checked on the main \
-         domain.";
       `P
         "Server mode: $(b,--serve) turns the checker into a long-lived \
          daemon speaking length-prefixed JSON frames on stdin/stdout \

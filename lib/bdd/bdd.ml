@@ -138,10 +138,10 @@ type limits = {
       (* cooperative-cancellation flag.  Atomic, not a plain mutable
          bool: cancellation is requested from outside the domain that
          owns the manager (a signal handler in the main domain, a
-         coordinator cancelling worker domains), and a plain field
-         written by one domain has no visibility guarantee in another.
-         The flag may be shared between several bundles (one per worker
-         spec) so a single store cancels them all. *)
+         server thread cancelling a request on a worker domain), and a
+         plain field written by one domain has no visibility guarantee
+         in another.  The flag may be shared between several bundles
+         (one per spec) so a single store cancels them all. *)
 }
 
 (* Deterministic fault injection (public face: the [Fault] submodule).
@@ -1223,62 +1223,6 @@ let fold_sat m f vars ~init ~f:k =
     (support m f);
   go init 0 f
 
-(* Cross-manager copy, order-independent.  The fast path copies node
-   by node through [mk]: valid whenever the destination order agrees
-   with the source structure (every parent sits above both children in
-   [dst]'s order), which is checked per node — one array read per
-   edge.  The copy is then [dst]'s canonical diagram for the same
-   function (copying is injective on structure, so reduction is
-   preserved).  When the orders disagree the copy falls back to a
-   memoised bottom-up ITE rebuild keyed by source var *ids*, which
-   re-canonicalises in [dst]'s order — this is what lets parallel
-   workers hold different orders than the coordinator.  Only the
-   immutable-for-the-duration columns of [src] are read, never its
-   tables or caches, so transfers may run from another domain (the
-   source manager must be quiescent: no operations, no gc, and no
-   reordering while a transfer reads it). *)
-exception Transfer_order
-
-let transfer ~src ~dst f =
-  let memo : (int, t) Hashtbl.t = Hashtbl.create 1024 in
-  let structural () =
-    let rec go f =
-      if f < 2 then f
-      else
-        match Hashtbl.find_opt memo f with
-        | Some r -> r
-        | None ->
-          let v = src.n_var.(f) in
-          let lo = go src.n_lo.(f) in
-          let hi = go src.n_hi.(f) in
-          ensure_var dst v;
-          let lp = dst.var2lvl.(v) in
-          if lp >= lvl dst lo || lp >= lvl dst hi then raise Transfer_order;
-          let r = mk dst v lo hi in
-          Hashtbl.add memo f r;
-          r
-    in
-    go f
-  in
-  match structural () with
-  | r -> r
-  | exception Transfer_order ->
-    Hashtbl.reset memo;
-    let rec go f =
-      if f < 2 then f
-      else
-        match Hashtbl.find_opt memo f with
-        | Some r -> r
-        | None ->
-          let r =
-            ite dst (var dst src.n_var.(f)) (go src.n_hi.(f))
-              (go src.n_lo.(f))
-          in
-          Hashtbl.add memo f r;
-          r
-    in
-    go f
-
 (* ------------------------------------------------------------------ *)
 (* Statistics.                                                         *)
 
@@ -1290,45 +1234,11 @@ let cache_misses s =
   s.ite.misses + s.exists.misses + s.forall.misses + s.relprod.misses
   + s.constrain.misses
 
-(* Pointwise sum of two snapshots, for aggregating the managers of a
-   parallel run into one report.  Summing [peak_nodes] across managers
-   that were live at the same time gives an upper bound on the
-   simultaneous footprint, which is the number a memory budget cares
-   about; capacities sum the same way. *)
-let merge_stats a b =
-  let op (x : op_stats) (y : op_stats) =
-    { calls = x.calls + y.calls;
-      hits = x.hits + y.hits;
-      misses = x.misses + y.misses }
-  in
-  {
-    ite = op a.ite b.ite;
-    exists = op a.exists b.exists;
-    forall = op a.forall b.forall;
-    relprod = op a.relprod b.relprod;
-    constrain = op a.constrain b.constrain;
-    live_nodes = a.live_nodes + b.live_nodes;
-    peak_nodes = a.peak_nodes + b.peak_nodes;
-    total_nodes = a.total_nodes + b.total_nodes;
-    cache_evictions = a.cache_evictions + b.cache_evictions;
-    gc_runs = a.gc_runs + b.gc_runs;
-    gc_collected = a.gc_collected + b.gc_collected;
-    reorders = a.reorders + b.reorders;
-    reorder_ms = a.reorder_ms +. b.reorder_ms;
-    reorder_saved = a.reorder_saved + b.reorder_saved;
-    cache_stores = a.cache_stores + b.cache_stores;
-    unique_lookups = a.unique_lookups + b.unique_lookups;
-    unique_probes = a.unique_probes + b.unique_probes;
-    store_capacity = a.store_capacity + b.store_capacity;
-    unique_capacity = a.unique_capacity + b.unique_capacity;
-  }
-
-(* The per-request counterpart of [merge_stats]: attribute the work of
-   one governed region of a long-lived (warm) manager by subtracting a
-   snapshot taken at region entry.  Monotone counters subtract;
-   [live_nodes], [peak_nodes] and the capacity readings are
-   instantaneous, so the later snapshot's values are kept (pair with
-   [reset_peak] when the region's own peak is wanted). *)
+(* Attribute the work of one governed region of a long-lived (warm)
+   manager by subtracting a snapshot taken at region entry.  Monotone
+   counters subtract; [live_nodes], [peak_nodes] and the capacity
+   readings are instantaneous, so the later snapshot's values are kept
+   (pair with [reset_peak] when the region's own peak is wanted). *)
 let diff_stats after before =
   let op (x : op_stats) (y : op_stats) =
     { calls = x.calls - y.calls;

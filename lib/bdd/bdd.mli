@@ -146,31 +146,6 @@ val constrain : man -> t -> t -> t
     intermediate sets against reachability invariants.  Raises
     [Invalid_argument] when [c] is the constant false. *)
 
-(** {1 Cross-manager transfer} *)
-
-val transfer : src:man -> dst:man -> t -> t
-(** [transfer ~src ~dst f] — the canonical diagram of [dst] computing
-    the same boolean function as [f] (a diagram of [src]), mapped by
-    variable {e id} (never by level), so the two managers may hold
-    entirely different orders.
-    When [dst]'s order agrees with the structure of [f] the copy is a
-    memoised structural one — one node-constructor call per distinct
-    node of [f], [size] preserved exactly; otherwise it transparently
-    falls back to a memoised bottom-up ITE rebuild that
-    re-canonicalises in [dst]'s order.  Either way semantic properties
-    ([eval], [sat_count], [support]) coincide with [f]'s.
-
-    The copy reads only the node structure of [f] — never the source
-    manager's tables — so it is safe to call from a different domain
-    than the one that owns the source manager, as long as the source
-    manager is quiescent (no operations and no reordering) for the
-    duration.  This is the bridge that lets each worker domain of a
-    parallel run build a private copy of shared state in its own
-    single-domain manager ([Kripke.clone_into] is built on it), even
-    when coordinator and workers have sifted to different orders.
-    Transferring into the source manager itself returns [f]
-    (hash-consing finds the existing nodes). *)
-
 (** {1 Renaming} *)
 
 val rename : man -> t -> (int -> int) -> t
@@ -284,22 +259,15 @@ val cache_hits : stats -> int
 val cache_misses : stats -> int
 (** Total cache misses across the five operation caches. *)
 
-val merge_stats : stats -> stats -> stats
-(** Pointwise sum of two snapshots — used to aggregate the per-worker
-    managers of a parallel run into a single report.  [peak_nodes] is
-    summed too: for managers live at the same time that is an upper
-    bound on the simultaneous footprint. *)
-
 val diff_stats : stats -> stats -> stats
 (** [diff_stats after before] — the work done between two snapshots of
     the {e same} manager: monotone counters (calls, hits, misses,
     evictions, gc, reorder, [total_nodes]) are subtracted, while the
     instantaneous readings [live_nodes] and [peak_nodes] are taken from
     [after].  This is how a long-lived (warm) manager attributes its
-    counters to exactly one request: snapshot on entry, diff on exit —
-    the inverse role of {!merge_stats}.  Combine with {!reset_peak}
-    when the region's own peak (rather than the manager's lifetime
-    peak) is wanted. *)
+    counters to exactly one request: snapshot on entry, diff on exit.
+    Combine with {!reset_peak} when the region's own peak (rather than
+    the manager's lifetime peak) is wanted. *)
 
 val reset_peak : man -> unit
 (** Restart the [peak_nodes] high-water mark from the current
@@ -490,9 +458,9 @@ module Limits : sig
       clock ({!Bdd.now_monotonic}) — a calendar-clock step (NTP, a
       sysadmin's date change) can neither breach nor extend it.
       [cancel] supplies the cancellation flag instead of a fresh one,
-      so several bundles (e.g. one per worker-domain specification) can
-      share a single flag: one [Atomic.set] cancels them all, which is
-      how SIGINT stops a parallel run.  Raises [Invalid_argument] on
+      so several bundles (e.g. one per specification) can share a
+      single flag: one [Atomic.set] cancels them all, which is how
+      SIGINT stops a run.  Raises [Invalid_argument] on
       non-positive budgets. *)
 
   val unlimited : unit -> t

@@ -2,9 +2,9 @@ exception Unknown_atom of string
 
 (* Observability counters: global (per-process, not per-model), updated
    by every fixpoint below and snapshotted by [fixpoint_stats].
-   Atomic, because parallel spec checking runs these fixpoints from
-   several domains at once and a merged stats report must not lose
-   increments (a plain ref would). *)
+   Atomic, because the check server's workers run these fixpoints
+   from several domains at once and must not lose increments (a plain
+   ref would). *)
 type fixpoint_stats = {
   eu_iterations : int;
   eg_iterations : int;

@@ -92,9 +92,8 @@ let eg_with_rings ?limits ?hull (m : Kripke.t) f =
 (* The fair-states set depends only on (model, fairness), and models
    are checked many formulas at a time, so the fixpoint-over-fixpoints
    is cached on the model itself: [Kripke.with_fairness] resets the
-   slot, [Kripke.roots] keeps the cached diagram alive across gc and
-   reordering, and [Kripke.clone_into] transfers it to worker
-   managers. *)
+   slot, and [Kripke.roots] keeps the cached diagram alive across gc
+   and reordering. *)
 let fair_states ?limits (m : Kripke.t) =
   match Kripke.fair_memo m with
   | Some z -> z

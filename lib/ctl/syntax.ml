@@ -23,9 +23,8 @@ let ( ||| ) a b = Or (a, b)
 let ( ==> ) a b = Imp (a, b)
 let neg f = Not f
 
-(* Rebuild a formula with every embedded [Pred] state set rewritten —
-   the hook that moves a compiled formula onto another BDD manager
-   ([Bdd.transfer] as [fn]) for shared-nothing parallel checking. *)
+(* Rebuild a formula with every embedded [Pred] state set rewritten;
+   callers also use it to collect a spec's state sets for rooting. *)
 let rec map_pred fn = function
   | (True | False | Atom _) as f -> f
   | Pred b -> Pred (fn b)

@@ -36,10 +36,7 @@ val neg : t -> t
 
 val map_pred : (Bdd.t -> Bdd.t) -> t -> t
 (** Rewrite every embedded [Pred] state set, leaving the formula
-    skeleton untouched.  With [Bdd.transfer ~dst] as the function this
-    moves a compiled specification onto another manager — how each
-    worker domain of a parallel run obtains a private copy of a shared
-    specification. *)
+    skeleton untouched. *)
 
 (** {1 Normal form} *)
 

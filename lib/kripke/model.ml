@@ -228,46 +228,6 @@ let with_partition m clusters =
 
 let partitioned m = m.pre_schedule <> None
 
-(* Deep-copy a model into another manager: every BDD goes through
-   [Bdd.transfer] (which reads only immutable node structure, so
-   several worker domains may clone the same source model at once), the
-   variable layout is duplicated, and the clone registers its own GC
-   roots with the destination manager.  Because transfer preserves
-   semantics exactly and every choice the checking / witness layers
-   make is semantic (lexicographically least cubes, fixpoints), a clone
-   produces bit-identical verdicts and traces to the original. *)
-let clone_into dst m =
-  if dst == m.man then invalid_arg "Kripke.clone_into: same manager";
-  (* Replicate ordering metadata before copying any diagram: installing
-     the source's variable order on the (typically empty) destination
-     keeps [Bdd.transfer] on its structural fast path, and the pair
-     grouping must survive so the clone's own reorders stay grouped.
-     Identity orders are skipped — [set_order] is then pure overhead. *)
-  let src_order = Bdd.Reorder.order m.man in
-  let identity = ref true in
-  Array.iteri (fun l v -> if l <> v then identity := false) src_order;
-  if not !identity then Bdd.Reorder.set_order dst src_order;
-  Bdd.Reorder.set_pairs dst (Bdd.Reorder.pairs m.man);
-  let t b = Bdd.transfer ~src:m.man ~dst b in
-  let clone_steps =
-    List.map (fun s -> { cluster = t s.cluster; quant = t s.quant })
-  in
-  register_roots
-    {
-      man = dst;
-      vars = Array.map (fun v -> { v with bits = Array.copy v.bits }) m.vars;
-      nbits = m.nbits;
-      space = t m.space;
-      init = t m.init;
-      trans = t m.trans;
-      pre_schedule = Option.map clone_steps m.pre_schedule;
-      post_schedule = Option.map clone_steps m.post_schedule;
-      fairness = List.map t m.fairness;
-      labels = List.map (fun (name, b) -> (name, t b)) m.labels;
-      fair_memo = Option.map t m.fair_memo;
-      reach_memo = Option.map t m.reach_memo;
-    }
-
 let pre m s =
   match m.pre_schedule with
   | Some schedule -> image_with_schedule m.man schedule (prime m s)

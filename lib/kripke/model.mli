@@ -95,19 +95,6 @@ val with_partition : t -> Bdd.t list -> t
 val partitioned : t -> bool
 (** Is a partitioned schedule installed? *)
 
-val clone_into : Bdd.man -> t -> t
-(** [clone_into dst m] — a deep copy of the model whose every BDD
-    (space, init, transition relation, schedules, fairness, labels)
-    lives in [dst], built with [Bdd.transfer]; the clone registers its
-    own garbage-collection roots with [dst].  The copy reads only
-    immutable node structure, never the source manager's tables, so
-    several domains may clone the same model concurrently — this is how
-    each worker of a parallel run gets a private model on a private
-    single-domain manager, keeping BDD hot paths lock-free.  A clone is
-    observationally identical: verdicts, witnesses and traces computed
-    on it are bit-for-bit those of the original.  Raises
-    [Invalid_argument] when [dst] is the model's own manager. *)
-
 val with_fairness : t -> Bdd.t list -> t
 (** The same model under different fairness constraints (cheap: all
     BDDs are shared).  Used by the CTL* witness machinery, which turns
@@ -129,9 +116,8 @@ val reach_memo : t -> Bdd.t option
 (** The cached reachable-state set ({!reachable} computes and stores
     it).  Unlike {!fair_memo} it depends on nothing mutable — only
     [init] and [trans] — so it is never invalidated: {!with_fairness}
-    and {!with_partition} keep it, {!clone_into} transfers it, and a
-    warm check server reuses it across every request on the same
-    model.  Rooted with the model's other diagrams, so it survives
+    and {!with_partition} keep it, and a warm check server reuses it
+    across every request on the same model.  Rooted with the model's other diagrams, so it survives
     [Bdd.gc] and reordering. *)
 
 val set_reach_memo : t -> Bdd.t option -> unit

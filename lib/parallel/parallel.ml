@@ -1,14 +1,10 @@
-(** Parallel checking over worker domains (OCaml 5 shared-nothing
-    parallelism): the fixed-size domain {!Pool} and the per-spec
-    fan-out {!Specs} built on it.
+(** The fixed-size worker-domain {!Pool} behind the check server.
 
-    Design rule: a BDD manager is owned by exactly one domain for its
-    whole life.  Parallelism comes from cloning — [Bdd.transfer] /
-    [Kripke.clone_into] copy shared immutable structure into private
-    managers — never from locking the hash-consing hot paths. *)
+    Design rule: a BDD manager is used by one domain at a time.  The
+    server serialises the requests for one warm model on its cache
+    entry's lock, so the hash-consing hot paths never take a lock. *)
 
 module Pool = Pool
-module Specs = Specs
 
 let default_jobs () = Domain.recommended_domain_count ()
 (** The runtime's recommendation for how many domains this machine can

@@ -159,8 +159,8 @@ let chaos_crash_after pool n =
   Mutex.unlock pool.mutex
 
 (* [bounded] is the admission-control switch: [submit] always
-   enqueues (the parallel checker's fan-out was sized by its caller),
-   [try_submit] sheds when the pending queue is at [max_pending]. *)
+   enqueues, [try_submit] sheds when the pending queue is at
+   [max_pending]. *)
 let enqueue pool ~bounded f =
   let fut = { fmutex = Mutex.create (); fcond = Condition.create ();
               state = Pending }

@@ -5,9 +5,7 @@
     a shared FIFO task queue; [submit] enqueues a thunk and returns a
     future; [await] blocks the calling domain until the thunk has run.
     Tasks never run on the submitting domain, so the submitter is free
-    to await in any order (the ordered-output pattern of the parallel
-    model checker: await futures in submission order, print each result
-    as it arrives).
+    to await in any order.
 
     Exceptions raised by a task are caught in the worker and carried to
     the awaiting domain through the future — a crashing task never
@@ -15,8 +13,8 @@
 
     The pool itself holds no domain-unsafe state beyond its own queue;
     whether the {e tasks} are safe to run concurrently is the caller's
-    contract.  The intended discipline is shared-nothing: each worker
-    touches only state it created itself (see [Check]).
+    contract: the check server serialises the requests for one BDD
+    manager on that model's cache-entry lock.
 
     Workers that die are {e respawned}: a domain whose loop escapes with
     an exception fails the task it held (its awaiter sees
@@ -45,9 +43,8 @@ val create : ?max_pending:int -> int -> t
     [max_pending] ([>= 1] when given) is the admission bound consulted
     by {!try_submit}: once that many tasks are queued (tasks already
     running on a worker do not count), further [try_submit] calls shed
-    instead of enqueueing.  Plain {!submit} ignores the bound, so
-    callers that sized their own fan-out (the parallel spec checker)
-    are unaffected.  Default: unbounded. *)
+    instead of enqueueing.  Plain {!submit} ignores the bound.
+    Default: unbounded. *)
 
 val size : t -> int
 (** Configured number of worker domains (stable across respawns). *)

@@ -4,7 +4,6 @@ type strategy =
   | Reorder
   | Degraded
   | Explicit_state
-  | Main_domain
 
 type failure =
   | Breach of Bdd.Limits.info
@@ -25,7 +24,6 @@ let strategy_name = function
   | Reorder -> "reorder"
   | Degraded -> "degraded"
   | Explicit_state -> "explicit-state"
-  | Main_domain -> "main-domain"
 
 let failure_name = function
   | Breach { Bdd.Limits.breach = Bdd.Limits.Deadline _; _ } -> "deadline"
@@ -51,27 +49,22 @@ let classify = function
   | Out_of_memory -> Some Oom
   | _ -> None
 
-(* Which rung handles attempt [index]?  Crashes re-run plainly in the
-   calling domain; resource failures climb gc-retry → reorder →
-   degraded (a sifted order often shrinks the tables enough that no
-   fidelity need be given up), with the explicit bridge reserved for
-   the final attempt (it abandons the symbolic representation
-   entirely, so it is the rung of last resort). *)
-let pick_strategy ~index ~is_last ~fits_explicit ~prev_failure =
-  match prev_failure with
-  | None -> Direct
-  | Some (Crashed _) -> Main_domain
-  | Some (Breach _ | Oom) ->
-    if is_last && fits_explicit () then Explicit_state
-    else if index = 2 then Gc_retry
-    else if index = 3 then Reorder
-    else Degraded
+(* Which rung handles attempt [index]?  Failures climb gc-retry →
+   reorder → degraded (a sifted order often shrinks the tables enough
+   that no fidelity need be given up), with the explicit bridge
+   reserved for the final attempt (it abandons the symbolic
+   representation entirely, so it is the rung of last resort). *)
+let pick_strategy ~index ~is_last ~fits_explicit =
+  if index = 1 then Direct
+  else if is_last && fits_explicit () then Explicit_state
+  else if index = 2 then Gc_retry
+  else if index = 3 then Reorder
+  else Degraded
 
-let run ~retries ~cancelled ~fits_explicit ~live_nodes ?(prior = [])
-    attempt_fn =
+let run ~retries ~cancelled ~fits_explicit ~live_nodes attempt_fn =
   if retries < 0 then invalid_arg "Ladder.run: negative retries";
   let max_attempts = retries + 1 in
-  let log = ref (List.rev prior) in
+  let log = ref [] in
   let record index strategy failure t0 =
     {
       index;
@@ -88,7 +81,6 @@ let run ~retries ~cancelled ~fits_explicit ~live_nodes ?(prior = [])
     | _ -> (
       let strategy =
         pick_strategy ~index ~is_last:(index >= max_attempts) ~fits_explicit
-          ~prev_failure
       in
       let t0 = Bdd.now_monotonic () in
       match attempt_fn ~attempt:index strategy with
@@ -105,7 +97,4 @@ let run ~retries ~cancelled ~fits_explicit ~live_nodes ?(prior = [])
           log := record index strategy (Some failure) t0 :: !log;
           go (index + 1) (Some failure)))
   in
-  let prev_failure =
-    match List.rev prior with [] -> None | last :: _ -> last.failure
-  in
-  go (List.length prior + 1) prev_failure
+  go 1 None

@@ -1,6 +1,6 @@
 (** The recovery ladder: classify → remediate → retry.
 
-    A breach or crash no longer ends a specification: the ladder
+    A breach or out-of-memory no longer ends a specification: the ladder
     re-runs it with escalating remediation until an attempt succeeds,
     the attempt budget ([--retries]) is spent, or the run is
     cancelled.  The ladder itself is policy only — {e what} each rung
@@ -9,7 +9,7 @@
     ladder decides {e which} rung comes next and keeps the attempt
     log.
 
-    Rung order for resource failures (breach / out-of-memory):
+    Rung order:
     {ol
     {- [Direct] — the plain symbolic attempt (always attempt 1, so a
        run with [--retries 0] is byte-identical to one without a
@@ -22,11 +22,7 @@
     {- [Degraded] — tightened cache limit plus a partitioned
        transition relation;}
     {- [Explicit_state] — the final attempt, taken only when the state
-       space fits the explicit bridge.}}
-
-    A worker-domain crash is not a resource failure: the next rung is
-    [Main_domain] (a plain re-run in the calling domain), after which
-    any further failures climb the resource rungs above. *)
+       space fits the explicit bridge.}} *)
 
 type strategy =
   | Direct          (** plain symbolic attempt *)
@@ -34,15 +30,16 @@ type strategy =
   | Reorder         (** after a [Bdd.reorder] sifting sweep *)
   | Degraded        (** tightened cache limit + partitioned relation *)
   | Explicit_state  (** explicit-state fallback via the bridge *)
-  | Main_domain     (** re-run of a crashed worker's spec locally *)
 
 type failure =
   | Breach of Bdd.Limits.info  (** a budget tripped (never [Interrupted]) *)
   | Oom                        (** [Out_of_memory] escaped the attempt *)
-  | Crashed of string          (** a worker domain died (parallel runs) *)
+  | Crashed of string
+      (** an unexpected exception ended the check: the caller's tag
+          for what {!run} re-raises, never returned by it *)
 
 type attempt = {
-  index : int;                (** 1-based, counting prior attempts too *)
+  index : int;                (** 1-based *)
   strategy : strategy;
   failure : failure option;   (** [None] means the attempt succeeded *)
   live_nodes : int;           (** manager size when the attempt ended *)
@@ -51,7 +48,7 @@ type attempt = {
 
 val strategy_name : strategy -> string
 (** ["direct"] / ["gc-retry"] / ["reorder"] / ["degraded"] /
-    ["explicit-state"] / ["main-domain"]. *)
+    ["explicit-state"]. *)
 
 val failure_name : failure -> string
 (** Short tag: ["deadline"], ["node-budget"], ["step-budget"],
@@ -73,7 +70,6 @@ val run :
   cancelled:(unit -> bool) ->
   fits_explicit:(unit -> bool) ->
   live_nodes:(unit -> int) ->
-  ?prior:attempt list ->
   (attempt:int -> strategy -> 'a) ->
   ('a * attempt list, failure * attempt list) result
 (** [run ~retries ... attempt_fn] drives up to [retries + 1] attempts
@@ -89,7 +85,4 @@ val run :
 
     [fits_explicit] gates the [Explicit_state] rung (it is consulted
     only for the final attempt); [live_nodes] samples the manager size
-    for the log.  [prior] seeds the log with attempts that already
-    happened elsewhere — the parallel path passes the crashed worker's
-    attempt, so the local re-run resumes numbering at 2 with the
-    [Main_domain] strategy. *)
+    for the log. *)

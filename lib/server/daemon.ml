@@ -167,7 +167,7 @@ let process cache ~id ~model ~specs ~(options : Engine.options) ~cancel =
     match
       (* Never [~debug]: exceptions must become replies, not crashes. *)
       Engine.run ppf compiled ~opts:options ~specs ~cancel ~debug:false
-        ~jobs:1 ~prepare:warm_reach
+        ~prepare:warm_reach
     with
     | Error msg -> Protocol.error_reply ~id msg
     | Ok ((reach_reused, reach_states), o) ->

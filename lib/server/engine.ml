@@ -9,7 +9,6 @@ type report = { verdict : verdict; cert_failed : bool }
 
 type inject =
   | Fault of Bdd.Fault.site * int
-  | Worker_crash of int
   | Child_crash of int
 
 type options = {
@@ -45,7 +44,7 @@ let retry_factor = 2.0
 let parse_inject ?(seed = 0) s =
   match String.index_opt s ':' with
   | None ->
-    Error "--inject: expected SITE:COUNT (e.g. mk:1000, step:3, worker:1)"
+    Error "--inject: expected SITE:COUNT (e.g. mk:1000, step:3, gc:1)"
   | Some i -> (
     let site = String.sub s 0 i in
     let count = String.sub s (i + 1) (String.length s - i - 1) in
@@ -63,16 +62,15 @@ let parse_inject ?(seed = 0) s =
     in
     match (site, Bdd.Fault.site_of_string site) with
     | _, Some fs -> Ok (Fault (fs, n))
-    | "worker", None -> Ok (Worker_crash n)
     | "child-crash", None -> Ok (Child_crash n)
     | _, None ->
       Error
         (Printf.sprintf
            "--inject: unknown site %S (expected mk, probe, gc, step, \
-            reorder, worker or child-crash)"
+            reorder or child-crash)"
            site))
 
-let validate ~jobs o =
+let validate o =
   let nonpositive = function Some n -> n <= 0 | None -> false in
   let problems =
     [
@@ -81,8 +79,6 @@ let validate ~jobs o =
       (nonpositive o.node_limit, "--node-limit: N must be positive");
       (nonpositive o.step_limit, "--step-limit: N must be positive");
       (o.retries < 0, "--retries: N must be >= 0");
-      ( (match o.inject with Some (Worker_crash _) -> jobs < 2 | _ -> false),
-        "--inject worker:N requires a parallel run (--jobs >= 2)" );
       ( (match o.inject with Some (Child_crash _) -> true | _ -> false),
         "--inject child-crash:K is only valid with --serve" );
     ]
@@ -221,7 +217,7 @@ type attempt_result = {
   ar_fallback : Robust.Fallback.t option;
 }
 
-let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
+let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
     (name, spec) =
   let man = m.Kripke.man in
   (* Monotonic, not calendar, time: the retry pool arithmetic below
@@ -273,7 +269,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
       let dm =
         if Kripke.partitioned m then m
         else
-          match clusters () with
+          match clusters with
           | [] -> m
           | cs -> ( try Kripke.with_partition m cs with Invalid_argument _ -> m)
       in
@@ -283,7 +279,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
   let attempt_fn ~attempt strategy =
     let limits = limits_for attempt in
     match strategy with
-    | Robust.Ladder.Direct | Robust.Ladder.Main_domain ->
+    | Robust.Ladder.Direct ->
       { ar_holds = run_symbolic m limits; ar_model = m;
         ar_limits = limits; ar_fallback = None }
     | Robust.Ladder.Gc_retry ->
@@ -359,7 +355,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
             ~cancelled:(fun () -> Atomic.get cancel)
             ~fits_explicit:(fun () -> Robust.Fallback.fits m)
             ~live_nodes:(fun () -> Bdd.live_nodes man)
-            ?prior attempt_fn
+            attempt_fn
         with
         | r -> r
         | exception Bdd.Limits.Exhausted info ->
@@ -374,9 +370,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
           Format.fprintf ppf
             "-- specification %s is UNDETERMINED (internal error: %s)@."
             name (Printexc.to_string e);
-          Error
-            ( Robust.Ladder.Crashed (Printexc.to_string e),
-              [] )
+          Error (Robust.Ladder.Crashed (Printexc.to_string e), [])
       in
       let print_attempt_log log =
         if opts.stats && List.length log > 1 then
@@ -401,11 +395,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
           Format.fprintf ppf
             "-- specification %s is UNDETERMINED (internal error: %s)@." name
             (Printexc.to_string Out_of_memory)
-        | Robust.Ladder.Crashed msg, _ :: _ ->
-          Format.fprintf ppf
-            "-- specification %s is UNDETERMINED (worker failed: %s)@." name
-            msg
-        | _, [] ->
+        | Robust.Ladder.Crashed _, _ | _, [] ->
           (* the failure was already reported (interrupt / internal
              error paths above) *)
           ());
@@ -478,11 +468,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject ?prior
           { verdict = Undetermined "certification failed"; cert_failed = true }
         else { verdict = (if holds then Holds else Fails); cert_failed = false })
 
-type outcome = {
-  verdicts : (string * report) list;
-  worker_stats : Bdd.stats list;
-  exit_code : int;
-}
+type outcome = { verdicts : (string * report) list; exit_code : int }
 
 (* The model's SPECs, then the extra texts; the first text that does
    not compile is the whole run's (only) error. *)
@@ -500,116 +486,28 @@ let compile_specs compiled texts =
     (Ok []) texts
   |> Result.map (fun extra -> compiled.Smv.Compile.specs @ List.rev extra)
 
-(* Fan the specs out over worker domains.  Each task renders its whole
-   report into a private buffer; the buffers are replayed on the
-   calling domain in specification order, so the bytes are identical
-   to a sequential run's. *)
-let fan_out ppf compiled ~opts ~cancel ~debug ~jobs ?fault specs =
-  let m = compiled.Smv.Compile.model in
-  let main_clusters = compiled.Smv.Compile.clusters in
-  let names = Array.of_list (List.map fst specs) in
-  let formulas = Array.of_list (List.map snd specs) in
-  let f wm spec i =
-    (* [Kripke.clone_into] replicated the coordinator's order and pair
-       grouping; the order-independent [Bdd.transfer] bridges whatever
-       order a worker's recovery ladder later sifts to. *)
-    let buf = Buffer.create 512 in
-    let wppf = Format.formatter_of_buffer buf in
-    let clusters () =
-      List.map (Bdd.transfer ~src:m.Kripke.man ~dst:wm.Kripke.man) main_clusters
-    in
-    let r =
-      check_one wppf wm ~opts ~cancel ~debug ~clusters ?inject:fault
-        (names.(i), spec)
-    in
-    Format.pp_print_flush wppf ();
-    (r, Buffer.contents buf)
-  in
-  (* Crashed-worker recovery happens here, on the calling domain, in
-     spec order: the crashed attempt seeds the ladder as attempt 1 and
-     the re-run climbs from Main_domain.  [overrides] keeps the
-     recovered reports for final aggregation. *)
-  let overrides : (int, report) Hashtbl.t = Hashtbl.create 4 in
-  let on_result i = function
-    | Ok ((_ : report), out) ->
-      (* One token, then a flush: the flush resets Format's column
-         tracking, which a multi-line string would otherwise corrupt. *)
-      Format.pp_print_string ppf out;
-      Format.pp_print_flush ppf ()
-    | Error Parallel.Specs.Cancelled -> ()
-    | Error Parallel.Pool.Worker_crashed
-      when opts.retries > 0 && not (Atomic.get cancel) ->
-      let prior =
-        [
-          {
-            Robust.Ladder.index = 1;
-            strategy = Robust.Ladder.Direct;
-            failure = Some (Robust.Ladder.Crashed "worker domain died");
-            live_nodes = 0;
-            duration = 0.;
-          };
-        ]
-      in
-      Hashtbl.replace overrides i
-        (check_one ppf m ~opts ~cancel ~debug
-           ~clusters:(fun () -> main_clusters)
-           ~prior (names.(i), formulas.(i)))
-    | Error e when not debug ->
-      Format.fprintf ppf
-        "-- specification %s is UNDETERMINED (worker failed: %s)@."
-        names.(i) (Printexc.to_string e)
-    | Error e -> raise e
-  in
-  let results, worker_stats =
-    Parallel.Specs.map ~jobs ~cancel
-      ?chaos_crash:
-        (match opts.inject with Some (Worker_crash n) -> Some n | _ -> None)
-      ~on_result ~f m formulas
-  in
-  let report i r =
-    match (Hashtbl.find_opt overrides i, r) with
-    | Some r, _ | None, Ok (r, _) -> Some r
-    | None, Error Parallel.Specs.Cancelled -> None
-    | None, Error e ->
-      Some { verdict = Undetermined (Printexc.to_string e); cert_failed = false }
-  in
-  ( List.filter_map Fun.id
-      (Array.to_list
-         (Array.mapi
-            (fun i r -> Option.map (fun r -> (names.(i), r)) (report i r))
-            results)),
-    worker_stats )
-
-let run ppf compiled ~opts ~specs ~cancel ~debug ~jobs ~prepare =
+let run ppf compiled ~opts ~specs ~cancel ~debug ~prepare =
   let m = compiled.Smv.Compile.model in
   let prepared = prepare () in
   let* specs = compile_specs compiled specs in
-  let fault =
+  let inject =
     match opts.inject with Some (Fault (s, n)) -> Some (s, n) | _ -> None
   in
-  let verdicts, worker_stats =
-    if specs = [] then begin
-      Format.fprintf ppf "no specifications to check@.";
-      ([], [])
-    end
-    else if jobs > 1 && List.length specs > 1 then
-      fan_out ppf compiled ~opts ~cancel ~debug ~jobs ?fault specs
-    else
-      (* Stop early once cancelled; otherwise check every spec even
-         after failures and breaches (per-spec isolation). *)
-      ( List.filter_map
-          (fun ((name, _) as spec) ->
-            if Atomic.get cancel then None
-            else
-              Some
-                ( name,
-                  check_one ppf m ~opts ~cancel ~debug
-                    ~clusters:(fun () -> compiled.Smv.Compile.clusters)
-                    ?inject:fault spec ))
-          specs,
-        [] )
+  if specs = [] then Format.fprintf ppf "no specifications to check@.";
+  (* Stop early once cancelled; otherwise check every spec even after
+     failures and breaches (per-spec isolation). *)
+  let verdicts =
+    List.filter_map
+      (fun ((name, _) as spec) ->
+        if Atomic.get cancel then None
+        else
+          Some
+            ( name,
+              check_one ppf m ~opts ~cancel ~debug
+                ~clusters:compiled.Smv.Compile.clusters ?inject spec ))
+      specs
   in
   let exit_code =
     exit_code ~interrupted:(Atomic.get cancel) (List.map snd verdicts)
   in
-  Ok (prepared, { verdicts; worker_stats; exit_code })
+  Ok (prepared, { verdicts; exit_code })

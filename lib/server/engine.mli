@@ -32,9 +32,6 @@ type inject =
   | Fault of Bdd.Fault.site * int
       (** fail the COUNT-th visit to a BDD fault site, armed afresh
           for every specification *)
-  | Worker_crash of int
-      (** kill the worker domain that picks up the COUNT-th task of a
-          [--jobs] fan-out *)
   | Child_crash of int
       (** [--serve] only: SIGKILL the server after its COUNT-th check
           reply (supervision testing) *)
@@ -65,14 +62,13 @@ val default : options
 (** The flagless CLI, and equally an option-less check request. *)
 
 val parse_inject : ?seed:int -> string -> (inject, string) result
-(** Parse [SITE:COUNT]: SITE is a {!Bdd.Fault} site name, [worker] or
+(** Parse [SITE:COUNT]: SITE is a {!Bdd.Fault} site name or
     [child-crash]; COUNT a positive integer or [rand] (drawn from
     [seed], default 0, so chaos runs are reproducible). *)
 
-val validate : jobs:int -> options -> (unit, string) result
+val validate : options -> (unit, string) result
 (** The range checks, with the CLI's flag names in the messages; a
-    [Worker_crash] needs [jobs >= 2], a [Child_crash] is a server
-    flag and always rejected here. *)
+    [Child_crash] is a server flag and always rejected here. *)
 
 val compile :
   source:string ->
@@ -100,9 +96,8 @@ val check_one :
   opts:options ->
   cancel:bool Atomic.t ->
   ?debug:bool ->
-  clusters:(unit -> Bdd.t list) ->
+  clusters:Bdd.t list ->
   ?inject:Bdd.Fault.site * int ->
-  ?prior:Robust.Ladder.attempt list ->
   string * Ctl.t ->
   report
 (** Check one specification.  Budgets are per-spec so one hard
@@ -113,21 +108,16 @@ val check_one :
     formatter.  [cancel] stops the check at its next poll point;
     [debug] (default false) lets unexpected exceptions escape.
 
-    [clusters] supplies the transition clusters for the degraded rung
-    (a thunk: workers transfer them onto their own manager lazily);
+    [clusters] are the transition clusters for the degraded rung;
     [inject] arms the manager's fault before the first attempt, and is
     always disarmed again on exit ([opts.inject] is {!run}'s business,
-    not this function's); [prior] carries a crashed worker
-    attempt so the local re-run resumes the ladder instead of
-    restarting it. *)
+    not this function's). *)
 
 (** What {!run} hands back. *)
 type outcome = {
   verdicts : (string * report) list;
       (** spec name and report, in specification order; specs skipped
           after a cancellation are absent *)
-  worker_stats : Bdd.stats list;
-      (** per-worker manager counters of a [--jobs] fan-out *)
   exit_code : int;
 }
 
@@ -138,7 +128,6 @@ val run :
   specs:string list ->
   cancel:bool Atomic.t ->
   debug:bool ->
-  jobs:int ->
   prepare:(unit -> 'a) ->
   ('a * outcome, string) result
 (** The check driver of both front ends: everything between "model
@@ -148,11 +137,9 @@ val run :
        and simulation, the server's reach-memo warming);}
     {- the extra [specs] texts compile after the model's SPECs; the
        first that does not yields [Error "spec TEXT: why"];}
-    {- the specs are checked in order, stopping early once [cancel]
-       is set, with [opts.inject]'s fault armed for each — or, when
-       [jobs > 1] and there are several specs, fanned out over worker
-       domains ([Worker_crash] planted) and replayed in order, a
-       crashed worker's spec re-checked here when [retries > 0].}}
+    {- the specs are checked in order on the calling domain, stopping
+       early once [cancel] is set, with [opts.inject]'s fault armed
+       for each.}}
     All check output goes to the formatter; [debug] lets unexpected
     exceptions escape; the exit code treats a set [cancel] as an
     interruption. *)

@@ -78,9 +78,9 @@ let parse_options json =
       timeout; node_limit; step_limit; inject; reorder;
     }
   in
-  (* The CLI's own validator: a request runs on one worker, so
-     "worker:N" is refused exactly as on a sequential command line. *)
-  let* () = Engine.validate ~jobs:1 options in
+  (* The CLI's own validator, with the CLI's messages: a request's
+     "child-crash:K" is refused exactly as on a one-shot command line. *)
+  let* () = Engine.validate options in
   Ok options
 
 let parse_request payload =

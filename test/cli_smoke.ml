@@ -115,8 +115,7 @@ let models =
 
 let perf_flags =
   [
-    [ "--jobs"; "4" ]; [ "--reorder"; "static" ];
-    [ "--cache-limit"; "256" ];
+    [ "--reorder"; "static" ]; [ "--cache-limit"; "256" ];
     [ "--timeout"; "300"; "--node-limit"; "50000000" ];
   ]
 
@@ -141,14 +140,6 @@ let invariance =
 
 (* ------------------------------------------------------------------ *)
 (* Hand-listed rows: reports, goldens, recovery and fault injection.  *)
-
-let worker_crash ~jobs ~retries =
-  model "mutex"
-    ([ "--jobs"; jobs; "--inject"; "worker:1" ]
-    @ (if retries then [ "--retries"; "1" ] else [])
-    @ [ "-q" ])
-
-let cores = Domain.recommended_domain_count ()
 
 let rows =
   invariance
@@ -213,8 +204,11 @@ let rows =
             [ "--inject"; "probe:20"; "--retries"; "2" ];
             [ "--inject"; "gc:20"; "--retries"; "2" ];
             [ "--inject"; "step:2"; "--step-limit"; "10000"; "--retries"; "2" ];
-          ]
-        @ [ Same_verdicts (worker_crash ~jobs:"2" ~retries:true) ] );
+          ] );
+      (* --jobs sizes the --serve worker pool; a one-shot run accepts
+         it and checks its specs in order all the same. *)
+      ( "one-shot jobs", model "mutex" [ "--certify" ], 1,
+        [ Same (model "mutex" [ "--certify"; "--jobs"; "4" ]) ] );
       (* A two-step budget starves the EF spec's direct and gc-retry
          attempts; attempt 3, with the budget doubled twice, runs after
          the ladder's sifting sweep — the one run-time sift left — and
@@ -237,15 +231,6 @@ let rows =
         ] );
       ( "unladdered fault", model "mutex" [ "--inject"; "mk:20"; "-q" ], 2,
         [ Has "UNDETERMINED (internal error: Out of memory)" ] );
-      ( "worker crash recovered", worker_crash ~jobs:"2" ~retries:true, 1,
-        [ Has "(recovered: attempt 2 via main-domain)" ] );
-      ( "worker crash unrecovered", worker_crash ~jobs:"2" ~retries:false, 2,
-        [ Has "UNDETERMINED (worker failed" ] );
-      (* --jobs 0 is the core count, also to --inject worker:N (which
-         a one-core host refuses either way). *)
-      ( "jobs 0", worker_crash ~jobs:"0" ~retries:true,
-        (if cores >= 2 then 1 else 3),
-        [ Same (worker_crash ~jobs:(string_of_int cores) ~retries:true) ] );
       (* A deep injected fault under recovery still respects the step
          budget: the ladder ends on the fault (its countdown spans
          attempts), never a crash, and the trivial second spec is

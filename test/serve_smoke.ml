@@ -10,8 +10,9 @@
      UNDETERMINED, matches the one-shot CLI's --inject output byte for
      byte, and perturbs neither concurrent requests nor later warm
      checks of the same model — and the server survives;
-   - protocol robustness: garbage frames get error replies, the
-     connection stays usable;
+   - protocol robustness: garbage frames and bad options get error
+     replies, the connection stays usable;
+   - --jobs 0 sizes the worker pool to the core count;
    - drain: SIGINT while a request is in flight still yields that
      request's reply and a clean exit 0;
    - socket mode: the same loop served over a Unix-domain socket.
@@ -179,6 +180,18 @@ let test_protocol_errors () =
     expect "compile error becomes an error reply with the id"
       (str "status" v = Some "error" && str "id" v = Some "bad")
   | None -> expect "compile error becomes an error reply with the id" false);
+  (* worker:N is refused like any unknown site, with the one-shot
+     command line's message. *)
+  let _, cli_err = run [ model_path "mutex.smv"; "--inject"; "worker:1" ] in
+  send srv
+    (check_req ~id:"w" "MODULE main"
+       ~options:[ ("inject", Json.Str "worker:1") ]);
+  (match recv srv with
+  | Some v ->
+    expect "inject worker:1 gets the one-shot error"
+      (str "status" v = Some "error"
+      && str "error" v = Some (String.trim cli_err))
+  | None -> expect "inject worker:1 gets the one-shot error" false);
   (* Still fully functional afterwards. *)
   send srv (check_req ~id:"ok" (read_file (model_path "mutex.smv")));
   (match recv srv with
@@ -190,7 +203,22 @@ let test_protocol_errors () =
   expect "server exits 0" (wait_exit srv = 0)
 
 (* ------------------------------------------------------------------ *)
-(* 4. SIGINT drains in-flight work *)
+(* 4. --jobs 0 means one worker per core *)
+
+let test_jobs_zero () =
+  let srv = spawn_server [ "--jobs"; "0" ] in
+  send srv (Json.Obj [ ("op", Json.Str "status") ]);
+  let cores = float_of_int (Domain.recommended_domain_count ()) in
+  (match recv srv with
+  | Some v ->
+    expect "--jobs 0 reports one worker per core"
+      (num "workers" v = Some cores)
+  | None -> expect "--jobs 0 answers a status probe" false);
+  send srv (Json.Obj [ ("op", Json.Str "shutdown") ]);
+  expect "--jobs 0 server exits 0" (wait_exit srv = 0)
+
+(* ------------------------------------------------------------------ *)
+(* 5. SIGINT drains in-flight work *)
 
 let test_sigint_drain () =
   let srv = spawn_server [] in
@@ -212,7 +240,7 @@ let test_sigint_drain () =
   expect "SIGINT drains to exit 0" (wait_exit srv = 0)
 
 (* ------------------------------------------------------------------ *)
-(* 5. Socket mode *)
+(* 6. Socket mode *)
 
 let test_socket_mode () =
   let path =
@@ -264,6 +292,7 @@ let () =
   test_identity_and_warmth ();
   test_chaos_isolation ();
   test_protocol_errors ();
+  test_jobs_zero ();
   test_sigint_drain ();
   test_socket_mode ();
   finish "deviation(s) from the --serve contract"

@@ -204,9 +204,18 @@ let test_stale_path_refused () =
 let test_duplicate_and_inflight_cap () =
   let srv = spawn_server [ "--jobs"; "2"; "--max-inflight"; "1" ] in
   let src = read_file (model_path "ring.smv") in
+  (* The first check of each pair below must still be in flight when
+     the server reads the second frame.  counter26's first spec needs
+     ~2^26 iterations, so under a 1 s request timeout it stays in
+     flight for a known ~2 s (the reachability warm-up and the spec
+     each run to the deadline) and then answers UNDETERMINED. *)
+  let slow id =
+    check_req ~id (read_file (model_path "counter26.smv"))
+      ~options:[ ("timeout", Json.Num 1.0) ]
+  in
   (* Two frames with one id, sent back to back: the second must be
      refused while the first is still in flight. *)
-  send srv (check_req ~id:"dup" src);
+  send srv (slow "dup");
   send srv (check_req ~id:"dup" src);
   let statuses = ref [] in
   for _ = 1 to 2 do
@@ -219,7 +228,7 @@ let test_duplicate_and_inflight_cap () =
     (List.sort compare !statuses = [ "error"; "ok" ]);
   (* With --max-inflight 1, a second concurrent check on the same
      connection sheds with reason 'inflight'. *)
-  send srv (check_req ~id:"cap-a" src);
+  send srv (slow "cap-a");
   send srv (check_req ~id:"cap-b" src);
   let got = Hashtbl.create 4 in
   for _ = 1 to 2 do

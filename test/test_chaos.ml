@@ -36,9 +36,7 @@ let check_with_ladder m ~fair ~retries f =
       | Robust.Ladder.Reorder ->
         Bdd.reorder m.Kripke.man;
         verdict m ~fair f
-      | Robust.Ladder.Direct | Robust.Ladder.Degraded
-      | Robust.Ladder.Main_domain ->
-        verdict m ~fair f)
+      | Robust.Ladder.Direct | Robust.Ladder.Degraded -> verdict m ~fair f)
 
 (* Manager integrity after recovery: hash-consing still canonical (the
    same function built twice is the same node), negation involutive,

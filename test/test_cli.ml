@@ -80,18 +80,34 @@ let test_recovery_flags_validated () =
   Alcotest.(check int) "--retries -1: exit 3" 3 code;
   Alcotest.(check bool) "--retries message" true
     (contains ~needle:"N must be >= 0" out);
-  let code, _ = run [ path; "--inject"; "bogus" ] in
+  (* There is no worker:N site: no parse message offers one, and it
+     is an unknown site with or without --jobs. *)
+  let offers_worker out =
+    match String.index_opt out '(' with
+    | Some i ->
+      contains ~needle:"worker" (String.sub out i (String.length out - i))
+    | None -> false
+  in
+  let code, out = run [ path; "--inject"; "bogus" ] in
   Alcotest.(check int) "--inject without a colon: exit 3" 3 code;
+  Alcotest.(check bool) "SITE:COUNT example omits worker" false
+    (offers_worker out);
   let code, out = run [ path; "--inject"; "quantum:3" ] in
   Alcotest.(check int) "--inject unknown site: exit 3" 3 code;
   Alcotest.(check bool) "unknown-site message" true
     (contains ~needle:"unknown site" out);
   let code, _ = run [ path; "--inject"; "mk:0" ] in
   Alcotest.(check int) "--inject zero count: exit 3" 3 code;
-  let code, out = run [ path; "--inject"; "worker:1" ] in
-  Alcotest.(check int) "--inject worker without --jobs: exit 3" 3 code;
-  Alcotest.(check bool) "worker-inject message" true
-    (contains ~needle:"requires a parallel run" out);
+  List.iter
+    (fun flags ->
+      let what = String.concat " " (flags @ [ "--inject worker:1" ]) in
+      let code, out = run ((path :: flags) @ [ "--inject"; "worker:1" ]) in
+      Alcotest.(check int) (what ^ ": exit 3") 3 code;
+      Alcotest.(check bool) (what ^ ": unknown site") true
+        (contains ~needle:"unknown site \"worker\"" out);
+      Alcotest.(check bool) (what ^ ": worker not offered") false
+        (offers_worker out))
+    [ []; [ "--jobs"; "2" ] ];
   (* --serve runs the same validator: same exit code, same message. *)
   List.iter
     (fun flags ->
@@ -102,6 +118,7 @@ let test_recovery_flags_validated () =
       Alcotest.(check string) (what ^ ": one-shot message") one_shot out)
     [
       [ "--inject"; "bogus" ];
+      [ "--inject"; "worker:1" ];
       [ "--inject"; "child-crash:abc" ];
       [ "--timeout"; "0" ];
     ];

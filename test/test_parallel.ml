@@ -1,121 +1,5 @@
-(* Parallel checking: Bdd.transfer, Kripke.clone_into, the domain pool,
-   and the determinism contract of --jobs.
-
-   The determinism tests are the heart of this file: a parallel run is
-   only correct if it is indistinguishable from a sequential one, so we
-   compare verdicts structurally (Specs.map vs direct checking) and
-   byte-for-byte (smv_check --jobs 4 vs sequential, as subprocesses). *)
-
-let src = Bdd.create ()
-
-(* ------------------------------------------------------------------ *)
-(* Random boolean expressions, interpretable in any manager (the same
-   scheme as test_bdd, parameterised by manager so a formula can be
-   built independently on both sides of a transfer). *)
-
-type expr =
-  | Evar of int
-  | Enot of expr
-  | Eand of expr * expr
-  | Eor of expr * expr
-  | Etrue
-  | Efalse
-
-let nvars = 5
-
-let expr_gen =
-  let open QCheck2.Gen in
-  sized @@ fix (fun self n ->
-      if n <= 0 then
-        oneof
-          [ map (fun v -> Evar v) (int_bound (nvars - 1));
-            return Etrue; return Efalse ]
-      else
-        let sub = self (n / 2) in
-        oneof
-          [ map (fun v -> Evar v) (int_bound (nvars - 1));
-            map (fun e -> Enot e) (self (n - 1));
-            map2 (fun a b -> Eand (a, b)) sub sub;
-            map2 (fun a b -> Eor (a, b)) sub sub ])
-
-let rec bdd_of_expr man = function
-  | Evar v -> Bdd.var man v
-  | Enot e -> Bdd.not_ man (bdd_of_expr man e)
-  | Eand (a, b) -> Bdd.and_ man (bdd_of_expr man a) (bdd_of_expr man b)
-  | Eor (a, b) -> Bdd.or_ man (bdd_of_expr man a) (bdd_of_expr man b)
-  | Etrue -> Bdd.one man
-  | Efalse -> Bdd.zero man
-
-let env_of_bits bits v = bits land (1 lsl v) <> 0
-
-let prop ?(count = 200) name gen f =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
-
-(* ------------------------------------------------------------------ *)
-(* Bdd.transfer properties.                                            *)
-
-let transfer_props =
-  [
-    prop "transfer preserves size, sat_count and evaluation" expr_gen
-      (fun e ->
-        let f = bdd_of_expr src e in
-        let dst = Bdd.create () in
-        let g = Bdd.transfer ~src ~dst f in
-        Bdd.size dst g = Bdd.size src f
-        && Bdd.sat_count dst g nvars = Bdd.sat_count src f nvars
-        &&
-        let ok = ref true in
-        for bits = 0 to (1 lsl nvars) - 1 do
-          if Bdd.eval dst g (env_of_bits bits) <> Bdd.eval src f (env_of_bits bits)
-          then ok := false
-        done;
-        !ok);
-    prop "transferred node is the canonical node of dst" expr_gen (fun e ->
-        let f = bdd_of_expr src e in
-        let dst = Bdd.create () in
-        Bdd.equal (Bdd.transfer ~src ~dst f) (bdd_of_expr dst e));
-    prop "transfer into the source manager is the identity" expr_gen
-      (fun e ->
-        let f = bdd_of_expr src e in
-        Bdd.equal (Bdd.transfer ~src ~dst:src f) f);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Kripke.clone_into properties: a clone must be indistinguishable from
-   the original under checking, fair checking and state counting.      *)
-
-let clone_props =
-  [
-    prop ~count:100 "clone agrees with original on CTL verdicts"
-      QCheck2.Gen.(pair (Models.random_model_gen ()) Models.formula_gen)
-      (fun (rm, phi) ->
-        let m = rm.Models.sym in
-        let c = Kripke.clone_into (Bdd.create ()) m in
-        Ctl.Check.holds c phi = Ctl.Check.holds m phi);
-    prop ~count:60 "clone agrees with original under fairness"
-      QCheck2.Gen.(
-        pair (Models.random_model_gen ~nfair:2 ()) Models.formula_gen)
-      (fun (rm, phi) ->
-        let m = rm.Models.sym in
-        let c = Kripke.clone_into (Bdd.create ()) m in
-        Ctl.Fair.holds c phi = Ctl.Fair.holds m phi);
-    prop ~count:100 "clone preserves the reachable state count"
-      (Models.random_model_gen ())
-      (fun rm ->
-        let m = rm.Models.sym in
-        let c = Kripke.clone_into (Bdd.create ()) m in
-        Kripke.count_states c (Kripke.reachable c)
-        = Kripke.count_states m (Kripke.reachable m));
-  ]
-
-let test_clone_same_manager () =
-  let rm = Models.mutex () in
-  Alcotest.check_raises "same manager rejected"
-    (Invalid_argument "Kripke.clone_into: same manager") (fun () ->
-      ignore (Kripke.clone_into rm.Models.m.Kripke.man rm.Models.m))
-
-(* ------------------------------------------------------------------ *)
-(* The domain pool.                                                    *)
+(* The domain pool behind the check server, and validation of --jobs
+   (which only sizes that pool). *)
 
 let test_pool_order () =
   let pool = Parallel.Pool.create 4 in
@@ -151,144 +35,18 @@ let test_pool_invalid () =
     (Invalid_argument "Parallel.Pool.submit: pool is shut down") (fun () ->
       ignore (Parallel.Pool.submit pool (fun () -> ())))
 
-(* ------------------------------------------------------------------ *)
-(* Specs.map: parallel verdicts must equal direct sequential checking
-   on the same model, for every jobs count.                            *)
-
-let mutex_specs (rm : Models.mutex) =
-  [|
-    Ctl.AG (Ctl.neg (Ctl.And (rm.Models.c1, rm.Models.c2)));
-    Ctl.EF rm.Models.c1;
-    Ctl.AG (Ctl.Imp (rm.Models.t1, Ctl.AF rm.Models.c1));
-    Ctl.AG (Ctl.Imp (rm.Models.t2, Ctl.AF rm.Models.c2));
-  |]
-
-let test_specs_map_matches_sequential () =
-  let rm = Models.mutex () in
-  let specs = mutex_specs rm in
-  let expected = Array.map (Ctl.Fair.holds rm.Models.m) specs in
-  List.iter
-    (fun jobs ->
-      let results, worker_stats =
-        Parallel.Specs.map ~jobs
-          ~f:(fun wm spec _ -> Ctl.Fair.holds wm spec)
-          rm.Models.m specs
-      in
-      let got =
-        Array.map
-          (function Ok v -> v | Error e -> raise e)
-          results
-      in
-      Alcotest.(check (array bool))
-        (Printf.sprintf "verdicts with jobs=%d" jobs)
-        expected got;
-      Alcotest.(check bool)
-        (Printf.sprintf "worker stats reported with jobs=%d" jobs)
-        true
-        (List.length worker_stats >= 1))
-    [ 1; 2; 4 ]
-
-let test_specs_map_cancelled () =
-  let rm = Models.mutex () in
-  let cancel = Atomic.make true in
-  let results, _ =
-    Parallel.Specs.map ~jobs:2 ~cancel
-      ~f:(fun wm spec _ -> Ctl.Fair.holds wm spec)
-      rm.Models.m (mutex_specs rm)
-  in
-  Alcotest.(check bool) "every task skipped" true
-    (Array.for_all
-       (function Error Parallel.Specs.Cancelled -> true | _ -> false)
-       results)
-
-let test_specs_map_on_result_order () =
-  let rm = Models.mutex () in
-  let seen = ref [] in
-  let specs = mutex_specs rm in
-  let _ =
-    Parallel.Specs.map ~jobs:4
-      ~on_result:(fun i _ -> seen := i :: !seen)
-      ~f:(fun wm spec _ -> Ctl.Fair.holds wm spec)
-      rm.Models.m specs
-  in
-  Alcotest.(check (list int))
-    "on_result fires in spec order"
-    (List.init (Array.length specs) Fun.id)
-    (List.rev !seen)
-
-(* ------------------------------------------------------------------ *)
-(* End-to-end determinism: --jobs 4 must be byte-identical to a
-   sequential run — verdicts, traces and exit code.  counter26 is run
-   under a step budget (deterministic breach text) since its engineered
-   specs need ~2^26 iterations ungoverned.                             *)
-
-let exe = Filename.concat (Filename.concat ".." "bin") "smv_check.exe"
-
-let run args =
-  let cmd = Filename.quote_command exe args ^ " 2>&1" in
-  let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let code =
-    match Unix.close_process_in ic with
-    | Unix.WEXITED n -> n
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
-  in
-  (code, Buffer.contents buf)
-
-let model_path name =
-  Filename.concat (Filename.concat (Filename.concat ".." "examples") "models")
-    name
-
-let check_deterministic name args =
-  let seq_code, seq_out = run args in
-  let par_code, par_out = run (args @ [ "--jobs"; "4" ]) in
-  Alcotest.(check int) (name ^ ": exit code matches") seq_code par_code;
-  Alcotest.(check string) (name ^ ": output byte-identical") seq_out par_out
-
-let test_jobs_deterministic () =
-  check_deterministic "mutex" [ model_path "mutex.smv" ];
-  check_deterministic "cache" [ model_path "cache.smv" ]
-
-let test_jobs_deterministic_fair () =
-  check_deterministic "philosophers" [ model_path "philosophers.smv" ];
-  check_deterministic "ring" [ model_path "ring.smv" ]
-
-let test_jobs_deterministic_governed () =
-  check_deterministic "counter26"
-    [ model_path "counter26.smv"; "--step-limit"; "256" ]
-
 let test_jobs_validation () =
-  let code, out = run [ model_path "mutex.smv"; "--jobs=-2" ] in
+  let code, out = Smoke.run [ Smoke.model_path "mutex.smv"; "--jobs=-2" ] in
   Alcotest.(check int) "negative jobs exits 3" 3 code;
   Alcotest.(check bool) "negative jobs reported" true
     (Astring.String.is_infix ~affix:"--jobs" out)
 
 let suite =
-  transfer_props @ clone_props
-  @ [
-      Alcotest.test_case "clone_into rejects the same manager" `Quick
-        test_clone_same_manager;
-      Alcotest.test_case "pool preserves submission order" `Quick
-        test_pool_order;
-      Alcotest.test_case "pool isolates task failures" `Quick
-        test_pool_failure_isolated;
-      Alcotest.test_case "pool argument validation" `Quick test_pool_invalid;
-      Alcotest.test_case "Specs.map matches sequential verdicts" `Quick
-        test_specs_map_matches_sequential;
-      Alcotest.test_case "Specs.map honours a pre-set cancel flag" `Quick
-        test_specs_map_cancelled;
-      Alcotest.test_case "Specs.map reports results in spec order" `Quick
-        test_specs_map_on_result_order;
-      Alcotest.test_case "--jobs 4 byte-identical (plain)" `Quick
-        test_jobs_deterministic;
-      Alcotest.test_case "--jobs 4 byte-identical (fairness)" `Quick
-        test_jobs_deterministic_fair;
-      Alcotest.test_case "--jobs 4 byte-identical (governed)" `Quick
-        test_jobs_deterministic_governed;
-      Alcotest.test_case "--jobs validation" `Quick test_jobs_validation;
-    ]
+  [
+    Alcotest.test_case "pool preserves submission order" `Quick
+      test_pool_order;
+    Alcotest.test_case "pool isolates task failures" `Quick
+      test_pool_failure_isolated;
+    Alcotest.test_case "pool argument validation" `Quick test_pool_invalid;
+    Alcotest.test_case "--jobs validation" `Quick test_jobs_validation;
+  ]

@@ -132,23 +132,6 @@ let prop_set_order_preserves_eval =
       Bdd.Reorder.set_order man ord;
       Bdd.Reorder.order man = ord && agrees man f e)
 
-let prop_transfer_across_orders =
-  prop "transfer between differently ordered managers" order_gen
-    (fun (e, swaps) ->
-      let src = fresh () in
-      let f = bdd_of_expr src e in
-      (* Destination pre-ordered by an arbitrary permutation: transfer
-         maps by variable id, so the copy must denote the same
-         function under the destination's unrelated order. *)
-      let dst = Bdd.create () in
-      Bdd.Reorder.set_order dst (permutation_of_swaps swaps);
-      let g = Bdd.with_root src (fun () -> [ f ]) (fun () ->
-          Bdd.transfer ~src ~dst f) in
-      agrees dst g e
-      && Bdd.sat_count dst g nvars = Bdd.sat_count src f nvars
-      (* ... and transferring back round-trips to the original node. *)
-      && Bdd.equal f (Bdd.transfer ~src:dst ~dst:src g))
-
 (* -------------------------------------------------------------------- *)
 (* Unit tests: the swap primitive and explicit orders.                  *)
 
@@ -312,7 +295,6 @@ let suite =
     prop_swaps_preserve_eval;
     prop_sift_preserves_eval;
     prop_set_order_preserves_eval;
-    prop_transfer_across_orders;
     Alcotest.test_case "swap exchanges adjacent levels" `Quick
       test_swap_moves_levels;
     Alcotest.test_case "hash-consing canonical after swap" `Quick

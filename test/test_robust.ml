@@ -111,31 +111,6 @@ let test_oom_classified () =
       | None -> "none")
   | _ -> Alcotest.fail "Out_of_memory was not recovered"
 
-let test_prior_seeds_main_domain () =
-  (* The parallel path replays a crashed worker's spec locally: the
-     crashed attempt arrives as [prior], and the next rung must be
-     Main_domain with numbering continuing at 2. *)
-  let prior =
-    [
-      {
-        Robust.Ladder.index = 1;
-        strategy = Robust.Ladder.Direct;
-        failure = Some (Robust.Ladder.Crashed "worker domain died");
-        live_nodes = 0;
-        duration = 0.;
-      };
-    ]
-  in
-  match
-    Robust.Ladder.run ~retries:1
-      ~cancelled:(fun () -> false)
-      ~fits_explicit:no_fits ~live_nodes:nodes ~prior
-      (fun ~attempt strategy -> (attempt, strategy))
-  with
-  | Ok ((2, Robust.Ladder.Main_domain), log) ->
-    Alcotest.(check int) "prior + local attempt logged" 2 (List.length log)
-  | _ -> Alcotest.fail "crashed prior did not route to Main_domain"
-
 (* Satellite: SIGINT short-circuits the ladder.  Cancellation raised
    *inside* an attempt surfaces as an Interrupted breach, which the
    ladder must re-raise, not retry; cancellation *between* attempts
@@ -328,8 +303,6 @@ let suite =
     Alcotest.test_case "success stops climbing" `Quick
       test_success_stops_climbing;
     Alcotest.test_case "Out_of_memory recovered" `Quick test_oom_classified;
-    Alcotest.test_case "crashed prior routes to Main_domain" `Quick
-      test_prior_seeds_main_domain;
     Alcotest.test_case "SIGINT short-circuits the ladder" `Quick
       test_cancel_short_circuits;
     Alcotest.test_case "mk fault fires once" `Quick test_fault_mk_fires_once;

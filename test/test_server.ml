@@ -396,7 +396,7 @@ let check_to_string ?(cancel = Atomic.make false) compiled (name, spec) =
   let r =
     Engine.check_one ppf compiled.Smv.Compile.model
       ~opts:Engine.default ~cancel
-      ~clusters:(fun () -> compiled.Smv.Compile.clusters)
+      ~clusters:compiled.Smv.Compile.clusters
       (name, spec)
   in
   Format.pp_print_flush ppf ();
@@ -453,7 +453,7 @@ let test_engine_fault_is_scoped () =
   let ppf = Format.formatter_of_buffer buf in
   let r =
     Engine.check_one ppf m ~opts:Engine.default ~cancel:(Atomic.make false)
-      ~clusters:(fun () -> compiled.Smv.Compile.clusters)
+      ~clusters:compiled.Smv.Compile.clusters
       ~inject:(Bdd.Fault.Step, 1) spec
   in
   (match r.Engine.verdict with

@@ -150,7 +150,7 @@ let check_all compiled =
       ignore
         (Server.Engine.check_one ppf compiled.Smv.Compile.model
            ~opts:Server.Engine.default ~cancel:(Atomic.make false)
-           ~clusters:(fun () -> compiled.Smv.Compile.clusters)
+           ~clusters:compiled.Smv.Compile.clusters
            spec))
     compiled.Smv.Compile.specs;
   Format.pp_print_flush ppf ();

@@ -4,9 +4,8 @@
    stresses the representation underneath it: the int-indexed columns,
    the open-addressing unique subtables (growth, rehash, tombstones),
    free-list recycling across [gc], the zombie discipline that keeps
-   held handles readable across reordering, [transfer] between stores
-   with different orders, and the live-heap footprint the store was
-   rebuilt to shrink. *)
+   held handles readable across reordering, and the live-heap
+   footprint the store was rebuilt to shrink. *)
 
 (* -------------------------------------------------------------------- *)
 (* Random boolean expressions (self-contained; fresh manager per case). *)
@@ -133,30 +132,6 @@ let prop_held_across_reorder =
           swaps;
       List.for_all (fun (f, e) -> agrees man f e) held)
 
-(* transfer rebuilds a diagram in a store with a different variable
-   order: semantics must carry over and the result must be canonical
-   in the destination (transferring twice yields one handle). *)
-let prop_transfer =
-  prop ~count:150 "transfer across differently-ordered stores"
-    expr_gen
-    (fun e ->
-      let src = Bdd.create ~unique_size:64 () in
-      let dst = Bdd.create ~unique_size:64 () in
-      Bdd.Reorder.set_order dst
-        (Array.init nvars (fun i -> nvars - 1 - i));
-      let f = build src e in
-      let g = Bdd.transfer ~src ~dst f in
-      let g' = Bdd.transfer ~src ~dst f in
-      Bdd.id g = Bdd.id g'
-      &&
-      let ok = ref true in
-      for bits = 0 to (1 lsl nvars) - 1 do
-        if Bdd.eval dst g (env_of_bits bits)
-           <> eval_expr (env_of_bits bits) e
-        then ok := false
-      done;
-      !ok)
-
 (* -------------------------------------------------------------------- *)
 (* Unit tests.                                                          *)
 
@@ -236,7 +211,6 @@ let suite =
     prop_canonical_growth;
     prop_gc_recycles;
     prop_held_across_reorder;
-    prop_transfer;
     Alcotest.test_case "unique_size honored" `Quick test_unique_size_honored;
     Alcotest.test_case "store instrumentation" `Quick
       test_stats_instrumentation;
