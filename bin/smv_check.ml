@@ -49,12 +49,23 @@ let install_sigint () =
     (* no signal support on this platform: run ungoverned *)
     ()
 
-let print_model_stats m ~clusters =
-  let reachable = Kripke.reachable m in
-  Format.printf "model: %d state bits, %.0f states in the state space, %.0f reachable@."
+let print_model_stats m ~clusters ~limits =
+  (* The reachable fixpoint runs under the run's budgets: on a model
+     like counter26 it is as deep as the deepest spec. *)
+  let reachable =
+    match
+      Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
+          Kripke.reachable ~limits m)
+    with
+    | r -> Printf.sprintf "%.0f reachable" (Kripke.count_states m r)
+    | exception Bdd.Limits.Exhausted info ->
+      Format.asprintf "reachable count not computed (%a)"
+        Bdd.Limits.pp_breach info.Bdd.Limits.breach
+  in
+  Format.printf "model: %d state bits, %.0f states in the state space, %s@."
     m.Kripke.nbits
     (Kripke.count_states m m.Kripke.space)
-    (Kripke.count_states m reachable);
+    reachable;
   (* [Kripke.Builder.build]'s choice; it keeps a relation monolithic
      only below this cap, so the capped count is exact. *)
   let nodes = Kripke.Builder.cluster_nodes m.Kripke.man clusters in
@@ -147,7 +158,8 @@ let run ~check ~extra_specs ~cache_limit ~simulate:walk ~seed ~debug file =
       (fun n -> Bdd.set_cache_limit m.Kripke.man (Some n))
       cache_limit;
     if check.Engine.stats then
-      print_model_stats m ~clusters:compiled.Smv.Compile.clusters;
+      print_model_stats m ~clusters:compiled.Smv.Compile.clusters
+        ~limits:(Engine.mk_limits check ~cancel:cancel_flag);
     Option.iter (fun steps -> simulate m ~steps ~seed) walk
   in
   let* (), outcome =

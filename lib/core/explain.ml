@@ -65,63 +65,90 @@ let explain_with ops formula ~start =
   in
   go (Ctl.push_neg formula) start
 
-(* The symbolic ops for one trace, over a memo that lives as long as
-   the trace: the fair set of every formula [sat] is asked for (keyed
-   by the formula; [Bdd.t] is a plain handle, so structural hashing is
-   sound), the rings of every [EU] and the hull of every fair [EG] its
-   traversal meets (keyed by their operand sets, which is how the
-   witness primitives ask for them).  An [EU]'s set is the last of its
-   rings — [eu_rings] is the sweep [Ctl.Fair.eu_with] runs — so no
-   fixpoint runs twice in one trace, and diagrams being canonical, every
-   set is the very [Bdd.t] [Ctl.Fair.sat] returns.  The memo is rooted
-   while [k] runs and dropped with it. *)
-let with_ops ?limits m k =
-  let bman = m.Kripke.man in
-  let fair = Ctl.Fair.fair_states ?limits m in
-  let sets = Hashtbl.create 16 in
-  let rings = Hashtbl.create 4 in
-  let hulls = Hashtbl.create 4 in
-  let memo tbl key compute =
-    match Hashtbl.find_opt tbl key with
-    | Some v -> v
-    | None ->
-      let v = compute () in
-      Hashtbl.replace tbl key v;
-      v
-  in
+(* The fixpoint memo of one specification on one model: the fair set
+   of every formula [sat] is asked for (keyed by the formula; [Bdd.t]
+   is a plain handle, so structural hashing is sound), the rings of
+   every [EU] and the hull of every fair [EG] its traversal meets (keyed
+   by their operand sets, which is how the witness primitives ask for
+   them).  An [EU]'s set is the last of its rings — [eu_rings] is the
+   sweep [Ctl.Fair.eu_with] runs — so no fixpoint runs twice while the
+   memo lives, and diagrams being canonical, every set is the very
+   [Bdd.t] [Ctl.Fair.sat] returns. *)
+type memo = {
+  model : Kripke.t;
+  sets : (Ctl.t, Bdd.t) Hashtbl.t;
+  rings : (Bdd.t * Bdd.t, Bdd.t array) Hashtbl.t;
+  hulls : (Bdd.t, Bdd.t) Hashtbl.t;
+}
+
+let memo m =
+  { model = m; sets = Hashtbl.create 16; rings = Hashtbl.create 4;
+    hulls = Hashtbl.create 4 }
+
+let roots mm =
+  Hashtbl.fold (fun _ s acc -> s :: acc) mm.sets
+    (Hashtbl.fold (fun _ r acc -> Array.to_list r @ acc) mm.rings
+       (Hashtbl.fold (fun _ z acc -> z :: acc) mm.hulls []))
+
+let lookup tbl key compute =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = compute () in
+    Hashtbl.replace tbl key v;
+    v
+
+(* [Ctl.Fair.sat] through the memo; [fair] is the model's fair
+   states. *)
+let memo_sat ?limits mm ~fair =
+  let m = mm.model in
   let eu _ f g =
-    let g = Bdd.and_ bman g fair in
-    let r = memo rings (f, g) (fun () -> Ctl.Check.eu_rings ?limits m f g) in
+    let g = Bdd.and_ m.Kripke.man g fair in
+    let r =
+      lookup mm.rings (f, g) (fun () -> Ctl.Check.eu_rings ?limits m f g)
+    in
     r.(Array.length r - 1)
   in
-  let eg _ f = memo hulls f (fun () -> Ctl.Fair.eg ?limits m f) in
-  let sat f =
-    memo sets f (fun () ->
+  let eg _ f = lookup mm.hulls f (fun () -> Ctl.Fair.eg ?limits m f) in
+  fun f ->
+    lookup mm.sets f (fun () ->
         Ctl.Check.sat_with ~ex:(Ctl.Fair.ex ?limits) ~eu ~eg m f)
+
+let holds ?limits mm formula =
+  let m = mm.model in
+  Bdd.with_root m.Kripke.man (fun () -> roots mm) (fun () ->
+      let fair = Ctl.Fair.fair_states ?limits m in
+      Bdd.subset m.Kripke.man m.Kripke.init (memo_sat ?limits mm ~fair formula))
+
+(* The symbolic ops of one explanation, over [memo] (a fresh one when
+   absent), which is rooted while [k] runs. *)
+let with_ops ?limits ?memo:given m k =
+  let mm =
+    match given with
+    | None -> memo m
+    | Some mm when mm.model == m -> mm
+    | Some _ -> invalid_arg "Explain: the memo belongs to another model"
   in
-  let roots () =
-    Hashtbl.fold (fun _ s acc -> s :: acc) sets
-      (Hashtbl.fold (fun _ r acc -> Array.to_list r @ acc) rings
-         (Hashtbl.fold (fun _ z acc -> z :: acc) hulls []))
-  in
+  let bman = m.Kripke.man in
+  let fair = Ctl.Fair.fair_states ?limits m in
   let ops =
     {
-      sat;
+      sat = memo_sat ?limits mm ~fair;
       mem = Kripke.eval_in_state m;
       fair = (fun set -> Bdd.and_ bman set fair);
       ex = (fun ~f ~start -> (Witness.ex ?limits m ~f ~start).prefix);
       eu =
         (fun ~f ~g ~start ->
-          let rings = Hashtbl.find_opt rings (f, g) in
+          let rings = Hashtbl.find_opt mm.rings (f, g) in
           (Witness.eu ?limits ?rings m ~f ~g ~start).prefix);
       eg =
         (fun ~f ~start ->
-          let hull = Hashtbl.find_opt hulls f in
+          let hull = Hashtbl.find_opt mm.hulls f in
           let tr = Witness.eg ?limits ?hull m ~f ~start in
           (tr.prefix, tr.cycle));
     }
   in
-  Bdd.with_root bman roots (fun () -> k ops)
+  Bdd.with_root bman (fun () -> roots mm) (fun () -> k ops)
 
 let trace_of (prefix, cycle) = { Kripke.Trace.prefix; cycle }
 
@@ -132,8 +159,8 @@ let explain ?limits m formula ~start =
    fair semantics), explaining it there.  [counterexample] explains
    [Not formula], so it picks among the initial states violating the
    formula. *)
-let from_init ?limits m formula =
-  with_ops ?limits m (fun ops ->
+let from_init ?limits ?memo m formula =
+  with_ops ?limits ?memo m (fun ops ->
       let set = ops.sat (Ctl.push_neg formula) in
       match Kripke.pick_state m (Bdd.and_ m.Kripke.man m.Kripke.init set) with
       | None -> None
@@ -141,7 +168,8 @@ let from_init ?limits m formula =
 
 (* [?engine] is ignored on [witness] and [counterexample]: kept only
    because perfbench/probe.ml passes it. *)
-let witness ?limits ?engine:_ m formula = from_init ?limits m formula
+let witness ?limits ?engine:_ ?memo m formula =
+  from_init ?limits ?memo m formula
 
-let counterexample ?limits ?engine:_ m formula =
-  from_init ?limits m (Ctl.Not formula)
+let counterexample ?limits ?engine:_ ?memo m formula =
+  from_init ?limits ?memo m (Ctl.Not formula)

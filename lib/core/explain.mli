@@ -43,6 +43,32 @@ val explain_with :
     symbolic instance; [Robust.Fallback] runs it over explicit graph
     indices. *)
 
+(** {1 The fixpoint memo}
+
+    The sets, [EU] rings and fair-[EG] hulls computed for one
+    specification, shared by the check that decides it and the trace
+    that explains it (Section 6 builds a witness from the rings the
+    verdict's fixpoints already computed). *)
+
+type memo
+(** Every formula's fair set asked for so far, the rings of every [EU]
+    (its set is their last layer) and the hull of every fair [EG] its
+    traversal met, on one model.  Diagrams in it are not rooted by the
+    memo itself: a caller holding it across a possible [Bdd.gc] roots
+    {!roots} (every function below roots it while it runs). *)
+
+val memo : Kripke.t -> memo
+(** A fresh, empty memo on the model. *)
+
+val roots : memo -> Bdd.t list
+(** Every diagram the memo holds. *)
+
+val holds : ?limits:Bdd.Limits.t -> memo -> Ctl.t -> bool
+(** [Ctl.Fair.holds] through the memo: the same verdict from the same
+    fixpoints, in the same order and charging [limits] alike, except
+    that each [EU] runs as [Ctl.Check.eu_rings] and keeps its layers
+    for a later {!witness} or {!counterexample} on the same memo. *)
+
 val explain :
   ?limits:Bdd.Limits.t ->
   Kripke.t -> Ctl.t -> start:Kripke.state -> Kripke.Trace.t
@@ -53,23 +79,29 @@ val explain :
     propositional target), and a lasso when an [EG] is involved.
     [limits] is threaded to every fixpoint and ring descent involved; a
     breach raises [Bdd.Limits.Exhausted].  Each fixpoint of one call
-    runs once: the call memoises every subformula's set, and the
-    witness primitives descend the rings and hulls of the fixpoints
-    that computed them.  The memo lives only as long as the call. *)
+    runs once: the call memoises every subformula's set in a fresh
+    {!memo}, and the witness primitives descend the rings and hulls of
+    the fixpoints that computed them. *)
 
 val witness :
   ?limits:Bdd.Limits.t ->
   ?engine:Ctl.Fair.engine ->
+  ?memo:memo ->
   Kripke.t -> Ctl.t -> Kripke.Trace.t option
 (** A trace from some initial state demonstrating the (existential)
-    formula; [None] when no initial state satisfies it. *)
+    formula; [None] when no initial state satisfies it.  [memo], when
+    given, must be on the same model (else [Invalid_argument]): the
+    trace then re-runs none of the fixpoints already in it — after
+    {!holds} on the same memo, none of the verdict's — and adds its
+    own.  Without it the call uses a fresh memo of its own. *)
 
 val counterexample :
   ?limits:Bdd.Limits.t ->
   ?engine:Ctl.Fair.engine ->
+  ?memo:memo ->
   Kripke.t -> Ctl.t -> Kripke.Trace.t option
 (** A trace from some initial state demonstrating the *negation* of the
     formula; [None] when the formula holds on every initial state
     (i.e. the specification is true and there is nothing to show).
-    [?engine] here and on {!witness} is ignored, kept only for
-    [perfbench/probe.ml]. *)
+    [memo] as for {!witness}.  [?engine] here and on {!witness} is
+    ignored, kept only for [perfbench/probe.ml]. *)

@@ -55,42 +55,59 @@ let path_ok m tr =
       in
       if has_edge m last first_of_cycle then Ok () else Error Broken_loop
 
+(* The witness checks below, minus [path_ok]: for a trace whose path
+   is already known to be valid, such as a suffix of a validated one. *)
+module On_path = struct
+  let eg_witness m ~f tr =
+    let states = Kripke.Trace.states tr in
+    if states = [] then Error Empty_trace
+    else if not (Kripke.Trace.is_lasso tr) then Error Broken_loop
+    else
+      let* () = all_states_in m f ~what:"the invariant f of EG f" states in
+      let cycle = tr.Kripke.Trace.cycle in
+      let hit h = List.exists (Kripke.eval_in_state m h) cycle in
+      let rec check k = function
+        | [] -> Ok ()
+        | h :: rest ->
+          if hit h then check (k + 1) rest else Error (Missing_fairness k)
+      in
+      check 0 m.Kripke.fairness
+
+  let eu_witness m ~f ~g tr =
+    if Kripke.Trace.is_lasso tr then Error Broken_loop
+    else
+      match List.rev (Kripke.Trace.states tr) with
+      | [] -> Error Empty_trace
+      | last :: before_rev ->
+        let* () =
+          all_states_in m f ~what:"the left operand of EU"
+            (List.rev before_rev)
+        in
+        if Kripke.eval_in_state m g last then Ok ()
+        else
+          Error
+            (State_outside (List.length before_rev, "the right operand of EU"))
+
+  let ex_witness m ~f tr =
+    match Kripke.Trace.states tr with
+    | _ :: second :: _ ->
+      if Kripke.eval_in_state m f second then Ok ()
+      else Error (State_outside (1, "the operand of EX"))
+    | [ _ ] -> Error (State_outside (0, "a two-state EX witness"))
+    | [] -> Error Empty_trace
+end
+
 let eg_witness m ~f tr =
   let* () = path_ok m tr in
-  if not (Kripke.Trace.is_lasso tr) then Error Broken_loop
-  else
-    let* () =
-      all_states_in m f ~what:"the invariant f of EG f" (Kripke.Trace.states tr)
-    in
-    let hit h = List.exists (Kripke.eval_in_state m h) tr.Kripke.Trace.cycle in
-    let rec check k = function
-      | [] -> Ok ()
-      | h :: rest -> if hit h then check (k + 1) rest else Error (Missing_fairness k)
-    in
-    check 0 m.Kripke.fairness
+  On_path.eg_witness m ~f tr
 
 let eu_witness m ~f ~g tr =
   let* () = path_ok m tr in
-  if Kripke.Trace.is_lasso tr then Error Broken_loop
-  else
-    match List.rev (Kripke.Trace.states tr) with
-    | [] -> Error Empty_trace
-    | last :: before_rev ->
-      let* () =
-        all_states_in m f ~what:"the left operand of EU" (List.rev before_rev)
-      in
-      if Kripke.eval_in_state m g last then Ok ()
-      else
-        Error
-          (State_outside (List.length before_rev, "the right operand of EU"))
+  On_path.eu_witness m ~f ~g tr
 
 let ex_witness m ~f tr =
   let* () = path_ok m tr in
-  match Kripke.Trace.states tr with
-  | _ :: second :: _ ->
-    if Kripke.eval_in_state m f second then Ok ()
-    else Error (State_outside (1, "the operand of EX"))
-  | [ _ ] | [] -> Error (State_outside (0, "a two-state EX witness"))
+  On_path.ex_witness m ~f tr
 
 let starts_at m set tr =
   match Kripke.Trace.states tr with

@@ -33,6 +33,18 @@ val ex_witness : Kripke.t -> f:Bdd.t -> Kripke.Trace.t -> (unit, error) result
 (** The trace is a valid path of at least two states whose second state
     satisfies [f]. *)
 
+(** The three witness checks above without their {!path_ok} step, for
+    a trace whose path is already validated — in particular any suffix
+    of a trace that passed {!path_ok}, whose edges are edges of that
+    trace.  On a valid path each returns what its full check returns;
+    an empty trace is still [Empty_trace]. *)
+module On_path : sig
+  val eg_witness : Kripke.t -> f:Bdd.t -> Kripke.Trace.t -> (unit, error) result
+  val eu_witness :
+    Kripke.t -> f:Bdd.t -> g:Bdd.t -> Kripke.Trace.t -> (unit, error) result
+  val ex_witness : Kripke.t -> f:Bdd.t -> Kripke.Trace.t -> (unit, error) result
+end
+
 val starts_at : Kripke.t -> Bdd.t -> Kripke.Trace.t -> (unit, error) result
 (** The first state belongs to the given set (e.g. the initial states,
     for counterexamples). *)

@@ -180,11 +180,16 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
     let round_states = List.rev acc in
     let t = match round_states with t :: _ -> t | [] -> s (* no constraints: impossible, rings non-empty *) in
     (* Close the cycle: a non-trivial path s' -> t through f-states:
-       {s'} /\ EX E[f U {t}]. *)
+       {s'} /\ EX E[f U {t}].  Only the rings up to the first layer
+       that meets succ(s') are built: that layer is where the closing
+       path starts, and the layers below it are the ones it descends. *)
     let t_set = Kripke.state_to_bdd m t in
-    let closing_rings = Ctl.Check.eu_rings ?limits m f t_set in
-    (match min_layer m closing_rings (succ_set m s') with
-    | Some (j, u) ->
+    let succ = succ_set m s' in
+    let closing_rings = Ctl.Check.eu_rings ?limits ~until:succ m f t_set in
+    let j = Array.length closing_rings - 1 in
+    let meet = Bdd.and_ m.Kripke.man closing_rings.(j) succ in
+    (match Kripke.pick_state m meet with
+    | Some u ->
       let closing = u :: descend ?limits m closing_rings ~start:u ~level:j in
       Closed (round_states, closing)
     | None -> Failed round_states)

@@ -54,20 +54,28 @@ let eu ?limits (m : Kripke.t) f g =
       in
       go g)
 
-let eu_rings ?limits (m : Kripke.t) f g =
+let eu_rings ?limits ?until (m : Kripke.t) f g =
   let bman = m.Kripke.man in
+  let meets q =
+    match until with
+    | Some u -> not (Bdd.is_zero (Bdd.and_ bman q u))
+    | None -> false
+  in
   let layers = ref [ g ] in
   Bdd.with_root bman
-    (fun () -> f :: !layers)
+    (fun () -> (f :: Option.to_list until) @ !layers)
     (fun () ->
       let rec go acc q =
-        Atomic.incr eu_iters;
-        tick m limits;
-        let q' = Bdd.or_ bman q (Bdd.and_ bman f (ex m q)) in
-        if Bdd.equal q q' then List.rev acc
+        if meets q then List.rev acc
         else begin
-          layers := q' :: !layers;
-          go (q' :: acc) q'
+          Atomic.incr eu_iters;
+          tick m limits;
+          let q' = Bdd.or_ bman q (Bdd.and_ bman f (ex m q)) in
+          if Bdd.equal q q' then List.rev acc
+          else begin
+            layers := q' :: !layers;
+            go (q' :: acc) q'
+          end
         end
       in
       let rings = Array.of_list (go [ g ] g) in

@@ -51,8 +51,19 @@ val sat_with :
 (** Generic traversal with the three basic operators supplied; the fair
     checker instantiates it with [CheckFairEX/EU/EG] (Section 5). *)
 
-val eu_rings : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t -> Bdd.t array
+val eu_rings :
+  ?limits:Bdd.Limits.t ->
+  ?until:Bdd.t ->
+  Kripke.t ->
+  Bdd.t ->
+  Bdd.t ->
+  Bdd.t array
 (** The increasing approximation sequence [Q_0 = g, Q_{i+1} = Q_i \/ (f
     /\ EX Q_i)] up to (and including) the fixpoint — the "onion rings"
     that witness construction walks down.  [Q_i] is the set of states
-    that can reach [g] in [i] or fewer steps through [f]-states. *)
+    that can reach [g] in [i] or fewer steps through [f]-states.
+
+    With [until], the sweep stops at the least layer that meets
+    [until] instead: the result is the prefix [Q_0 .. Q_j] of the full
+    sequence, [Q_j] the first layer with a state in [until] (the whole
+    sequence when no layer has one). *)

@@ -32,7 +32,10 @@ let suffix (tr : Kripke.Trace.t) k =
 (* Certify that [tr] demonstrates the push_neg-normalised [f], by the
    same decomposition [Counterex.Explain] used to build it.  Operand
    satisfaction sets are recomputed here under fair semantics — the
-   certificate shares only the model with the generator. *)
+   certificate shares only the model with the generator.  [tr] has
+   passed [Validate.path_ok], and so has every suffix of it (its edges
+   are [tr]'s), so the segment checks skip the path and each edge is
+   checked once. *)
 let demonstrates ?limits m f tr =
   let satf g = Ctl.Fair.sat ?limits m g in
   let anchor label g tr =
@@ -40,10 +43,11 @@ let demonstrates ?limits m f tr =
   in
   let rec go f tr =
     match f with
-    | Ctl.EG a -> v "EG witness" (Counterex.Validate.eg_witness m ~f:(satf a) tr)
+    | Ctl.EG a ->
+      v "EG witness" (Counterex.Validate.On_path.eg_witness m ~f:(satf a) tr)
     | Ctl.EU (a, b) when not (is_temporal b) ->
       v "EU witness"
-        (Counterex.Validate.eu_witness m ~f:(satf a) ~g:(satf b) tr)
+        (Counterex.Validate.On_path.eu_witness m ~f:(satf a) ~g:(satf b) tr)
     | Ctl.EU (a, b) ->
       (* The junction — where the path stops showing [a U .] and starts
          showing [b] — is not recorded in the trace, so search for it:
@@ -75,7 +79,9 @@ let demonstrates ?limits m f tr =
       in
       try_k 0 candidates
     | Ctl.EX a ->
-      let* () = v "EX witness" (Counterex.Validate.ex_witness m ~f:(satf a) tr) in
+      let* () =
+        v "EX witness" (Counterex.Validate.On_path.ex_witness m ~f:(satf a) tr)
+      in
       if is_temporal a then go a (suffix tr 1) else Ok ()
     | Ctl.And (a, b) ->
       (* The whole conjunction must hold at the start; the path then

@@ -8,10 +8,12 @@
     ([Validate.starts_at]), and it demonstrates the formula — the
     trace is split along the formula's existential structure exactly as
     [Counterex.Explain] builds it, applying the matching validator to
-    each segment ([Validate.eg_witness] for [EG], [Validate.eu_witness]
-    / [Validate.ex_witness] for [EU] / [EX] into propositional
-    operands, recursion at the junction state for temporal
-    continuations).  Satisfaction sets for operands are recomputed
+    each segment ([Validate.On_path.eg_witness] for [EG],
+    [Validate.On_path.eu_witness] / [Validate.On_path.ex_witness] for
+    [EU] / [EX] into propositional operands, recursion at the junction
+    state for temporal continuations).  Every segment is a suffix of
+    the trace, so its edges were checked by the one [path_ok] and the
+    segment checks skip them.  Satisfaction sets for operands are recomputed
     from scratch under fair semantics, so the certificate shares only
     the model with the generator that produced the trace.
 

@@ -150,8 +150,9 @@ let print_breach_progress ppf (info : Bdd.Limits.info) =
    here is reported as a note but keeps the verdict: the answer was
    already computed, only its explanation ran out of budget.
    [fallback] only chooses the explainer: the explicit-state bridge
-   (the ladder's last rung) or the symbolic model under [limits]. *)
-let trace_for ppf m ~limits ~emit ~holds ~fallback spec =
+   (the ladder's last rung) or the symbolic model under [limits],
+   descending the verdict's fixpoints when it left them in [memo]. *)
+let trace_for ppf m ~limits ~emit ~holds ~fallback ?memo spec =
   let emitf fmt =
     if emit then Format.fprintf ppf fmt else Format.ifprintf ppf fmt
   in
@@ -163,8 +164,8 @@ let trace_for ppf m ~limits ~emit ~holds ~fallback spec =
     match fallback with
     | Some fb -> (Robust.Fallback.witness fb, Robust.Fallback.counterexample fb)
     | None ->
-      ( Counterex.Explain.witness ~limits m,
-        Counterex.Explain.counterexample ~limits m )
+      ( Counterex.Explain.witness ~limits ?memo m,
+        Counterex.Explain.counterexample ~limits ?memo m )
   in
   if holds then begin
     if not (existential spec) then None
@@ -208,13 +209,15 @@ let trace_for ppf m ~limits ~emit ~holds ~fallback spec =
 (* What one ladder attempt produced: the verdict, the model it was
    decided on (the degraded rung may swap in a partitioned variant),
    the budget bundle it ran under (trace construction keeps charging
-   it), and the explicit bridge when the verdict came from the
-   explicit-state rung. *)
+   it), the explicit bridge when the verdict came from the
+   explicit-state rung, and the fixpoint memo the verdict filled when it
+   was decided symbolically under fair semantics. *)
 type attempt_result = {
   ar_holds : bool;
   ar_model : Kripke.t;
   ar_limits : Bdd.Limits.t;
   ar_fallback : Robust.Fallback.t option;
+  ar_memo : Counterex.Explain.memo option;
 }
 
 let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
@@ -253,10 +256,22 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
         ?node_budget:(backoff k opts.node_limit)
         ?step_budget:(backoff k opts.step_limit) ~cancel ()
   in
+  (* The current attempt's fixpoint memo, rooted (below) until the
+     spec's trace and certificate are done; each attempt starts a fresh
+     one, so a breached attempt's partial sets are dropped before the
+     next rung's gc. *)
+  let memo = ref None in
   let run_symbolic model limits =
-    Bdd.Limits.with_attached model.Kripke.man limits (fun () ->
-        if opts.fair then Ctl.Fair.holds ~limits model spec
-        else Ctl.Check.holds ~limits model spec)
+    let mm = if opts.fair then Some (Counterex.Explain.memo model) else None in
+    memo := mm;
+    let holds =
+      Bdd.Limits.with_attached model.Kripke.man limits (fun () ->
+          match mm with
+          | Some mm -> Counterex.Explain.holds ~limits mm spec
+          | None -> Ctl.Check.holds ~limits model spec)
+    in
+    { ar_holds = holds; ar_model = model; ar_limits = limits;
+      ar_fallback = None; ar_memo = mm }
   in
   (* The degraded representation, built once per spec: partitioned
      transition relation (from the compiler's clusters) when the model
@@ -277,17 +292,15 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
       dm
   in
   let attempt_fn ~attempt strategy =
+    memo := None;
     let limits = limits_for attempt in
     match strategy with
-    | Robust.Ladder.Direct ->
-      { ar_holds = run_symbolic m limits; ar_model = m;
-        ar_limits = limits; ar_fallback = None }
+    | Robust.Ladder.Direct -> run_symbolic m limits
     | Robust.Ladder.Gc_retry ->
       (* Reclaim the breached computation's intermediate nodes and drop
          the op-caches, then re-run plainly under backed-off budgets. *)
       ignore (Bdd.gc man);
-      { ar_holds = run_symbolic m limits; ar_model = m;
-        ar_limits = limits; ar_fallback = None }
+      run_symbolic m limits
     | Robust.Ladder.Reorder ->
       (* Shrink the tables with a sifting sweep before giving up any
          fidelity.  The sweep runs under this attempt's limits, so a
@@ -295,8 +308,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
          (including an injected reorder fault) is classified by the
          ladder like any other and climbs to the next rung. *)
       Bdd.Limits.with_attached man limits (fun () -> Bdd.reorder man);
-      { ar_holds = run_symbolic m limits; ar_model = m;
-        ar_limits = limits; ar_fallback = None }
+      run_symbolic m limits
     | Robust.Ladder.Degraded ->
       (* Trade speed for footprint: tight op-caches plus a partitioned
          relation with early quantification. *)
@@ -306,9 +318,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
         | None -> 8192
       in
       Bdd.set_cache_limit man (Some tightened);
-      let dm = degraded_model () in
-      { ar_holds = run_symbolic dm limits; ar_model = dm;
-        ar_limits = limits; ar_fallback = None }
+      run_symbolic (degraded_model ()) limits
     | Robust.Ladder.Explicit_state ->
       (* Abandon the symbolic representation: enumerate the (small)
          state space and decide explicitly.  Deadline and cancellation
@@ -326,6 +336,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
         ar_model = m;
         ar_limits = limits;
         ar_fallback = Some fb;
+        ar_memo = None;
       }
   in
   (* The spec's embedded Pred state sets live on [man] but are not
@@ -343,7 +354,12 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
   (match inject with
   | Some (site, n) -> Bdd.Fault.arm man ~site ~after:n
   | None -> ());
-  Bdd.with_root man (fun () -> spec_preds) @@ fun () ->
+  Bdd.with_root man
+    (fun () ->
+      match !memo with
+      | Some mm -> Counterex.Explain.roots mm @ spec_preds
+      | None -> spec_preds)
+  @@ fun () ->
   Fun.protect
     ~finally:(fun () ->
       Bdd.Fault.disarm man;
@@ -423,7 +439,8 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
               Bdd.Limits.with_attached ar.ar_model.Kripke.man ar.ar_limits
                 (fun () ->
                   trace_for ppf ar.ar_model ~limits:ar.ar_limits
-                    ~emit:opts.traces ~holds ~fallback:ar.ar_fallback spec)
+                    ~emit:opts.traces ~holds ~fallback:ar.ar_fallback
+                    ?memo:ar.ar_memo spec)
             with
             | tr -> tr
             | exception e when not debug ->

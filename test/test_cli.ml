@@ -52,6 +52,23 @@ let test_timeout_trips () =
   Alcotest.(check bool) "second spec still checked" true
     (contains ~needle:"(AG (b0 | !b0)) is true" out)
 
+(* --stats prints the reachable count before any spec; its fixpoint
+   runs under the run's budgets like the specs do, so counter26's
+   ~2^26-step reachability stops at the deadline instead of running
+   for minutes. *)
+let test_stats_under_budget () =
+  let started = Bdd.now_monotonic () in
+  let code, out =
+    run [ model_path "counter26.smv"; "--stats"; "--timeout"; "1"; "-q" ]
+  in
+  let elapsed = Bdd.now_monotonic () -. started in
+  Alcotest.(check int) "exit 2" 2 code;
+  Alcotest.(check bool) "returns within 30 s" true (elapsed < 30.0);
+  Alcotest.(check bool) "reachable count not computed" true
+    (contains ~needle:"reachable count not computed (timeout after" out);
+  Alcotest.(check bool) "second spec still checked" true
+    (contains ~needle:"(AG (b0 | !b0)) is true" out)
+
 let test_exit_input_errors () =
   let code, _ = run [ "no_such_model.smv" ] in
   Alcotest.(check int) "missing file: exit 3" 3 code;
@@ -252,4 +269,6 @@ let suite =
       test_simulate_runs;
     Alcotest.test_case "flagless CLI = option-less request" `Quick
       test_flagless_is_optionless_request;
+    Alcotest.test_case "--stats reachability obeys --timeout" `Slow
+      test_stats_under_budget;
   ]

@@ -93,6 +93,29 @@ let prop_eu_witness =
           Kripke.Trace.length tr = 1 + level 0)
         (Kripke.states_in m eu))
 
+(* A sweep stopped at [until] is the full sweep cut at its least layer
+   that meets [until] (the whole sweep when none does): the closing
+   rings of a fair lasso are built that way. *)
+let prop_eu_rings_until =
+  prop "eu_rings ~until is the full sweep cut at the first meeting layer"
+    ~count:150
+    (QCheck2.Gen.pair (Models.random_model_gen ())
+       (QCheck2.Gen.triple Models.formula_gen Models.formula_gen
+          Models.formula_gen))
+    (fun (rm, (af, ag, au)) ->
+      let m = rm.Models.sym in
+      let f = Ctl.Check.sat m af and g = Ctl.Check.sat m ag in
+      let until = Ctl.Check.sat m au in
+      let full = Ctl.Check.eu_rings m f g in
+      let cut = Ctl.Check.eu_rings ~until m f g in
+      let meets i = not (Bdd.is_zero (Bdd.and_ m.Kripke.man full.(i) until)) in
+      let n = Array.length full and k = Array.length cut in
+      let rec least i = if i = n || meets i then i else least (i + 1) in
+      let j = least 0 in
+      k >= 1 && k <= n
+      && Array.for_all2 Bdd.equal cut (Array.sub full 0 k)
+      && if j = n then k = n else k = j + 1)
+
 let prop_ex_witness =
   prop "EX witnesses validate" ~count:150 (with_formula ~nfair:0 ())
     (fun (rm, af) ->
@@ -194,6 +217,9 @@ let unmemoised_ops m =
         (tr.prefix, tr.cycle));
   }
 
+(* The memoised explainer gives the unmemoised one's traces, both over
+   a fresh memo and over the memo a verdict filled; that verdict is
+   [Ctl.Fair.holds]'s. *)
 let prop_memo_matches_unmemoised =
   prop "memoised traces equal unmemoised ones" ~count:150 (with_formula ())
     (fun (rm, f) ->
@@ -217,10 +243,20 @@ let prop_memo_matches_unmemoised =
             { Kripke.Trace.prefix; cycle })
           (Kripke.pick_state m good)
       in
-      outcome (fun () -> Counterex.Explain.witness m f)
-      = outcome (unmemoised f)
-      && outcome (fun () -> Counterex.Explain.counterexample m f)
-         = outcome (unmemoised (Ctl.Not f)))
+      let decided () =
+        let memo = Counterex.Explain.memo m in
+        if Counterex.Explain.holds memo f = Ctl.Fair.holds m f then Some memo
+        else QCheck2.Test.fail_report "the verdict through the memo differs"
+      in
+      let same explain g =
+        let want = outcome (unmemoised g) in
+        outcome (fun () -> explain None) = want
+        && outcome (fun () -> explain (decided ())) = want
+      in
+      same (fun memo -> Counterex.Explain.witness ?memo m f) f
+      && same
+           (fun memo -> Counterex.Explain.counterexample ?memo m f)
+           (Ctl.Not f))
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests: the mutex starvation counterexample, end to end.        *)
@@ -324,6 +360,25 @@ let test_one_fixpoint_per_trace () =
   Alcotest.(check int) "EU iterations = ring layers" layers
     (after.eu_iterations - before.eu_iterations)
 
+(* A memo shared with the verdict: the witness descends the rings the
+   verdict's own EF sweep saved, so it runs no EU iteration at all. *)
+let test_shared_memo_witness () =
+  let m = Models.counter 4 in
+  let spec = Ctl.EF Ctl.(atom "b0" &&& atom "b1" &&& atom "b2" &&& atom "b3") in
+  let memo = Counterex.Explain.memo m in
+  Alcotest.(check bool) "verdict" true (Counterex.Explain.holds memo spec);
+  let before = Ctl.Check.fixpoint_stats () in
+  (match Counterex.Explain.witness ~memo m spec with
+  | None -> Alcotest.fail "expected witness"
+  | Some tr ->
+    Alcotest.(check int) "shortest path to 1111" 16 (Kripke.Trace.length tr));
+  let after = Ctl.Check.fixpoint_stats () in
+  Alcotest.(check int) "no EU iteration after the verdict" 0
+    (after.eu_iterations - before.eu_iterations);
+  Alcotest.check_raises "a memo on another model is refused"
+    (Invalid_argument "Explain: the memo belongs to another model")
+    (fun () -> ignore (Counterex.Explain.witness ~memo (Models.counter 4) spec))
+
 let test_eg_stats_strategies () =
   (* A chain of two SCCs: states 0-1 form a cycle that cannot satisfy
      the fairness constraint {3}; 2-3 form a fair cycle reachable from
@@ -388,12 +443,15 @@ let suite =
     prop_witness_exists_iff_holds_somewhere;
     prop_ag_counterexample_reaches_violation;
     prop_memo_matches_unmemoised;
+    prop_eu_rings_until;
     Alcotest.test_case "mutex starvation counterexample" `Quick test_mutex_starvation_trace;
     Alcotest.test_case "mutex safety has no counterexample" `Quick test_mutex_safety_no_counterexample;
     Alcotest.test_case "explain rejects false formulas" `Quick test_explain_rejects_false_formula;
     Alcotest.test_case "explain_with junction rule" `Quick test_explain_with_junction;
     Alcotest.test_case "EF witness on counter" `Quick test_ef_witness_on_counter;
     Alcotest.test_case "one fixpoint per trace" `Quick test_one_fixpoint_per_trace;
+    Alcotest.test_case "shared memo: no EU iteration after the verdict" `Quick
+      test_shared_memo_witness;
     Alcotest.test_case "eg_stats two-SCC chain" `Quick test_eg_stats_strategies;
     Alcotest.test_case "eg_stats restart bound" `Quick
       test_eg_stats_restart_bound;
