@@ -13,7 +13,10 @@
    eighth, so each witness is about 1000 states long.  The
    philosophers row is perfbench's fair-lasso model: six philosophers,
    one fairness constraint each, and two false liveness specs per
-   philosopher whose counterexamples are fair lassos. *)
+   philosopher whose counterexamples are fair lassos.  Each row also
+   splits the trace time of its fair-EG lassos
+   ([Counterex.Witness.phase_seconds]) into per-constraint rings,
+   nearest-constraint choice, descents and closing sweeps. *)
 
 let runs = 5
 
@@ -22,31 +25,44 @@ let median xs =
 
 let eu_iterations () = (Ctl.Check.fixpoint_stats ()).Ctl.Check.eu_iterations
 
+let phase_names = [ "rings_s"; "choice_s"; "descents_s"; "closing_s" ]
+
 (* [setup] builds a fresh model for every run, so neither op-cache hits
    nor memoised fair states carry over from one run to the next. *)
 let row name ~setup ~check ~trace =
+  let phases = Counterex.Witness.phase_seconds in
   let once () =
     let x = setup () in
     let eu0 = eu_iterations () in
     let (), t_check = Harness.time_once (fun () -> check x) in
     let eu1 = eu_iterations () in
+    Array.fill phases 0 (Array.length phases) 0.0;
     let (), t_trace = Harness.time_once (fun () -> trace x) in
-    (t_check, t_trace, eu1 - eu0, eu_iterations () - eu1)
+    (t_check, t_trace, eu1 - eu0, eu_iterations () - eu1, Array.copy phases)
   in
   let samples = List.init runs (fun _ -> once ()) in
-  let _, _, eu_check, eu_trace = List.hd samples in
-  let t_check = median (List.map (fun (c, _, _, _) -> c) samples) in
-  let t_trace = median (List.map (fun (_, t, _, _) -> t) samples) in
+  let _, _, eu_check, eu_trace, _ = List.hd samples in
+  let t_check = median (List.map (fun (c, _, _, _, _) -> c) samples) in
+  let t_trace = median (List.map (fun (_, t, _, _, _) -> t) samples) in
   let share = t_trace /. (t_check +. t_trace) in
+  let phase i = median (List.map (fun (_, _, _, _, p) -> p.(i)) samples) in
   Harness.emit_json ~experiment:"E8"
-    [
-      ("workload", Harness.String name);
-      ("check_s", Harness.Float t_check);
-      ("trace_s", Harness.Float t_trace);
-      ("trace_share", Harness.Float share);
-      ("check_eu_iterations", Harness.Int eu_check);
-      ("trace_eu_iterations", Harness.Int eu_trace);
-    ];
+    ([
+       ("workload", Harness.String name);
+       ("check_s", Harness.Float t_check);
+       ("trace_s", Harness.Float t_trace);
+       ("trace_share", Harness.Float share);
+       ("check_eu_iterations", Harness.Int eu_check);
+       ("trace_eu_iterations", Harness.Int eu_trace);
+     ]
+    @ List.mapi (fun i k -> (k, Harness.Float (phase i))) phase_names);
+  if phase 0 > 0.0 then
+    Harness.note "%s fair lassos: rings %s, choice %s, descents %s, closing %s"
+      name
+      (Harness.seconds_string (phase 0))
+      (Harness.seconds_string (phase 1))
+      (Harness.seconds_string (phase 2))
+      (Harness.seconds_string (phase 3));
   [
     name;
     Harness.seconds_string t_check;

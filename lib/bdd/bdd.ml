@@ -16,8 +16,8 @@
    that also clears tombstones.  Splitting per variable is what keeps
    an adjacent-level exchange local to the two affected subtables.
 
-   The five operation caches (ite / exists / forall / relprod /
-   constrain) are direct-mapped int-packed arrays: one slot per hash,
+   The six operation caches (ite / exists / forall / relprod /
+   constrain / shift) are direct-mapped int-packed arrays: one slot per hash,
    a probe is one multiply and 3-4 array reads, and an insert that
    lands on a live entry with a different key simply overwrites it
    (counted as an eviction).  This replaces the boxed scheme's
@@ -83,6 +83,7 @@ type stats = {
   forall : op_stats;
   relprod : op_stats;
   constrain : op_stats;
+  shift : op_stats;
   live_nodes : int;
   peak_nodes : int;
   total_nodes : int;
@@ -211,6 +212,7 @@ type man = {
   forall_cache : cache;
   relprod_cache : cache;
   constrain_cache : cache;
+  shift_cache : cache;
   mutable cache_limit : int;
       (* requested per-cache entry bound; [max_int] means unbounded *)
   mutable cache_cap : int;
@@ -228,6 +230,7 @@ type man = {
   forall_stat : opstat;
   relprod_stat : opstat;
   constrain_stat : opstat;
+  shift_stat : opstat;
   roots : (int, unit -> t list) Hashtbl.t;
   mutable next_root : int;
   mutable limits : limits option;
@@ -314,6 +317,7 @@ let create ?(unique_size = 20_011) ?(cache_size = 20_011) ?cache_limit () =
     forall_cache = cache_make 3 entries0;
     relprod_cache = cache_make 4 entries0;
     constrain_cache = cache_make 3 entries0;
+    shift_cache = cache_make 3 entries0;
     cache_limit = climit;
     cache_cap;
     cache_entries0 = entries0;
@@ -328,6 +332,7 @@ let create ?(unique_size = 20_011) ?(cache_size = 20_011) ?cache_limit () =
     forall_stat = fresh_opstat ();
     relprod_stat = fresh_opstat ();
     constrain_stat = fresh_opstat ();
+    shift_stat = fresh_opstat ();
     roots = Hashtbl.create 16;
     next_root = 0;
     limits = None;
@@ -372,6 +377,10 @@ let ensure_var m v =
     m.nvars <- n
   end
 
+let caches m =
+  [ m.ite_cache; m.exists_cache; m.forall_cache; m.relprod_cache;
+    m.constrain_cache; m.shift_cache ]
+
 let set_cache_limit m limit =
   (match limit with
   | Some n when n <= 0 -> invalid_arg "Bdd.set_cache_limit: non-positive limit"
@@ -389,11 +398,7 @@ let set_cache_limit m limit =
       c.c_since <- 0
     end
   in
-  shrink m.ite_cache;
-  shrink m.exists_cache;
-  shrink m.forall_cache;
-  shrink m.relprod_cache;
-  shrink m.constrain_cache
+  List.iter shrink (caches m)
 
 let cache_limit m = if m.cache_limit = max_int then None else Some m.cache_limit
 
@@ -417,6 +422,7 @@ let stats m =
     forall = snapshot_op m.forall_stat;
     relprod = snapshot_op m.relprod_stat;
     constrain = snapshot_op m.constrain_stat;
+    shift = snapshot_op m.shift_stat;
     live_nodes = live_nodes m;
     peak_nodes = m.peak_nodes;
     total_nodes = count_nodes m;
@@ -426,10 +432,7 @@ let stats m =
     reorders = m.reorders;
     reorder_ms = m.reorder_ms;
     reorder_saved = m.reorder_saved;
-    cache_stores =
-      m.ite_cache.c_stores + m.exists_cache.c_stores
-      + m.forall_cache.c_stores + m.relprod_cache.c_stores
-      + m.constrain_cache.c_stores;
+    cache_stores = List.fold_left (fun n c -> n + c.c_stores) 0 (caches m);
     unique_lookups = m.unique_lookups;
     unique_probes = m.unique_probes;
     store_capacity = m.n_cap;
@@ -626,12 +629,7 @@ let cache_reset m c =
   c.c_mask <- entries - 1;
   c.c_since <- 0
 
-let clear_caches m =
-  cache_reset m m.ite_cache;
-  cache_reset m m.constrain_cache;
-  cache_reset m m.exists_cache;
-  cache_reset m m.forall_cache;
-  cache_reset m m.relprod_cache
+let clear_caches m = List.iter (cache_reset m) (caches m)
 
 (* ------------------------------------------------------------------ *)
 (* The node store: column allocation and the open-addressing unique
@@ -914,6 +912,26 @@ let cube m vs =
   in
   List.fold_right (fun v acc -> mk m v 0 acc) by_level 1
 
+let minterm m lits =
+  List.iter
+    (fun (v, _) ->
+      if v < 0 then invalid_arg "Bdd.minterm: negative variable";
+      ensure_var m v)
+    lits;
+  (* Bottom-up in level order, as [cube]: one [mk] per literal.  A
+     repeated variable is already the accumulator's root: the same
+     literal again keeps it, the opposite one makes the cube false. *)
+  List.fold_right
+    (fun (v, b) acc ->
+      if acc >= 2 && m.n_var.(acc) = v then
+        (if (m.n_lo.(acc) = 0) = b then acc else 0)
+      else if b then mk m v 0 acc
+      else mk m v acc 0)
+    (List.stable_sort
+       (fun (a, _) (b, _) -> Stdlib.compare m.var2lvl.(a) m.var2lvl.(b))
+       lits)
+    1
+
 (* Skip cube variables above level [l] (they do not occur in the
    operand, so quantifying them is a no-op for that branch). *)
 let rec cube_from m c l =
@@ -1032,45 +1050,32 @@ let rec constrain m f c =
     end
   end
 
-let rename m f perm =
-  (* [perm] must be injective on the support: two source variables
-     mapped to one target would silently conflate their cofactors and
-     produce a wrong diagram, so detect it up front (one O(size f)
-     sweep, dominated by the rebuild below). *)
-  let seen = Hashtbl.create 64 in
-  let targets = Hashtbl.create 16 in
-  let rec check f =
-    if f >= 2 && not (Hashtbl.mem seen f) then begin
-      Hashtbl.add seen f ();
-      let v = m.n_var.(f) in
-      let v' = perm v in
-      if v' < 0 then invalid_arg "Bdd.rename: negative target variable";
-      (match Hashtbl.find_opt targets v' with
-      | Some src when src <> v ->
-        invalid_arg "Bdd.rename: permutation not injective on support"
-      | Some _ -> ()
-      | None -> Hashtbl.add targets v' v);
-      check m.n_lo.(f);
-      check m.n_hi.(f)
+(* Variable shift v |-> v + d: the prime/unprime of every image.  A
+   constant shift is injective, so no support check is needed.  A node
+   is rebuilt by [mk] when its target sits above both shifted children
+   (always, for level-adjacent current/next pairs), else through [ite],
+   which is correct under any order. *)
+let rec shift m f d =
+  m.shift_stat.calls <- m.shift_stat.calls + 1;
+  if f < 2 || d = 0 then f
+  else begin
+    let r = cache_find2 m m.shift_stat m.shift_cache f d in
+    if r >= 0 then r
+    else begin
+      let v = m.n_var.(f) + d in
+      if v < 0 then invalid_arg "Bdd.shift: negative target variable";
+      ensure_var m v;
+      let lo = shift m m.n_lo.(f) d in
+      let hi = shift m m.n_hi.(f) d in
+      let l = m.var2lvl.(v) in
+      let r =
+        if l < lvl m lo && l < lvl m hi then mk m v lo hi
+        else ite m (var m v) hi lo
+      in
+      cache_store2 m m.shift_cache f d r;
+      r
     end
-  in
-  check f;
-  (* Rebuild bottom-up through ITE so that non-monotone permutations
-     (in the *order* sense: the source walk needs no relation to the
-     manager's current levels) are handled correctly; memoised per
-     call. *)
-  let memo = Hashtbl.create 1024 in
-  let rec go f =
-    if f < 2 then f
-    else
-      match Hashtbl.find_opt memo f with
-      | Some r -> r
-      | None ->
-        let r = ite m (var m (perm m.n_var.(f))) (go m.n_hi.(f)) (go m.n_lo.(f)) in
-        Hashtbl.add memo f r;
-        r
-  in
-  go f
+  end
 
 let support m f =
   let seen = Hashtbl.create 64 in
@@ -1226,13 +1231,10 @@ let fold_sat m f vars ~init ~f:k =
 (* ------------------------------------------------------------------ *)
 (* Statistics.                                                         *)
 
-let cache_hits s =
-  s.ite.hits + s.exists.hits + s.forall.hits + s.relprod.hits
-  + s.constrain.hits
-
+let ops s = [ s.ite; s.exists; s.forall; s.relprod; s.constrain; s.shift ]
+let cache_hits s = List.fold_left (fun n (o : op_stats) -> n + o.hits) 0 (ops s)
 let cache_misses s =
-  s.ite.misses + s.exists.misses + s.forall.misses + s.relprod.misses
-  + s.constrain.misses
+  List.fold_left (fun n (o : op_stats) -> n + o.misses) 0 (ops s)
 
 (* Attribute the work of one governed region of a long-lived (warm)
    manager by subtracting a snapshot taken at region entry.  Monotone
@@ -1251,6 +1253,7 @@ let diff_stats after before =
     forall = op after.forall before.forall;
     relprod = op after.relprod before.relprod;
     constrain = op after.constrain before.constrain;
+    shift = op after.shift before.shift;
     live_nodes = after.live_nodes;
     peak_nodes = after.peak_nodes;
     total_nodes = after.total_nodes - before.total_nodes;
@@ -1275,20 +1278,14 @@ let reset_stats m =
     s.hits <- 0;
     s.misses <- 0
   in
-  reset m.ite_stat;
-  reset m.exists_stat;
-  reset m.forall_stat;
-  reset m.relprod_stat;
-  reset m.constrain_stat;
-  let rcache c =
-    c.c_stores <- 0;
-    c.c_over <- 0
-  in
-  rcache m.ite_cache;
-  rcache m.exists_cache;
-  rcache m.forall_cache;
-  rcache m.relprod_cache;
-  rcache m.constrain_cache;
+  List.iter reset
+    [ m.ite_stat; m.exists_stat; m.forall_stat; m.relprod_stat;
+      m.constrain_stat; m.shift_stat ];
+  List.iter
+    (fun c ->
+      c.c_stores <- 0;
+      c.c_over <- 0)
+    (caches m);
   m.evictions <- 0;
   m.unique_lookups <- 0;
   m.unique_probes <- 0;
@@ -1306,11 +1303,9 @@ let pp_stats ppf s =
   in
   Format.fprintf ppf "@[<v>BDD manager: %d live nodes (peak %d, %d allocated)@,"
     s.live_nodes s.peak_nodes s.total_nodes;
-  op "ite" s.ite;
-  op "exists" s.exists;
-  op "forall" s.forall;
-  op "relprod" s.relprod;
-  op "constrain" s.constrain;
+  List.iter2 op
+    [ "ite"; "exists"; "forall"; "relprod"; "constrain"; "shift" ]
+    (ops s);
   Format.fprintf ppf
     "  cache hits %d  misses %d  evictions %d@,  gc runs %d (collected %d nodes)"
     (cache_hits s) (cache_misses s) s.cache_evictions s.gc_runs s.gc_collected;

@@ -5,7 +5,7 @@
     with semantic equivalence), a memoised if-then-else kernel, boolean
     connectives, restriction, existential/universal quantification over
     variable cubes, the combined relational product
-    [exists cube (f /\ g)], variable renaming, and satisfying-assignment
+    [exists cube (f /\ g)], variable shifting, and satisfying-assignment
     extraction.
 
     Variables are non-negative integers.  Their placement on paths is
@@ -126,6 +126,12 @@ val cube : man -> int list -> t
 (** [cube m vs] is the positive cube over the variables [vs]; used to
     name quantifier scopes.  Duplicates are allowed and ignored. *)
 
+val minterm : man -> (int * bool) list -> t
+(** [minterm m lits] is the conjunction of the literals [(v, b)]
+    ([v] when [b], else its negation), built in one pass; false when a
+    variable occurs with both values.  Raises [Invalid_argument] on a
+    negative variable. *)
+
 val exists : man -> t -> t -> t
 (** [exists m cube f] existentially quantifies the variables of the
     positive cube [cube] out of [f]. *)
@@ -146,14 +152,15 @@ val constrain : man -> t -> t -> t
     intermediate sets against reachability invariants.  Raises
     [Invalid_argument] when [c] is the constant false. *)
 
-(** {1 Renaming} *)
+(** {1 Shifting} *)
 
-val rename : man -> t -> (int -> int) -> t
-(** [rename m f perm] substitutes variable [perm v] for each variable
-    [v] in the support of [f].  [perm] must be injective on the support
-    (two source variables mapped to one target would conflate their
-    cofactors); violations raise [Invalid_argument] instead of silently
-    producing a wrong diagram.  [perm] need not be monotone. *)
+val shift : man -> t -> int -> t
+(** [shift m f d] substitutes variable [v + d] for each variable [v] in
+    the support of [f] (the prime/unprime of image computation),
+    memoised in its own operation cache.  Correct under any variable
+    order; cheapest when each target sits just below its source, as a
+    level-adjacent current/next pair does.  Raises [Invalid_argument]
+    when a target would be negative. *)
 
 (** {1 Inspection} *)
 
@@ -227,6 +234,7 @@ type stats = {
   forall : op_stats;
   relprod : op_stats;  (** {!and_exists}, the relational product *)
   constrain : op_stats;
+  shift : op_stats;       (** {!shift} *)
   live_nodes : int;       (** current unique-table size *)
   peak_nodes : int;       (** largest unique-table size so far *)
   total_nodes : int;      (** nodes ever allocated *)
@@ -237,7 +245,7 @@ type stats = {
   reorders : int;         (** reordering sweeps ({!reorder} and friends) *)
   reorder_ms : float;     (** wall-clock milliseconds spent reordering *)
   reorder_saved : int;    (** net live-node reduction across all sweeps *)
-  cache_stores : int;     (** operation-cache insertions across the five
+  cache_stores : int;     (** operation-cache insertions across the six
                               caches; hit rate = hits / (hits + misses),
                               overwrite rate = evictions / stores *)
   unique_lookups : int;   (** unique-table find-or-insert operations *)
@@ -254,10 +262,10 @@ val stats : man -> stats
 (** Snapshot the counters (cheap; safe to call on the hot path). *)
 
 val cache_hits : stats -> int
-(** Total cache hits across the five operation caches. *)
+(** Total cache hits across the six operation caches. *)
 
 val cache_misses : stats -> int
-(** Total cache misses across the five operation caches. *)
+(** Total cache misses across the six operation caches. *)
 
 val diff_stats : stats -> stats -> stats
 (** [diff_stats after before] — the work done between two snapshots of

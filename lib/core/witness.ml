@@ -16,6 +16,13 @@ exception
 
 let in_set m set st = Kripke.eval_in_state m set st
 
+let phase_seconds = Array.make 4 0.0
+
+let timed i k =
+  let t0 = Bdd.now_monotonic () in
+  Fun.protect k ~finally:(fun () ->
+      phase_seconds.(i) <- phase_seconds.(i) +. Bdd.now_monotonic () -. t0)
+
 (* Charge one ring-descent segment against the optional resource
    limits (shared by every descent below). *)
 let ring_tick (m : Kripke.t) = function
@@ -127,6 +134,7 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
     st :: acc
   in
   let visit_constraint (acc, current) (r : Ctl.Fair.rings) =
+    timed 2 @@ fun () ->
     ring_tick m limits;
     match min_layer m r.Ctl.Fair.layers (succ_set m current) with
     | None -> raise (No_witness "EG: no fairness constraint reachable")
@@ -151,7 +159,7 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
     match remaining with
     | [] -> (acc, current)
     | first_r :: _ ->
-      let dist r =
+      let dist r = timed 1 @@ fun () ->
         match min_layer m r.Ctl.Fair.layers (succ_set m current) with
         | Some (j, _) -> j
         | None -> max_int
@@ -183,6 +191,7 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
        {s'} /\ EX E[f U {t}].  Only the rings up to the first layer
        that meets succ(s') are built: that layer is where the closing
        path starts, and the layers below it are the ones it descends. *)
+    timed 3 @@ fun () ->
     let t_set = Kripke.state_to_bdd m t in
     let succ = succ_set m s' in
     let closing_rings = Ctl.Check.eu_rings ?limits ~until:succ m f t_set in
@@ -197,7 +206,9 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
 let eg_stats ?limits ?hull ?(strategy = Restart) ?(max_restarts = 1_000_000)
     m ~f ~start =
   let f = Bdd.and_ m.Kripke.man f m.Kripke.space in
-  let egf, rings = Ctl.Fair.eg_with_rings ?limits ?hull m f in
+  let egf, rings =
+    timed 0 (fun () -> Ctl.Fair.eg_with_rings ?limits ?hull m f)
+  in
   if not (in_set m egf start) then
     raise (No_witness "EG: start state does not satisfy fair EG f");
   (* Each failed round strictly descends the DAG of strongly connected

@@ -42,6 +42,11 @@ exception
     restart bound, preserving the work done so far for diagnosis
     (unlike {!No_witness}, which reports contract violations). *)
 
+val phase_seconds : float array
+(** Seconds {!eg_stats} spent (process-wide; zeroed by the caller) in
+    per-constraint rings, nearest-constraint choices, descents into
+    constraints, and closing sweeps with their descents. *)
+
 val ex :
   ?limits:Bdd.Limits.t ->
   Kripke.t -> f:Bdd.t -> start:Kripke.state -> Kripke.Trace.t

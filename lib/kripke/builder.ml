@@ -108,13 +108,10 @@ let index_of_value (x : Model.var) (value : Model.value) =
     invalid_arg ("Builder: type mismatch for " ^ x.var_name)
 
 let encode b (x : Model.var) ~primed idx =
-  let lits =
-    Array.to_list x.bits
-    |> List.mapi (fun k bit ->
-           let lit = if primed then bit_nxt b bit else bit_cur b bit in
-           if idx land (1 lsl k) <> 0 then lit else Bdd.not_ b.bman lit)
-  in
-  Bdd.conj b.bman lits
+  Array.to_list x.bits
+  |> List.mapi (fun k bit ->
+         ((2 * bit) + Bool.to_int primed, idx land (1 lsl k) <> 0))
+  |> Bdd.minterm b.bman
 
 let is b x value = encode b x ~primed:false (index_of_value x value)
 let is' b x value = encode b x ~primed:true (index_of_value x value)

@@ -92,8 +92,8 @@ let set_reach_memo m r = m.reach_memo <- r
 
 let cur_bit m b = Bdd.var m.man (2 * b)
 let nxt_bit m b = Bdd.var m.man ((2 * b) + 1)
-let prime m f = Bdd.rename m.man f (fun v -> v + 1)
-let unprime m f = Bdd.rename m.man f (fun v -> v - 1)
+let prime m f = Bdd.shift m.man f 1
+let unprime m f = Bdd.shift m.man f (-1)
 
 let cur_cube_of man nbits = Bdd.cube man (List.init nbits (fun b -> 2 * b))
 let nxt_cube_of man nbits = Bdd.cube man (List.init nbits (fun b -> (2 * b) + 1))
@@ -103,13 +103,9 @@ let nxt_cube m = nxt_cube_of m.man m.nbits
 
 (* Encoding of "variable (copy) has value index i" as a cube. *)
 let bits_encode man bits ~primed i =
-  let lits =
-    Array.to_list bits
-    |> List.mapi (fun k b ->
-           let bv = (2 * b) + if primed then 1 else 0 in
-           if i land (1 lsl k) <> 0 then Bdd.var man bv else Bdd.nvar man bv)
-  in
-  Bdd.conj man lits
+  Array.to_list bits
+  |> List.mapi (fun k b -> ((2 * b) + Bool.to_int primed, (i lsr k) land 1 = 1))
+  |> Bdd.minterm man
 
 (* Valid-encoding constraint for one variable (current copy). *)
 let var_space man v =
@@ -136,11 +132,7 @@ let make ~man ~vars ~nbits ?space ~init ~trans ?(fairness = []) ?(labels = [])
   let space =
     match space with None -> enc_space | Some s -> Bdd.and_ man s enc_space
   in
-  let space' =
-    (* prime: shift every current var up by one *)
-    Bdd.rename man space (fun v -> v + 1)
-  in
-  let trans = Bdd.conj man [ trans; space; space' ] in
+  let trans = Bdd.conj man [ trans; space; Bdd.shift man space 1 ] in
   let init = Bdd.and_ man init space in
   let fairness = List.map (Bdd.and_ man space) fairness in
   (* Each state bit owns a (current, next) BDD-variable pair; declare
@@ -199,15 +191,12 @@ let make_schedule man ~relevant ~all_cube clusters =
     else steps @ [ { cluster = Bdd.one man; quant = Bdd.cube man missing } ]
 
 let with_partition m clusters =
-  let check =
-    Bdd.conj m.man
-      (clusters @ [ m.space; Bdd.rename m.man m.space (fun v -> v + 1) ])
-  in
-  if not (Bdd.equal check m.trans) then
+  let space' = prime m m.space in
+  if not (Bdd.equal (Bdd.conj m.man (clusters @ [ m.space; space' ])) m.trans)
+  then
     invalid_arg
       "Kripke.with_partition: clusters do not conjoin to the transition \
        relation";
-  let space' = Bdd.rename m.man m.space (fun v -> v + 1) in
   let parts = m.space :: space' :: clusters in
   let pre_schedule =
     make_schedule m.man
@@ -307,11 +296,7 @@ let value_of_state v (st : state) =
     else I (lo + idx)
 
 let state_to_bdd m (st : state) =
-  let lits =
-    List.init m.nbits (fun b ->
-        if st.(b) then cur_bit m b else Bdd.not_ m.man (cur_bit m b))
-  in
-  Bdd.conj m.man lits
+  Bdd.minterm m.man (List.init m.nbits (fun b -> (2 * b, st.(b))))
 
 let pick_state m set =
   let set = Bdd.and_ m.man set m.space in

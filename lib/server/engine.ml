@@ -221,7 +221,7 @@ type attempt_result = {
 }
 
 let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
-    (name, spec) =
+    ?(explicit = fun () -> Robust.Fallback.build m) (name, spec) =
   let man = m.Kripke.man in
   (* Monotonic, not calendar, time: the retry pool arithmetic below
      must not jump when NTP steps the clock mid-spec. *)
@@ -327,10 +327,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
       let limits =
         Bdd.Limits.create ?timeout:(timeout_for attempt) ~cancel ()
       in
-      let fb =
-        Bdd.Limits.with_attached man limits (fun () ->
-            Robust.Fallback.build m)
-      in
+      let fb = Bdd.Limits.with_attached man limits explicit in
       {
         ar_holds = Robust.Fallback.holds fb ~fair:opts.fair spec;
         ar_model = m;
@@ -350,9 +347,14 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
   in
   (* Arm the injected fault (chaos testing) for this specification;
      one-shot, and disarmed on every exit path so a fault armed for
-     spec k can never leak into spec k+1. *)
+     spec k can never leak into spec k+1.  Filling the fair-states memo
+     and dropping the op caches first keeps earlier specs out of it. *)
   (match inject with
-  | Some (site, n) -> Bdd.Fault.arm man ~site ~after:n
+  | Some (site, n) ->
+    (try ignore (Ctl.Fair.fair_states ~limits:(mk_limits opts ~cancel) m)
+     with Bdd.Limits.Exhausted _ -> ());
+    Bdd.clear_caches man;
+    Bdd.Fault.arm man ~site ~after:n
   | None -> ());
   Bdd.with_root man
     (fun () ->
@@ -457,12 +459,12 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
                is already in hand, only cancellation may stop its
                re-validation. *)
             let climits = Bdd.Limits.create ~cancel () in
-            let cert =
-              if holds then Robust.Certify.witness ~limits:climits m spec tr
-              else Robust.Certify.counterexample ~limits:climits m spec tr
+            let certify =
+              Robust.Certify.(if holds then witness else counterexample)
             in
             match
-              Bdd.Limits.with_attached man climits (fun () -> cert)
+              Bdd.Limits.with_attached man climits (fun () ->
+                  certify ~limits:climits m spec tr)
             with
             | Ok () ->
               Format.fprintf ppf
@@ -478,6 +480,10 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
             | exception Bdd.Limits.Exhausted info ->
               Format.fprintf ppf "-- (certification interrupted: %s)@."
                 (describe_breach info);
+              false
+            | exception e when not debug ->
+              Format.fprintf ppf "-- (certification interrupted: %s)@."
+                (Printexc.to_string e);
               false)
           | Some _ | None -> false
         in
@@ -511,6 +517,14 @@ let run ppf compiled ~opts ~specs ~cancel ~debug ~prepare =
     match opts.inject with Some (Fault (s, n)) -> Some (s, n) | _ -> None
   in
   if specs = [] then Format.fprintf ppf "no specifications to check@.";
+  (* The explicit rung's graph, enumerated by the first spec that
+     reaches it and kept for the rest of the run; a build cut short by
+     a limit leaves nothing behind. *)
+  let graph = ref None in
+  let explicit () =
+    if Option.is_none !graph then graph := Some (Robust.Fallback.build m);
+    Option.get !graph
+  in
   (* Stop early once cancelled; otherwise check every spec even after
      failures and breaches (per-spec isolation). *)
   let verdicts =
@@ -521,7 +535,8 @@ let run ppf compiled ~opts ~specs ~cancel ~debug ~prepare =
           Some
             ( name,
               check_one ppf m ~opts ~cancel ~debug
-                ~clusters:compiled.Smv.Compile.clusters ?inject spec ))
+                ~clusters:compiled.Smv.Compile.clusters ?inject ~explicit spec
+            ))
       specs
   in
   let exit_code =

@@ -98,6 +98,7 @@ val check_one :
   ?debug:bool ->
   clusters:Bdd.t list ->
   ?inject:Bdd.Fault.site * int ->
+  ?explicit:(unit -> Robust.Fallback.t) ->
   string * Ctl.t ->
   report
 (** Check one specification.  Budgets are per-spec so one hard
@@ -109,9 +110,10 @@ val check_one :
     [debug] (default false) lets unexpected exceptions escape.
 
     [clusters] are the transition clusters for the degraded rung;
-    [inject] arms the manager's fault before the first attempt, and is
-    always disarmed again on exit ([opts.inject] is {!run}'s business,
-    not this function's). *)
+    [explicit] builds the explicit rung's graph ({!run} shares one);
+    [inject] arms the manager's fault before the first attempt (after
+    the model's fair states and with empty op caches), and is always
+    disarmed again on exit ([opts.inject] is {!run}'s business). *)
 
 (** What {!run} hands back. *)
 type outcome = {
@@ -139,7 +141,7 @@ val run :
        first that does not yields [Error "spec TEXT: why"];}
     {- the specs are checked in order on the calling domain, stopping
        early once [cancel] is set, with [opts.inject]'s fault armed
-       for each.}}
+       for each, and the explicit graph built at most once.}}
     All check output goes to the formatter; [debug] lets unexpected
     exceptions escape; the exit code treats a set [cancel] as an
     interruption. *)

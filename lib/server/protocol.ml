@@ -152,6 +152,7 @@ let stats_json (s : Bdd.stats) =
       ("forall", op_stats_json s.Bdd.forall);
       ("relprod", op_stats_json s.Bdd.relprod);
       ("constrain", op_stats_json s.Bdd.constrain);
+      ("shift", op_stats_json s.Bdd.shift);
       ("live_nodes", Num (float_of_int s.Bdd.live_nodes));
       ("peak_nodes", Num (float_of_int s.Bdd.peak_nodes));
       ("total_nodes", Num (float_of_int s.Bdd.total_nodes));

@@ -242,7 +242,7 @@ let rows =
          decided. *)
       ( "counter26 chaos",
         model "counter26"
-          [ "--step-limit"; "3"; "--inject"; "mk:1000"; "--retries"; "2"; "-q" ],
+          [ "--step-limit"; "3"; "--inject"; "mk:1300"; "--retries"; "2"; "-q" ],
         2,
         [
           Has "UNDETERMINED (internal error: Out of memory)";

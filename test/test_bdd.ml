@@ -173,16 +173,36 @@ let test_fold_sat () =
     [ [ false; true ]; [ true; false ] ]
     (List.map Array.to_list sols)
 
-let test_rename_swap () =
-  let f = Bdd.and_ man (Bdd.var man 0) (Bdd.nvar man 1) in
-  let g = Bdd.rename man f (fun v -> 1 - v) in
-  let expect = Bdd.and_ man (Bdd.var man 1) (Bdd.nvar man 0) in
-  Alcotest.(check bool) "swap rename" true (Bdd.equal g expect)
+(* [g] is [f] with every variable v read as v + d, over variables
+   0..n-1 of [f]. *)
+let shifted_agrees m f g d n =
+  List.for_all
+    (fun bits ->
+      let env v = (bits lsr v) land 1 = 1 in
+      Bdd.eval m g env = Bdd.eval m f (fun v -> env (v + d)))
+    (List.init (1 lsl (n + d)) Fun.id)
 
-let test_rename_shift () =
+(* An order that puts a shifted root below its shifted child: x0 /\ ~x2
+   shifts to x1 /\ ~x3, and level(x1) = 3 > level(x3) = 1, so [mk]
+   cannot rebuild the root and the [ite] fallback must. *)
+let test_shift_reordered () =
+  let m = Bdd.create () in
+  Bdd.Reorder.set_order m [| 0; 3; 2; 1 |];
+  let f = Bdd.and_ m (Bdd.var m 0) (Bdd.nvar m 2) in
+  let ite_calls = (Bdd.stats m).Bdd.ite.Bdd.calls in
+  let g = Bdd.shift m f 1 in
+  Alcotest.(check bool) "fallback ran" true
+    ((Bdd.stats m).Bdd.ite.Bdd.calls > ite_calls);
+  Alcotest.(check bool) "agrees with eval" true (shifted_agrees m f g 1 3);
+  Alcotest.(check bool) "x1 /\\ ~x3" true
+    (Bdd.equal g (Bdd.and_ m (Bdd.var m 1) (Bdd.nvar m 3)))
+
+let test_shift_support () =
   let f = Bdd.xor man (Bdd.var man 0) (Bdd.var man 2) in
-  let g = Bdd.rename man f (fun v -> v + 10 ) in
-  Alcotest.(check (list int)) "shifted support" [ 10; 12 ] (Bdd.support man g)
+  let g = Bdd.shift man f 10 in
+  Alcotest.(check (list int)) "shifted support" [ 10; 12 ] (Bdd.support man g);
+  Alcotest.(check bool) "shifted back" true
+    (Bdd.equal f (Bdd.shift man g (-10)))
 
 let test_size () =
   let f = Bdd.xor man (Bdd.var man 0) (Bdd.var man 1) in
@@ -267,11 +287,10 @@ let prop_and_exists =
       Bdd.equal (Bdd.and_exists man c f g)
         (Bdd.exists man c (Bdd.and_ man f g)))
 
-let prop_rename_eval =
-  prop "rename commutes with evaluation" expr_gen (fun e ->
+let prop_shift_eval =
+  prop "shift commutes with evaluation" expr_gen (fun e ->
       let f = bdd_of_expr e in
-      let perm v = v + nvars in
-      let g = Bdd.rename man f perm in
+      let g = Bdd.shift man f nvars in
       agree
         (fun env -> Bdd.eval man f env)
         (fun env -> Bdd.eval man g (fun v -> env (v - nvars))))
@@ -340,8 +359,9 @@ let suite =
     Alcotest.test_case "sat_count bad universe" `Quick test_sat_count_bad_universe;
     Alcotest.test_case "any_sat" `Quick test_any_sat;
     Alcotest.test_case "fold_sat" `Quick test_fold_sat;
-    Alcotest.test_case "rename swap" `Quick test_rename_swap;
-    Alcotest.test_case "rename shift" `Quick test_rename_shift;
+    Alcotest.test_case "shift under a reordered manager" `Quick
+      test_shift_reordered;
+    Alcotest.test_case "shift support" `Quick test_shift_support;
     Alcotest.test_case "size" `Quick test_size;
     Alcotest.test_case "to_dot" `Quick test_to_dot;
     Alcotest.test_case "clear caches" `Quick test_clear_caches;
@@ -352,7 +372,7 @@ let suite =
     prop_exists_semantics;
     prop_forall_dual;
     prop_and_exists;
-    prop_rename_eval;
+    prop_shift_eval;
     prop_sat_count;
     prop_any_sat;
     prop_fold_sat_count;
@@ -434,20 +454,47 @@ let test_stats_counters () =
   Alcotest.(check int) "peak restarts from live" z.Bdd.live_nodes
     z.Bdd.peak_nodes
 
-let test_rename_non_injective () =
+let test_shift_negative () =
   let f = Bdd.and_ man (Bdd.var man 0) (Bdd.var man 1) in
-  Alcotest.check_raises "collapsing rename rejected"
-    (Invalid_argument "Bdd.rename: permutation not injective on support")
-    (fun () -> ignore (Bdd.rename man f (fun _ -> 0)));
   Alcotest.check_raises "negative target rejected"
-    (Invalid_argument "Bdd.rename: negative target variable")
-    (fun () -> ignore (Bdd.rename man f (fun v -> v - 1)));
-  (* Only the support matters: a permutation that collides outside it
-     is fine. *)
-  let g = Bdd.var man 0 in
-  let perm v = if v = 0 then 5 else 7 in
-  Alcotest.(check bool) "off-support collision accepted" true
-    (Bdd.equal (Bdd.rename man g perm) (Bdd.var man 5))
+    (Invalid_argument "Bdd.shift: negative target variable")
+    (fun () -> ignore (Bdd.shift man f (-1)));
+  (* Only the support matters: a shift that is negative below it is
+     fine. *)
+  let g = Bdd.var man 3 in
+  Alcotest.(check bool) "in-range target accepted" true
+    (Bdd.equal (Bdd.shift man g (-3)) (Bdd.var man 0))
+
+(* [gc] recycles swept handles, so a shift cached before it must not
+   answer for a new diagram that lands on an old handle. *)
+let test_shift_after_gc () =
+  let m = Bdd.create () in
+  let f = Bdd.and_ m (Bdd.var m 0) (Bdd.nvar m 2) in
+  ignore (Bdd.shift m f 1);
+  ignore (Bdd.gc m : int);
+  (* Allocate one-node diagrams until one lands on [f]'s swept slot. *)
+  let rec reuse k =
+    let h = Bdd.var m k in
+    if Bdd.id h = Bdd.id f then (k, h) else reuse (k + 1)
+  in
+  let k, h = reuse 4 in
+  Alcotest.(check bool) "fresh result after gc" true
+    (Bdd.equal (Bdd.shift m h 1) (Bdd.var m (k + 1)))
+
+let test_minterm () =
+  let lits = [ (3, false); (0, true); (2, true) ] in
+  let expect =
+    Bdd.conj man [ Bdd.nvar man 3; Bdd.var man 0; Bdd.var man 2 ]
+  in
+  Alcotest.(check bool) "conjunction of literals" true
+    (Bdd.equal (Bdd.minterm man lits) expect);
+  Alcotest.(check bool) "repeat is idempotent" true
+    (Bdd.equal
+       (Bdd.minterm man [ (1, true); (0, false); (1, true) ])
+       (Bdd.and_ man (Bdd.var man 1) (Bdd.nvar man 0)));
+  Alcotest.(check bool) "clash is false" true
+    (Bdd.is_zero (Bdd.minterm man [ (1, true); (2, false); (1, false) ]));
+  Alcotest.(check bool) "empty is true" true (Bdd.is_one (Bdd.minterm man []))
 
 let test_eviction_canonicity () =
   let m = Bdd.create ~cache_limit:4 () in
@@ -524,7 +571,9 @@ let test_any_sat_total () =
 let stats_suite =
   [
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
-    Alcotest.test_case "rename injectivity" `Quick test_rename_non_injective;
+    Alcotest.test_case "shift negative target" `Quick test_shift_negative;
+    Alcotest.test_case "shift after gc" `Quick test_shift_after_gc;
+    Alcotest.test_case "minterm" `Quick test_minterm;
     Alcotest.test_case "eviction canonicity" `Quick test_eviction_canonicity;
     Alcotest.test_case "gc" `Quick test_gc;
     Alcotest.test_case "with_root" `Quick test_with_root;

@@ -467,6 +467,55 @@ let test_engine_fault_is_scoped () =
   Alcotest.(check bool) "clean follow-up check" true
     (r2.Engine.verdict = Engine.Holds)
 
+(* counter-10 with the given specs (perfbench's witness-deep model). *)
+let counter10_source specs =
+  let b i = Printf.sprintf "b%d" i in
+  String.concat ""
+    ([ "MODULE main\nVAR\n" ]
+    @ List.init 10 (fun i -> Printf.sprintf "  %s : boolean;\n" (b i))
+    @ [ "ASSIGN\n" ]
+    @ List.init 10 (fun i -> Printf.sprintf "  init(%s) := FALSE;\n" (b i))
+    @ [ "  next(b0) := !b0;\n" ]
+    @ List.init 9 (fun i ->
+          Printf.sprintf "  next(%s) := !(%s <-> (%s));\n" (b (i + 1))
+            (b (i + 1))
+            (String.concat " & " (List.init (i + 1) b)))
+    @ List.map (Printf.sprintf "SPEC %s\n") specs)
+
+(* An injected probe fault is a function of the spec it is armed for:
+   the universal spec recovers by the same rung whether it is checked
+   alone or after two deep EF witnesses. *)
+let test_engine_fault_per_spec () =
+  let value v =
+    String.concat " & "
+      (List.init 10 (fun i ->
+           (if (v lsr i) land 1 = 1 then "" else "!") ^ Printf.sprintf "b%d" i))
+  in
+  let ag = "AG (b0 -> EF !b0)" in
+  let ag_line specs =
+    let buf = Buffer.create 4096 in
+    let ppf = Format.formatter_of_buffer buf in
+    let opts =
+      { Engine.default with
+        retries = 2;
+        inject = Some (Engine.Fault (Bdd.Fault.Cache_probe, 20)) }
+    in
+    (match
+       Engine.run ppf (compile (counter10_source specs)) ~opts ~specs:[]
+         ~cancel:(Atomic.make false) ~debug:false ~prepare:ignore
+     with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.fail msg);
+    Format.pp_print_flush ppf ();
+    List.find
+      (fun l -> String.starts_with ~prefix:"-- specification (AG" l)
+      (String.split_on_char '\n' (Buffer.contents buf))
+  in
+  Alcotest.(check string) "same line alone and third" (ag_line [ ag ])
+    (ag_line
+       [ Printf.sprintf "EF (%s)" (value 1021);
+         Printf.sprintf "EF (%s)" (value 959); ag ])
+
 (* ------------------------------------------------------------------ *)
 (* Overload protection: pool admission, shed replies, status shapes,
    budget defaults, the watchdog ladder *)
@@ -886,6 +935,8 @@ let suite =
       test_cache_eviction;
     Alcotest.test_case "engine: check_one output" `Quick
       test_engine_check_one;
+    Alcotest.test_case "engine: probe fault is a function of the spec" `Quick
+      test_engine_fault_per_spec;
     Alcotest.test_case "engine: per-check cancellation" `Quick
       test_engine_private_cancellation;
     Alcotest.test_case "engine: exit-code contract" `Quick
