@@ -4,8 +4,8 @@
 
    [Kripke.Builder.build] partitions exactly when the monolithic
    relation has more than [Kripke.Builder.partition_ratio] (8) times
-   the total nodes of its clusters.  For every committed model under
-   both variable orders, each row reports the two node counts, their
+   the total nodes of its clusters.  For every committed model (in the
+   compiler's proximity order), each row reports the two node counts, their
    ratio, the rule's choice, and the time to decide every SPEC (fair
    semantics, the CLI default) both ways — the chosen representation
    as compiled, the other one built by hand — as the median of five
@@ -16,8 +16,8 @@ let models =
   [ "arbiter"; "cache"; "counter12"; "counter26"; "mutex"; "philosophers";
     "ring" ]
 
-let load ~static_order name =
-  Smv.load_file ~static_order (Filename.concat "examples/models" (name ^ ".smv"))
+let load name =
+  Smv.load_file (Filename.concat "examples/models" (name ^ ".smv"))
 
 (* The model of [c] with the requested image method: as compiled when
    the rule chose it, otherwise rebuilt from the same diagrams. *)
@@ -32,8 +32,8 @@ let with_method c ~partitioned =
       ~labels:m.Kripke.labels ()
 
 (* Decide every SPEC on a fresh compile: verdict letters and seconds. *)
-let check_once name ~static_order ~partitioned =
-  let c = load ~static_order name in
+let check_once name ~partitioned =
+  let c = load name in
   let m = with_method c ~partitioned in
   let decide (_, spec) =
     let limits =
@@ -53,15 +53,13 @@ let check_once name ~static_order ~partitioned =
   in
   (String.of_seq (List.to_seq verdicts), t)
 
-let check name ~static_order ~partitioned =
-  let runs =
-    List.init 5 (fun _ -> check_once name ~static_order ~partitioned)
-  in
+let check name ~partitioned =
+  let runs = List.init 5 (fun _ -> check_once name ~partitioned) in
   let times = List.sort Float.compare (List.map snd runs) in
   (fst (List.hd runs), List.nth times 2)
 
-let row name ~static_order =
-  let c = load ~static_order name in
+let row name =
+  let c = load name in
   let m = c.Smv.Compile.model in
   let man = m.Kripke.man in
   let clusters = c.Smv.Compile.clusters in
@@ -69,15 +67,13 @@ let row name ~static_order =
   let cluster_nodes = Kripke.Builder.cluster_nodes man clusters in
   let ratio = float_of_int relation /. float_of_int (max 1 cluster_nodes) in
   let choice = if Kripke.partitioned m then "partitioned" else "monolithic" in
-  let v_mono, t_mono = check name ~static_order ~partitioned:false in
-  let v_part, t_part = check name ~static_order ~partitioned:true in
+  let v_mono, t_mono = check name ~partitioned:false in
+  let v_part, t_part = check name ~partitioned:true in
   if v_mono <> v_part then
     failwith (Printf.sprintf "E9: %s verdicts differ by image method" name);
-  let order = if static_order then "static" else "declared" in
   Harness.emit_json ~experiment:"E9"
     [
       ("model", Harness.String name);
-      ("order", Harness.String order);
       ("relation_nodes", Harness.Int relation);
       ("clusters", Harness.Int (List.length clusters));
       ("cluster_nodes", Harness.Int cluster_nodes);
@@ -88,23 +84,17 @@ let row name ~static_order =
       ("verdicts", Harness.String v_mono);
     ];
   [
-    name; order; string_of_int relation; string_of_int cluster_nodes;
+    name; string_of_int relation; string_of_int cluster_nodes;
     Printf.sprintf "%.2f" ratio; choice;
     Harness.seconds_string t_mono; Harness.seconds_string t_part;
   ]
 
 let run ~full:_ =
-  let rows =
-    List.concat_map
-      (fun name ->
-        let declared = row name ~static_order:false in
-        [ declared; row name ~static_order:true ])
-      models
-  in
+  let rows = List.map row models in
   Harness.print_table
     ~title:"E9: the compiler's image method (partition when relation > 8x clusters)"
     ~header:
-      [ "model"; "order"; "relation"; "cluster nodes"; "ratio"; "choice";
+      [ "model"; "relation"; "cluster nodes"; "ratio"; "choice";
         "check (mono)"; "check (part)" ]
     rows;
   Harness.note

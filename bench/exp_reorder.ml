@@ -1,21 +1,15 @@
-(* E13 — variable-order sensitivity: declaration order, the static
-   proximity order, and the static order plus one sifting sweep.
-
-   Two questions, on the arbiter workload (whose declaration order is
+(* E13 — does sifting pay on top of the compiler's order?  The
+   compiler always seeds the dependency-proximity order; this compares
+   it alone against it plus one Rudell sifting sweep of the built
+   model, on the arbiter workload (whose declaration order is
    deliberately adversarial: all request bits, then all acknowledge
-   bits, then the token, so the transition relation is the textbook
-   exponential copier) and on a binary counter (whose diagrams are
-   nearly order-insensitive, so any cost sifting adds shows up
-   undiluted):
+   bits, then the token — the proximity order interleaves them) and on
+   a binary counter (whose diagrams are nearly order-insensitive, so
+   any cost sifting adds shows up undiluted).  This is the negative
+   result that removed run-time sifting as a check option: the sweep
+   stays only as a recovery-ladder rung.
 
-   1. How much does the static interleaved/proximity order
-      (--reorder static) save over declaration order?
-   2. Does one Rudell sifting sweep of the built model on top of the
-      static seed pay for itself?  This is the negative result that
-      removed run-time sifting as a check option: the sweep stays
-      only as a recovery-ladder rung.
-
-   Every configuration must report byte-identical verdicts; only node
+   Both configurations must report identical verdicts; only node
    counts and times may move. *)
 
 (* The round-robin token arbiter of examples/models/arbiter.smv,
@@ -79,19 +73,15 @@ let counter_smv n =
   pf "SPEC AG (b0 -> EF !b0)\n";
   Buffer.contents b
 
-type config = Declared | Static | Sifted
+type config = Static | Sifted
 
-let config_name = function
-  | Declared -> "declared"
-  | Static -> "static"
-  | Sifted -> "static+sift"
+let config_name = function Static -> "static" | Sifted -> "static+sift"
 
-(* One measured run: fresh manager, chosen order policy, check every
-   spec sequentially (the CLI's single-job path).  [Sifted] is the
-   static seed plus one [Bdd.reorder] sweep of the built model before
-   checking, with the sweep inside the timed region. *)
+(* One measured run: fresh manager, check every spec sequentially (the
+   CLI's path).  [Sifted] adds one [Bdd.reorder] sweep of the built
+   model before checking, with the sweep inside the timed region. *)
 let run_config src config =
-  let c = Smv.load_string ~static_order:(config <> Declared) src in
+  let c = Smv.load_string src in
   let m = c.Smv.Compile.model in
   let verdicts, t =
     Harness.time_once (fun () ->
@@ -107,10 +97,10 @@ let sweep ~workload src rows =
     (fun rows config ->
       let verdicts, t, s = run_config src config in
       (match config with
-      | Declared ->
+      | Static ->
         baseline := verdicts;
         peak0 := s.Bdd.peak_nodes
-      | _ ->
+      | Sifted ->
         if verdicts <> !baseline then
           failwith
             (Printf.sprintf "E13: %s/%s changed a verdict" workload
@@ -124,7 +114,7 @@ let sweep ~workload src rows =
           ("reorders", Harness.Int s.Bdd.reorders);
           ("reorder_ms", Harness.Float s.Bdd.reorder_ms);
           ("check_s", Harness.Float t);
-          ( "peak_vs_declared",
+          ( "peak_vs_static",
             Harness.Float
               (float_of_int !peak0 /. float_of_int (max 1 s.Bdd.peak_nodes)) );
           ( "verdicts",
@@ -145,7 +135,7 @@ let sweep ~workload src rows =
           ];
         ])
     rows
-    [ Declared; Static; Sifted ]
+    [ Static; Sifted ]
 
 let run ~full =
   let arb_users = if full then 10 else 8 in
@@ -156,12 +146,10 @@ let run ~full =
       (counter_smv ctr_bits) rows in
   Harness.print_table
     ~title:
-      "E13: variable order — declaration order vs static interleaving vs \
-       static + one sifting sweep (identical verdicts enforced)"
-    ~header:[ "workload"; "order"; "peak nodes"; "vs declared"; "sifts"; "check" ]
+      "E13: variable order — the compiler's proximity order vs it plus one \
+       sifting sweep (identical verdicts enforced)"
+    ~header:[ "workload"; "order"; "peak nodes"; "vs static"; "sifts"; "check" ]
     rows;
-  Harness.note
-    "declared: the model's own (adversarial) declaration order, no sifting.";
   Harness.note
     "static: the compile-time interleaved/proximity order (free, no sweeps).";
   Harness.note

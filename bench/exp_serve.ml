@@ -26,9 +26,7 @@
    and the per-request node delta (Bdd.diff_stats over the request
    window — the same accounting the server reports per reply). *)
 let request cache ~source ?extra_spec () =
-  let key =
-    Server.Cache.digest ~source ~static_order:false
-  in
+  let key = Server.Cache.digest ~source in
   let entry, warm = Server.Cache.acquire cache ~key in
   Fun.protect ~finally:(fun () -> Server.Cache.release cache entry)
   @@ fun () ->
@@ -223,9 +221,7 @@ let run_overload ~full =
   let src = Exp_reorder.arbiter_smv users in
   let cache = Server.Cache.create ~capacity:2 in
   ignore (request cache ~source:src ());
-  let key =
-    Server.Cache.digest ~source:src ~static_order:false
-  in
+  let key = Server.Cache.digest ~source:src in
   let ov2 = Server.Overload.create ~log:ignore () in
   let pool2 = Pool.create ~max_pending:8 2 in
   let completed = Atomic.make 0 in
@@ -338,9 +334,7 @@ let run_restart ~full =
   let (cold_verdicts, _, _), t_cold =
     Harness.time_once (fun () -> request cache ~source:src ())
   in
-  let key =
-    Server.Cache.digest ~source:src ~static_order:false
-  in
+  let key = Server.Cache.digest ~source:src in
   let compiled =
     let entry, _ = Server.Cache.acquire cache ~key in
     Fun.protect ~finally:(fun () -> Server.Cache.release cache entry)
@@ -431,9 +425,7 @@ let bechamel_restart =
       (let cache = Server.Cache.create ~capacity:1 in
        let src = Exp_reorder.arbiter_smv 6 in
        ignore (request cache ~source:src ());
-       let key =
-         Server.Cache.digest ~source:src ~static_order:false
-       in
+       let key = Server.Cache.digest ~source:src in
        let entry, _ = Server.Cache.acquire cache ~key in
        let compiled = Option.get entry.Server.Cache.compiled in
        compiled.Smv.Compile.model.Kripke.man)

@@ -87,25 +87,11 @@ let certify_arg =
            verdict and the run exits 3.  Always on for recovered \
            (retried) specifications.")
 
-let reorder_arg =
-  Arg.(
-    value
-    & opt (enum [ ("none", `None); ("static", `Static) ]) d.reorder
-    & info [ "reorder" ] ~docv:"MODE"
-        ~doc:
-          "BDD variable order.  $(b,none) (default) keeps declaration \
-           order and is byte-identical to earlier versions; $(b,static) \
-           seeds a dependency-proximity order at compile time: \
-           variables that share small constraints are placed together, \
-           current/next bit pairs interleaved.  Neither mode sifts at \
-           run time.  Verdicts, traces and exit codes are unchanged by \
-           either mode.")
-
 (* A boolean flag only moves its field away from the default:
    --no-fairness and -q switch one off, the others switch one on. *)
 let term =
   let make no_fair no_trace stats timeout node_limit step_limit retries
-      certify reorder =
+      certify =
     {
       Engine.fair = d.fair && not no_fair;
       traces = d.traces && not no_trace;
@@ -116,10 +102,8 @@ let term =
       node_limit;
       step_limit;
       inject = d.inject;
-      reorder;
     }
   in
   Term.(
     const make $ no_fair_arg $ no_trace_arg $ stats_arg $ timeout_arg
-    $ node_limit_arg $ step_limit_arg $ retries_arg $ certify_arg
-    $ reorder_arg)
+    $ node_limit_arg $ step_limit_arg $ retries_arg $ certify_arg)

@@ -149,8 +149,7 @@ let validate ~serve ~jobs ~seed ~cache_limit ~simulate ~inject check =
 (* Returns Ok (exit code) or Error message (input error, exit 3). *)
 let run ~check ~extra_specs ~cache_limit ~simulate:walk ~seed ~debug file =
   let* compiled =
-    Engine.compile ~source:file (fun () ->
-        Smv.load_file ~static_order:(check.Engine.reorder = `Static) file)
+    Engine.compile ~source:file (fun () -> Smv.load_file file)
   in
   let m = compiled.Smv.Compile.model in
   let prepare () =
@@ -460,11 +459,6 @@ let cmd =
          their traces are always certified ($(b,--certify)).  \
          $(b,--inject) plants deterministic faults to exercise every \
          rung in CI.";
-      `P
-        "Variable order: $(b,--reorder static) seeds a dependency-aware \
-         static order at compile time instead of declaration order.  \
-         Orders only change sizes and times — never verdicts, traces or \
-         exit codes.";
       `P
         "Server mode: $(b,--serve) turns the checker into a long-lived \
          daemon speaking length-prefixed JSON frames on stdin/stdout \

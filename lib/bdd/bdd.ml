@@ -622,11 +622,16 @@ let cache_store3 m c k1 k2 k3 r =
   if c.c_since > 2 * (c.c_mask + 1) then cache_grow m c
 
 (* Drop a cache back to its initial size — the packed analogue of
-   [Hashtbl.reset]: contents gone, resident memory returned. *)
+   [Hashtbl.reset]: contents gone, resident memory returned.  A cache
+   still at that size is emptied in place, allocating nothing. *)
 let cache_reset m c =
   let entries = min m.cache_entries0 m.cache_cap in
-  c.c_data <- Array.make (entries * c.c_stride) (-1);
-  c.c_mask <- entries - 1;
+  if c.c_mask + 1 = entries then
+    Array.fill c.c_data 0 (Array.length c.c_data) (-1)
+  else begin
+    c.c_data <- Array.make (entries * c.c_stride) (-1);
+    c.c_mask <- entries - 1
+  end;
   c.c_since <- 0
 
 let clear_caches m = List.iter (cache_reset m) (caches m)
@@ -1316,8 +1321,9 @@ let pp_stats ppf s =
     s.live_nodes s.unique_capacity
     (float_of_int s.unique_probes /. float_of_int (max 1 s.unique_lookups))
     s.cache_stores;
-  (* Printed only when reordering actually ran, so a --reorder none run
-     reports byte-identically to managers that predate reordering. *)
+  (* Printed only when reordering actually ran, so a run that never
+     sifts reports byte-identically to managers that predate
+     reordering. *)
   if s.reorders > 0 then
     Format.fprintf ppf "@,  reorders %d (saved %d nodes, %.1f ms)" s.reorders
       s.reorder_saved s.reorder_ms;

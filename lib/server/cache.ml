@@ -22,8 +22,7 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
   { capacity; table = Hashtbl.create 16; pool_lock = Mutex.create () }
 
-let digest ~source ~static_order =
-  Digest.to_hex (Digest.string (Printf.sprintf "%b|%s" static_order source))
+let digest ~source = Digest.to_hex (Digest.string source)
 
 let with_lock mu f =
   Mutex.lock mu;

@@ -4,16 +4,10 @@
     model skips everything expensive: parsing and compilation, BDD
     construction, the variable order the first request compiled
     with, the hot operation caches, and — via [Kripke.reach_memo] —
-    the reachable-set fixpoint.  The pool maps a digest of
-    [(static_order, source)] to a compiled model whose manager carries
-    all of that accumulated warmth.
-
-    The compile option is part of the key because it changes the
-    manager's contents: a static-order compile seeds a different
-    variable order.  Keeping the two distinct means a request
-    with [reorder = none] always sees declaration order, never the
-    proximity order an earlier [reorder = static] request compiled
-    with: verdicts and traces would agree, node counts would not.
+    the reachable-set fixpoint.  The pool maps a digest of the source
+    to a compiled model whose manager carries all of that accumulated
+    warmth.  No request option changes what the compiler builds, so
+    the source alone is the key.
 
     Concurrency: a BDD manager is single-domain (hash-consing is not
     thread-safe), so each entry has a lock and requests for the same
@@ -47,7 +41,7 @@ val create : capacity:int -> t
 (** A pool evicting down to [capacity] idle entries
     (raises [Invalid_argument] when [capacity < 1]). *)
 
-val digest : source:string -> static_order:bool -> string
+val digest : source:string -> string
 (** The pool key for a check request. *)
 
 val acquire : t -> key:string -> entry * bool

@@ -107,21 +107,13 @@ let apply_defaults cfg (o : Engine.options) =
 (* ------------------------------------------------------------------ *)
 (* Request processing (runs on a pool worker) *)
 
-(* The warm-pool key of a check request, with the compile flag it
-   digests: the one derivation both [process] and the cold-model
-   admission check use. *)
-let pool_key ~model (options : Engine.options) =
-  let static_order = options.Engine.reorder = `Static in
-  (Cache.digest ~source:model ~static_order, static_order)
-
 (* Compile into the (locked) cache entry; [Engine.compile] roots the
    clusters for the entry's whole life. *)
-let build_entry (entry : Cache.entry) ~static_order source =
+let build_entry (entry : Cache.entry) source =
   match entry.Cache.compiled with
   | Some c -> Ok (c, true)
   | None ->
-    Engine.compile ~source:"model" (fun () ->
-        Smv.load_string ~static_order source)
+    Engine.compile ~source:"model" (fun () -> Smv.load_string source)
     |> Result.map (fun compiled ->
            entry.Cache.compiled <- Some compiled;
            (compiled, false))
@@ -131,11 +123,10 @@ let build_entry (entry : Cache.entry) ~static_order source =
    the reply payload. *)
 let process cache ~id ~model ~specs ~(options : Engine.options) ~cancel =
   let t0 = Bdd.now_monotonic () in
-  let key, static_order = pool_key ~model options in
-  let entry, _ = Cache.acquire cache ~key in
+  let entry, _ = Cache.acquire cache ~key:(Cache.digest ~source:model) in
   Fun.protect ~finally:(fun () -> Cache.release cache entry) @@ fun () ->
   with_lock entry.Cache.lock @@ fun () ->
-  match build_entry entry ~static_order model with
+  match build_entry entry model with
   | Error msg -> Protocol.error_reply ~id msg
   | Ok (compiled, warm) -> (
     let m = compiled.Smv.Compile.model in
@@ -324,8 +315,7 @@ let handle_request cfg cache pool ov persist conn stop payload =
       let refuse_cold =
         (not (Overload.admit_cold ov))
         &&
-        let key, _ = pool_key ~model options in
-        not (Cache.is_warm cache ~key)
+        not (Cache.is_warm cache ~key:(Cache.digest ~source:model))
       in
       if refuse_cold then begin
         drop_id ();

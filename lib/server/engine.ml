@@ -21,7 +21,6 @@ type options = {
   node_limit : int option;
   step_limit : int option;
   inject : inject option;
-  reorder : [ `None | `Static ];
 }
 
 let default =
@@ -35,7 +34,6 @@ let default =
     node_limit = None;
     step_limit = None;
     inject = None;
-    reorder = `None;
   }
 
 (* Retry k scales node/step budgets by [retry_factor]^(k-1). *)

@@ -51,11 +51,6 @@ type options = {
   node_limit : int option;
   step_limit : int option;
   inject : inject option;
-  reorder : [ `None | `Static ];
-      (** [`Static]: the front end compiles with the
-          dependency-proximity variable order ([Smv.Compile.compile]'s
-          [~static_order]) instead of declaration order; neither mode
-          sifts *)
 }
 
 val default : options

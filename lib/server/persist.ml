@@ -39,10 +39,10 @@ type counters = { snapshots : int; restores : int; quarantines : int }
 
 (* Bumped whenever the marshalled payload or its key changes shape
    ("SMVWARM2" carried an engine-tagged fair memo in [Kripke.skeleton],
-   "SMVWARM3" keys digested a partitioned flag); a mismatch
-   quarantines the stale file instead of unmarshalling it as
-   garbage. *)
-let magic = "SMVWARM4"
+   "SMVWARM3" keys digested a partitioned flag, "SMVWARM4" ones a
+   static-order flag); a mismatch quarantines the stale file instead
+   of unmarshalling it as garbage. *)
+let magic = "SMVWARM5"
 let suffix = ".warm"
 
 let warn t fmt =

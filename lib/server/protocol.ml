@@ -39,12 +39,6 @@ let opt_field fields name decode kind =
 
 let with_default default = Result.map (Option.value ~default)
 
-let parse_reorder = function
-  | "none" -> Ok `None
-  | "static" -> Ok `Static
-  | s ->
-    Error (Printf.sprintf "\"reorder\": unknown mode %S (none or static)" s)
-
 let parse_options json =
   let fields = Json.obj_or_empty json in
   let d = default_options in
@@ -68,14 +62,10 @@ let parse_options json =
     | None -> Ok None
     | Some s -> Result.map Option.some (Engine.parse_inject s)
   in
-  let* reorder_s = opt_field fields "reorder" Json.to_str "a string" in
-  let* reorder =
-    match reorder_s with None -> Ok d.reorder | Some s -> parse_reorder s
-  in
   let options =
     {
       Engine.fair; traces; stats; certify; retries;
-      timeout; node_limit; step_limit; inject; reorder;
+      timeout; node_limit; step_limit; inject;
     }
   in
   (* The CLI's own validator, with the CLI's messages: a request's

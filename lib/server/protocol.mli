@@ -27,10 +27,10 @@
     values are refused by the CLI's own validator, with its messages):
     booleans [fair], [traces],
     [stats], [certify]; integers [retries],
-    [node_limit], [step_limit]; number [timeout]; strings [inject]
-    ("SITE:COUNT" as on the CLI, minus "worker" and "child-crash")
-    and [reorder] ("none"/"static").  Unknown fields,
-    including ones older clients may still send, are ignored; the
+    [node_limit], [step_limit]; number [timeout]; string [inject]
+    ("SITE:COUNT" as on the CLI, minus "worker" and "child-crash").
+    Unknown fields, including ones older clients may still send
+    ([reorder], [partitioned], [fair_engine]), are ignored; the
     retry backoff factor (2) is fixed.
 
     {2 Replies}

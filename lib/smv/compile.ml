@@ -342,7 +342,7 @@ let declare_defines env decls =
     decls
 
 (* ------------------------------------------------------------------ *)
-(* Static variable ordering: a dependency-graph proximity heuristic.
+(* The variable order: a dependency-graph proximity heuristic.
    Every constraint (assignment, TRANS, INVAR, INIT, FAIRNESS) yields
    the set of model variables it mentions (DEFINEs expanded); variables
    co-occurring in small constraints attract each other with weight
@@ -490,7 +490,7 @@ let running_name (u : Flatten.unit_decls) =
   if String.equal u.Flatten.upath "" then "running"
   else u.Flatten.upath ^ ".running"
 
-let compile ?partitioned:_ ?(static_order = false) (program : Ast.program) =
+let compile ?partitioned:_ ?static_order:_ (program : Ast.program) =
   let units = Flatten.flatten_units program in
   let with_processes = List.length units > 1 in
   let decls = List.concat_map (fun u -> u.Flatten.udecls) units in
@@ -528,10 +528,9 @@ let compile ?partitioned:_ ?(static_order = false) (program : Ast.program) =
   declare_vars env decls;
   declare_defines env decls;
   (* All variables and macros are known and no constraint has built a
-     BDD yet: the manager is still empty, so seeding the static order
-     is a free permutation install. *)
-  if static_order then
-    Kripke.Builder.seed_order builder (proximity_order env decls);
+     BDD yet: the manager is still empty, so seeding the proximity
+     order is a free permutation install. *)
+  Kripke.Builder.seed_order builder (proximity_order env decls);
   let assigned : (string * Ast.assign_kind, Ast.pos) Hashtbl.t =
     Hashtbl.create 16
   in

@@ -34,13 +34,13 @@ val compile : ?partitioned:bool -> ?static_order:bool -> Ast.program -> compiled
     [next] assignment / [TRANS] constraint) is {!Kripke.Builder.build}'s
     choice; [?partitioned] is accepted and ignored, for old callers.
 
-    With [~static_order:true] the BDD variable order is seeded by a
-    dependency-graph proximity heuristic instead of declaration order:
-    variables co-occurring in small constraints are placed adjacently
-    (greedy max-adjacency over co-occurrence weights [1/(k-1)]),
-    current/next bit pairs stay interleaved
-    ({!Kripke.Builder.seed_order}).  Off by default — the default
-    output stays bit-identical to declaration order. *)
+    The BDD variable order is seeded by a dependency-graph proximity
+    heuristic: variables co-occurring in small constraints are placed
+    adjacently (greedy max-adjacency over co-occurrence weights
+    [1/(k-1)], declaration order breaking ties), current/next bit pairs
+    stay interleaved ({!Kripke.Builder.seed_order}).  The order changes
+    node counts only, never a verdict or trace byte.  [?static_order]
+    is accepted and ignored, for old callers. *)
 
 val compile_expr : compiled -> string -> Ctl.t
 (** Parse and compile an additional specification against a compiled

@@ -8,13 +8,12 @@ module Flatten = Flatten
 module Compile = Compile
 
 (** Parse and compile an SMV source text. *)
-let load_string ?static_order source =
-  Compile.compile ?static_order (Parser.program source)
+let load_string source = Compile.compile (Parser.program source)
 
 (** Parse and compile an SMV file. *)
-let load_file ?static_order path =
+let load_file path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let source = really_input_string ic n in
   close_in ic;
-  load_string ?static_order source
+  load_string source

@@ -20,10 +20,7 @@ type check =
           annotations stripped *)
   | Golden of string  (** output equals the file *)
   | Has of string
-  | Has_in of string list * string  (** that argv's output has it *)
   | Lacks of string
-  | Peak_halved of string list
-      (** that argv: same exit code, at most half the peak live nodes *)
 
 let model name flags = model_path (name ^ ".smv") :: flags
 
@@ -49,14 +46,6 @@ let verdicts out =
          match Str.search_forward (Str.regexp_string " (recovered:") l 0 with
          | i -> String.sub l 0 i
          | exception Not_found -> l)
-
-let peak_nodes out =
-  String.split_on_char '\n' out
-  |> List.find_map (fun l ->
-         try
-           Scanf.sscanf l "BDD manager: %d live nodes (peak %d" (fun _ p ->
-               Some p)
-         with Scanf.Scan_failure _ | End_of_file | Failure _ -> None)
 
 (* A row: its name, the argv of its run, the exit code that run must
    have, and the checks on that run. *)
@@ -86,20 +75,8 @@ let check_row (name, argv, code, checks) =
         expect (label ("byte-identical to " ^ path)) (out = want);
         if out <> want then differ [ path ] want
       | Has needle -> expect (label ("has " ^ needle)) (contains ~needle out)
-      | Has_in (argv', needle) ->
-        expect
-          (label (Printf.sprintf "%s has %s" (show argv') needle))
-          (contains ~needle (snd (run_once argv')))
       | Lacks needle ->
-        expect (label ("lacks " ^ needle)) (not (contains ~needle out))
-      | Peak_halved argv' -> (
-        let c, o = run_once argv' in
-        match (peak_nodes out, peak_nodes o) with
-        | Some p, Some p' ->
-          expect
-            (label (Printf.sprintf "peak %d -> %d under %s" p p' (show argv')))
-            (c = code' && 2 * p' <= p)
-        | _ -> expect (label "peak node counts parsed") false))
+        expect (label ("lacks " ^ needle)) (not (contains ~needle out)))
     checks
 
 (* ------------------------------------------------------------------ *)
@@ -115,7 +92,7 @@ let models =
 
 let perf_flags =
   [
-    [ "--reorder"; "static" ]; [ "--cache-limit"; "256" ];
+    [ "--cache-limit"; "256" ];
     [ "--timeout"; "300"; "--node-limit"; "50000000" ];
   ]
 
@@ -144,18 +121,12 @@ let invariance =
 let rows =
   invariance
   @ [
-      (* The arbiter's declaration order is adversarial (E13): its
-         relation is hundreds of times its clusters' size, so the
-         compiler partitions it; the static order makes it small enough
-         to stay monolithic (E9). *)
+      (* The arbiter's declaration order is adversarial (E13); the
+         compiler's proximity order interleaves each request with its
+         acknowledge, so the relation stays small enough to be
+         monolithic (E9). *)
       ( "arbiter peak", model "arbiter" [ "--stats" ], 1,
-        [
-          Peak_halved (model "arbiter" [ "--stats"; "--reorder"; "static" ]);
-          Has "transition relation: partitioned (17 clusters, 108 nodes)";
-          Has_in
-            ( model "arbiter" [ "--stats"; "--reorder"; "static" ],
-              "transition relation: monolithic (194 nodes)" );
-        ] );
+        [ Has "transition relation: monolithic (194 nodes)" ] );
       (* Goldens captured from the boxed node store; the packed store's
          own fault sites (unique-table insert, collection entry) must
          recover to the clean verdicts. *)
@@ -225,8 +196,8 @@ let rows =
           Has "(recovered: attempt 3 via reorder)";
           Same_verdicts (model "mutex" []);
         ] );
-      (* The degraded rung on a model that is already partitioned
-         keeps its relation and only tightens the caches. *)
+      (* The degraded rung installs the partitioned relation and
+         tightens the caches. *)
       ( "degraded rung",
         model "arbiter" [ "--step-limit"; "4"; "--retries"; "3"; "-q" ],
         1,

@@ -151,20 +151,16 @@ let expect_bad_flag flags =
     (contains ~needle:"-- specification" out);
   out
 
-(* The removed sifting modes are refused like any unknown mode, with
-   the valid ones named; the removed --partitioned like any unknown
-   flag. *)
+(* The removed --reorder (whatever its mode) and --partitioned are
+   refused like any unknown flag. *)
 let test_bad_reorder_exits_3 () =
-  ignore (expect_bad_flag [ "--reorder"; "bogus" ]);
   ignore (expect_bad_flag [ "--partitioned" ]);
   List.iter
     (fun mode ->
       let out = expect_bad_flag [ "--reorder"; mode ] in
-      Alcotest.(check bool) (mode ^ ": valid modes named") true
-        (contains ~needle:(Printf.sprintf "invalid value '%s'" mode) out
-        && contains ~needle:"'none'" out
-        && contains ~needle:"'static'" out))
-    [ "once"; "auto" ]
+      Alcotest.(check bool) (mode ^ ": unknown option") true
+        (contains ~needle:"unknown option '--reorder'" out))
+    [ "bogus"; "static"; "none"; "once"; "auto" ]
 
 let test_bad_jobs_exits_3 () = ignore (expect_bad_flag [ "--jobs"; "x" ])
 

@@ -213,7 +213,7 @@ let test_protocol_parse_check () =
     Protocol.parse_request
       {|{"op":"check","id":"r1","model":"MODULE main","specs":["EF x"],
          "options":{"fair":false,"retries":2,"timeout":1.5,
-                    "inject":"mk:10","reorder":"static","stats":true}}|}
+                    "inject":"mk:10","stats":true}}|}
   with
   | Ok (Protocol.Check { id; model; specs; options }) ->
     Alcotest.(check string) "id" "r1" id;
@@ -226,26 +226,9 @@ let test_protocol_parse_check () =
       options.Engine.timeout;
     Alcotest.(check bool) "inject parsed" true
       (options.Engine.inject = Some (Engine.Fault (Bdd.Fault.Mk, 10)));
-    Alcotest.(check bool) "reorder static" true
-      (options.Engine.reorder = `Static);
-    (* The removed sifting modes are refused, naming the valid ones. *)
-    List.iter
-      (fun mode ->
-        match
-          Protocol.parse_request
-            (Printf.sprintf
-               {|{"op":"check","id":"r2","model":"m","options":{"reorder":%S}}|}
-               mode)
-        with
-        | Error e ->
-          Alcotest.(check string) ("reorder " ^ mode ^ " refused")
-            (Printf.sprintf
-               "\"reorder\": unknown mode %S (none or static)" mode)
-            e
-        | Ok _ -> Alcotest.failf "reorder %s accepted" mode)
-      [ "once"; "auto" ];
-    (* The removed "fair_engine" and "partitioned" selectors are
-       unknown fields now, and unknown fields are ignored. *)
+    (* The removed "fair_engine", "partitioned" and "reorder"
+       selectors are unknown fields now, and unknown fields are
+       ignored, whatever their value. *)
     List.iter
       (fun field ->
         match
@@ -257,7 +240,13 @@ let test_protocol_parse_check () =
           Alcotest.(check bool) (field ^ " ignored") true
             (options = Protocol.default_options)
         | Ok _ | Error _ -> Alcotest.failf "%s request must parse" field)
-      [ {|"fair_engine":"lockstep"|}; {|"partitioned":true|} ]
+      [
+        {|"fair_engine":"lockstep"|};
+        {|"partitioned":true|};
+        {|"reorder":"static"|};
+        {|"reorder":"none"|};
+        {|"reorder":"once"|};
+      ]
   | Ok _ -> Alcotest.fail "parsed as the wrong op"
   | Error e -> Alcotest.failf "parse failed: %s" e
 
@@ -337,7 +326,7 @@ let test_protocol_reply_shapes () =
 
 let test_cache_warm_flag () =
   let cache = Cache.create ~capacity:4 in
-  let key = Cache.digest ~source:"m" ~static_order:false in
+  let key = Cache.digest ~source:"m" in
   let e1, warm1 = Cache.acquire cache ~key in
   Alcotest.(check bool) "first acquire is cold" false warm1;
   (* Still cold on re-acquire: nothing was compiled into the entry. *)
@@ -349,14 +338,9 @@ let test_cache_warm_flag () =
   Cache.release cache e2;
   Alcotest.(check int) "entry pooled" 1 (Cache.size cache)
 
-let test_cache_key_includes_options () =
-  let d = Cache.digest ~source:"m" in
-  Alcotest.(check bool) "static order changes the key" true
-    (d ~static_order:false <> d ~static_order:true)
-
 let test_cache_eviction () =
   let cache = Cache.create ~capacity:1 in
-  let key n = Cache.digest ~source:n ~static_order:false in
+  let key n = Cache.digest ~source:n in
   let e1, _ = Cache.acquire cache ~key:(key "a") in
   (* e1 is busy: inserting a second entry must not evict it. *)
   let e2, _ = Cache.acquire cache ~key:(key "b") in
@@ -746,7 +730,7 @@ let test_overload_retry_hint () =
 (* Put a real compiled model into a cache entry so live_nodes has
    something to measure. *)
 let warm_into cache source =
-  let key = Cache.digest ~source ~static_order:false in
+  let key = Cache.digest ~source in
   let e, _ = Cache.acquire cache ~key in
   e.Cache.compiled <- Some (compile source);
   Cache.release cache e;
@@ -929,8 +913,6 @@ let suite =
     Alcotest.test_case "protocol: reply shapes" `Quick
       test_protocol_reply_shapes;
     Alcotest.test_case "cache: warm flag" `Quick test_cache_warm_flag;
-    Alcotest.test_case "cache: key includes options" `Quick
-      test_cache_key_includes_options;
     Alcotest.test_case "cache: LRU eviction spares busy entries" `Quick
       test_cache_eviction;
     Alcotest.test_case "engine: check_one output" `Quick

@@ -180,9 +180,7 @@ let test_persist_roundtrip () =
      memoised reachable set is part of what the snapshot preserves. *)
   ignore (Kripke.reachable compiled.Smv.Compile.model);
   let expected = check_all compiled in
-  let key =
-    Cache.digest ~source:mutex_source ~static_order:false
-  in
+  let key = Cache.digest ~source:mutex_source in
   let p = Persist.create ~dir ~debug:false in
   Alcotest.(check bool) "save_entry succeeds" true
     (Persist.save_entry p ~key ~uses:1 compiled);
@@ -207,17 +205,15 @@ let test_persist_rehydrate_and_quarantine () =
   with_state_dir @@ fun dir ->
   let compiled = Smv.load_string mutex_source in
   ignore (check_all compiled);
-  let key =
-    Cache.digest ~source:mutex_source ~static_order:false
-  in
+  let key = Cache.digest ~source:mutex_source in
   let p = Persist.create ~dir ~debug:false in
   Alcotest.(check bool) "save" true (Persist.save_entry p ~key ~uses:1 compiled);
-  (* Drop four bad files beside the good one: a truncated copy, a
-     bit-flipped copy, and two valid entries under their own keys
-     re-stamped with the two previous formats' magics (their names and
+  (* Drop five bad files beside the good one: a truncated copy, a
+     bit-flipped copy, and three valid entries under their own keys
+     re-stamped with the three previous formats' magics (their names and
      checksums still match, so only the version check stands between
      them and [Marshal]).  Rehydration must seed the good entry and
-     quarantine all four without raising. *)
+     quarantine all five without raising. *)
   let read path =
     let ic = open_in_bin path in
     let s = really_input_string ic (in_channel_length ic) in
@@ -234,7 +230,7 @@ let test_persist_rehydrate_and_quarantine () =
     (String.sub blob 0 (String.length blob / 3));
   write (Filename.concat dir "flipped.warm") (flip blob 12);
   let restamp source magic =
-    let stale_key = Cache.digest ~source ~static_order:true in
+    let stale_key = Cache.digest ~source in
     let stale = Filename.concat dir (stale_key ^ ".warm") in
     Alcotest.(check bool) ("save " ^ magic) true
       (Persist.save_entry p ~key:stale_key ~uses:1 compiled);
@@ -243,12 +239,14 @@ let test_persist_rehydrate_and_quarantine () =
       (magic ^ String.sub stale_blob 8 (String.length stale_blob - 8));
     (stale_key, stale)
   in
-  let stale = [ restamp mutex_source "SMVWARM2"; restamp "m" "SMVWARM3" ] in
+  let stale =
+    [ restamp "m2" "SMVWARM2"; restamp "m3" "SMVWARM3"; restamp "m4" "SMVWARM4" ]
+  in
   let p' = Persist.create ~dir ~debug:false in
   let cache = Cache.create ~capacity:4 in
   let restored = Persist.rehydrate p' cache in
   Alcotest.(check int) "one entry restored" 1 restored;
-  Alcotest.(check int) "four files quarantined" 4
+  Alcotest.(check int) "five files quarantined" 5
     (Persist.counters p').Persist.quarantines;
   Alcotest.(check bool) "restored entry is warm in the pool" true
     (Cache.is_warm cache ~key);
@@ -271,9 +269,7 @@ let test_persist_rehydrate_and_quarantine () =
 let test_persist_dirty_tracking () =
   with_state_dir @@ fun dir ->
   let compiled = Smv.load_string mutex_source in
-  let key =
-    Cache.digest ~source:mutex_source ~static_order:false
-  in
+  let key = Cache.digest ~source:mutex_source in
   let p = Persist.create ~dir ~debug:false in
   let cache = Cache.create ~capacity:4 in
   Alcotest.(check bool) "seed" true (Cache.seed cache ~key ~compiled);
