@@ -1,5 +1,6 @@
 (* E16 — node-store representation: what the unique-table / op-cache
-   layout costs on the workloads of E13.
+   layout costs on the arbiter and counter families
+   ([Workloads.arbiter_smv] / [Workloads.counter_smv]).
 
    The packed struct-of-arrays store (PR 8) replaces boxed node records
    behind per-level Hashtbl subtables with int-indexed columns, open
@@ -8,9 +9,8 @@
    experiment measures exactly those, with verdicts pinned:
 
    1. check_s and peak live nodes on arbiter-N / counter-N in the
-      compiler's order (no sifting, the store's own speed undiluted;
-      the committed rows predate that order and used declaration
-      order);
+      compiler's order (the store's own speed; the committed rows
+      predate that order and used declaration order);
    2. OCaml-heap pressure: major collections during the check and the
       process peak RSS (VmHWM) afterwards;
    3. live heap words per BDD node, measured on a dense random-cube
@@ -129,13 +129,13 @@ let run ~full =
   let rows =
     run_workload
       ~workload:(Printf.sprintf "arbiter%d" arb_users)
-      (Exp_reorder.arbiter_smv arb_users)
+      (Workloads.arbiter_smv arb_users)
       []
   in
   let rows =
     run_workload
       ~workload:(Printf.sprintf "counter%d" ctr_bits)
-      (Exp_reorder.counter_smv ctr_bits)
+      (Workloads.counter_smv ctr_bits)
       rows
   in
   let wpn, live = words_per_node ~cubes:20_000 ~width:10 ~vars:1000 in
@@ -163,13 +163,13 @@ let run ~full =
   Harness.print_table
     ~title:
       "E16: node store — check time, GC pressure, heap words per node \
-       (compiler's order, no sifting)"
+       (compiler's order)"
     ~header:
       [ "workload"; "store"; "check"; "peak nodes"; "majors"; "footprint";
         "verdicts" ]
     rows;
   Harness.note
-    "compiler's order, no sifting: raw mk/ITE/relprod speed of the store.";
+    "compiler's order: raw mk/ITE/relprod speed of the store.";
   Harness.note
     "majors: OCaml major collections during the check; footprint: process";
   Harness.note
@@ -180,7 +180,7 @@ let run ~full =
     "keeps boxed rows from the pre-packed seed next to current packed rows."
 
 let bechamel =
-  let src = lazy (Exp_reorder.arbiter_smv 6) in
+  let src = lazy (Workloads.arbiter_smv 6) in
   Bechamel.Test.make ~name:"e16-arbiter6-declared"
     (Bechamel.Staged.stage (fun () ->
          let c = Smv.load_string (Lazy.force src) in

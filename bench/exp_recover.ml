@@ -117,7 +117,6 @@ let starved_ladder m spec ~retries ~base_budget =
         in
         (match strategy with
         | Robust.Ladder.Gc_retry -> ignore (Bdd.gc man)
-        | Robust.Ladder.Reorder -> Bdd.reorder man
         | Robust.Ladder.Degraded -> Bdd.set_cache_limit man (Some 8192)
         | Robust.Ladder.Direct | Robust.Ladder.Explicit_state -> ());
         Bdd.Limits.with_attached man limits (fun () ->

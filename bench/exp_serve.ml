@@ -97,14 +97,14 @@ let run ~full =
     sweep
       ~workload:(Printf.sprintf "arbiter%d" arb_users)
       ~extra_spec:"AG (req2 -> AF ack2)"
-      (Exp_reorder.arbiter_smv arb_users)
+      (Workloads.arbiter_smv arb_users)
       []
   in
   let rows =
     sweep
       ~workload:(Printf.sprintf "counter%d" ctr_bits)
       ~extra_spec:"AG EF (!b0 & !b1)"
-      (Exp_reorder.counter_smv ctr_bits)
+      (Workloads.counter_smv ctr_bits)
       rows
   in
   Harness.print_table
@@ -128,7 +128,7 @@ let run ~full =
 
 let bechamel =
   let cache = lazy (Server.Cache.create ~capacity:2) in
-  let src = lazy (Exp_reorder.arbiter_smv 6) in
+  let src = lazy (Workloads.arbiter_smv 6) in
   Bechamel.Test.make ~name:"e14-arbiter6-warm-request"
     (Bechamel.Staged.stage (fun () ->
          request (Lazy.force cache) ~source:(Lazy.force src) ()))
@@ -218,7 +218,7 @@ let run_overload ~full =
   (* 2. Saturation goodput: flood a 2-worker pool with warm checks. *)
   let users = if full then 8 else 6 in
   let workload = Printf.sprintf "arbiter%d" users in
-  let src = Exp_reorder.arbiter_smv users in
+  let src = Workloads.arbiter_smv users in
   let cache = Server.Cache.create ~capacity:2 in
   ignore (request cache ~source:src ());
   let key = Server.Cache.digest ~source:src in
@@ -327,7 +327,7 @@ let bechamel_overload =
 let run_restart ~full =
   let users = if full then 10 else 8 in
   let workload = Printf.sprintf "arbiter%d" users in
-  let src = Exp_reorder.arbiter_smv users in
+  let src = Workloads.arbiter_smv users in
   (* Pre-crash: one cold request warms the pool entry (this is also
      the cold-recheck baseline), then a persist write snapshots it. *)
   let cache = Server.Cache.create ~capacity:2 in
@@ -423,7 +423,7 @@ let bechamel_restart =
   let man =
     lazy
       (let cache = Server.Cache.create ~capacity:1 in
-       let src = Exp_reorder.arbiter_smv 6 in
+       let src = Workloads.arbiter_smv 6 in
        ignore (request cache ~source:src ());
        let key = Server.Cache.digest ~source:src in
        let entry, _ = Server.Cache.acquire cache ~key in

@@ -23,7 +23,6 @@ let experiments =
     ("E9", Exp_partition.run, Exp_partition.bechamel);
     ("E10", Exp_govern.run, Exp_govern.bechamel);
     ("E12", Exp_recover.run, Exp_recover.bechamel);
-    ("E13", Exp_reorder.run, Exp_reorder.bechamel);
     ("E14", Exp_serve.run, Exp_serve.bechamel);
     ("E15", Exp_serve.run_overload, Exp_serve.bechamel_overload);
     ("E16", Exp_nodestore.run, Exp_nodestore.bechamel);

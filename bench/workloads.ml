@@ -138,3 +138,67 @@ let xor_automaton n =
   Kripke.Builder.label_all_bools b;
   let m = Kripke.Builder.build b in
   (m, Kripke.with_partition m (Kripke.Builder.clusters b))
+
+(* SMV source generators for the server and node-store experiments
+   (E14-E17), which drive the full frontend rather than the builder. *)
+
+(* The round-robin token arbiter of examples/models/arbiter.smv,
+   parameterised over the number of users and generated with the same
+   adversarial declaration order. *)
+let arbiter_smv n =
+  let b = Buffer.create 4096 in
+  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  pf "MODULE main\nVAR\n";
+  for i = 0 to n - 1 do
+    pf "  req%d : boolean;\n" i
+  done;
+  for i = 0 to n - 1 do
+    pf "  ack%d : boolean;\n" i
+  done;
+  pf "  token : {%s};\n"
+    (String.concat ", " (List.init n (Printf.sprintf "t%d")));
+  pf "ASSIGN\n";
+  for i = 0 to n - 1 do
+    pf "  init(req%d) := FALSE;\n  init(ack%d) := FALSE;\n" i i
+  done;
+  pf "  init(token) := t0;\n";
+  pf "  next(token) := case\n";
+  for i = 0 to n - 2 do
+    pf "      token = t%d : t%d;\n" i (i + 1)
+  done;
+  pf "      TRUE : t0;\n    esac;\n";
+  for i = 0 to n - 1 do
+    pf "  next(ack%d) := req%d & token = t%d;\n" i i i
+  done;
+  for i = 0 to n - 1 do
+    pf
+      "  next(req%d) := case ack%d : {TRUE, FALSE}; req%d : TRUE; TRUE : \
+       {TRUE, FALSE}; esac;\n"
+      i i i
+  done;
+  pf "SPEC AG !(ack0 & ack1)\n";
+  pf "SPEC AG (req0 -> AF ack0)\n";
+  pf "SPEC AG (req1 -> AF !req1)\n";
+  Buffer.contents b
+
+(* A plain n-bit binary counter: bit k toggles when all lower bits are
+   1.  EF(all ones) walks the whole 2^n chain backwards. *)
+let counter_smv n =
+  let b = Buffer.create 1024 in
+  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  pf "MODULE main\nVAR\n";
+  for i = 0 to n - 1 do
+    pf "  b%d : boolean;\n" i
+  done;
+  pf "ASSIGN\n";
+  for i = 0 to n - 1 do
+    pf "  init(b%d) := FALSE;\n" i
+  done;
+  for i = 0 to n - 1 do
+    let lower = List.init i (Printf.sprintf "b%d") in
+    let all_lower = match lower with [] -> "TRUE" | l -> String.concat " & " l in
+    pf "  next(b%d) := case %s : !b%d; TRUE : b%d; esac;\n" i all_lower i i
+  done;
+  pf "SPEC EF (%s)\n" (String.concat " & " (List.init n (Printf.sprintf "b%d")));
+  pf "SPEC AG (b0 -> EF !b0)\n";
+  Buffer.contents b

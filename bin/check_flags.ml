@@ -68,8 +68,8 @@ let retries_arg =
         ~doc:
           "Re-attempt a breached, out-of-memory or crashed \
            specification up to N times with escalating remediation: \
-           garbage collection, a variable-reordering sweep, a degraded \
-           (partitioned, tight-cache) representation, then an \
+           garbage collection, a degraded (partitioned, tight-cache) \
+           representation, then an \
            explicit-state fallback when the state space is small \
            enough.  Recovered verdicts are annotated and their traces \
            always certified.  Default 0: no recovery, behaviour \

@@ -10,8 +10,8 @@
 
    Recovery: with --retries N a breached / out-of-memory
    specification is re-attempted up to N times through the
-   Robust.Ladder rungs (gc-retry, a sifting sweep, degraded
-   representation, explicit-state fallback), each attempt under
+   Robust.Ladder rungs (gc-retry, degraded representation,
+   explicit-state fallback), each attempt under
    exponentially backed-off budgets; with --retries 0 (the default) behaviour —
    output bytes included — is identical to the pre-recovery checker.
 
@@ -225,7 +225,7 @@ let inject_arg =
     & info [ "inject" ] ~docv:"SITE:COUNT"
         ~doc:
           "Chaos testing: deterministically fail the COUNT-th visit to \
-           SITE (mk, probe, gc, step or reorder — raising the same \
+           SITE (mk, probe, gc or step — raising the same \
            errors real resource exhaustion would).  COUNT may be \
            'rand' (seeded by --seed).  Combine with --retries to \
            exercise the recovery ladder.")

@@ -1,5 +1,5 @@
-(* Reduced ordered BDDs with hash-consing, memoised operations, and
-   dynamic variable reordering, over an unboxed int-packed node store.
+(* Reduced ordered BDDs with hash-consing and memoised operations, over
+   an unboxed int-packed node store.
 
    Representation.  A diagram handle [t] is an [int]: 0 is the constant
    false, 1 the constant true, and any index >= 2 names a slot in the
@@ -7,14 +7,14 @@
    therefore three adjacent-by-index array cells, not a boxed record:
    the OCaml GC never traverses the store, [mk] allocates nothing on
    the OCaml heap, and a cofactor read is one bounds-checked array
-   load.  Free slots (after [gc] or a reordering reap) carry
-   [n_var = -1] and are threaded into a free list through [n_lo].
+   load.  Free slots (after [gc]) carry [n_var = -1] and are threaded
+   into a free list through [n_lo].
 
    The unique table is open addressing, split per variable: each
-   variable owns a power-of-two slot array probed linearly (-1 empty,
-   -2 tombstone), grown geometrically at 3/4 load with a full rehash
-   that also clears tombstones.  Splitting per variable is what keeps
-   an adjacent-level exchange local to the two affected subtables.
+   variable owns a power-of-two slot array probed linearly (-1 empty),
+   grown geometrically at 3/4 load with a full rehash.  No entry is
+   ever removed in place: [gc] rebuilds each subtable from its
+   survivors, so a probe chain ends at the first empty slot.
 
    The six operation caches (ite / exists / forall / relprod /
    constrain / shift) are direct-mapped int-packed arrays: one slot per hash,
@@ -27,9 +27,10 @@
 
    Invariants maintained by [mk]:
    - ordering: on every path from the root, variable *levels* strictly
-     increase (the manager holds a mutable var <-> level bijection;
-     with the default identity order, levels coincide with variable
-     indices);
+     increase (the manager holds a var <-> level bijection, installed
+     once by [Reorder.set_order] on the empty manager and fixed for the
+     manager's life; with the default identity order, levels coincide
+     with variable indices);
    - reduction: no node has [low == high], and no two distinct nodes
      of the same variable have the same (low, high) pair (per-variable
      unique subtables).
@@ -37,13 +38,6 @@
    Under these invariants structural identity is semantic equivalence,
    so [equal] is constant-time and operation caches are keyed directly
    by handles.
-
-   Reordering works by adjacent-level swap: a node of the upper
-   variable that depends on the lower one is rewritten *in place*
-   (its [n_var]/[n_lo]/[n_hi] cells) to denote the same boolean
-   function with the two variables exchanged, so external handles
-   survive — only the two affected unique subtables are touched.  See
-   the [Reorder] section below for the full invariant story.
 
    Garbage collection is mark-and-sweep over the columns with
    free-list reuse, NOT compaction: handles are immediate ints copied
@@ -90,9 +84,6 @@ type stats = {
   cache_evictions : int;
   gc_runs : int;
   gc_collected : int;
-  reorders : int;
-  reorder_ms : float;
-  reorder_saved : int;
   cache_stores : int;
   unique_lookups : int;
   unique_probes : int;
@@ -152,19 +143,17 @@ type limits = {
    same injection.  Defined before [man] because the manager carries
    the armed fault. *)
 
-type fault_site = Mk | Cache_probe | Gc | Step | Reorder
+type fault_site = Mk | Cache_probe | Gc | Step
 
 type fault = { f_site : fault_site; mutable f_remaining : int }
 
 (* One variable's unique subtable: a power-of-two slot array of node
-   indices probed linearly.  -1 marks an empty slot, -2 a tombstone
-   left by a removal (reordering, gc rebuilds afresh instead).  The
-   key of a stored node is its (n_lo, n_hi) pair, read back from the
-   columns — the table itself holds only indices. *)
+   indices probed linearly, -1 marking an empty slot.  The key of a
+   stored node is its (n_lo, n_hi) pair, read back from the columns —
+   the table itself holds only indices. *)
 type sub = {
   mutable s_slots : int array;
   mutable s_count : int; (* live entries *)
-  mutable s_tombs : int; (* tombstones *)
 }
 
 (* One direct-mapped operation cache: [c_stride] ints per entry (the
@@ -191,22 +180,12 @@ type man = {
   mutable n_next : int;      (* allocation watermark (indices 0/1 reserved) *)
   mutable free_head : int;   (* head of the free list, or -1 *)
   mutable total_created : int; (* nodes ever allocated *)
-  (* Unique tables, one per variable, keyed by (low, high).  Splitting
-     the table per variable is what makes an adjacent-level swap touch
-     only the two affected subtables. *)
+  (* Unique tables, one per variable, keyed by (low, high). *)
   mutable subs : sub array;
   mutable nvars : int;         (* variables ever mentioned *)
   mutable var2lvl : int array; (* variable -> level, a permutation *)
   mutable lvl2var : int array; (* level -> variable, its inverse *)
-  mutable pair_with : int array;
-      (* grouped-sifting partner of each variable, or -1; pairs are
-         kept level-adjacent by [reorder] *)
   mutable live : int; (* total nodes across the subtables *)
-  mutable zombies : int list;
-      (* slots detached from the unique table by a reordering reap but
-         whose columns are kept readable: a client may still hold the
-         handle (the boxed store kept such records alive through the
-         OCaml GC).  The next [gc] releases the unmarked ones. *)
   ite_cache : cache;
   exists_cache : cache;
   forall_cache : cache;
@@ -240,11 +219,6 @@ type man = {
   mutable fault : fault option;
       (* armed fault injection, if any (chaos testing only) *)
   mutable faults_fired : int;
-  (* --- dynamic reordering state --- *)
-  mutable in_reorder : bool;   (* a swap/sift is running *)
-  mutable reorders : int;
-  mutable reorder_ms : float;
-  mutable reorder_saved : int;      (* nodes reclaimed by reordering *)
 }
 
 (* How many cache probes between full limit checks (wall-clock read +
@@ -282,7 +256,7 @@ let cache_make stride entries =
     c_since = 0;
   }
 
-let fresh_sub () = { s_slots = Array.make 16 (-1); s_count = 0; s_tombs = 0 }
+let fresh_sub () = { s_slots = Array.make 16 (-1); s_count = 0 }
 
 let create ?(unique_size = 20_011) ?(cache_size = 20_011) ?cache_limit () =
   let climit = match cache_limit with Some n -> n | None -> max_int in
@@ -309,9 +283,7 @@ let create ?(unique_size = 20_011) ?(cache_size = 20_011) ?cache_limit () =
     nvars = 0;
     var2lvl = Array.make 64 (-1);
     lvl2var = Array.make 64 (-1);
-    pair_with = Array.make 64 (-1);
     live = 0;
-    zombies = [];
     ite_cache = cache_make 4 entries0;
     exists_cache = cache_make 3 entries0;
     forall_cache = cache_make 3 entries0;
@@ -339,10 +311,6 @@ let create ?(unique_size = 20_011) ?(cache_size = 20_011) ?cache_limit () =
     poll_countdown = poll_interval;
     fault = None;
     faults_fired = 0;
-    in_reorder = false;
-    reorders = 0;
-    reorder_ms = 0.0;
-    reorder_saved = 0;
   }
 
 (* Grow the variable universe to include [v].  New variables enter at
@@ -364,11 +332,9 @@ let ensure_var m v =
         a'
       in
       let v2l = grow m.var2lvl and l2v = grow m.lvl2var in
-      let pw = grow m.pair_with in
       m.subs <- st;
       m.var2lvl <- v2l;
-      m.lvl2var <- l2v;
-      m.pair_with <- pw
+      m.lvl2var <- l2v
     end;
     for i = m.nvars to n - 1 do
       m.var2lvl.(i) <- i;
@@ -429,9 +395,6 @@ let stats m =
     cache_evictions = m.evictions;
     gc_runs = m.gc_runs;
     gc_collected = m.gc_collected;
-    reorders = m.reorders;
-    reorder_ms = m.reorder_ms;
-    reorder_saved = m.reorder_saved;
     cache_stores = List.fold_left (fun n c -> n + c.c_stores) 0 (caches m);
     unique_lookups = m.unique_lookups;
     unique_probes = m.unique_probes;
@@ -675,23 +638,20 @@ let alloc_node m v lo hi =
   if m.live > m.peak_nodes then m.peak_nodes <- m.live;
   n
 
-let release_slot m n =
+let free_node m n =
   m.n_var.(n) <- -1;
   m.n_lo.(n) <- m.free_head;
   m.n_hi.(n) <- -1;
-  m.free_head <- n
-
-let free_node m n =
-  release_slot m n;
+  m.free_head <- n;
   m.live <- m.live - 1
 
 let hash_uid lo hi =
   let h = (lo * 0x9e3779b1) lxor (hi * 0x61c88647) in
   h lxor (h lsr 16)
 
-(* Rehash a subtable into a fresh slot array sized for its live count;
-   tombstones evaporate.  Also the growth path: load (live + tombs) is
-   kept under 3/4 so probe chains stay short and terminate. *)
+(* Rehash a subtable into a fresh slot array sized for its live count.
+   The growth path: load is kept under 3/4 so probe chains stay short
+   and terminate. *)
 let sub_grow m s =
   let newcap = pow2_at_least (max 16 (2 * (s.s_count + 1))) in
   let slots = Array.make newcap (-1) in
@@ -706,67 +666,27 @@ let sub_grow m s =
         slots.(!j) <- e
       end)
     s.s_slots;
-  s.s_slots <- slots;
-  s.s_tombs <- 0
+  s.s_slots <- slots
 
-(* Find the node with key (lo, hi), or -1. *)
-let sub_find m s lo hi =
+(* Insert node [e] under its current key unless a node with that key is
+   already there; [false] reports the duplicate ([Snapshot.load]'s
+   canonicity check; [mk] inlines its own probe). *)
+let sub_insert m s e =
+  let lo = m.n_lo.(e) and hi = m.n_hi.(e) in
   let slots = s.s_slots in
   let mask = Array.length slots - 1 in
   let j = ref (hash_uid lo hi land mask) in
-  let r = ref (-1) and looking = ref true in
-  while !looking do
-    let e = slots.(!j) in
-    if e = -1 then looking := false
-    else begin
-      if e >= 2 && m.n_lo.(e) = lo && m.n_hi.(e) = hi then begin
-        r := e;
-        looking := false
-      end
-      else j := (!j + 1) land mask
-    end
+  let same k = m.n_lo.(k) = lo && m.n_hi.(k) = hi in
+  while slots.(!j) <> -1 && not (same slots.(!j)) do
+    j := (!j + 1) land mask
   done;
-  !r
-
-(* Remove node [e] (found by its current key); leaves a tombstone. *)
-let sub_remove m s e =
-  let slots = s.s_slots in
-  let mask = Array.length slots - 1 in
-  let j = ref (hash_uid m.n_lo.(e) m.n_hi.(e) land mask) in
-  let looking = ref true in
-  while !looking do
-    let e' = slots.(!j) in
-    if e' = e then begin
-      slots.(!j) <- -2;
-      s.s_count <- s.s_count - 1;
-      s.s_tombs <- s.s_tombs + 1;
-      looking := false
-    end
-    else if e' = -1 then looking := false
-    else j := (!j + 1) land mask
-  done
-
-(* Insert node [e] under its current key, which must be absent (the
-   reordering paths guarantee it; [mk] inlines its own probe). *)
-let sub_insert m s e =
-  assert (sub_find m s m.n_lo.(e) m.n_hi.(e) = -1);
-  let slots = s.s_slots in
-  let mask = Array.length slots - 1 in
-  let j = ref (hash_uid m.n_lo.(e) m.n_hi.(e) land mask) in
-  let looking = ref true in
-  while !looking do
-    match slots.(!j) with
-    | -1 ->
-      slots.(!j) <- e;
-      looking := false
-    | -2 ->
-      slots.(!j) <- e;
-      s.s_tombs <- s.s_tombs - 1;
-      looking := false
-    | _ -> j := (!j + 1) land mask
-  done;
-  s.s_count <- s.s_count + 1;
-  if 4 * (s.s_count + s.s_tombs + 1) > 3 * (mask + 1) then sub_grow m s
+  if slots.(!j) <> -1 then false
+  else begin
+    slots.(!j) <- e;
+    s.s_count <- s.s_count + 1;
+    if 4 * (s.s_count + 1) > 3 * (mask + 1) then sub_grow m s;
+    true
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Handles and structure. *)
@@ -792,9 +712,7 @@ let high m f = if f >= 2 then m.n_hi.(f) else invalid_arg "Bdd.high: constant"
    bit-for-bit. *)
 let lvl m f = if f < 2 then max_int else m.var2lvl.(m.n_var.(f))
 
-(* The only node constructor: reduces and hash-conses.  The probe
-   remembers the first tombstone so removals (reordering) do not
-   lengthen chains forever. *)
+(* The only node constructor: reduces and hash-conses. *)
 let mk m v lo hi =
   fault_tick m Mk;
   if lo = hi then lo
@@ -804,16 +722,11 @@ let mk m v lo hi =
     let slots = s.s_slots in
     let mask = Array.length slots - 1 in
     let j = ref (hash_uid lo hi land mask) in
-    let tomb = ref (-1) and found = ref (-1) in
+    let found = ref (-1) in
     let probes = ref 1 and looking = ref true in
     while !looking do
       let e = slots.(!j) in
       if e = -1 then looking := false
-      else if e = -2 then begin
-        if !tomb < 0 then tomb := !j;
-        j := (!j + 1) land mask;
-        incr probes
-      end
       else if m.n_lo.(e) = lo && m.n_hi.(e) = hi then begin
         found := e;
         looking := false
@@ -828,13 +741,9 @@ let mk m v lo hi =
     if !found >= 0 then !found
     else begin
       let n = alloc_node m v lo hi in
-      if !tomb >= 0 then begin
-        slots.(!tomb) <- n;
-        s.s_tombs <- s.s_tombs - 1
-      end
-      else slots.(!j) <- n;
+      slots.(!j) <- n;
       s.s_count <- s.s_count + 1;
-      if 4 * (s.s_count + s.s_tombs + 1) > 3 * (mask + 1) then sub_grow m s;
+      if 4 * (s.s_count + 1) > 3 * (mask + 1) then sub_grow m s;
       n
     end
   end
@@ -1265,9 +1174,6 @@ let diff_stats after before =
     cache_evictions = after.cache_evictions - before.cache_evictions;
     gc_runs = after.gc_runs - before.gc_runs;
     gc_collected = after.gc_collected - before.gc_collected;
-    reorders = after.reorders - before.reorders;
-    reorder_ms = after.reorder_ms -. before.reorder_ms;
-    reorder_saved = after.reorder_saved - before.reorder_saved;
     cache_stores = after.cache_stores - before.cache_stores;
     unique_lookups = after.unique_lookups - before.unique_lookups;
     unique_probes = after.unique_probes - before.unique_probes;
@@ -1296,10 +1202,7 @@ let reset_stats m =
   m.unique_probes <- 0;
   m.gc_runs <- 0;
   m.gc_collected <- 0;
-  m.peak_nodes <- live_nodes m;
-  m.reorders <- 0;
-  m.reorder_ms <- 0.0;
-  m.reorder_saved <- 0
+  m.peak_nodes <- live_nodes m
 
 let pp_stats ppf s =
   let op name (o : op_stats) =
@@ -1321,12 +1224,6 @@ let pp_stats ppf s =
     s.live_nodes s.unique_capacity
     (float_of_int s.unique_probes /. float_of_int (max 1 s.unique_lookups))
     s.cache_stores;
-  (* Printed only when reordering actually ran, so a run that never
-     sifts reports byte-identically to managers that predate
-     reordering. *)
-  if s.reorders > 0 then
-    Format.fprintf ppf "@,  reorders %d (saved %d nodes, %.1f ms)" s.reorders
-      s.reorder_saved s.reorder_ms;
   Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ *)
@@ -1345,11 +1242,6 @@ let remove_root m r = Hashtbl.remove m.roots r
 let with_root m f k =
   let r = add_root m f in
   Fun.protect ~finally:(fun () -> remove_root m r) k
-
-let iter_nodes m f =
-  for v = 0 to m.nvars - 1 do
-    Array.iter (fun e -> if e >= 2 then f e) m.subs.(v).s_slots
-  done
 
 (* Mark from the registered roots, rebuild every subtable with only
    the survivors (sized 2x so the next growth is a while away), and
@@ -1395,28 +1287,9 @@ let gc m =
           end)
         old;
       s.s_slots <- slots;
-      s.s_count <- !surv;
-      s.s_tombs <- 0
-    end
-    else if s.s_tombs > 0 then begin
-      Array.fill s.s_slots 0 (Array.length s.s_slots) (-1);
-      s.s_tombs <- 0
+      s.s_count <- !surv
     end
   done;
-  (* Zombie slots (detached from the table by a reordering reap but
-     kept readable for client-held handles): release the ones no root
-     marks.  Their live count was already decremented at detach time,
-     so this frees columns only. *)
-  m.zombies <-
-    List.filter
-      (fun z ->
-        if m.n_var.(z) < 0 then false
-        else if Bytes.get marks z = '\000' then begin
-          release_slot m z;
-          false
-        end
-        else true)
-      m.zombies;
   (* The operation caches may hold handles of nodes just swept (whose
      indices a later [mk] will recycle); returning one would break
      canonicity, so they must go too. *)
@@ -1427,346 +1300,16 @@ let gc m =
   collected
 
 (* ------------------------------------------------------------------ *)
-(* Dynamic variable reordering (Rudell sifting).
-
-   The primitive is the adjacent-level swap.  Let x be the variable at
-   level l and y at level l+1.  Every x-node n = (x, f0, f1) with at
-   least one child rooted at y is rewritten in place to
-
-       n := (y, mk(x, f00, f10), mk(x, f01, f11))
-
-   where fij is the y=j cofactor of fi — the same boolean function
-   with the two levels exchanged.  The rewrite mutates n's column
-   cells, so n's index (and every external [t] handle to it) survives;
-   only subtable x (n's old entry leaves) and subtable y (its new
-   entry arrives) change.  x-nodes not depending on y, and all other
-   levels, are untouched.  No unique-table collisions can occur: a
-   collision would exhibit two distinct nodes for one function
-   *before* the swap, contradicting canonicity.
-
-   Children orphaned by rewrites (the old f0/f1 and, recursively,
-   their descendants) are reclaimed by local reference counting so
-   the sifting size metric is exact.  Parent counts live in a scratch
-   int array indexed by node ([ensure_parents] re-syncs it after
-   column growth); protection is a byte per node fixed at sweep start.
-   A node that had no in-table parent when the reorder started (a
-   client-held result top, or garbage we must not touch because
-   clients may hold it) and every root-provider top is never
-   reclaimed; everything else dies when its last in-table parent
-   drops it.  Reclaimed indices go onto the free list and may be
-   recycled by [reorder_mk] within the same sweep — the recycling
-   path resets the recycled index's parent count and protection bit,
-   so no stale state survives.  This gives reordering the same
-   contract as [gc]: diagrams whose roots are registered (or simply
-   held as handles) survive with identities and meaning intact;
-   resurrecting an *interior* node of an unrooted diagram afterwards
-   is unsound.
-
-   The operation caches are structurally still correct after a swap
-   (every node keeps its function) but may reference reclaimed
-   indices, so they are flushed when the reorder finishes — also on
-   an abort: [Limits] is polled between block exchanges, and each
-   swap is atomic, so a deadline abort mid-sift leaves a consistent
-   manager with whatever order the sift had reached. *)
-
-let ensure_parents m pr =
-  if Array.length !pr < m.n_cap then begin
-    let a = Array.make m.n_cap 0 in
-    Array.blit !pr 0 a 0 (Array.length !pr);
-    pr := a
-  end
-
-let protected_ protect n = n < Bytes.length protect && Bytes.get protect n <> '\000'
-
-let reorder_mk m pr protect v lo hi =
-  if lo = hi then lo
-  else begin
-    let s = m.subs.(v) in
-    let e = sub_find m s lo hi in
-    if e >= 0 then e
-    else begin
-      let n = alloc_node m v lo hi in
-      ensure_parents m pr;
-      (* A recycled index may carry the reaped node's count/protection;
-         this node is brand new, so reset both. *)
-      !pr.(n) <- 0;
-      if n < Bytes.length protect then Bytes.set protect n '\000';
-      sub_insert m s n;
-      (* Creation edges: the new node's children gain one parent. *)
-      if lo >= 2 then !pr.(lo) <- !pr.(lo) + 1;
-      if hi >= 2 then !pr.(hi) <- !pr.(hi) + 1;
-      n
-    end
-  end
-
-(* Reclaim the unreferenced, unprotected nodes queued by a swap,
-   cascading through their children.  Each candidate is re-validated
-   before detaching: still allocated, still parentless, unprotected,
-   and still the unique-table entry for its key.  Detach, don't free:
-   the slot leaves the table (so canonicity and the sifting size
-   metric are exact) but its columns stay readable, because a client
-   may still hold the handle — the boxed store kept such records alive
-   through the OCaml GC, and [eval]/[size] on them must keep working.
-   The next [gc] releases the ones no root marks. *)
-let reorder_reap m pr protect queue =
-  let rec drain () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some c ->
-      (if
-         c >= 2 && m.n_var.(c) >= 0 && !pr.(c) = 0
-         && not (protected_ protect c)
-       then begin
-         let s = m.subs.(m.n_var.(c)) in
-         let lo = m.n_lo.(c) and hi = m.n_hi.(c) in
-         if sub_find m s lo hi = c then begin
-           sub_remove m s c;
-           m.live <- m.live - 1;
-           m.zombies <- c :: m.zombies;
-           let drop g =
-             if g >= 2 then begin
-               let r = !pr.(g) - 1 in
-               !pr.(g) <- r;
-               if r = 0 then Queue.add g queue
-             end
-           in
-           drop lo;
-           drop hi
-         end
-       end);
-      drain ()
-  in
-  drain ()
-
-(* Exchange levels l and l+1.  Atomic: no limit polls, no fault hooks,
-   so an exception can only enter between swaps and the manager is
-   always consistent. *)
-let swap_levels m pr protect l =
-  let x = m.lvl2var.(l) and y = m.lvl2var.(l + 1) in
-  let xt = m.subs.(x) and yt = m.subs.(y) in
-  let dep f = f >= 2 && m.n_var.(f) = y in
-  let moving =
-    Array.fold_left
-      (fun acc e ->
-        if e >= 2 && (dep m.n_lo.(e) || dep m.n_hi.(e)) then e :: acc else acc)
-      [] xt.s_slots
-  in
-  let queue = Queue.create () in
-  let decr f =
-    if f >= 2 then begin
-      let r = !pr.(f) - 1 in
-      !pr.(f) <- r;
-      if r = 0 && not (protected_ protect f) then Queue.add f queue
-    end
-  in
-  let incr_ f = if f >= 2 then !pr.(f) <- !pr.(f) + 1 in
-  List.iter
-    (fun e ->
-      let f0 = m.n_lo.(e) and f1 = m.n_hi.(e) in
-      let f00, f01 =
-        if dep f0 then (m.n_lo.(f0), m.n_hi.(f0)) else (f0, f0)
-      in
-      let f10, f11 =
-        if dep f1 then (m.n_lo.(f1), m.n_hi.(f1)) else (f1, f1)
-      in
-      (* New cofactor nodes first (they may share the old children, so
-         build before dropping edges). *)
-      let new_lo = reorder_mk m pr protect x f00 f10 in
-      let new_hi = reorder_mk m pr protect x f01 f11 in
-      incr_ new_lo;
-      incr_ new_hi;
-      (* Remove under the old key while the columns still hold it. *)
-      sub_remove m xt e;
-      decr f0;
-      decr f1;
-      m.n_var.(e) <- y;
-      m.n_lo.(e) <- new_lo;
-      m.n_hi.(e) <- new_hi;
-      sub_insert m yt e)
-    moving;
-  reorder_reap m pr protect queue;
-  m.lvl2var.(l) <- y;
-  m.lvl2var.(l + 1) <- x;
-  m.var2lvl.(x) <- l + 1;
-  m.var2lvl.(y) <- l
-
-(* Prologue shared by every reordering entry point: build the in-table
-   parent counts and the protection set (parentless tops + registered
-   roots), run the body with [in_reorder] set, and on any exit flush
-   the caches and account the stats. *)
-let with_reorder m body =
-  if m.in_reorder then invalid_arg "Bdd.reorder: reentrant reorder";
-  fault_tick m Reorder;
-  let t0 = now_monotonic () in
-  let before = m.live in
-  m.in_reorder <- true;
-  Fun.protect
-    ~finally:(fun () ->
-      m.in_reorder <- false;
-      clear_caches m;
-      m.reorders <- m.reorders + 1;
-      m.reorder_ms <- m.reorder_ms +. ((now_monotonic () -. t0) *. 1000.0);
-      m.reorder_saved <- m.reorder_saved + (before - m.live))
-    (fun () ->
-      let pr = ref (Array.make m.n_cap 0) in
-      let protect = Bytes.make m.n_cap '\000' in
-      iter_nodes m (fun e ->
-          let lo = m.n_lo.(e) and hi = m.n_hi.(e) in
-          if lo >= 2 then !pr.(lo) <- !pr.(lo) + 1;
-          if hi >= 2 then !pr.(hi) <- !pr.(hi) + 1);
-      iter_nodes m (fun e ->
-          if !pr.(e) = 0 then Bytes.set protect e '\001');
-      Hashtbl.iter
-        (fun _ provider ->
-          List.iter
-            (fun f -> if f >= 2 then Bytes.set protect f '\001')
-            (provider ()))
-        m.roots;
-      body pr protect)
-
-(* Poll attached limits between block exchanges so a deadline or node
-   budget can abort a sift at a swap boundary. *)
-let reorder_poll m =
-  match m.limits with Some l -> limits_check_now m l | None -> ()
-
-(* Bubble partners adjacent (top-down), so sifting can treat each
-   current/next pair as one block. *)
-let normalize_pairs m pr protect =
-  let l = ref 0 in
-  while !l < m.nvars - 1 do
-    let v = m.lvl2var.(!l) in
-    let p = m.pair_with.(v) in
-    if p >= 0 then begin
-      let pl = m.var2lvl.(p) in
-      for k = pl - 1 downto !l + 1 do
-        swap_levels m pr protect k
-      done;
-      l := !l + 2
-    end
-    else incr l
-  done
-
-(* The blocks (pairs + singletons) in level order. *)
-let build_blocks m =
-  let acc = ref [] and l = ref 0 in
-  while !l < m.nvars do
-    let v = m.lvl2var.(!l) in
-    let p = m.pair_with.(v) in
-    if p >= 0 && m.var2lvl.(p) = !l + 1 then begin
-      acc := [| v; p |] :: !acc;
-      l := !l + 2
-    end
-    else begin
-      acc := [| v |] :: !acc;
-      incr l
-    end
-  done;
-  Array.of_list (List.rev !acc)
-
-(* Exchange adjacent blocks i and i+1 (a block exchange of widths p,q
-   is p*q adjacent-level swaps). *)
-let exchange_blocks m pr protect blocks i =
-  let bi = blocks.(i) and bj = blocks.(i + 1) in
-  let p = Array.length bi in
-  let base = m.var2lvl.(bi.(0)) in
-  Array.iteri
-    (fun k _ ->
-      let cur = base + p + k in
-      for l = cur - 1 downto base + k do
-        swap_levels m pr protect l
-      done)
-    bj;
-  blocks.(i) <- bj;
-  blocks.(i + 1) <- bi;
-  reorder_poll m
-
-(* Rudell sifting over blocks: move each block (largest first) to both
-   ends of the order, tracking total live nodes, and park it at the
-   best position seen.  A scan direction is abandoned when the table
-   grows past maxgrowth (1.2x), except while retreating through
-   already-visited territory. *)
-let do_sift m pr protect =
-  if m.nvars > 1 then begin
-    normalize_pairs m pr protect;
-    let blocks = build_blocks m in
-    let nb = Array.length blocks in
-    let bsize b =
-      Array.fold_left (fun acc v -> acc + m.subs.(v).s_count) 0 b
-    in
-    let order =
-      List.stable_sort
-        (fun (sa, ia, _) (sb, ib, _) ->
-          if sa <> sb then Stdlib.compare sb sa else Stdlib.compare ia ib)
-        (List.mapi (fun i b -> (bsize b, i, b)) (Array.to_list blocks))
-      |> List.map (fun (_, _, b) -> b)
-    in
-    let index_of b =
-      let r = ref (-1) in
-      Array.iteri (fun i b' -> if b' == b then r := i) blocks;
-      !r
-    in
-    List.iter
-      (fun b ->
-        let i0 = index_of b in
-        let start_live = m.live in
-        let limit = start_live + (start_live / 5) + 64 in
-        let best = ref m.live and bestpos = ref i0 and pos = ref i0 in
-        let down () =
-          while !pos < nb - 1 && (!pos < i0 || m.live <= limit) do
-            exchange_blocks m pr protect blocks !pos;
-            incr pos;
-            if m.live < !best then begin
-              best := m.live;
-              bestpos := !pos
-            end
-          done
-        in
-        let up () =
-          while !pos > 0 && (!pos > i0 || m.live <= limit) do
-            exchange_blocks m pr protect blocks (!pos - 1);
-            decr pos;
-            if m.live < !best then begin
-              best := m.live;
-              bestpos := !pos
-            end
-          done
-        in
-        if i0 >= nb / 2 then begin
-          down ();
-          up ()
-        end
-        else begin
-          up ();
-          down ()
-        end;
-        while !pos > !bestpos do
-          exchange_blocks m pr protect blocks (!pos - 1);
-          decr pos
-        done;
-        while !pos < !bestpos do
-          exchange_blocks m pr protect blocks !pos;
-          incr pos
-        done)
-      order
-  end
-
-let reorder m = with_reorder m (do_sift m)
+(* The variable order.  It is installed once, on the empty manager, and
+   never changes afterwards: no node has to be rewritten, so handles,
+   levels and cached results all stay valid for the manager's life. *)
 
 module Reorder = struct
-  let nvars m = m.nvars
-  let level_of_var m v =
-    if v < 0 || v >= m.nvars then invalid_arg "Bdd.Reorder.level_of_var";
-    m.var2lvl.(v)
-  let var_at_level m l =
-    if l < 0 || l >= m.nvars then invalid_arg "Bdd.Reorder.var_at_level";
-    m.lvl2var.(l)
   let order m = Array.sub m.lvl2var 0 m.nvars
 
-  let swap m l =
-    if l < 0 || l >= m.nvars - 1 then invalid_arg "Bdd.Reorder.swap: bad level";
-    with_reorder m (fun pr protect -> swap_levels m pr protect l)
-
   let set_order m ord =
+    if m.live > 0 then
+      invalid_arg "Bdd.Reorder.set_order: the manager already has nodes";
     let n = Array.length ord in
     if n < m.nvars then
       invalid_arg "Bdd.Reorder.set_order: order shorter than variable count";
@@ -1778,49 +1321,12 @@ module Reorder = struct
         seen.(v) <- true)
       ord;
     if n > 0 then ensure_var m (n - 1);
-    if m.live = 0 then begin
-      (* Empty manager: install directly. *)
-      Array.iteri
-        (fun l v ->
-          m.lvl2var.(l) <- v;
-          m.var2lvl.(v) <- l)
-        ord;
-      clear_caches m
-    end
-    else
-      with_reorder m (fun pr protect ->
-          (* Selection by bubbling: settle each target level in turn. *)
-          for target = 0 to n - 1 do
-            let v = ord.(target) in
-            for l = m.var2lvl.(v) - 1 downto target do
-              swap_levels m pr protect l
-            done;
-            reorder_poll m
-          done)
-
-  let set_pairs m pairs =
-    List.iter
-      (fun (a, b) ->
-        if a < 0 || b < 0 || a = b then
-          invalid_arg "Bdd.Reorder.set_pairs: bad pair";
-        ensure_var m (max a b))
-      pairs;
-    Array.fill m.pair_with 0 (Array.length m.pair_with) (-1);
-    List.iter
-      (fun (a, b) ->
-        if m.pair_with.(a) >= 0 || m.pair_with.(b) >= 0 then
-          invalid_arg "Bdd.Reorder.set_pairs: variable in two pairs";
-        m.pair_with.(a) <- b;
-        m.pair_with.(b) <- a)
-      pairs
-
-  let pairs m =
-    let acc = ref [] in
-    for v = m.nvars - 1 downto 0 do
-      let p = m.pair_with.(v) in
-      if p > v then acc := (v, p) :: !acc
-    done;
-    !acc
+    Array.iteri
+      (fun l v ->
+        m.lvl2var.(l) <- v;
+        m.var2lvl.(v) <- l)
+      ord;
+    clear_caches m
 
   let with_checkpoints _ k = k ()
 end
@@ -1947,11 +1453,11 @@ end
 (* ------------------------------------------------------------------ *)
 (* Deterministic fault injection, public face.  The hooks themselves
    live on the hot paths above ([fault_tick] in [mk] / the cache
-   probes / [gc] / [with_reorder], [fault_step_tick] in [Limits.step]);
+   probes / [gc], [fault_step_tick] in [Limits.step]);
    this module only arms and disarms them. *)
 
 module Fault = struct
-  type site = fault_site = Mk | Cache_probe | Gc | Step | Reorder
+  type site = fault_site = Mk | Cache_probe | Gc | Step
 
   let arm m ~site ~after =
     if after <= 0 then invalid_arg "Bdd.Fault.arm: non-positive count";
@@ -1971,14 +1477,12 @@ module Fault = struct
     | Cache_probe -> "probe"
     | Gc -> "gc"
     | Step -> "step"
-    | Reorder -> "reorder"
 
   let site_of_string = function
     | "mk" -> Some Mk
     | "probe" -> Some Cache_probe
     | "gc" -> Some Gc
     | "step" -> Some Step
-    | "reorder" -> Some Reorder
     | _ -> None
 end
 
@@ -2018,8 +1522,8 @@ let to_dot ?(name = fun v -> Printf.sprintf "v%d" v) m f =
 (* ------------------------------------------------------------------ *)
 (* Snapshots: a versioned, checksummed binary dump of the packed node
    store, for crash-only warm-state persistence.  Only the canonical
-   structure travels — columns, free list, order permutation, sift
-   pairs, zombies, and the flattened root handles.  Unique subtables
+   structure travels — columns, free list, order permutation, and the
+   flattened root handles.  Unique subtables
    and op-caches are derived state and are rebuilt from scratch on
    load: the rebuild re-proves canonicity node by node (a duplicate
    key raises [Corrupt]), so a snapshot can never import a corrupted
@@ -2033,7 +1537,7 @@ module Snapshot = struct
   (* Format: 8-byte magic (carries the version), a 16-byte [Digest]
      of the payload, then the payload as a little-endian int64
      sequence.  Bumping the layout bumps the magic. *)
-  let magic = "BDDSNAP1"
+  let magic = "BDDSNAP2"
 
   let dump m =
     let b = Buffer.create (64 + (24 * m.n_next)) in
@@ -2056,11 +1560,6 @@ module Snapshot = struct
     for v = 0 to m.nvars - 1 do
       put m.lvl2var.(v)
     done;
-    for v = 0 to m.nvars - 1 do
-      put m.pair_with.(v)
-    done;
-    put (List.length m.zombies);
-    List.iter put m.zombies;
     (* Root handles, flattened from the registered providers and
        deduplicated with a stable order: providers are closures and
        cannot travel, so the restored manager gets one static root
@@ -2137,32 +1636,13 @@ module Snapshot = struct
       var2lvl;
     Array.blit var2lvl 0 m.var2lvl 0 nvars;
     Array.blit lvl2var 0 m.lvl2var 0 nvars;
-    for v = 0 to nvars - 1 do
-      let p = get () in
-      if p < -1 || p >= nvars then corrupt "bad sift pair %d for var %d" p v;
-      m.pair_with.(v) <- p
-    done;
-    let nzombies = get () in
-    if nzombies < 0 || nzombies > n_next then
-      corrupt "bad zombie count %d" nzombies;
-    let zombie = Bytes.make n_next '\000' in
-    let zombies = List.init nzombies (fun _ -> get ()) in
-    List.iter
-      (fun z ->
-        if z < 2 || z >= n_next || m.n_var.(z) < 0 then
-          corrupt "zombie %d is not a readable slot" z;
-        Bytes.set zombie z '\001')
-      zombies;
-    m.zombies <- zombies;
     let nroots = get () in
     if nroots < 0 || nroots > n_next then corrupt "bad root count %d" nroots;
     let root_handles = List.init nroots (fun _ -> get ()) in
     (* Rebuild the unique subtables from the columns, re-proving the
        canonical invariants for every table entry: children in range
        and not on the free list, lo <> hi, child levels strictly
-       deeper, and no duplicate (var, lo, hi) triple.  Zombie slots
-       stay out of the tables (that is what makes them zombies) but
-       their children must still be readable. *)
+       deeper, and no duplicate (var, lo, hi) triple. *)
     for e = 2 to n_next - 1 do
       let v = m.n_var.(e) in
       if v >= 0 then begin
@@ -2175,19 +1655,15 @@ module Snapshot = struct
         in
         child lo;
         child hi;
-        if Bytes.get zombie e = '\000' then begin
-          if lo = hi then corrupt "node %d is redundant (lo = hi)" e;
-          let deeper c =
-            c >= 2 && m.var2lvl.(m.n_var.(c)) <= m.var2lvl.(v)
-          in
-          if deeper lo || deeper hi then
-            corrupt "node %d: child above its level" e;
-          let s = m.subs.(v) in
-          if sub_find m s lo hi <> -1 then
-            corrupt "duplicate node (%d, %d, %d)" v lo hi;
-          sub_insert m s e;
-          m.live <- m.live + 1
-        end
+        if lo = hi then corrupt "node %d is redundant (lo = hi)" e;
+        let deeper c =
+          c >= 2 && m.var2lvl.(m.n_var.(c)) <= m.var2lvl.(v)
+        in
+        if deeper lo || deeper hi then
+          corrupt "node %d: child above its level" e;
+        if not (sub_insert m m.subs.(v) e) then
+          corrupt "duplicate node (%d, %d, %d)" v lo hi;
+        m.live <- m.live + 1
       end
     done;
     if m.live <> live then
@@ -2210,9 +1686,9 @@ module Snapshot = struct
       if m.n_var.(e) < 0 && Bytes.get freeseen e = '\000' then
         corrupt "hole %d not on the free list" e
     done;
-    if !nfree + m.live + nzombies <> n_next - 2 then
-      corrupt "slot accounting: %d free + %d live + %d zombies <> %d"
-        !nfree m.live nzombies (n_next - 2);
+    if !nfree + m.live <> n_next - 2 then
+      corrupt "slot accounting: %d free + %d live <> %d" !nfree m.live
+        (n_next - 2);
     List.iter
       (fun r ->
         if r < 0 || r >= n_next || (r >= 2 && m.n_var.(r) < 0) then

@@ -9,13 +9,11 @@
     extraction.
 
     Variables are non-negative integers.  Their placement on paths is
-    governed by a mutable manager order (a var <-> level bijection):
-    every path from a root visits variables in strictly increasing
-    {e level}.  A fresh manager uses the identity order (level =
-    variable index), under which behaviour is bit-for-bit the historic
-    var-indexed one; {!Reorder} changes the order dynamically (Rudell
-    sifting) while preserving every external handle and its meaning.
-    All operations on diagrams from the same manager are semantically
+    governed by the manager's order (a var <-> level bijection): every
+    path from a root visits variables in strictly increasing {e level}.
+    A fresh manager uses the identity order (level = variable index);
+    {!Reorder.set_order} installs another one while the manager is
+    still empty, and the order never changes afterwards.  All operations on diagrams from the same manager are semantically
     pure; diagrams are maximally shared. *)
 
 type man
@@ -84,8 +82,7 @@ val hash : t -> int
 
 val topvar : man -> t -> int
 (** Root variable of a non-constant diagram (the variable at the
-    diagram's top {e level}; a {!Reorder} sweep can change which
-    variable that is for the same handle).
+    diagram's top {e level}).
     Raises [Invalid_argument] on constants. *)
 
 val low : man -> t -> t
@@ -183,8 +180,8 @@ val sat_count : man -> t -> int -> float
 
 val any_sat : man -> t -> (int * bool) list
 (** One satisfying {e partial} assignment (the least cube in the
-    manager's current order, preferring [false] branches — so it can
-    change when the order is sifted), as (variable, value) pairs
+    manager's order, preferring [false] branches, so it depends on the
+    order {!Reorder.set_order} installed), as (variable, value) pairs
     sorted by variable.  Variables on which the cube does not depend
     (don't-cares) are {e omitted}: any completion of the returned pairs
     satisfies the diagram.  Callers that need one concrete point must
@@ -195,7 +192,7 @@ val any_sat_total : man -> t -> vars:int list -> (int * bool) list
 (** [any_sat_total m f ~vars] — one satisfying {e total} assignment over
     [vars]: the {!any_sat} cube with every unmentioned variable of
     [vars] pinned to [false] (the least satisfying point in the
-    current variable order).  The support of [f] must be contained in
+    variable order).  The support of [f] must be contained in
     [vars]; raises [Invalid_argument] otherwise and [Not_found] on the
     constant false. *)
 
@@ -206,7 +203,7 @@ val fold_sat :
     parallel to [vars]) that satisfies the diagram.  The support of the
     diagram must be contained in [vars].  Assignments are enumerated in
     lexicographic order of the variables {e as ranked by the manager's
-    current order} (with [false] < [true]); under the identity order
+    order} (with [false] < [true]); under the identity order
     that is lexicographic in the given list. *)
 
 val count_nodes : man -> int
@@ -242,9 +239,6 @@ type stats = {
                               colliding store with a different key *)
   gc_runs : int;
   gc_collected : int;     (** nodes swept across all {!gc} runs *)
-  reorders : int;         (** reordering sweeps ({!reorder} and friends) *)
-  reorder_ms : float;     (** wall-clock milliseconds spent reordering *)
-  reorder_saved : int;    (** net live-node reduction across all sweeps *)
   cache_stores : int;     (** operation-cache insertions across the six
                               caches; hit rate = hits / (hits + misses),
                               overwrite rate = evictions / stores *)
@@ -270,7 +264,7 @@ val cache_misses : stats -> int
 val diff_stats : stats -> stats -> stats
 (** [diff_stats after before] — the work done between two snapshots of
     the {e same} manager: monotone counters (calls, hits, misses,
-    evictions, gc, reorder, [total_nodes]) are subtracted, while the
+    evictions, gc, [total_nodes]) are subtracted, while the
     instantaneous readings [live_nodes] and [peak_nodes] are taken from
     [after].  This is how a long-lived (warm) manager attributes its
     counters to exactly one request: snapshot on entry, diff on exit.
@@ -285,8 +279,7 @@ val reset_peak : man -> unit
 val now_monotonic : unit -> float
 (** Seconds on [CLOCK_MONOTONIC] (falling back to the calendar clock
     only where the monotonic clock is unavailable).  All durations and
-    deadlines in this package — {!Limits} budgets, reordering times —
-    are measured on this clock, so an NTP step can neither spuriously
+    deadlines in this package ({!Limits} budgets) are measured on this clock, so an NTP step can neither spuriously
     breach nor extend a budget.  Only differences between two readings
     are meaningful. *)
 
@@ -335,66 +328,24 @@ val gc : man -> int
     (they may hold swept handles whose slots will be recycled).
     Returns the number of nodes collected. *)
 
-(** {1 Dynamic variable reordering}
+(** {1 The variable order}
 
-    The manager's variable order is mutable: {!reorder} runs a Rudell
-    sifting sweep, {!Reorder} exposes finer-grained control.  A sweep
-    is a sequence of adjacent-level exchanges, each of which mutates
-    the nodes at the upper level in place — node ids, and therefore
-    every external {!t} handle and the boolean function it denotes,
-    are preserved; only [size] and the shape below a handle change.
-    Reordering drops the operation caches and, like {!gc}, reclaims
-    nodes that become unreachable from the registered roots and the
-    handles live at the start of the sweep, so the root discipline
-    required for {!gc} is exactly the discipline required here.
-
-    Reordering polls any attached {!Limits} between exchanges: a
-    deadline or cancellation aborts the sweep mid-way, leaving the
-    manager consistent (canonical, reduced) in whatever order the
-    completed exchanges produced. *)
-
-val reorder : man -> unit
-(** One full sifting sweep: each variable block (see
-    {!Reorder.set_pairs}) is moved through all levels and settled at
-    the position minimising live nodes, largest blocks first, with a
-    1.2x growth abort per block.  No-op on managers with fewer than
-    two levels. *)
+    A manager's order is fixed for its life: {!Reorder.set_order}
+    installs one on the empty manager (the SMV compiler's one call,
+    before any node exists), and nothing moves it afterwards. *)
 
 module Reorder : sig
-  val nvars : man -> int
-  (** Number of levels (= distinct variables ever created). *)
-
-  val level_of_var : man -> int -> int
-  (** Current level of a variable.  Raises [Invalid_argument] if the
-      variable has never been created in this manager. *)
-
-  val var_at_level : man -> int -> int
-  (** Inverse of {!level_of_var}. *)
-
   val order : man -> int array
-  (** The current order as the array of variables from level 0 down;
-      a fresh copy, safe to mutate. *)
+  (** The order as the array of every variable created so far, from
+      level 0 down; a fresh copy, safe to mutate. *)
 
   val set_order : man -> int array -> unit
-  (** [set_order m ord] installs [ord] (a permutation of
-      [0..nvars-1]; a longer array is allowed and pre-creates the
-      extra variables).  On an empty manager this is free; otherwise
-      it is implemented as a sequence of adjacent exchanges.  Raises
-      [Invalid_argument] if [ord] is not a permutation or is too
-      short. *)
-
-  val swap : man -> int -> unit
-  (** Exchange levels [l] and [l+1].  The primitive every other
-      entry point is built from; exposed chiefly for tests. *)
-
-  val set_pairs : man -> (int * int) list -> unit
-  (** Declare variable pairs (e.g. current/next state bits) that
-      sifting must keep adjacent and move as one block.  Replaces any
-      previous pairing.  Raises [Invalid_argument] on self-pairing,
-      double-pairing, or negative variables. *)
-
-  val pairs : man -> (int * int) list
-  (** The declared pairs, each as [(v, partner)] with [v < partner]. *)
+  (** [set_order m ord] installs [ord] (a permutation of [0..n-1],
+      where [n] is at least the number of variables created so far;
+      a longer array pre-creates the extra variables) on a manager
+      that has no live node yet.  Raises
+      [Invalid_argument] if the manager already has nodes, or if [ord]
+      is not a permutation or is too short. *)
 
   val with_checkpoints : man -> (unit -> 'a) -> 'a
   (** [with_checkpoints m k] is [k ()].  Kept only for
@@ -527,8 +478,8 @@ end
 (** {1 Deterministic fault injection}
 
     Chaos-testing support: arm a manager to fail at the Nth visit to a
-    chosen site, so every recovery path (retry ladders, worker respawn,
-    breach handling) is exercisable in CI deterministically rather than
+    chosen site, so every recovery path (retry ladders, breach
+    handling) is exercisable in CI deterministically rather than
     only under real memory pressure.  A fault is {e one-shot}: it
     disarms itself at the moment it fires, so the attempt that retries
     after recovery runs clean.  Disarmed cost is a single field
@@ -548,7 +499,6 @@ module Fault : sig
     | Cache_probe  (** operation-cache lookup *)
     | Gc           (** entry to {!gc} *)
     | Step         (** fixpoint-iteration charge ({!Limits.step}) *)
-    | Reorder      (** entry to {!reorder} / {!Reorder.swap} *)
 
   val arm : man -> site:site -> after:int -> unit
   (** [arm m ~site ~after:n] makes the [n]-th subsequent visit to
@@ -566,7 +516,7 @@ module Fault : sig
   (** How many injected faults this manager has fired so far. *)
 
   val site_to_string : site -> string
-  (** ["mk"] / ["probe"] / ["gc"] / ["step"] / ["reorder"] — the
+  (** ["mk"] / ["probe"] / ["gc"] / ["step"] — the
       [--inject] spelling. *)
 
   val site_of_string : string -> site option
@@ -582,8 +532,8 @@ val to_dot : ?name:(int -> string) -> man -> t -> string
 
 module Snapshot : sig
   (** Versioned, checksummed binary snapshots of a manager's packed
-      node store: columns, free list, var/level permutation, sift
-      pairs, zombie slots, and the flattened registered roots.  Unique
+      node store: columns, free list, var/level permutation, and the
+      flattened registered roots.  Unique
       subtables and operation caches are {e derived} state and never
       travel — {!load} rebuilds them from scratch, re-proving the
       canonical invariants for every node, so a snapshot can never

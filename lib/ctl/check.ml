@@ -112,8 +112,8 @@ let sat_with ~ex ~eu ~eg (m : Kripke.t) formula =
   in
   (* Root every subformula's satisfaction set for the duration of the
      traversal: an earlier result held only in this recursion's frames
-     must survive a gc or sifting sweep (both reclaim unrooted
-     diagrams) run while a sibling subtree is being evaluated. *)
+     must survive a gc (which reclaims unrooted diagrams) run while a
+     sibling subtree is being evaluated. *)
   let keep = ref [] in
   Bdd.with_root bman
     (fun () -> !keep)

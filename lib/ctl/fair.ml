@@ -35,8 +35,7 @@ let constraints (m : Kripke.t) =
 (* One step of the outer greatest fixpoint:
    z |-> f /\ /\_k EX (E[f U (z /\ h_k)]).
    [scratch] roots the fold's running conjunction and [z] across the
-   nested EU sweeps, so a gc or sifting sweep between them cannot
-   reclaim either. *)
+   nested EU sweeps, so a gc between them cannot reclaim either. *)
 let eg_step ?limits m f hs ~scratch z =
   let bman = m.Kripke.man in
   List.fold_left
@@ -92,8 +91,7 @@ let eg_with_rings ?limits ?hull (m : Kripke.t) f =
 (* The fair-states set depends only on (model, fairness), and models
    are checked many formulas at a time, so the fixpoint-over-fixpoints
    is cached on the model itself: [Kripke.with_fairness] resets the
-   slot, and [Kripke.roots] keeps the cached diagram alive across gc
-   and reordering. *)
+   slot, and [Kripke.roots] keeps the cached diagram alive across gc. *)
 let fair_states ?limits (m : Kripke.t) =
   match Kripke.fair_memo m with
   | Some z -> z

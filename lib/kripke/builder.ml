@@ -116,15 +116,6 @@ let encode b (x : Model.var) ~primed idx =
 let is b x value = encode b x ~primed:false (index_of_value x value)
 let is' b x value = encode b x ~primed:true (index_of_value x value)
 
-let eq b (x : Model.var) (y : Model.var) =
-  if Array.length x.bits <> Array.length y.bits then
-    invalid_arg "Builder.eq: width mismatch";
-  let parts =
-    Array.to_list (Array.mapi (fun k bx ->
-        Bdd.iff b.bman (bit_cur b bx) (bit_cur b y.Model.bits.(k))) x.bits)
-  in
-  Bdd.conj b.bman parts
-
 let unchanged b (x : Model.var) =
   let parts =
     Array.to_list x.bits

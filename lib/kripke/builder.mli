@@ -56,9 +56,6 @@ val is : b -> Model.var -> Model.value -> Bdd.t
 val is' : b -> Model.var -> Model.value -> Bdd.t
 (** Next copy of {!is}. *)
 
-val eq : b -> Model.var -> Model.var -> Bdd.t
-(** Two same-type variables are equal (current copies). *)
-
 val unchanged : b -> Model.var -> Bdd.t
 (** The variable keeps its value across the transition. *)
 

@@ -88,7 +88,6 @@ let with_fairness m fairness =
 let fair_memo m = m.fair_memo
 let set_fair_memo m f = m.fair_memo <- f
 let reach_memo m = m.reach_memo
-let set_reach_memo m r = m.reach_memo <- r
 
 let cur_bit m b = Bdd.var m.man (2 * b)
 let nxt_bit m b = Bdd.var m.man ((2 * b) + 1)
@@ -135,10 +134,6 @@ let make ~man ~vars ~nbits ?space ~init ~trans ?(fairness = []) ?(labels = [])
   let trans = Bdd.conj man [ trans; space; Bdd.shift man space 1 ] in
   let init = Bdd.and_ man init space in
   let fairness = List.map (Bdd.and_ man space) fairness in
-  (* Each state bit owns a (current, next) BDD-variable pair; declare
-     them so dynamic reordering sifts the pair as one block and never
-     separates the interleaved copies. *)
-  Bdd.Reorder.set_pairs man (List.init nbits (fun b -> (2 * b, (2 * b) + 1)));
   register_roots
     {
       man; vars; nbits; space; init; trans;
@@ -305,8 +300,9 @@ let pick_state m set =
     (* The least state in bit-index order, whatever the variable order:
        cofactor the current-copy bits 0..nbits-1 in turn, taking
        [false] whenever the set allows it.  (A cube read off the
-       diagram would be least in *level* order, so a sifted manager
-       would pick a different representative and change traces.) *)
+       diagram would be least in *level* order, so the representative,
+       and with it every trace, would depend on the order the compiler
+       installed.) *)
     let st = Array.make m.nbits false in
     let cur = ref set in
     for b = 0 to m.nbits - 1 do
@@ -435,10 +431,6 @@ let skeleton m =
 
 let of_skeleton ~man sk =
   let steps = List.map (fun (cluster, quant) -> { cluster; quant }) in
-  (* Same pair grouping [make] declares; on a snapshot-restored
-     manager this rewrites the pairs it already carries (idempotent). *)
-  Bdd.Reorder.set_pairs man
-    (List.init sk.sk_nbits (fun b -> (2 * b, (2 * b) + 1)));
   register_roots
     {
       man;

@@ -104,8 +104,7 @@ val with_fairness : t -> Bdd.t list -> t
 val fair_memo : t -> Bdd.t option
 (** The cached set of fair states ([Ctl.Fair.fair_states] computes and
     stores it), valid for this model's current fairness constraints.
-    Rooted with the model's other diagrams, so it survives [Bdd.gc]
-    and reordering. *)
+    Rooted with the model's other diagrams, so it survives [Bdd.gc]. *)
 
 val set_fair_memo : t -> Bdd.t option -> unit
 (** Store (or clear) the fair-states cache.  Intended for the fair
@@ -117,12 +116,8 @@ val reach_memo : t -> Bdd.t option
     it).  Unlike {!fair_memo} it depends on nothing mutable — only
     [init] and [trans] — so it is never invalidated: {!with_fairness}
     and {!with_partition} keep it, and a warm check server reuses it
-    across every request on the same model.  Rooted with the model's other diagrams, so it survives
-    [Bdd.gc] and reordering. *)
-
-val set_reach_memo : t -> Bdd.t option -> unit
-(** Store (or clear) the reachability cache; the cached diagram must
-    live in the model's own manager. *)
+    across every request on the same model.  Rooted with the model's
+    other diagrams, so it survives [Bdd.gc]. *)
 
 val mk_var : name:string -> vtype:vtype -> first_bit:int -> var
 (** Lay out a variable starting at bit [first_bit]; used by frontends
@@ -247,5 +242,4 @@ val skeleton : t -> skeleton
 val of_skeleton : man:Bdd.man -> skeleton -> t
 (** Rebuild a model over [man] from a skeleton taken against it (or
     against the manager its snapshot came from).  Re-registers GC
-    roots and re-declares the current/next reordering pair groups,
-    exactly as {!make} does. *)
+    roots exactly as {!make} does. *)

@@ -14,20 +14,7 @@
     The pool itself holds no domain-unsafe state beyond its own queue;
     whether the {e tasks} are safe to run concurrently is the caller's
     contract: the check server serialises the requests for one BDD
-    manager on that model's cache-entry lock.
-
-    Workers that die are {e respawned}: a domain whose loop escapes with
-    an exception fails the task it held (its awaiter sees
-    {!Worker_crashed} rather than blocking forever) and is replaced, so
-    the pool keeps its configured width and queued tasks still drain.
-    The only way to kill a worker today is the deterministic
-    {!chaos_crash_after} hook — the submit wrapper confines ordinary
-    task exceptions to the future — which is exactly what lets CI
-    exercise the respawn path on demand. *)
-
-exception Worker_crashed
-(** Carried by the future of a task whose worker domain died while
-    holding it. *)
+    manager on that model's cache-entry lock. *)
 
 type t
 
@@ -47,22 +34,11 @@ val create : ?max_pending:int -> int -> t
     Default: unbounded. *)
 
 val size : t -> int
-(** Configured number of worker domains (stable across respawns). *)
+(** Configured number of worker domains. *)
 
 val pending : t -> int
 (** Tasks currently queued and not yet picked up by a worker — the
     queue depth that {!try_submit} admissions are measured against. *)
-
-val respawns : t -> int
-(** How many crashed workers have been replaced so far. *)
-
-val chaos_crash_after : t -> int -> unit
-(** [chaos_crash_after pool n] arms deterministic crash injection: the
-    [n]-th subsequently dequeued task ([n >= 1]; raises
-    [Invalid_argument] otherwise) kills the worker that picked it up —
-    the task's future fails with {!Worker_crashed} and the domain dies
-    and is respawned.  One-shot: the countdown disarms as it fires.
-    Chaos testing only. *)
 
 val submit : t -> (unit -> 'a) -> 'a future
 (** Enqueue a task.  Raises [Invalid_argument] if the pool has been
@@ -76,7 +52,7 @@ val try_submit : t -> (unit -> 'a) -> 'a future option
     Raises [Invalid_argument] if the pool has been shut down. *)
 
 val is_settled : 'a future -> bool
-(** Whether the task has finished (completed, failed or aborted) — a
+(** Whether the task has finished (completed or failed) — a
     non-blocking probe, so long-lived submitters can prune settled
     futures instead of accumulating them forever. *)
 

@@ -1,7 +1,6 @@
 type strategy =
   | Direct
   | Gc_retry
-  | Reorder
   | Degraded
   | Explicit_state
 
@@ -21,7 +20,6 @@ type attempt = {
 let strategy_name = function
   | Direct -> "direct"
   | Gc_retry -> "gc-retry"
-  | Reorder -> "reorder"
   | Degraded -> "degraded"
   | Explicit_state -> "explicit-state"
 
@@ -50,15 +48,13 @@ let classify = function
   | _ -> None
 
 (* Which rung handles attempt [index]?  Failures climb gc-retry →
-   reorder → degraded (a sifted order often shrinks the tables enough
-   that no fidelity need be given up), with the explicit bridge
-   reserved for the final attempt (it abandons the symbolic
-   representation entirely, so it is the rung of last resort). *)
+   degraded, with the explicit bridge reserved for the final attempt
+   (it abandons the symbolic representation entirely, so it is the
+   rung of last resort). *)
 let pick_strategy ~index ~is_last ~fits_explicit =
   if index = 1 then Direct
   else if is_last && fits_explicit () then Explicit_state
   else if index = 2 then Gc_retry
-  else if index = 3 then Reorder
   else Degraded
 
 let run ~retries ~cancelled ~fits_explicit ~live_nodes attempt_fn =

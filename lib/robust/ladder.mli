@@ -16,18 +16,18 @@
        ladder);}
     {- [Gc_retry] — same algorithm after a full [Bdd.gc] and op-cache
        purge, with backed-off budgets;}
-    {- [Reorder] — same algorithm after a sifting sweep
-       ([Bdd.reorder]) shrinks the tables, before any fidelity is
-       given up;}
     {- [Degraded] — tightened cache limit plus a partitioned
-       transition relation;}
+       transition relation (every later attempt);}
     {- [Explicit_state] — the final attempt, taken only when the state
-       space fits the explicit bridge.}} *)
+       space fits the explicit bridge.}}
+
+    No rung changes the variable order: a manager keeps the order the
+    compiler installed for its whole life, so a laddered request on a
+    pooled model leaves every later request's node counts alone. *)
 
 type strategy =
   | Direct          (** plain symbolic attempt *)
   | Gc_retry        (** after [Bdd.gc] + op-cache purge *)
-  | Reorder         (** after a [Bdd.reorder] sifting sweep *)
   | Degraded        (** tightened cache limit + partitioned relation *)
   | Explicit_state  (** explicit-state fallback via the bridge *)
 
@@ -47,8 +47,7 @@ type attempt = {
 }
 
 val strategy_name : strategy -> string
-(** ["direct"] / ["gc-retry"] / ["reorder"] / ["degraded"] /
-    ["explicit-state"]. *)
+(** ["direct"] / ["gc-retry"] / ["degraded"] / ["explicit-state"]. *)
 
 val failure_name : failure -> string
 (** Short tag: ["deadline"], ["node-budget"], ["step-budget"],

@@ -244,7 +244,6 @@ let send_status cfg cache pool ov persist conn =
            ss_pressure_level = s.Overload.level;
            ss_mem_live_nodes = mem_live;
            ss_mem_high_water = cfg.mem_high_water;
-           ss_respawns = Parallel.Pool.respawns pool;
            ss_avg_check_ms =
              Option.map (fun t -> t *. 1000.) s.Overload.avg_check_s;
            ss_faults_fired = faults;

@@ -5,7 +5,7 @@
     {!Parallel.Pool} worker domain, and writes one reply frame per
     request.  Models are compiled once into the warm {!Cache} pool
     and reused across requests, so a repeat check skips parsing, BDD
-    construction, variable sifting and (via the model's memoised
+    construction, variable ordering and (via the model's memoised
     reachable set) the reachability fixpoint.
 
     Isolation guarantees:

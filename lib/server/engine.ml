@@ -64,8 +64,8 @@ let parse_inject ?(seed = 0) s =
     | _, None ->
       Error
         (Printf.sprintf
-           "--inject: unknown site %S (expected mk, probe, gc, step, \
-            reorder or child-crash)"
+           "--inject: unknown site %S (expected mk, probe, gc, step or \
+            child-crash)"
            site))
 
 let validate o =
@@ -298,14 +298,6 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
       (* Reclaim the breached computation's intermediate nodes and drop
          the op-caches, then re-run plainly under backed-off budgets. *)
       ignore (Bdd.gc man);
-      run_symbolic m limits
-    | Robust.Ladder.Reorder ->
-      (* Shrink the tables with a sifting sweep before giving up any
-         fidelity.  The sweep runs under this attempt's limits, so a
-         deadline aborts it at a swap boundary; a failure inside it
-         (including an injected reorder fault) is classified by the
-         ladder like any other and climbs to the next rung. *)
-      Bdd.Limits.with_attached man limits (fun () -> Bdd.reorder man);
       run_symbolic m limits
     | Robust.Ladder.Degraded ->
       (* Trade speed for footprint: tight op-caches plus a partitioned

@@ -149,9 +149,6 @@ let stats_json (s : Bdd.stats) =
       ("cache_evictions", Num (float_of_int s.Bdd.cache_evictions));
       ("gc_runs", Num (float_of_int s.Bdd.gc_runs));
       ("gc_collected", Num (float_of_int s.Bdd.gc_collected));
-      ("reorders", Num (float_of_int s.Bdd.reorders));
-      ("reorder_ms", Num s.Bdd.reorder_ms);
-      ("reorder_saved", Num (float_of_int s.Bdd.reorder_saved));
     ]
 
 let check_reply ~id ~exit_code ~verdicts ~output ~warm ~reach_reused
@@ -227,7 +224,6 @@ type server_status = {
   ss_pressure_level : int;
   ss_mem_live_nodes : int;
   ss_mem_high_water : int option;
-  ss_respawns : int;
   ss_avg_check_ms : float option;
   ss_faults_fired : int;
   ss_snapshots : int;
@@ -293,7 +289,6 @@ let status_reply s =
          ("pressure_level", Num (float_of_int s.ss_pressure_level));
          ("mem_live_nodes", Num (float_of_int s.ss_mem_live_nodes));
          ("mem_high_water", opt_int s.ss_mem_high_water);
-         ("pool_respawns", Num (float_of_int s.ss_respawns));
          ( "avg_check_ms",
            match s.ss_avg_check_ms with Some x -> Num x | None -> Null );
          ("faults_fired", Num (float_of_int s.ss_faults_fired));

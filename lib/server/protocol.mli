@@ -137,7 +137,6 @@ type server_status = {
   ss_pressure_level : int;
   ss_mem_live_nodes : int;
   ss_mem_high_water : int option;
-  ss_respawns : int;
   ss_avg_check_ms : float option;
   ss_faults_fired : int;
   ss_snapshots : int;

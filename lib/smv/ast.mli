@@ -81,7 +81,5 @@ type program = {
 
 val pp_pos : Format.formatter -> pos -> unit
 
-val pp_expr : Format.formatter -> expr -> unit
-(** Source-like rendering (used to name SPECs in reports). *)
-
 val expr_to_string : expr -> string
+(** Source-like rendering (used to name SPECs in reports). *)

@@ -186,14 +186,13 @@ let rows =
       ( "one-shot jobs", model "mutex" [ "--certify" ], 1,
         [ Same (model "mutex" [ "--certify"; "--jobs"; "4" ]) ] );
       (* A two-step budget starves the EF spec's direct and gc-retry
-         attempts; attempt 3, with the budget doubled twice, runs after
-         the ladder's sifting sweep — the one run-time sift left — and
-         decides it. *)
-      ( "reorder rung",
+         attempts; attempt 3, with the budget doubled twice, is the
+         first degraded one and decides it. *)
+      ( "degraded at attempt 3",
         model "mutex" [ "--certify"; "--step-limit"; "2"; "--retries"; "3" ],
         1,
         [
-          Has "(recovered: attempt 3 via reorder)";
+          Has "(recovered: attempt 3 via degraded)";
           Same_verdicts (model "mutex" []);
         ] );
       (* The degraded rung installs the partitioned relation and

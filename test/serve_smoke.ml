@@ -180,18 +180,23 @@ let test_protocol_errors () =
     expect "compile error becomes an error reply with the id"
       (str "status" v = Some "error" && str "id" v = Some "bad")
   | None -> expect "compile error becomes an error reply with the id" false);
-  (* worker:N is refused like any unknown site, with the one-shot
-     command line's message. *)
-  let _, cli_err = run [ model_path "mutex.smv"; "--inject"; "worker:1" ] in
-  send srv
-    (check_req ~id:"w" "MODULE main"
-       ~options:[ ("inject", Json.Str "worker:1") ]);
-  (match recv srv with
-  | Some v ->
-    expect "inject worker:1 gets the one-shot error"
-      (str "status" v = Some "error"
-      && str "error" v = Some (String.trim cli_err))
-  | None -> expect "inject worker:1 gets the one-shot error" false);
+  (* worker:N and reorder:N are refused like any unknown site, with
+     the one-shot command line's message. *)
+  List.iter
+    (fun inject ->
+      let what = Printf.sprintf "inject %s gets the one-shot error" inject in
+      let _, cli_err = run [ model_path "mutex.smv"; "--inject"; inject ] in
+      send srv
+        (check_req ~id:"w" "MODULE main"
+           ~options:[ ("inject", Json.Str inject) ]);
+      match recv srv with
+      | Some v ->
+        expect what
+          (str "status" v = Some "error"
+          && str "error" v = Some (String.trim cli_err)
+          && contains ~needle:"unknown site" cli_err)
+      | None -> expect what false)
+    [ "worker:1"; "reorder:1" ];
   (* Still fully functional afterwards. *)
   send srv (check_req ~id:"ok" (read_file (model_path "mutex.smv")));
   (match recv srv with

@@ -46,14 +46,16 @@ let rec eval_expr env = function
   | Etrue -> true
   | Efalse -> false
 
-let rec bdd_of_expr = function
-  | Evar v -> Bdd.var man v
-  | Enot e -> Bdd.not_ man (bdd_of_expr e)
-  | Eand (a, b) -> Bdd.and_ man (bdd_of_expr a) (bdd_of_expr b)
-  | Eor (a, b) -> Bdd.or_ man (bdd_of_expr a) (bdd_of_expr b)
-  | Exor (a, b) -> Bdd.xor man (bdd_of_expr a) (bdd_of_expr b)
-  | Etrue -> Bdd.one man
-  | Efalse -> Bdd.zero man
+let rec bdd_in m = function
+  | Evar v -> Bdd.var m v
+  | Enot e -> Bdd.not_ m (bdd_in m e)
+  | Eand (a, b) -> Bdd.and_ m (bdd_in m a) (bdd_in m b)
+  | Eor (a, b) -> Bdd.or_ m (bdd_in m a) (bdd_in m b)
+  | Exor (a, b) -> Bdd.xor m (bdd_in m a) (bdd_in m b)
+  | Etrue -> Bdd.one m
+  | Efalse -> Bdd.zero m
+
+let bdd_of_expr = bdd_in man
 
 let env_of_bits bits v = bits land (1 lsl v) <> 0
 
@@ -196,6 +198,35 @@ let test_shift_reordered () =
   Alcotest.(check bool) "agrees with eval" true (shifted_agrees m f g 1 3);
   Alcotest.(check bool) "x1 /\\ ~x3" true
     (Bdd.equal g (Bdd.and_ m (Bdd.var m 1) (Bdd.nvar m 3)))
+
+(* The variable order is installed once, on the empty manager. *)
+let test_set_order_validates () =
+  let m = Bdd.create () in
+  Bdd.Reorder.set_order m [| 0; 1; 2; 3; 4 |];
+  Alcotest.check_raises "not a permutation" (Invalid_argument
+    "Bdd.Reorder.set_order: not a permutation") (fun () ->
+      Bdd.Reorder.set_order m [| 0; 0; 1; 2; 3 |]);
+  Alcotest.check_raises "too short" (Invalid_argument
+    "Bdd.Reorder.set_order: order shorter than variable count") (fun () ->
+      Bdd.Reorder.set_order m [| 1; 0 |])
+
+let test_set_order_extends () =
+  (* A longer order on an empty manager pre-creates the variables. *)
+  let m = Bdd.create () in
+  Bdd.Reorder.set_order m [| 2; 0; 1 |];
+  Alcotest.(check (array int)) "three levels, var 2 on top" [| 2; 0; 1 |]
+    (Bdd.Reorder.order m)
+
+let test_set_order_needs_empty () =
+  let m = Bdd.create () in
+  let f = Bdd.and_ m (Bdd.var m 0) (Bdd.var m 1) in
+  Alcotest.check_raises "manager with nodes" (Invalid_argument
+    "Bdd.Reorder.set_order: the manager already has nodes") (fun () ->
+      Bdd.Reorder.set_order m [| 1; 0 |]);
+  Alcotest.(check (array int)) "order untouched" [| 0; 1 |]
+    (Bdd.Reorder.order m);
+  Alcotest.(check bool) "f still x0 /\\ x1" true
+    (Bdd.eval m f (fun _ -> true) && not (Bdd.eval m f (fun v -> v = 0)))
 
 let test_shift_support () =
   let f = Bdd.xor man (Bdd.var man 0) (Bdd.var man 2) in
@@ -342,6 +373,29 @@ let prop_support_sound =
       || Bdd.equal f (Bdd.restrict man f v true)
          && Bdd.equal f (Bdd.restrict man f v false))
 
+let prop_set_order_eval =
+  (* A permutation of 0..nvars-1 drawn from random transpositions. *)
+  let gen =
+    QCheck2.Gen.(
+      pair expr_gen
+        (list_size (int_bound 8)
+           (pair (int_bound (nvars - 1)) (int_bound (nvars - 1)))))
+  in
+  prop "set_order installs the order and preserves eval" gen
+    (fun (e, swaps) ->
+      let ord = Array.init nvars Fun.id in
+      List.iter
+        (fun (i, j) ->
+          let t = ord.(i) in
+          ord.(i) <- ord.(j);
+          ord.(j) <- t)
+        swaps;
+      let m = Bdd.create () in
+      Bdd.Reorder.set_order m ord;
+      let f = bdd_in m e in
+      Bdd.Reorder.order m = ord
+      && agree (Bdd.eval m f) (fun env -> eval_expr env e))
+
 let suite =
   [
     Alcotest.test_case "constants" `Quick test_constants;
@@ -361,6 +415,12 @@ let suite =
     Alcotest.test_case "fold_sat" `Quick test_fold_sat;
     Alcotest.test_case "shift under a reordered manager" `Quick
       test_shift_reordered;
+    Alcotest.test_case "set_order validates input" `Quick
+      test_set_order_validates;
+    Alcotest.test_case "set_order pre-creates variables" `Quick
+      test_set_order_extends;
+    Alcotest.test_case "set_order on a non-empty manager raises" `Quick
+      test_set_order_needs_empty;
     Alcotest.test_case "shift support" `Quick test_shift_support;
     Alcotest.test_case "size" `Quick test_size;
     Alcotest.test_case "to_dot" `Quick test_to_dot;
@@ -373,6 +433,7 @@ let suite =
     prop_forall_dual;
     prop_and_exists;
     prop_shift_eval;
+    prop_set_order_eval;
     prop_sat_count;
     prop_any_sat;
     prop_fold_sat_count;

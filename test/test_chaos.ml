@@ -33,9 +33,6 @@ let check_with_ladder m ~fair ~retries f =
       | Robust.Ladder.Gc_retry ->
         ignore (Bdd.gc m.Kripke.man);
         verdict m ~fair f
-      | Robust.Ladder.Reorder ->
-        Bdd.reorder m.Kripke.man;
-        verdict m ~fair f
       | Robust.Ladder.Direct | Robust.Ladder.Degraded -> verdict m ~fair f)
 
 (* Manager integrity after recovery: hash-consing still canonical (the
@@ -59,7 +56,6 @@ let sites =
     Bdd.Fault.Cache_probe;
     Bdd.Fault.Gc;
     Bdd.Fault.Step;
-    Bdd.Fault.Reorder;
   ]
 
 (* Sweep injection points: for each site and a spread of trigger

@@ -97,34 +97,49 @@ let test_recovery_flags_validated () =
   Alcotest.(check int) "--retries -1: exit 3" 3 code;
   Alcotest.(check bool) "--retries message" true
     (contains ~needle:"N must be >= 0" out);
-  (* There is no worker:N site: no parse message offers one, and it
-     is an unknown site with or without --jobs. *)
-  let offers_worker out =
+  (* There is no worker:N or reorder:N site: no parse message offers
+     one, and each is an unknown site with or without --jobs. *)
+  let removed = [ "worker"; "reorder" ] in
+  let offers site out =
     match String.index_opt out '(' with
     | Some i ->
-      contains ~needle:"worker" (String.sub out i (String.length out - i))
+      contains ~needle:site (String.sub out i (String.length out - i))
     | None -> false
   in
   let code, out = run [ path; "--inject"; "bogus" ] in
   Alcotest.(check int) "--inject without a colon: exit 3" 3 code;
-  Alcotest.(check bool) "SITE:COUNT example omits worker" false
-    (offers_worker out);
+  List.iter
+    (fun site ->
+      Alcotest.(check bool) ("SITE:COUNT example omits " ^ site) false
+        (offers site out))
+    removed;
   let code, out = run [ path; "--inject"; "quantum:3" ] in
   Alcotest.(check int) "--inject unknown site: exit 3" 3 code;
   Alcotest.(check bool) "unknown-site message" true
     (contains ~needle:"unknown site" out);
+  List.iter
+    (fun site ->
+      Alcotest.(check bool) ("unknown-site message omits " ^ site) false
+        (offers site out))
+    removed;
   let code, _ = run [ path; "--inject"; "mk:0" ] in
   Alcotest.(check int) "--inject zero count: exit 3" 3 code;
   List.iter
-    (fun flags ->
-      let what = String.concat " " (flags @ [ "--inject worker:1" ]) in
-      let code, out = run ((path :: flags) @ [ "--inject"; "worker:1" ]) in
+    (fun (site, flags) ->
+      let inject = site ^ ":1" in
+      let what = String.concat " " (flags @ [ "--inject " ^ inject ]) in
+      let code, out = run ((path :: flags) @ [ "--inject"; inject ]) in
       Alcotest.(check int) (what ^ ": exit 3") 3 code;
       Alcotest.(check bool) (what ^ ": unknown site") true
-        (contains ~needle:"unknown site \"worker\"" out);
-      Alcotest.(check bool) (what ^ ": worker not offered") false
-        (offers_worker out))
-    [ []; [ "--jobs"; "2" ] ];
+        (contains ~needle:(Printf.sprintf "unknown site %S" site) out);
+      List.iter
+        (fun site ->
+          Alcotest.(check bool) (what ^ ": " ^ site ^ " not offered") false
+            (offers site out))
+        removed)
+    (List.concat_map
+       (fun site -> [ (site, []); (site, [ "--jobs"; "2" ]) ])
+       removed);
   (* --serve runs the same validator: same exit code, same message. *)
   List.iter
     (fun flags ->
@@ -136,6 +151,7 @@ let test_recovery_flags_validated () =
     [
       [ "--inject"; "bogus" ];
       [ "--inject"; "worker:1" ];
+      [ "--inject"; "reorder:1" ];
       [ "--inject"; "child-crash:abc" ];
       [ "--timeout"; "0" ];
     ];

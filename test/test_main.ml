@@ -18,7 +18,6 @@ let () =
       ("parallel", Test_parallel.suite);
       ("frontend_fuzz", Test_frontend_fuzz.suite);
       ("validate", Test_validate.suite);
-      ("reorder", Test_reorder.suite);
       ("robust", Test_robust.suite);
       ("chaos", Test_chaos.suite);
       ("server", Test_server.suite);

@@ -500,6 +500,32 @@ let test_engine_fault_per_spec () =
        [ Printf.sprintf "EF (%s)" (value 1021);
          Printf.sprintf "EF (%s)" (value 959); ag ])
 
+(* A laddered check leaves the model's variable order as the compiler
+   installed it: no rung reorders, so a pooled model's later requests
+   see the same manager. *)
+let test_engine_ladder_keeps_order () =
+  let compiled =
+    Smv.load_file (Filename.concat "../examples/models" "mutex.smv")
+  in
+  let man = compiled.Smv.Compile.model.Kripke.man in
+  let before = Bdd.Reorder.order man in
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  let opts =
+    { Engine.default with certify = true; step_limit = Some 2; retries = 3 }
+  in
+  (match
+     Engine.run ppf compiled ~opts ~specs:[] ~cancel:(Atomic.make false)
+       ~debug:false ~prepare:ignore
+   with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  Format.pp_print_flush ppf ();
+  Alcotest.(check (array int)) "variable order unchanged" before
+    (Bdd.Reorder.order man);
+  Alcotest.(check bool) "the ladder climbed past gc-retry" true
+    (Astring.String.is_infix ~affix:"via degraded" (Buffer.contents buf))
+
 (* ------------------------------------------------------------------ *)
 (* Overload protection: pool admission, shed replies, status shapes,
    budget defaults, the watchdog ladder *)
@@ -582,7 +608,6 @@ let test_protocol_status_reply () =
         ss_pressure_level = 2;
         ss_mem_live_nodes = 12345;
         ss_mem_high_water = None;
-        ss_respawns = 0;
         ss_avg_check_ms = Some 42.5;
         ss_faults_fired = 0;
         ss_snapshots = 2;
@@ -919,6 +944,8 @@ let suite =
       test_engine_check_one;
     Alcotest.test_case "engine: probe fault is a function of the spec" `Quick
       test_engine_fault_per_spec;
+    Alcotest.test_case "engine: the ladder keeps the variable order" `Quick
+      test_engine_ladder_keeps_order;
     Alcotest.test_case "engine: per-check cancellation" `Quick
       test_engine_private_cancellation;
     Alcotest.test_case "engine: exit-code contract" `Quick

@@ -85,16 +85,16 @@ let test_zero_new_nodes () =
   Alcotest.(check bool) "re-derivation returns the dumped handles" true
     (Bdd.equal f f' && Bdd.equal g g')
 
-let test_order_and_pairs () =
-  let man, _, _ = build_manager () in
-  Bdd.Reorder.set_pairs man [ (0, 1); (2, 3) ];
-  Bdd.Reorder.swap man 0;
-  let blob = Bdd.Snapshot.dump man in
-  let man' = Bdd.Snapshot.load blob in
-  Alcotest.(check (list (pair int int))) "sift pairs preserved"
-    (Bdd.Reorder.pairs man) (Bdd.Reorder.pairs man');
+let test_order_preserved () =
+  let man = Bdd.create ~unique_size:64 () in
+  Bdd.Reorder.set_order man [| 2; 0; 3; 1 |];
+  let f = Bdd.and_ man (Bdd.var man 1) (Bdd.xor man (Bdd.var man 0) (Bdd.var man 3)) in
+  let _root = Bdd.add_root man (fun () -> [ f ]) in
+  let man' = Bdd.Snapshot.load (Bdd.Snapshot.dump man) in
   Alcotest.(check (array int)) "variable order preserved"
-    (Bdd.Reorder.order man) (Bdd.Reorder.order man')
+    (Bdd.Reorder.order man) (Bdd.Reorder.order man');
+  Alcotest.(check bool) "f evaluates identically" true
+    (same_semantics man man' f)
 
 let flip blob i =
   let b = Bytes.of_string blob in
@@ -105,6 +105,34 @@ let expect_corrupt what blob =
   match Bdd.Snapshot.load blob with
   | _ -> Alcotest.failf "%s: load accepted a corrupt snapshot" what
   | exception Bdd.Snapshot.Corrupt _ -> ()
+
+(* A snapshot in the previous format: the current payload with the
+   per-variable sift-pair words (all -1) and an empty zombie list put
+   back after the two order permutations, stamped "BDDSNAP1" under a
+   valid digest.  That format is retired and must not load. *)
+let old_format blob =
+  let payload = String.sub blob 24 (String.length blob - 24) in
+  let word i = Int64.to_int (String.get_int64_le payload (8 * i)) in
+  let n_next = word 0 and nvars = word 5 in
+  let cut = 8 * (7 + (3 * (n_next - 2)) + (2 * nvars)) in
+  let extra = Buffer.create (8 * (nvars + 1)) in
+  for _ = 1 to nvars do
+    Buffer.add_int64_le extra (-1L)
+  done;
+  Buffer.add_int64_le extra 0L;
+  let payload =
+    String.sub payload 0 cut ^ Buffer.contents extra
+    ^ String.sub payload cut (String.length payload - cut)
+  in
+  "BDDSNAP1" ^ Digest.string payload ^ payload
+
+let test_old_format_rejected () =
+  let man, _, _ = build_manager () in
+  match Bdd.Snapshot.load (old_format (Bdd.Snapshot.dump man)) with
+  | _ -> Alcotest.fail "a BDDSNAP1 snapshot loaded"
+  | exception Bdd.Snapshot.Corrupt msg ->
+    Alcotest.(check bool) ("rejected by its magic: " ^ msg) true
+      (Astring.String.is_infix ~affix:"bad magic" msg)
 
 let test_corruption_rejected () =
   let man, _, _ = build_manager () in
@@ -208,12 +236,15 @@ let test_persist_rehydrate_and_quarantine () =
   let key = Cache.digest ~source:mutex_source in
   let p = Persist.create ~dir ~debug:false in
   Alcotest.(check bool) "save" true (Persist.save_entry p ~key ~uses:1 compiled);
-  (* Drop five bad files beside the good one: a truncated copy, a
-     bit-flipped copy, and three valid entries under their own keys
+  (* Drop six bad files beside the good one: a truncated copy, a
+     bit-flipped copy, three valid entries under their own keys
      re-stamped with the three previous formats' magics (their names and
      checksums still match, so only the version check stands between
-     them and [Marshal]).  Rehydration must seed the good entry and
-     quarantine all five without raising. *)
+     them and [Marshal]), and a current-format entry whose manager
+     snapshot carries the retired "BDDSNAP1" magic (the shape of a warm
+     file written before the snapshot dropped its sift pairs).
+     Rehydration must seed the good entry and quarantine all six
+     without raising. *)
   let read path =
     let ic = open_in_bin path in
     let s = really_input_string ic (in_channel_length ic) in
@@ -239,14 +270,34 @@ let test_persist_rehydrate_and_quarantine () =
       (magic ^ String.sub stale_blob 8 (String.length stale_blob - 8));
     (stale_key, stale)
   in
+  let old_snapshot =
+    let stale_key = Cache.digest ~source:"snap1" in
+    let stale = Filename.concat dir (stale_key ^ ".warm") in
+    Alcotest.(check bool) "save snap1" true
+      (Persist.save_entry p ~key:stale_key ~uses:1 compiled);
+    let stale_blob = read stale in
+    let body = String.sub stale_blob 24 (String.length stale_blob - 24) in
+    let at =
+      match Str.search_forward (Str.regexp_string "BDDSNAP2") body 0 with
+      | i -> i
+      | exception Not_found -> Alcotest.fail "no BDDSNAP2 snapshot in the file"
+    in
+    let body =
+      String.sub body 0 at ^ "BDDSNAP1"
+      ^ String.sub body (at + 8) (String.length body - at - 8)
+    in
+    write stale (String.sub stale_blob 0 8 ^ Digest.string body ^ body);
+    (stale_key, stale)
+  in
   let stale =
-    [ restamp "m2" "SMVWARM2"; restamp "m3" "SMVWARM3"; restamp "m4" "SMVWARM4" ]
+    [ restamp "m2" "SMVWARM2"; restamp "m3" "SMVWARM3"; restamp "m4" "SMVWARM4";
+      old_snapshot ]
   in
   let p' = Persist.create ~dir ~debug:false in
   let cache = Cache.create ~capacity:4 in
   let restored = Persist.rehydrate p' cache in
   Alcotest.(check int) "one entry restored" 1 restored;
-  Alcotest.(check int) "five files quarantined" 5
+  Alcotest.(check int) "six files quarantined" 6
     (Persist.counters p').Persist.quarantines;
   Alcotest.(check bool) "restored entry is warm in the pool" true
     (Cache.is_warm cache ~key);
@@ -292,8 +343,10 @@ let suite =
     Alcotest.test_case "snapshot: dump/load roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "snapshot: 0 new nodes re-deriving" `Quick
       test_zero_new_nodes;
-    Alcotest.test_case "snapshot: order and sift pairs" `Quick
-      test_order_and_pairs;
+    Alcotest.test_case "snapshot: variable order preserved" `Quick
+      test_order_preserved;
+    Alcotest.test_case "snapshot: BDDSNAP1 rejected" `Quick
+      test_old_format_rejected;
     Alcotest.test_case "snapshot: corruption rejected" `Quick
       test_corruption_rejected;
     Alcotest.test_case "snapshot: atomic save/restore" `Quick

@@ -2,10 +2,9 @@
 
    [Test_bdd] checks the algebra against truth tables; this module
    stresses the representation underneath it: the int-indexed columns,
-   the open-addressing unique subtables (growth, rehash, tombstones),
-   free-list recycling across [gc], the zombie discipline that keeps
-   held handles readable across reordering, and the live-heap
-   footprint the store was rebuilt to shrink. *)
+   the open-addressing unique subtables (growth, rehash), free-list
+   recycling across [gc], and the live-heap footprint the store was
+   rebuilt to shrink. *)
 
 (* -------------------------------------------------------------------- *)
 (* Random boolean expressions (self-contained; fresh manager per case). *)
@@ -114,24 +113,6 @@ let prop_gc_recycles =
       Bdd.remove_root man handle;
       ok_semantics && ok_rebuild)
 
-(* Held handles stay evaluable across reordering even when unrooted:
-   sifting may detach a parentless node from the unique table, but its
-   columns must stay readable until the next gc (the zombie
-   discipline), because the boxed store gave clients exactly that. *)
-let prop_held_across_reorder =
-  prop ~count:100 "unrooted held handles survive reordering readable"
-    QCheck2.Gen.(pair (list_size (int_range 1 6) expr_gen)
-                   (list_size (int_range 1 20) (int_bound 1000)))
-    (fun (exprs, swaps) ->
-      let man = Bdd.create ~unique_size:64 () in
-      let held = List.map (fun e -> (build man e, e)) exprs in
-      let levels = Bdd.Reorder.nvars man in
-      if levels >= 2 then
-        List.iter
-          (fun s -> Bdd.Reorder.swap man (s mod (levels - 1)))
-          swaps;
-      List.for_all (fun (f, e) -> agrees man f e) held)
-
 (* -------------------------------------------------------------------- *)
 (* Unit tests.                                                          *)
 
@@ -210,7 +191,6 @@ let suite =
   [
     prop_canonical_growth;
     prop_gc_recycles;
-    prop_held_across_reorder;
     Alcotest.test_case "unique_size honored" `Quick test_unique_size_honored;
     Alcotest.test_case "store instrumentation" `Quick
       test_stats_instrumentation;
