@@ -16,7 +16,10 @@
    philosopher whose counterexamples are fair lassos.  Each row also
    splits the trace time of its fair-EG lassos
    ([Counterex.Witness.phase_seconds]) into per-constraint rings,
-   nearest-constraint choice, descents and closing sweeps. *)
+   nearest-constraint choice, descents and closing sweeps.  The two
+   SMV rows also time what [smv_check --certify] does with each trace
+   after building it: render it ([Kripke.Trace.pp]) and certify it
+   ([Robust.Certify]). *)
 
 let runs = 5
 
@@ -27,8 +30,13 @@ let eu_iterations () = (Ctl.Check.fixpoint_stats ()).Ctl.Check.eu_iterations
 
 let phase_names = [ "rings_s"; "choice_s"; "descents_s"; "closing_s" ]
 
+(* What a row does with its traces once built, as the checker does
+   under [--certify]: render each, then certify each. *)
+type evidence = { render : unit -> unit; certify : unit -> unit }
+
 (* [setup] builds a fresh model for every run, so neither op-cache hits
-   nor memoised fair states carry over from one run to the next. *)
+   nor memoised fair states carry over from one run to the next.
+   [trace] returns the row's evidence steps, if it has any. *)
 let row name ~setup ~check ~trace =
   let phases = Counterex.Witness.phase_seconds in
   let once () =
@@ -37,15 +45,30 @@ let row name ~setup ~check ~trace =
     let (), t_check = Harness.time_once (fun () -> check x) in
     let eu1 = eu_iterations () in
     Array.fill phases 0 (Array.length phases) 0.0;
-    let (), t_trace = Harness.time_once (fun () -> trace x) in
-    (t_check, t_trace, eu1 - eu0, eu_iterations () - eu1, Array.copy phases)
+    let evidence, t_trace = Harness.time_once (fun () -> trace x) in
+    let eu2 = eu_iterations () in
+    let phases = Array.copy phases in
+    let t_evidence =
+      Option.map
+        (fun ev ->
+          let (), t_render = Harness.time_once ev.render in
+          let (), t_certify = Harness.time_once ev.certify in
+          (t_render, t_certify))
+        evidence
+    in
+    (t_check, t_trace, eu1 - eu0, eu2 - eu1, phases, t_evidence)
   in
   let samples = List.init runs (fun _ -> once ()) in
-  let _, _, eu_check, eu_trace, _ = List.hd samples in
-  let t_check = median (List.map (fun (c, _, _, _, _) -> c) samples) in
-  let t_trace = median (List.map (fun (_, t, _, _, _) -> t) samples) in
+  let _, _, eu_check, eu_trace, _, _ = List.hd samples in
+  let t_check = median (List.map (fun (c, _, _, _, _, _) -> c) samples) in
+  let t_trace = median (List.map (fun (_, t, _, _, _, _) -> t) samples) in
   let share = t_trace /. (t_check +. t_trace) in
-  let phase i = median (List.map (fun (_, _, _, _, p) -> p.(i)) samples) in
+  let phase i = median (List.map (fun (_, _, _, _, p, _) -> p.(i)) samples) in
+  let evidence =
+    match List.filter_map (fun (_, _, _, _, _, e) -> e) samples with
+    | [] -> None
+    | es -> Some (median (List.map fst es), median (List.map snd es))
+  in
   Harness.emit_json ~experiment:"E8"
     ([
        ("workload", Harness.String name);
@@ -55,7 +78,11 @@ let row name ~setup ~check ~trace =
        ("check_eu_iterations", Harness.Int eu_check);
        ("trace_eu_iterations", Harness.Int eu_trace);
      ]
-    @ List.mapi (fun i k -> (k, Harness.Float (phase i))) phase_names);
+    @ List.mapi (fun i k -> (k, Harness.Float (phase i))) phase_names
+    @
+    match evidence with
+    | None -> []
+    | Some (r, c) -> [ ("render_s", Harness.Float r); ("certify_s", Harness.Float c) ]);
   if phase 0 > 0.0 then
     Harness.note "%s fair lassos: rings %s, choice %s, descents %s, closing %s"
       name
@@ -71,6 +98,10 @@ let row name ~setup ~check ~trace =
     string_of_int eu_check;
     string_of_int eu_trace;
   ]
+  @
+  match evidence with
+  | None -> [ "-"; "-" ]
+  | Some (r, c) -> [ Harness.seconds_string r; Harness.seconds_string c ]
 
 (* A verdict and its trace over one memo per spec, as
    [Server.Engine.check_one] runs them: a true existential spec gets a
@@ -90,14 +121,39 @@ let specs m formulas =
 let decide specs =
   List.iter (fun s -> s.holds <- Counterex.Explain.holds s.memo s.formula) specs
 
+(* Each spec's trace, paired with its spec. *)
 let explain m =
-  List.iter (fun s ->
+  List.filter_map (fun s ->
       let memo = s.memo in
-      match (s.holds, s.formula) with
-      | true, (Ctl.EF _ | Ctl.EX _ | Ctl.EG _ | Ctl.EU _) ->
-        ignore (Counterex.Explain.witness ~memo m s.formula)
-      | true, _ -> ()
-      | false, _ -> ignore (Counterex.Explain.counterexample ~memo m s.formula))
+      let tr =
+        match (s.holds, s.formula) with
+        | true, (Ctl.EF _ | Ctl.EX _ | Ctl.EG _ | Ctl.EU _) ->
+          Counterex.Explain.witness ~memo m s.formula
+        | true, _ -> None
+        | false, _ -> Counterex.Explain.counterexample ~memo m s.formula
+      in
+      Option.map (fun tr -> (s, tr)) tr)
+
+(* Render and certify the traces as [smv_check --certify] prints and
+   checks them; a trace that does not certify stops the experiment. *)
+let evidence m traces =
+  let render () =
+    List.iter
+      (fun (_, tr) -> ignore (Format.asprintf "%a@." (Kripke.Trace.pp m) tr))
+      traces
+  in
+  let certify () =
+    List.iter
+      (fun (s, tr) ->
+        let cert =
+          Robust.Certify.(if s.holds then witness else counterexample)
+        in
+        match cert m s.formula tr with
+        | Ok () -> ()
+        | Error msg -> failwith ("E8: a trace failed certification: " ^ msg))
+      traces
+  in
+  { render; certify }
 
 (* A row over SMV source: each run compiles it afresh. *)
 let smv_row name source =
@@ -107,7 +163,7 @@ let smv_row name source =
       let m = c.Smv.Compile.model in
       (m, specs m (List.map snd c.Smv.Compile.specs)))
     ~check:(fun (_, ss) -> decide ss)
-    ~trace:(fun (m, ss) -> explain m ss)
+    ~trace:(fun (m, ss) -> Some (evidence m (explain m ss)))
 
 (* witness-deep's fixed EF targets. *)
 let deep_targets = [ 959; 1021 ]
@@ -195,7 +251,7 @@ let run ~full =
          let arb = Circuit.Arbiter.model arb_users in
          (arb, specs arb [ arb_spec ]))
        ~check:(fun (_, ss) -> decide ss)
-       ~trace:(fun (arb, ss) -> explain arb ss));
+       ~trace:(fun (arb, ss) -> ignore (explain arb ss); None));
   (* Fair EG witness on the SCC chain. *)
   let chain =
     Workloads.scc_chain ~fair_last:true ~components:(if full then 10 else 6)
@@ -207,7 +263,8 @@ let run ~full =
        ~check:(fun (cm, _) -> ignore (Ctl.Fair.eg cm cm.Kripke.space))
        ~trace:(fun (cm, encode) ->
          ignore
-           (Counterex.Witness.eg cm ~f:cm.Kripke.space ~start:(encode 0))));
+           (Counterex.Witness.eg cm ~f:cm.Kripke.space ~start:(encode 0));
+         None));
   (* CTL* witness. *)
   let togglers = if full then 7 else 5 in
   let setup () =
@@ -225,7 +282,8 @@ let run ~full =
     (row "ctlstar 3 conjuncts" ~setup
        ~check:(fun (tog, cs, _) -> ignore (Ctlstar.Gffg.check tog cs))
        ~trace:(fun (tog, cs, start) ->
-         ignore (Ctlstar.Gffg.witness tog cs ~start)));
+         ignore (Ctlstar.Gffg.witness tog cs ~start);
+         None));
   (* Fair lassos: the starvation counterexamples. *)
   add (smv_row "philosophers-6 fair lasso" (philosophers 6));
   (* Deep EF witnesses on the counter, last: its garbage would skew the
@@ -235,7 +293,7 @@ let run ~full =
     ~title:"E8: counterexample generation as a share of total verification time"
     ~header:
       [ "workload"; "check"; "trace"; "trace share"; "check EU iters";
-        "trace EU iters" ]
+        "trace EU iters"; "render"; "certify" ]
     (List.rev !rows);
   Harness.note
     "Section 9: \"finding a counterexample can sometimes take most of the";

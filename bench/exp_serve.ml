@@ -190,10 +190,11 @@ let run_overload ~full =
   let pool = Pool.create ~max_pending:4 1 in
   let gate = Atomic.make false in
   let blocker =
-    Pool.submit pool (fun () ->
-        while not (Atomic.get gate) do
-          Domain.cpu_relax ()
-        done)
+    Option.get
+      (Pool.try_submit pool (fun () ->
+           while not (Atomic.get gate) do
+             Domain.cpu_relax ()
+           done))
   in
   while Pool.pending pool > 0 do
     Domain.cpu_relax ()

@@ -108,7 +108,7 @@ let simulate m ~steps ~seed =
     let rec walk acc st k =
       if k = 0 then List.rev acc
       else
-        match pick (Kripke.post m (Kripke.state_to_bdd m st)) with
+        match pick (Kripke.successors m st) with
         | None -> List.rev acc (* deadlock *)
         | Some st' -> walk (st' :: acc) st' (k - 1)
     in

@@ -17,11 +17,13 @@ let pp_error ppf = function
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let has_edge m a b =
-  let bman = m.Kripke.man in
-  let a_set = Kripke.state_to_bdd m a in
-  let b_next = Kripke.prime m (Kripke.state_to_bdd m b) in
-  not (Bdd.is_zero (Bdd.conj bman [ m.Kripke.trans; a_set; b_next ]))
+(* One root-to-leaf walk of the relation at the full assignment:
+   current-copy variable [2i] reads bit [i] of [a], next-copy variable
+   [2i + 1] bit [i] of [b].  Nothing is built, so checking a trace
+   leaves the manager and its caches as it found them. *)
+let has_edge m (a : Kripke.state) (b : Kripke.state) =
+  Bdd.eval m.Kripke.man m.Kripke.trans (fun v ->
+      (if v land 1 = 0 then a else b).(v lsr 1))
 
 let all_states_in m set ~what states =
   let rec go i = function

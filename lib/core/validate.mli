@@ -16,6 +16,11 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
+val has_edge : Kripke.t -> Kripke.state -> Kripke.state -> bool
+(** [has_edge m a b] — is [(a, b)] in the model's transition relation
+    (both endpoints within [space])?  An evaluation of the relation at
+    the full assignment, reading the model alone. *)
+
 val path_ok : Kripke.t -> Kripke.Trace.t -> (unit, error) result
 (** Consecutive states (and the loop edge, for lassos) are transitions
     of the model, and every state lies in the model's state space. *)

@@ -34,8 +34,6 @@ let note_progress limits prefix_rev =
   | None -> ()
   | Some l -> Bdd.Limits.note_witness l (List.rev prefix_rev)
 
-let succ_set m st = Kripke.post m (Kripke.state_to_bdd m st)
-
 let pick m set =
   match Kripke.pick_state m set with
   | Some st -> st
@@ -74,7 +72,7 @@ let descend ?limits m layers ~start ~level:j0 =
     if j = 0 then List.rev acc
     else begin
       ring_tick m limits;
-      let below = Bdd.and_ bman layers.(j - 1) (succ_set m st) in
+      let below = Bdd.and_ bman layers.(j - 1) (Kripke.successors m st) in
       match Kripke.pick_state m below with
       | Some next -> go (next :: acc) next (j - 1)
       | None -> raise (No_witness "internal: ring descent stuck")
@@ -93,7 +91,7 @@ let level_of m layers st =
 let ex ?limits m ~f ~start =
   let bman = m.Kripke.man in
   ring_tick m limits;
-  let target = Bdd.and_ bman (succ_set m start) f in
+  let target = Bdd.and_ bman (Kripke.successors m start) f in
   match Kripke.pick_state m target with
   | Some next -> Kripke.Trace.finite [ start; next ]
   | None -> raise (No_witness "EX: start state has no successor in f")
@@ -136,7 +134,7 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
   let visit_constraint (acc, current) (r : Ctl.Fair.rings) =
     timed 2 @@ fun () ->
     ring_tick m limits;
-    match min_layer m r.Ctl.Fair.layers (succ_set m current) with
+    match min_layer m r.Ctl.Fair.layers (Kripke.successors m current) with
     | None -> raise (No_witness "EG: no fairness constraint reachable")
     | Some (j, first) ->
       let acc = emit acc first in
@@ -160,7 +158,7 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
     | [] -> (acc, current)
     | first_r :: _ ->
       let dist r = timed 1 @@ fun () ->
-        match min_layer m r.Ctl.Fair.layers (succ_set m current) with
+        match min_layer m r.Ctl.Fair.layers (Kripke.successors m current) with
         | Some (j, _) -> j
         | None -> max_int
       in
@@ -193,7 +191,7 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
        path starts, and the layers below it are the ones it descends. *)
     timed 3 @@ fun () ->
     let t_set = Kripke.state_to_bdd m t in
-    let succ = succ_set m s' in
+    let succ = Kripke.successors m s' in
     let closing_rings = Ctl.Check.eu_rings ?limits ~until:succ m f t_set in
     let j = Array.length closing_rings - 1 in
     let meet = Bdd.and_ m.Kripke.man closing_rings.(j) succ in

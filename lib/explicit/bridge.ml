@@ -16,7 +16,7 @@ let of_kripke ?(max_states = 65536) (m : Kripke.t) =
   let edges = ref [] in
   Array.iteri
     (fun i st ->
-      let succ = Kripke.post m (Kripke.state_to_bdd m st) in
+      let succ = Kripke.successors m st in
       List.iter
         (fun st' -> edges := (i, idx st') :: !edges)
         (Kripke.states_in m succ))

@@ -98,10 +98,20 @@ let mask_and a b = Array.map2 ( && ) a b
 let mask_or a b = Array.map2 ( || ) a b
 let mask_not a = Array.map not a
 
-let sat_gen (g : Egraph.t) ~atom ~pred ~fair formula =
+let sat_gen ?memo (g : Egraph.t) ~atom ~pred ~fair formula =
   let top = Array.make g.nstates true in
   let fair_mask = match fair with Some mask -> mask | None -> top in
-  let rec go = function
+  let rec go f =
+    match memo with
+    | None -> eval f
+    | Some tbl -> (
+      match Hashtbl.find_opt tbl f with
+      | Some mask -> mask
+      | None ->
+        let mask = eval f in
+        Hashtbl.replace tbl f mask;
+        mask)
+  and eval = function
     | Ctl.True -> top
     | Ctl.False -> Array.make g.nstates false
     | Ctl.Atom name -> atom name
@@ -126,8 +136,9 @@ let sat_gen (g : Egraph.t) ~atom ~pred ~fair formula =
 
 let sat g ~atom ?pred formula = sat_gen g ~atom ~pred ~fair:None formula
 
-let sat_fair g ~atom ?pred formula =
-  sat_gen g ~atom ~pred ~fair:(Some (fair_states g)) formula
+let sat_fair ?fair_states:fair ?memo g ~atom ?pred formula =
+  let fair = match fair with Some f -> f | None -> fair_states g in
+  sat_gen ?memo g ~atom ~pred ~fair:(Some fair) formula
 
 let holds_with sat_fn g ~atom ?pred formula =
   let result = sat_fn g ~atom ?pred formula in
@@ -136,4 +147,4 @@ let holds_with sat_fn g ~atom ?pred formula =
 let holds g ~atom ?pred formula = holds_with sat g ~atom ?pred formula
 
 let holds_fair g ~atom ?pred formula =
-  holds_with sat_fair g ~atom ?pred formula
+  holds_with (sat_fair ?fair_states:None ?memo:None) g ~atom ?pred formula

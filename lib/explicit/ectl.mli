@@ -32,12 +32,21 @@ val sat :
     raises [Invalid_argument].  No fairness. *)
 
 val sat_fair :
+  ?fair_states:bool array ->
+  ?memo:(Ctl.t, bool array) Hashtbl.t ->
   Egraph.t ->
   atom:(string -> bool array) ->
   ?pred:(Bdd.t -> bool array) ->
   Ctl.t ->
   bool array
-(** Evaluate over fair paths (the graph's fairness constraints). *)
+(** Evaluate over fair paths (the graph's fairness constraints).
+    [fair_states], when given, must be {!fair_states} of the graph,
+    already computed; otherwise it is recomputed here, an SCC
+    decomposition per call.  [memo] caches the mask of every
+    subformula (in the existential normal form the evaluation
+    rewrites to), so calls sharing it evaluate each subformula
+    once; share it only among calls with the same graph, atoms,
+    [pred] and fairness. *)
 
 val holds :
   Egraph.t ->

@@ -275,11 +275,9 @@ let var_by_name m name =
 let label m name = List.assoc name m.labels
 
 let value_of_state v (st : state) =
-  let idx =
-    Array.to_list v.bits
-    |> List.mapi (fun k b -> if st.(b) then 1 lsl k else 0)
-    |> List.fold_left ( + ) 0
-  in
+  let idx = ref 0 in
+  Array.iteri (fun k b -> if st.(b) then idx := !idx lor (1 lsl k)) v.bits;
+  let idx = !idx in
   match v.vtype with
   | Bool -> B (idx <> 0)
   | Enum names ->
@@ -359,9 +357,14 @@ let pick_random_state m ~rng set =
     Some st
   end
 
+(* Cofactoring the relation by a full current-state minterm leaves a
+   function of the next copy alone: exactly [exists v. N(v,v') /\ st],
+   without the conjunction or the quantification of an image. *)
+let successors m st =
+  unprime m (Bdd.constrain m.man m.trans (state_to_bdd m st))
+
 let pick_successor m st target =
-  let succ = post m (state_to_bdd m st) in
-  pick_state m (Bdd.and_ m.man succ target)
+  pick_state m (Bdd.and_ m.man (successors m st) target)
 
 let states_in m set =
   let set = Bdd.and_ m.man set m.space in
@@ -372,24 +375,10 @@ let states_in m set =
 let eval_in_state m set (st : state) =
   Bdd.eval m.man set (fun v -> v mod 2 = 0 && st.(v / 2))
 
-let pp_value ppf = function
-  | B b -> Format.fprintf ppf "%d" (if b then 1 else 0)
-  | S s -> Format.pp_print_string ppf s
-  | I i -> Format.pp_print_int ppf i
-
-let pp_state m ppf st =
-  Array.iter
-    (fun v ->
-      Format.fprintf ppf "%s = %a@," v.var_name pp_value (value_of_state v st))
-    m.vars
-
-let pp_state_diff m ~prev ppf st =
-  Array.iter
-    (fun v ->
-      let old_v = value_of_state v prev and new_v = value_of_state v st in
-      if old_v <> new_v then
-        Format.fprintf ppf "%s = %a@," v.var_name pp_value new_v)
-    m.vars
+let string_of_value = function
+  | B b -> if b then "1" else "0"
+  | S s -> s
+  | I i -> string_of_int i
 
 (* ------------------------------------------------------------------ *)
 (* Skeletons: the pure-data shadow of a model for warm-state

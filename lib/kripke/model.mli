@@ -207,6 +207,12 @@ val pick_random_state : t -> rng:Random.State.t -> Bdd.t -> state option
     empty.  Raises [Invalid_argument] if the set constrains next-copy
     variables. *)
 
+val successors : t -> state -> Bdd.t
+(** [successors m s] — the successor set of one state, equal to
+    [post m (state_to_bdd m s)] but computed by cofactoring the
+    transition relation on the state's cube (no image computation, so
+    it is the same under a partitioned schedule). *)
+
 val pick_successor : t -> state -> Bdd.t -> state option
 (** [pick_successor m s target] — a successor of [s] inside [target]. *)
 
@@ -218,13 +224,9 @@ val eval_in_state : t -> Bdd.t -> state -> bool
 
 (** {1 Printing} *)
 
-val pp_value : Format.formatter -> value -> unit
-
-val pp_state : t -> Format.formatter -> state -> unit
-(** All variables, one [name = value] per line. *)
-
-val pp_state_diff : t -> prev:state -> Format.formatter -> state -> unit
-(** Only the variables whose value changed w.r.t. [prev] (SMV style). *)
+val string_of_value : value -> string
+(** SMV notation: booleans as [0]/[1], enum constants by name,
+    integers in decimal. *)
 
 (** {1 Skeletons (warm-state persistence)} *)
 

@@ -29,21 +29,40 @@ let append a b =
       invalid_arg "Trace.append: traces do not share the junction state";
     { prefix = a.prefix @ rest; cycle = b.cycle }
 
-let pp m ppf tr =
+(* One pass into a buffer: each state is decoded once into a value
+   array and diffed against the previous state's array.  The layout is
+   the vertical-box rendering SMV users know, byte for byte: every
+   changed variable on its own line indented by two, and a line holding
+   just that indentation closing each state. *)
+let render (m : Model.t) tr =
+  let vars = m.Model.vars in
+  let buf = Buffer.create 256 in
   let count = ref 0 in
   let prev = ref None in
-  let pp_one loop_start st =
+  let add_state loop_start st =
     incr count;
-    if loop_start then Format.fprintf ppf "-- loop starts here --@,";
-    Format.fprintf ppf "state 1.%d:@," !count;
-    Format.fprintf ppf "@[<v 2>  ";
-    (match !prev with
-    | None -> Model.pp_state m ppf st
-    | Some p -> Model.pp_state_diff m ~prev:p ppf st);
-    Format.fprintf ppf "@]@,";
-    prev := Some st
+    if loop_start then Buffer.add_string buf "-- loop starts here --\n";
+    Buffer.add_string buf "state 1.";
+    Buffer.add_string buf (string_of_int !count);
+    Buffer.add_string buf ":\n  ";
+    let values = Array.map (fun v -> Model.value_of_state v st) vars in
+    Array.iteri
+      (fun i value ->
+        let changed =
+          match !prev with None -> true | Some p -> p.(i) <> value
+        in
+        if changed then begin
+          Buffer.add_string buf vars.(i).Model.var_name;
+          Buffer.add_string buf " = ";
+          Buffer.add_string buf (Model.string_of_value value);
+          Buffer.add_string buf "\n  "
+        end)
+      values;
+    Buffer.add_char buf '\n';
+    prev := Some values
   in
-  Format.fprintf ppf "@[<v>";
-  List.iter (pp_one false) tr.prefix;
-  List.iteri (fun i st -> pp_one (i = 0) st) tr.cycle;
-  Format.fprintf ppf "@]"
+  List.iter (add_state false) tr.prefix;
+  List.iteri (fun i st -> add_state (i = 0) st) tr.cycle;
+  Buffer.contents buf
+
+let pp m ppf tr = Format.pp_print_string ppf (render m tr)

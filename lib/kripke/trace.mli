@@ -41,4 +41,9 @@ val append : t -> t -> t
 
 val pp : Model.t -> Format.formatter -> t -> unit
 (** SMV-style rendering: numbered states, values printed only when they
-    change, "-- loop starts here --" before the cycle. *)
+    change, "-- loop starts here --" before the cycle.  Each state is
+    [state 1.N:] on its own line, then one [  name = value] line per
+    changed variable, then a line holding only the two-space indent.
+    The text is built in one pass and printed as one string, so the
+    formatter does no layout of its own: call it at the start of a
+    line. *)

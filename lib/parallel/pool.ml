@@ -11,7 +11,7 @@ type task = unit -> unit
 type t = {
   queue : task Queue.t;
   mutex : Mutex.t;
-  nonempty : Condition.t;  (* signalled on submit and on shutdown *)
+  nonempty : Condition.t;  (* signalled on admission and on shutdown *)
   max_pending : int option;
       (* admission bound: [try_submit] sheds once this many tasks are
          queued (running tasks don't count); [None] = unbounded *)
@@ -80,10 +80,9 @@ let pending pool =
   Mutex.unlock pool.mutex;
   n
 
-(* [bounded] is the admission-control switch: [submit] always
-   enqueues, [try_submit] sheds when the pending queue is at
-   [max_pending]. *)
-let enqueue pool ~bounded f =
+(* Admission control: shed (return [None]) when the pending queue is
+   at [max_pending]. *)
+let try_submit pool f =
   let fut = { fmutex = Mutex.create (); fcond = Condition.create ();
               state = Pending }
   in
@@ -99,13 +98,12 @@ let enqueue pool ~bounded f =
   Mutex.lock pool.mutex;
   if pool.closed then begin
     Mutex.unlock pool.mutex;
-    invalid_arg "Parallel.Pool.submit: pool is shut down"
+    invalid_arg "Parallel.Pool.try_submit: pool is shut down"
   end;
   let full =
-    bounded
-    && (match pool.max_pending with
-       | Some m -> Queue.length pool.queue >= m
-       | None -> false)
+    match pool.max_pending with
+    | Some m -> Queue.length pool.queue >= m
+    | None -> false
   in
   if full then begin
     Mutex.unlock pool.mutex;
@@ -117,13 +115,6 @@ let enqueue pool ~bounded f =
     Mutex.unlock pool.mutex;
     Some fut
   end
-
-let submit pool f =
-  match enqueue pool ~bounded:false f with
-  | Some fut -> fut
-  | None -> assert false (* unbounded enqueue never sheds *)
-
-let try_submit pool f = enqueue pool ~bounded:true f
 
 let await fut =
   Mutex.lock fut.fmutex;

@@ -2,8 +2,8 @@
 
     Hand-rolled over [Domain] / [Mutex] / [Condition] (no external
     scheduler dependency): [create n] spawns [n] domains that block on
-    a shared FIFO task queue; [submit] enqueues a thunk and returns a
-    future; [await] blocks the calling domain until the thunk has run.
+    a shared FIFO task queue; [try_submit] enqueues a thunk and returns
+    a future (or sheds it, past the admission bound); [await] blocks the calling domain until the thunk has run.
     Tasks never run on the submitting domain, so the submitter is free
     to await in any order.
 
@@ -30,8 +30,7 @@ val create : ?max_pending:int -> int -> t
     [max_pending] ([>= 1] when given) is the admission bound consulted
     by {!try_submit}: once that many tasks are queued (tasks already
     running on a worker do not count), further [try_submit] calls shed
-    instead of enqueueing.  Plain {!submit} ignores the bound.
-    Default: unbounded. *)
+    instead of enqueueing.  Default: unbounded. *)
 
 val size : t -> int
 (** Configured number of worker domains. *)
@@ -40,14 +39,11 @@ val pending : t -> int
 (** Tasks currently queued and not yet picked up by a worker — the
     queue depth that {!try_submit} admissions are measured against. *)
 
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a task.  Raises [Invalid_argument] if the pool has been
-    shut down. *)
-
 val try_submit : t -> (unit -> 'a) -> 'a future option
-(** {!submit} with admission control: [None] — immediately, without
-    blocking — when the pool was created with [max_pending] and that
-    many tasks are already queued.  The caller owns the shed response
+(** Enqueue a task, with admission control: [None] — immediately,
+    without blocking — when the pool was created with [max_pending]
+    and that many tasks are already queued; an unbounded pool always
+    admits.  The caller owns the shed response
     (the check server answers with a structured [overloaded] reply).
     Raises [Invalid_argument] if the pool has been shut down. *)
 

@@ -3,6 +3,9 @@ type t = {
   graph : Explicit.Egraph.t;
   states : Kripke.state array;
   mask : Bdd.t -> bool array;
+  fair_states : bool array Lazy.t;
+      (* [Explicit.Ectl.fair_states graph]: one SCC decomposition per
+         bridge, shared by every spec and every explanation *)
 }
 
 let default_threshold = 65536
@@ -12,26 +15,35 @@ let fits ?(threshold = default_threshold) (m : Kripke.t) =
 
 let build ?max_states m =
   let graph, states, mask = Explicit.Bridge.of_kripke ?max_states m in
-  { model = m; graph; states; mask }
+  { model = m; graph; states; mask;
+    fair_states = lazy (Explicit.Ectl.fair_states graph) }
 
 let nstates t = t.graph.Explicit.Egraph.nstates
 
 let atom t name = t.mask (Kripke.label t.model name)
 
+(* Fair satisfaction masks for one verdict or explanation: the
+   explanation asks for the sets of overlapping subformulas at every
+   step it passes through, and each evaluation resolves [Pred] leaves
+   and fair [EG]s over the whole graph, so every subformula is
+   evaluated once. *)
+let sat_memo t =
+  let memo = Hashtbl.create 16 in
+  Explicit.Ectl.sat_fair ~fair_states:(Lazy.force t.fair_states) ~memo t.graph
+    ~atom:(atom t) ~pred:t.mask
+
 let holds t ~fair formula =
   if fair then
-    Explicit.Ectl.holds_fair t.graph ~atom:(atom t) ~pred:t.mask formula
+    let set = sat_memo t formula in
+    List.for_all (fun i -> set.(i)) t.graph.Explicit.Egraph.init
   else Explicit.Ectl.holds t.graph ~atom:(atom t) ~pred:t.mask formula
 
 (* Trace construction: [Counterex.Explain]'s recursion over graph-node
    indices, lifted to concrete states only at the very end. *)
 
-let sat_fair t formula =
-  Explicit.Ectl.sat_fair t.graph ~atom:(atom t) ~pred:t.mask formula
-
-let explain t formula ~start =
+let explain t ~sat formula ~start =
   let graph = t.graph in
-  let fair_mask = Explicit.Ectl.fair_states graph in
+  let fair_mask = Lazy.force t.fair_states in
   let found = function
     | Some path -> path
     | None -> raise (Counterex.Explain.Cannot_explain "no explicit-state path")
@@ -39,7 +51,7 @@ let explain t formula ~start =
   let prefix, cycle =
     Counterex.Explain.explain_with
       {
-        sat = sat_fair t;
+        sat;
         mem = (fun mask i -> mask.(i));
         fair = (fun mask -> Array.map2 ( && ) mask fair_mask);
         ex = (fun ~f ~start -> found (Explicit.Ewitness.ex graph ~f ~start));
@@ -56,13 +68,15 @@ let explain t formula ~start =
 let first_init t p = List.find_opt p t.graph.Explicit.Egraph.init
 
 let witness t formula =
-  let sat = sat_fair t formula in
+  let sat = sat_memo t in
+  let set = sat formula in
   Option.map
-    (fun start -> explain t formula ~start)
-    (first_init t (fun i -> sat.(i)))
+    (fun start -> explain t ~sat formula ~start)
+    (first_init t (fun i -> set.(i)))
 
 let counterexample t formula =
-  let sat = sat_fair t formula in
+  let sat = sat_memo t in
+  let set = sat formula in
   Option.map
-    (fun start -> explain t (Ctl.Not formula) ~start)
-    (first_init t (fun i -> not sat.(i)))
+    (fun start -> explain t ~sat (Ctl.Not formula) ~start)
+    (first_init t (fun i -> not set.(i)))

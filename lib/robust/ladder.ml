@@ -29,7 +29,7 @@ let failure_name = function
   | Breach { Bdd.Limits.breach = Bdd.Limits.Step_budget _; _ } -> "step-budget"
   | Breach { Bdd.Limits.breach = Bdd.Limits.Interrupted; _ } -> "interrupted"
   | Oom -> "out-of-memory"
-  | Crashed _ -> "worker-crashed"
+  | Crashed _ -> "internal-error"
 
 let pp_attempt ppf a =
   Format.fprintf ppf "attempt %d [%s]: %s after %.2fs (%d nodes)" a.index

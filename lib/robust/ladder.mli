@@ -51,7 +51,7 @@ val strategy_name : strategy -> string
 
 val failure_name : failure -> string
 (** Short tag: ["deadline"], ["node-budget"], ["step-budget"],
-    ["out-of-memory"], ["worker-crashed"]. *)
+    ["out-of-memory"], ["internal-error"] (for {!Crashed}). *)
 
 val pp_attempt : Format.formatter -> attempt -> unit
 (** One log line, e.g.

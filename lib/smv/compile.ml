@@ -254,8 +254,7 @@ let rec assign_relation env ~guard ~target ~target_primed ~rhs_primed
           else if Bdd.is_zero (Bdd.and_ env.bman guard cond) then None
           else
             err ~pos:e.Ast.pos "value %s outside the domain of %s"
-              (Format.asprintf "%a" Kripke.pp_value v)
-              target.Kripke.var_name)
+              (Kripke.string_of_value v) target.Kripke.var_name)
         pairs
     in
     Bdd.disj env.bman hits

@@ -262,4 +262,69 @@ let test_trace_golden () =
       lines
   | [] -> Alcotest.fail "no initial state"
 
-let suite = suite @ [ Alcotest.test_case "trace golden rendering" `Quick test_trace_golden ]
+(* The exact bytes of a rendered lasso: the first state lists every
+   variable, later ones only what changed (a state equal to its
+   predecessor renders as a bare indent line), the loop marker precedes
+   the cycle, and booleans, enum constants and range values each print
+   in SMV notation. *)
+let test_trace_bytes () =
+  let b = Kripke.Builder.create () in
+  let flag = Kripke.Builder.bool_var b "flag" in
+  let mode = Kripke.Builder.enum_var b "mode" [ "idle"; "busy"; "done" ] in
+  let n = Kripke.Builder.range_var b "n" 2 5 in
+  Kripke.Builder.add_trans b (Bdd.one (Kripke.Builder.man b));
+  let m = Kripke.Builder.build b in
+  let state f md k =
+    let set =
+      Bdd.conj m.Kripke.man
+        [ Kripke.Builder.is b flag (Kripke.B f);
+          Kripke.Builder.is b mode (Kripke.S md);
+          Kripke.Builder.is b n (Kripke.I k) ]
+    in
+    Option.get (Kripke.pick_state m set)
+  in
+  let a = state false "idle" 2 in
+  let tr =
+    Kripke.Trace.lasso
+      ~prefix:[ a; a; state true "idle" 4 ]
+      ~cycle:[ state true "busy" 4; state false "done" 5 ]
+  in
+  let expected =
+    "state 1.1:\n  flag = 0\n  mode = idle\n  n = 2\n  \n\
+     state 1.2:\n  \n\
+     state 1.3:\n  flag = 1\n  n = 4\n  \n\
+     -- loop starts here --\n\
+     state 1.4:\n  mode = busy\n  \n\
+     state 1.5:\n  flag = 0\n  mode = done\n  n = 5\n  \n"
+  in
+  Alcotest.(check string) "rendering" expected
+    (Format.asprintf "%a" (Kripke.Trace.pp m) tr);
+  Alcotest.(check string) "as the checker prints it" (expected ^ "\n")
+    (Format.asprintf "%a@." (Kripke.Trace.pp m) tr)
+
+(* One state's successor set by cofactoring the relation equals the
+   image of the state's singleton, on every reachable state of a
+   committed model, under the monolithic and the partitioned image. *)
+let test_successors_are_post () =
+  let c = Smv.load_file (Filename.concat "../examples/models" "philosophers.smv") in
+  let m = c.Smv.Compile.model in
+  let pm = Kripke.with_partition m c.Smv.Compile.clusters in
+  Alcotest.(check bool) "partitioned variant" true (Kripke.partitioned pm);
+  let reach = Kripke.states_in m (Kripke.reachable m) in
+  Alcotest.(check bool) "several reachable states" true (List.length reach > 10);
+  List.iter
+    (fun model ->
+      List.iter
+        (fun st ->
+          Alcotest.(check bool) "successors = post of the singleton" true
+            (Bdd.equal (Kripke.successors model st)
+               (Kripke.post model (Kripke.state_to_bdd model st))))
+        reach)
+    [ m; pm ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "trace golden rendering" `Quick test_trace_golden;
+      Alcotest.test_case "trace rendering bytes" `Quick test_trace_bytes;
+      Alcotest.test_case "successors by cofactor" `Quick
+        test_successors_are_post ]

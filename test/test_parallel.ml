@@ -3,7 +3,8 @@
 
 let test_pool_order () =
   let pool = Parallel.Pool.create 4 in
-  let futures = List.init 20 (fun i -> Parallel.Pool.submit pool (fun () -> i * i)) in
+  let submit f = Option.get (Parallel.Pool.try_submit pool f) in
+  let futures = List.init 20 (fun i -> submit (fun () -> i * i)) in
   let results = List.map Parallel.Pool.await_exn futures in
   Parallel.Pool.shutdown pool;
   Alcotest.(check (list int))
@@ -13,8 +14,9 @@ let test_pool_order () =
 
 let test_pool_failure_isolated () =
   let pool = Parallel.Pool.create 2 in
-  let fut_bad = Parallel.Pool.submit pool (fun () -> failwith "boom") in
-  let fut_ok = Parallel.Pool.submit pool (fun () -> 42) in
+  let submit f = Option.get (Parallel.Pool.try_submit pool f) in
+  let fut_bad = submit (fun () -> failwith "boom") in
+  let fut_ok = submit (fun () -> 42) in
   let bad = Parallel.Pool.await fut_bad in
   let ok = Parallel.Pool.await fut_ok in
   Parallel.Pool.shutdown pool;
@@ -31,9 +33,9 @@ let test_pool_invalid () =
   let pool = Parallel.Pool.create 1 in
   Parallel.Pool.shutdown pool;
   Parallel.Pool.shutdown pool (* idempotent *);
-  Alcotest.check_raises "submit after shutdown rejected"
-    (Invalid_argument "Parallel.Pool.submit: pool is shut down") (fun () ->
-      ignore (Parallel.Pool.submit pool (fun () -> ())))
+  Alcotest.check_raises "try_submit after shutdown rejected"
+    (Invalid_argument "Parallel.Pool.try_submit: pool is shut down")
+    (fun () -> ignore (Parallel.Pool.try_submit pool (fun () -> ())))
 
 let test_jobs_validation () =
   let code, out = Smoke.run [ Smoke.model_path "mutex.smv"; "--jobs=-2" ] in

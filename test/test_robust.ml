@@ -111,6 +111,27 @@ let test_oom_classified () =
       | None -> "none")
   | _ -> Alcotest.fail "Out_of_memory was not recovered"
 
+(* An unexpected exception inside a check is the engine's internal
+   error, whatever raised it: the spec is Undetermined with that tag. *)
+let test_crash_tagged_internal_error () =
+  Alcotest.(check string) "failure_name" "internal-error"
+    (Robust.Ladder.failure_name (Robust.Ladder.Crashed "boom"));
+  let m = Models.counter 3 in
+  let buf = Buffer.create 64 in
+  let ppf = Format.formatter_of_buffer buf in
+  let report =
+    Server.Engine.check_one ppf m ~opts:Server.Engine.default
+      ~cancel:(Atomic.make false) ~clusters:[]
+      ("unknown label", Ctl.Atom "no_such_label")
+  in
+  Format.pp_print_flush ppf ();
+  Alcotest.(check bool) "verdict tag" true
+    (report.Server.Engine.verdict
+     = Server.Engine.Undetermined "internal-error");
+  Alcotest.(check bool) "reported as an internal error" true
+    (Astring.String.is_infix ~affix:"UNDETERMINED (internal error:"
+       (Buffer.contents buf))
+
 (* Satellite: SIGINT short-circuits the ladder.  Cancellation raised
    *inside* an attempt surfaces as an Interrupted breach, which the
    ladder must re-raise, not retry; cancellation *between* attempts
@@ -278,6 +299,8 @@ let suite =
     Alcotest.test_case "success stops climbing" `Quick
       test_success_stops_climbing;
     Alcotest.test_case "Out_of_memory recovered" `Quick test_oom_classified;
+    Alcotest.test_case "crash tagged internal-error" `Quick
+      test_crash_tagged_internal_error;
     Alcotest.test_case "SIGINT short-circuits the ladder" `Quick
       test_cancel_short_circuits;
     Alcotest.test_case "mk fault fires once" `Quick test_fault_mk_fires_once;

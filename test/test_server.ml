@@ -536,10 +536,11 @@ let test_pool_admission () =
   (* Gate the single worker so queued tasks stay queued. *)
   let gate = Atomic.make false in
   let blocker =
-    Pool.submit pool (fun () ->
-        while not (Atomic.get gate) do
-          Domain.cpu_relax ()
-        done)
+    Option.get
+      (Pool.try_submit pool (fun () ->
+           while not (Atomic.get gate) do
+             Domain.cpu_relax ()
+           done))
   in
   (* Wait until the worker holds the blocker (pending drops to 0). *)
   while Pool.pending pool > 0 do
@@ -552,9 +553,6 @@ let test_pool_admission () =
   Alcotest.(check int) "queue depth visible" 2 (Pool.pending pool);
   Alcotest.(check bool) "third admission shed" true
     (Pool.try_submit pool (fun () -> 3) = None);
-  Alcotest.(check bool) "plain submit ignores the bound" true
-    (ignore (Pool.submit pool (fun () -> 4));
-     true);
   Alcotest.(check bool) "blocker not settled while held" false
     (Pool.is_settled blocker);
   Atomic.set gate true;

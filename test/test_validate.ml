@@ -100,6 +100,63 @@ let test_valid_traces_pass () =
     (Counterex.Validate.starts_at m m.Kripke.init
        (Kripke.Trace.finite [ enc 0 ]))
 
+(* The relational definition of an edge, as the oracle of the
+   evaluated check: the relation meets the cube of [a] and the primed
+   cube of [b]. *)
+let relational_edge m a b =
+  not
+    (Bdd.is_zero
+       (Bdd.conj m.Kripke.man
+          [ m.Kripke.trans; Kripke.state_to_bdd m a;
+            Kripke.prime m (Kripke.state_to_bdd m b) ]))
+
+let test_has_edge_is_relational () =
+  let c = Smv.load_file (Filename.concat "../examples/models" "mutex.smv") in
+  let m = c.Smv.Compile.model in
+  let reach = Kripke.states_in m (Kripke.reachable m) in
+  let n = List.length reach in
+  let edges = ref 0 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let got = Counterex.Validate.has_edge m a b in
+          Alcotest.(check bool) "evaluation = relational definition"
+            (relational_edge m a b) got;
+          if got then incr edges)
+        reach)
+    reach;
+  Alcotest.(check bool) "both edges and non-edges met" true
+    (!edges > 0 && !edges < n * n);
+  (* A valid three-state path with one bit of its middle state flipped:
+     wherever the flipped state stays in the space but loses an edge,
+     the path is rejected as a broken transition. *)
+  let next st = Option.get (Kripke.pick_successor m st m.Kripke.space) in
+  let s0 = Option.get (Kripke.pick_state m m.Kripke.init) in
+  let s1 = next s0 in
+  let s2 = next s1 in
+  (match Counterex.Validate.path_ok m (Kripke.Trace.finite [ s0; s1; s2 ]) with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "the unflipped path is rejected");
+  let broken = ref 0 in
+  Array.iteri
+    (fun bit _ ->
+      let s1' = Array.copy s1 in
+      s1'.(bit) <- not s1'.(bit);
+      if Kripke.eval_in_state m m.Kripke.space s1' then begin
+        let tr = Kripke.Trace.finite [ s0; s1'; s2 ] in
+        if relational_edge m s0 s1' && relational_edge m s1' s2 then
+          Alcotest.(check bool) "both edges kept" true
+            (Counterex.Validate.path_ok m tr = Ok ())
+        else begin
+          incr broken;
+          expect_error "flipped bit" "Broken_transition"
+            (Counterex.Validate.path_ok m tr)
+        end
+      end)
+    s1;
+  Alcotest.(check bool) "some flip breaks an edge" true (!broken > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Certification of generator-produced traces.                         *)
 
@@ -170,6 +227,8 @@ let suite =
     Alcotest.test_case "Empty_trace" `Quick test_empty_trace;
     Alcotest.test_case "Broken_transition" `Quick test_broken_transition;
     Alcotest.test_case "Broken_loop" `Quick test_broken_loop;
+    Alcotest.test_case "has_edge = relational edge" `Quick
+      test_has_edge_is_relational;
     Alcotest.test_case "State_outside" `Quick test_state_outside;
     Alcotest.test_case "Missing_fairness" `Quick test_missing_fairness;
     Alcotest.test_case "valid traces pass" `Quick test_valid_traces_pass;
