@@ -89,9 +89,10 @@ let print_run_stats m =
   let c = Ctl.Check.fixpoint_stats () in
   let f = Ctl.Fair.fixpoint_stats () in
   Format.printf
-    "fixpoints: %d EU iterations, %d EG iterations, %d ring layers@."
+    "fixpoints: %d EU iterations, %d EG iterations, %d ring layers, %d \
+     forward iterations@."
     c.Ctl.Check.eu_iterations c.Ctl.Check.eg_iterations
-    c.Ctl.Check.ring_layers;
+    c.Ctl.Check.ring_layers c.Ctl.Check.forward_iterations;
   Format.printf
     "fair fixpoints: %d outer iterations, %d ring layers saved@."
     f.Ctl.Fair.outer_iterations f.Ctl.Fair.ring_layers

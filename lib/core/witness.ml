@@ -186,20 +186,31 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
     let round_states = List.rev acc in
     let t = match round_states with t :: _ -> t | [] -> s (* no constraints: impossible, rings non-empty *) in
     (* Close the cycle: a non-trivial path s' -> t through f-states:
-       {s'} /\ EX E[f U {t}].  Only the rings up to the first layer
-       that meets succ(s') are built: that layer is where the closing
-       path starts, and the layers below it are the ones it descends. *)
+       {s'} /\ EX E[f U {t}].  Whether one exists is asked going
+       forward first: the cone of succ(s') through f is small, while
+       the backward rings of a round that cannot close run to their
+       fixpoint.  Only when it exists are the rings built, up to the
+       first layer that meets succ(s'): that layer is where the closing
+       path starts, and the layers below it are the ones it descends.
+       Both sweeps stop at the distance from succ(s') to t, so the
+       forward test has already charged the budget one step for each
+       backward iteration: the rings are not charged twice (the
+       attached limits' deadline and cancellation still poll inside
+       every BDD operation). *)
     timed 3 @@ fun () ->
     let t_set = Kripke.state_to_bdd m t in
     let succ = Kripke.successors m s' in
-    let closing_rings = Ctl.Check.eu_rings ?limits ~until:succ m f t_set in
-    let j = Array.length closing_rings - 1 in
-    let meet = Bdd.and_ m.Kripke.man closing_rings.(j) succ in
-    (match Kripke.pick_state m meet with
-    | Some u ->
-      let closing = u :: descend ?limits m closing_rings ~start:u ~level:j in
-      Closed (round_states, closing)
-    | None -> Failed round_states)
+    if not (Ctl.Check.reaches ?limits m ~f ~from:succ ~target:t_set) then
+      Failed round_states
+    else
+      let closing_rings = Ctl.Check.eu_rings ~until:succ m f t_set in
+      let j = Array.length closing_rings - 1 in
+      let meet = Bdd.and_ m.Kripke.man closing_rings.(j) succ in
+      match Kripke.pick_state m meet with
+      | Some u ->
+        let closing = u :: descend ?limits m closing_rings ~start:u ~level:j in
+        Closed (round_states, closing)
+      | None -> raise (No_witness "internal: closing rings miss succ(s')")
 
 let eg_stats ?limits ?hull ?(strategy = Restart) ?(max_restarts = 1_000_000)
     m ~f ~start =

@@ -21,7 +21,11 @@ type strategy =
   | Restart
       (** the simple strategy: try to close the cycle after visiting
           all constraints; on failure restart the construction from the
-          path's final state (descending the SCC DAG, Figure 2) *)
+          path's final state (descending the SCC DAG, Figure 2).  A
+          round that cannot close is detected going forward
+          ({!Ctl.Check.reaches} from the successors of its last state
+          through [f]); the backward closing rings are built only for
+          a round that closes. *)
   | Precompute
       (** the "slightly more sophisticated" strategy: after fixing the
           cycle-start state [t], precompute [E[(EG f) U {t}]] and

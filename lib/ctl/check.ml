@@ -9,23 +9,27 @@ type fixpoint_stats = {
   eu_iterations : int;
   eg_iterations : int;
   ring_layers : int;
+  forward_iterations : int;
 }
 
 let eu_iters = Atomic.make 0
 let eg_iters = Atomic.make 0
 let rings_built = Atomic.make 0
+let fwd_iters = Atomic.make 0
 
 let fixpoint_stats () =
   {
     eu_iterations = Atomic.get eu_iters;
     eg_iterations = Atomic.get eg_iters;
     ring_layers = Atomic.get rings_built;
+    forward_iterations = Atomic.get fwd_iters;
   }
 
 let reset_fixpoint_stats () =
   Atomic.set eu_iters 0;
   Atomic.set eg_iters 0;
-  Atomic.set rings_built 0
+  Atomic.set rings_built 0;
+  Atomic.set fwd_iters 0
 
 (* Charge one fixpoint iteration against the optional resource limits
    (shared by every fixpoint loop below). *)
@@ -81,6 +85,36 @@ let eu_rings ?limits ?until (m : Kripke.t) f g =
       let rings = Array.of_list (go [ g ] g) in
       ignore (Atomic.fetch_and_add rings_built (Array.length rings) : int);
       rings)
+
+(* The forward dual of [eu_rings ~until:from f target]: grow
+   [F_0 = from /\ f], [F_(k+1) = F_k \/ (f /\ post F_k)] and stop as
+   soon as a state of [target] is one step ahead (or in [from] itself).
+   The cone of a few successors is small where the backward rings of a
+   sweep that never meets them are not. *)
+let reaches ?limits (m : Kripke.t) ~f ~from ~target =
+  let bman = m.Kripke.man in
+  let meets s = not (Bdd.is_zero (Bdd.and_ bman s target)) in
+  let layer = ref (Bdd.zero bman) in
+  Bdd.with_root bman
+    (fun () -> [ f; from; target; !layer ])
+    (fun () ->
+      let rec go q =
+        Atomic.incr fwd_iters;
+        tick m limits;
+        let next = Kripke.post m q in
+        if meets next then true
+        else
+          let q' = Bdd.or_ bman q (Bdd.and_ bman f next) in
+          if Bdd.equal q q' then false
+          else begin
+            layer := q';
+            go q'
+          end
+      in
+      meets from
+      ||
+      (layer := Bdd.and_ bman from f;
+       go !layer))
 
 let eg ?limits (m : Kripke.t) f =
   let bman = m.Kripke.man in

@@ -12,6 +12,7 @@ type fixpoint_stats = {
       (** [EU] fixpoint steps, {!eu_rings} sweeps included *)
   eg_iterations : int;  (** plain [EG] fixpoint steps *)
   ring_layers : int;    (** layers saved by {!eu_rings} *)
+  forward_iterations : int;  (** {!reaches} image steps *)
 }
 (** Iteration counters, accumulated process-wide (across all models)
     since the last {!reset_fixpoint_stats}. *)
@@ -67,3 +68,19 @@ val eu_rings :
     [until] instead: the result is the prefix [Q_0 .. Q_j] of the full
     sequence, [Q_j] the first layer with a state in [until] (the whole
     sequence when no layer has one). *)
+
+val reaches :
+  ?limits:Bdd.Limits.t ->
+  Kripke.t ->
+  f:Bdd.t ->
+  from:Bdd.t ->
+  target:Bdd.t ->
+  bool
+(** Does some path from a [from]-state through [f]-states reach
+    [target]?  That is, does [E[f U target]] meet [from] — exactly when
+    the last layer of [eu_rings ~until:from m f target] meets [from] —
+    decided by the forward least fixpoint [F_0 = from /\ f],
+    [F_(k+1) = F_k \/ (f /\ post F_k)], which stops with [true] at the
+    first image that meets [target] and with [false] when the layers
+    converge.  Each image charges one step against [limits] and one
+    [forward_iterations]. *)

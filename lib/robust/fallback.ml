@@ -22,19 +22,29 @@ let nstates t = t.graph.Explicit.Egraph.nstates
 
 let atom t name = t.mask (Kripke.label t.model name)
 
-(* Fair satisfaction masks for one verdict or explanation: the
-   explanation asks for the sets of overlapping subformulas at every
-   step it passes through, and each evaluation resolves [Pred] leaves
-   and fair [EG]s over the whole graph, so every subformula is
-   evaluated once. *)
-let sat_memo t =
-  let memo = Hashtbl.create 16 in
-  Explicit.Ectl.sat_fair ~fair_states:(Lazy.force t.fair_states) ~memo t.graph
-    ~atom:(atom t) ~pred:t.mask
+(* Fair satisfaction masks for one spec: the explanation asks for the
+   sets of overlapping subformulas at every step it passes through, and
+   each evaluation resolves [Pred] leaves and fair [EG]s over the whole
+   graph, so every subformula is evaluated once — for the verdict and
+   its trace together when both share the memo. *)
+type memo = { owner : t; sat : Ctl.t -> bool array }
 
-let holds t ~fair formula =
+let memo t =
+  let table = Hashtbl.create 16 in
+  { owner = t;
+    sat =
+      Explicit.Ectl.sat_fair ~fair_states:(Lazy.force t.fair_states)
+        ~memo:table t.graph ~atom:(atom t) ~pred:t.mask }
+
+let sat_of ?memo:mm t =
+  match mm with
+  | None -> (memo t).sat
+  | Some mm when mm.owner == t -> mm.sat
+  | Some _ -> invalid_arg "Fallback: the memo belongs to another bridge"
+
+let holds ?memo t ~fair formula =
   if fair then
-    let set = sat_memo t formula in
+    let set = sat_of ?memo t formula in
     List.for_all (fun i -> set.(i)) t.graph.Explicit.Egraph.init
   else Explicit.Ectl.holds t.graph ~atom:(atom t) ~pred:t.mask formula
 
@@ -67,15 +77,15 @@ let explain t ~sat formula ~start =
 
 let first_init t p = List.find_opt p t.graph.Explicit.Egraph.init
 
-let witness t formula =
-  let sat = sat_memo t in
+let witness ?memo t formula =
+  let sat = sat_of ?memo t in
   let set = sat formula in
   Option.map
     (fun start -> explain t ~sat formula ~start)
     (first_init t (fun i -> set.(i)))
 
-let counterexample t formula =
-  let sat = sat_memo t in
+let counterexample ?memo t formula =
+  let sat = sat_of ?memo t in
   let set = sat formula in
   Option.map
     (fun start -> explain t ~sat (Ctl.Not formula) ~start)

@@ -40,18 +40,28 @@ val build : ?max_states:int -> Kripke.t -> t
 
 val nstates : t -> int
 
-val holds : t -> fair:bool -> Ctl.t -> bool
+type memo
+(** One spec's fair satisfaction masks on one bridge: every subformula
+    evaluated once, shared by the verdict and its trace. *)
+
+val memo : t -> memo
+(** A fresh, empty memo for the bridge. *)
+
+val holds : ?memo:memo -> t -> fair:bool -> Ctl.t -> bool
 (** The verdict: every initial state satisfies the formula, under fair
     semantics when [fair] (pass the same choice the symbolic path
-    made, so verdicts are comparable). *)
+    made, so verdicts are comparable).  A fair verdict fills [memo]
+    (a private one when absent), so the trace built from the same memo
+    re-evaluates nothing.  Every function taking [memo] raises
+    [Invalid_argument] when it was made for another bridge. *)
 
-val witness : t -> Ctl.t -> Kripke.Trace.t option
+val witness : ?memo:memo -> t -> Ctl.t -> Kripke.Trace.t option
 (** A trace demonstrating the (existential) formula from some initial
     state; [None] when no initial state satisfies it under fair
     semantics.  Raises [Counterex.Explain.Cannot_explain] like the
     symbolic explainer. *)
 
-val counterexample : t -> Ctl.t -> Kripke.Trace.t option
+val counterexample : ?memo:memo -> t -> Ctl.t -> Kripke.Trace.t option
 (** A trace demonstrating the negation from some initial state;
     [None] when the formula holds on every initial state under fair
     semantics. *)

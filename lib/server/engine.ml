@@ -148,8 +148,9 @@ let print_breach_progress ppf (info : Bdd.Limits.info) =
    here is reported as a note but keeps the verdict: the answer was
    already computed, only its explanation ran out of budget.
    [fallback] only chooses the explainer: the explicit-state bridge
-   (the ladder's last rung) or the symbolic model under [limits],
-   descending the verdict's fixpoints when it left them in [memo]. *)
+   (the ladder's last rung), reading the masks its verdict left in the
+   bridge's memo, or the symbolic model under [limits], descending the
+   verdict's fixpoints when it left them in [memo]. *)
 let trace_for ppf m ~limits ~emit ~holds ~fallback ?memo spec =
   let emitf fmt =
     if emit then Format.fprintf ppf fmt else Format.ifprintf ppf fmt
@@ -160,7 +161,9 @@ let trace_for ppf m ~limits ~emit ~holds ~fallback ?memo spec =
   in
   let witness, counterexample =
     match fallback with
-    | Some fb -> (Robust.Fallback.witness fb, Robust.Fallback.counterexample fb)
+    | Some (fb, memo) ->
+      ( Robust.Fallback.witness ~memo fb,
+        Robust.Fallback.counterexample ~memo fb )
     | None ->
       ( Counterex.Explain.witness ~limits ?memo m,
         Counterex.Explain.counterexample ~limits ?memo m )
@@ -207,14 +210,15 @@ let trace_for ppf m ~limits ~emit ~holds ~fallback ?memo spec =
 (* What one ladder attempt produced: the verdict, the model it was
    decided on (the degraded rung may swap in a partitioned variant),
    the budget bundle it ran under (trace construction keeps charging
-   it), the explicit bridge when the verdict came from the
-   explicit-state rung, and the fixpoint memo the verdict filled when it
-   was decided symbolically under fair semantics. *)
+   it), the explicit bridge and the masks memo its verdict filled when
+   the verdict came from the explicit-state rung, and the fixpoint memo
+   the verdict filled when it was decided symbolically under fair
+   semantics. *)
 type attempt_result = {
   ar_holds : bool;
   ar_model : Kripke.t;
   ar_limits : Bdd.Limits.t;
-  ar_fallback : Robust.Fallback.t option;
+  ar_fallback : (Robust.Fallback.t * Robust.Fallback.memo) option;
   ar_memo : Counterex.Explain.memo option;
 }
 
@@ -318,11 +322,12 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
         Bdd.Limits.create ?timeout:(timeout_for attempt) ~cancel ()
       in
       let fb = Bdd.Limits.with_attached man limits explicit in
+      let fmemo = Robust.Fallback.memo fb in
       {
-        ar_holds = Robust.Fallback.holds fb ~fair:opts.fair spec;
+        ar_holds = Robust.Fallback.holds ~memo:fmemo fb ~fair:opts.fair spec;
         ar_model = m;
         ar_limits = limits;
-        ar_fallback = Some fb;
+        ar_fallback = Some (fb, fmemo);
         ar_memo = None;
       }
   in

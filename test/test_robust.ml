@@ -283,6 +283,32 @@ let prop_fallback_traces_certify =
             QCheck2.Test.fail_reportf
               "fallback counterexample failed certification: %s" msg))
 
+(* One memo per spec, as the explicit rung shares it between the
+   verdict and the trace: the same verdict and the same trace as
+   private memos, and a memo of another bridge is refused. *)
+let prop_fallback_shared_memo =
+  prop "fallback: a shared memo changes neither verdict nor trace"
+    ~count:200 (with_formula ())
+    (fun (rm, f) ->
+      let fb = Robust.Fallback.build rm.Models.sym in
+      let memo = Robust.Fallback.memo fb in
+      let holds = Robust.Fallback.holds ~memo fb ~fair:true f in
+      let trace =
+        if holds then Robust.Fallback.witness else Robust.Fallback.counterexample
+      in
+      let explain ?memo () =
+        match trace ?memo fb f with
+        | tr -> Ok tr
+        | exception Counterex.Explain.Cannot_explain msg -> Error msg
+      in
+      holds = Robust.Fallback.holds fb ~fair:true f
+      && explain ~memo () = explain ()
+      &&
+      match Robust.Fallback.holds ~memo (Robust.Fallback.build rm.Models.sym)
+              ~fair:true f with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
 let test_fits_threshold () =
   let m = (Models.mutex ()).Models.m in
   Alcotest.(check bool) "small model fits" true (Robust.Fallback.fits m);
@@ -312,4 +338,5 @@ let suite =
     prop_fallback_agrees;
     prop_fallback_agrees_plain;
     prop_fallback_traces_certify;
+    prop_fallback_shared_memo;
   ]
