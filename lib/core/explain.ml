@@ -68,17 +68,18 @@ let explain_with ops formula ~start =
 (* The fixpoint memo of one specification on one model: the fair set
    of every formula [sat] is asked for (keyed by the formula; [Bdd.t]
    is a plain handle, so structural hashing is sound), the rings of
-   every [EU] and the hull of every fair [EG] its traversal meets (keyed
-   by their operand sets, which is how the witness primitives ask for
-   them).  An [EU]'s set is the last of its rings — [eu_rings] is the
-   sweep [Ctl.Fair.eu_with] runs — so no fixpoint runs twice while the
-   memo lives, and diagrams being canonical, every set is the very
-   [Bdd.t] [Ctl.Fair.sat] returns. *)
+   every [EU] and the hull of every fair [EG] its traversal meets, with
+   the rings of its last outer iteration (keyed by their operand sets,
+   which is how the witness primitives ask for them).  An [EU]'s set is
+   the last of its rings — [eu_rings] is the sweep [Ctl.Fair.eu_with]
+   runs — so no fixpoint runs twice while the memo lives, and diagrams
+   being canonical, every set is the very [Bdd.t] [Ctl.Fair.sat]
+   returns. *)
 type memo = {
   model : Kripke.t;
   sets : (Ctl.t, Bdd.t) Hashtbl.t;
   rings : (Bdd.t * Bdd.t, Bdd.t array) Hashtbl.t;
-  hulls : (Bdd.t, Bdd.t) Hashtbl.t;
+  hulls : (Bdd.t, Bdd.t * Ctl.Fair.rings list) Hashtbl.t;
 }
 
 let memo m =
@@ -88,7 +89,11 @@ let memo m =
 let roots mm =
   Hashtbl.fold (fun _ s acc -> s :: acc) mm.sets
     (Hashtbl.fold (fun _ r acc -> Array.to_list r @ acc) mm.rings
-       (Hashtbl.fold (fun _ z acc -> z :: acc) mm.hulls []))
+       (Hashtbl.fold
+          (fun _ (z, rs) acc ->
+            z :: List.concat_map (fun r -> Array.to_list r.Ctl.Fair.layers) rs
+            @ acc)
+          mm.hulls []))
 
 let lookup tbl key compute =
   match Hashtbl.find_opt tbl key with
@@ -109,7 +114,9 @@ let memo_sat ?limits mm ~fair =
     in
     r.(Array.length r - 1)
   in
-  let eg _ f = lookup mm.hulls f (fun () -> Ctl.Fair.eg ?limits m f) in
+  let eg _ f =
+    fst (lookup mm.hulls f (fun () -> Ctl.Fair.eg_rings ?limits m f))
+  in
   fun f ->
     lookup mm.sets f (fun () ->
         Ctl.Check.sat_with ~ex:(Ctl.Fair.ex ?limits) ~eu ~eg m f)

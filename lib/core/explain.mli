@@ -45,17 +45,18 @@ val explain_with :
 
 (** {1 The fixpoint memo}
 
-    The sets, [EU] rings and fair-[EG] hulls computed for one
+    The sets and the [EU] and fair-[EG] rings computed for one
     specification, shared by the check that decides it and the trace
     that explains it (Section 6 builds a witness from the rings the
     verdict's fixpoints already computed). *)
 
 type memo
 (** Every formula's fair set asked for so far, the rings of every [EU]
-    (its set is their last layer) and the hull of every fair [EG] its
-    traversal met, on one model.  Diagrams in it are not rooted by the
-    memo itself: a caller holding it across a possible [Bdd.gc] roots
-    {!roots} (every function below roots it while it runs). *)
+    (its set is their last layer) and the hull and rings
+    ({!Ctl.Fair.eg_rings}) of every fair [EG] its traversal met, on one
+    model.  Diagrams in it are not rooted by the memo itself: a caller
+    holding it across a possible [Bdd.gc] roots {!roots} (every
+    function below roots it while it runs). *)
 
 val memo : Kripke.t -> memo
 (** A fresh, empty memo on the model. *)
@@ -65,9 +66,9 @@ val roots : memo -> Bdd.t list
 
 val holds : ?limits:Bdd.Limits.t -> memo -> Ctl.t -> bool
 (** [Ctl.Fair.holds] through the memo: the same verdict from the same
-    fixpoints, in the same order and charging [limits] alike, except
-    that each [EU] runs as [Ctl.Check.eu_rings] and keeps its layers
-    for a later {!witness} or {!counterexample} on the same memo. *)
+    fixpoints, in the same order and charging [limits] alike; each
+    [EU] and each fair [EG] keeps its rings for a later {!witness} or
+    {!counterexample} on the same memo. *)
 
 val explain :
   ?limits:Bdd.Limits.t ->

@@ -16,7 +16,7 @@ exception
 
 let in_set m set st = Kripke.eval_in_state m set st
 
-let phase_seconds = Array.make 4 0.0
+let phase_seconds = Array.make 3 0.0
 
 let timed i k =
   let t0 = Bdd.now_monotonic () in
@@ -132,7 +132,7 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
     st :: acc
   in
   let visit_constraint (acc, current) (r : Ctl.Fair.rings) =
-    timed 2 @@ fun () ->
+    timed 1 @@ fun () ->
     ring_tick m limits;
     match min_layer m r.Ctl.Fair.layers (Kripke.successors m current) with
     | None -> raise (No_witness "EG: no fairness constraint reachable")
@@ -157,7 +157,7 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
     match remaining with
     | [] -> (acc, current)
     | first_r :: _ ->
-      let dist r = timed 1 @@ fun () ->
+      let dist r = timed 0 @@ fun () ->
         match min_layer m r.Ctl.Fair.layers (Kripke.successors m current) with
         | Some (j, _) -> j
         | None -> max_int
@@ -197,7 +197,7 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
        backward iteration: the rings are not charged twice (the
        attached limits' deadline and cancellation still poll inside
        every BDD operation). *)
-    timed 3 @@ fun () ->
+    timed 2 @@ fun () ->
     let t_set = Kripke.state_to_bdd m t in
     let succ = Kripke.successors m s' in
     if not (Ctl.Check.reaches ?limits m ~f ~from:succ ~target:t_set) then
@@ -216,7 +216,7 @@ let eg_stats ?limits ?hull ?(strategy = Restart) ?(max_restarts = 1_000_000)
     m ~f ~start =
   let f = Bdd.and_ m.Kripke.man f m.Kripke.space in
   let egf, rings =
-    timed 0 (fun () -> Ctl.Fair.eg_with_rings ?limits ?hull m f)
+    match hull with Some h -> h | None -> Ctl.Fair.eg_rings ?limits m f
   in
   if not (in_set m egf start) then
     raise (No_witness "EG: start state does not satisfy fair EG f");

@@ -48,8 +48,8 @@ exception
 
 val phase_seconds : float array
 (** Seconds {!eg_stats} spent (process-wide; zeroed by the caller) in
-    per-constraint rings, nearest-constraint choices, descents into
-    constraints, and closing sweeps with their descents. *)
+    nearest-constraint choices, descents into constraints, and closing
+    sweeps with their descents. *)
 
 val ex :
   ?limits:Bdd.Limits.t ->
@@ -73,18 +73,18 @@ val eu :
 
 val eg :
   ?limits:Bdd.Limits.t ->
-  ?hull:Bdd.t ->
+  ?hull:Bdd.t * Ctl.Fair.rings list ->
   ?strategy:strategy ->
   Kripke.t -> f:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
 (** Lasso witness for [EG f] under the model's fairness constraints
     (all of Section 6).  With no declared constraints this degenerates
     to a plain [EG] witness.  [hull], when given, must be
-    [Ctl.Fair.eg m f] already computed; only the rings are then built
-    ({!Ctl.Fair.eg_with_rings}). *)
+    [Ctl.Fair.eg_rings m f] already computed: the lasso then descends
+    its rings and runs no fixpoint of its own. *)
 
 val eg_stats :
   ?limits:Bdd.Limits.t ->
-  ?hull:Bdd.t ->
+  ?hull:Bdd.t * Ctl.Fair.rings list ->
   ?strategy:strategy ->
   ?max_restarts:int ->
   Kripke.t ->

@@ -33,20 +33,26 @@ let constraints (m : Kripke.t) =
   | hs -> hs
 
 (* One step of the outer greatest fixpoint:
-   z |-> f /\ /\_k EX (E[f U (z /\ h_k)]).
-   [scratch] roots the fold's running conjunction and [z] across the
-   nested EU sweeps, so a gc between them cannot reclaim either. *)
+   z |-> f /\ /\_k EX (E[f U (z /\ h_k)]), each nested EU swept as
+   the onion rings the step returns with the new [z].  [scratch] roots
+   the fold's running conjunction and the rings swept so far across
+   the nested sweeps, so a gc between them cannot reclaim any of them
+   (the caller roots [z]). *)
 let eg_step ?limits m f hs ~scratch z =
   let bman = m.Kripke.man in
-  List.fold_left
+  scratch := [];
+  List.fold_left_map
     (fun acc h ->
-      scratch := [ acc; z ];
-      let target = Bdd.and_ bman z h in
-      let reach = Check.eu ?limits m f target in
-      Bdd.and_ bman acc (Check.ex m reach))
+      let layers = Check.eu_rings ?limits m f (Bdd.and_ bman z h) in
+      let reach = layers.(Array.length layers - 1) in
+      let acc = Bdd.and_ bman acc (Check.ex m reach) in
+      scratch := acc :: Array.to_list layers @ !scratch;
+      (acc, { constr = h; layers }))
     f hs
 
-let eg ?limits (m : Kripke.t) f =
+(* The step that confirms convergence sweeps against the converged hull
+   itself, so its rings are the ones Section 6's witness descends. *)
+let eg_rings ?limits (m : Kripke.t) f =
   let bman = m.Kripke.man in
   let hs = constraints m in
   let f = Bdd.and_ bman f m.Kripke.space in
@@ -60,8 +66,14 @@ let eg ?limits (m : Kripke.t) f =
         (match limits with
         | Some l -> Bdd.Limits.step bman l
         | None -> ());
-        let z' = eg_step ?limits m f hs ~scratch z in
-        if Bdd.equal z z' then z
+        let z', rings = eg_step ?limits m f hs ~scratch z in
+        if Bdd.equal z z' then begin
+          let kept =
+            List.fold_left (fun n r -> n + Array.length r.layers) 0 rings
+          in
+          ignore (Atomic.fetch_and_add rings_saved kept : int);
+          (z, rings)
+        end
         else begin
           frontier := z';
           go z'
@@ -69,24 +81,7 @@ let eg ?limits (m : Kripke.t) f =
       in
       go f)
 
-(* The onion rings are the per-constraint [E[f U (z /\ h)]]
-   approximation sequences re-run against the converged hull [z]
-   ([hull] when the caller already holds it). *)
-let eg_with_rings ?limits ?hull (m : Kripke.t) f =
-  let bman = m.Kripke.man in
-  let z = match hull with Some z -> z | None -> eg ?limits m f in
-  let f = Bdd.and_ bman f m.Kripke.space in
-  let saved = ref [ z; f ] in
-  Bdd.with_root bman
-    (fun () -> !saved)
-    (fun () ->
-      let ring h =
-        let layers = Check.eu_rings ?limits m f (Bdd.and_ bman z h) in
-        ignore (Atomic.fetch_and_add rings_saved (Array.length layers) : int);
-        saved := Array.to_list layers @ !saved;
-        { constr = h; layers }
-      in
-      (z, List.map ring (constraints m)))
+let eg ?limits m f = fst (eg_rings ?limits m f)
 
 (* The fair-states set depends only on (model, fairness), and models
    are checked many formulas at a time, so the fixpoint-over-fixpoints
@@ -106,8 +101,6 @@ let eu_with ?limits ~fair m f g =
   Check.eu ?limits m f (Bdd.and_ m.Kripke.man g fair)
 
 let ex ?limits m f = ex_with ~fair:(fair_states ?limits m) m f
-
-let eu ?limits m f g = eu_with ?limits ~fair:(fair_states ?limits m) m f g
 
 let sat ?limits m formula =
   let fair = fair_states ?limits m in

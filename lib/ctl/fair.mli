@@ -10,8 +10,8 @@
 type rings = {
   constr : Bdd.t;  (** the fairness constraint [h] *)
   layers : Bdd.t array;
-      (** the saved approximations [Q^h_i] of [E[f U (Z /\ h)]] from the
-          final outer iteration, [Q^h_0 = Z /\ h] *)
+      (** the approximations [Q^h_i] of [E[f U (Z /\ h)]] saved from the
+          last outer iteration, [Q^h_0 = Z /\ h] *)
 }
 (** The "onion rings" Section 6's witness construction descends. *)
 
@@ -24,7 +24,8 @@ type fixpoint_stats = {
   outer_iterations : int;
       (** iterations of the fair-[EG] outer greatest fixpoint *)
   ring_layers : int;
-      (** layers saved by {!eg_with_rings} for witness generation *)
+      (** layers a converged fair [EG] keeps: those of its last outer
+          iteration's rings ({!eg_rings}) *)
 }
 (** Counters accumulated process-wide since the last
     {!reset_fixpoint_stats}; the nested [EU] sweeps the outer fixpoint
@@ -40,24 +41,19 @@ val constraints : Kripke.t -> Bdd.t list
 (** The effective fairness constraints: the model's list, or [[true]]
     when it is empty. *)
 
-val eg : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t
+val eg_rings :
+  ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t * rings list
 (** [CheckFairEG] — the Emerson-Lei greatest fixpoint
-    [gfp Z. f /\ /\_k EX (E[f U (Z /\ h_k)])].  Every function below
-    accepts [?limits]: outer iterations and nested fixpoint iterations
-    each charge one step against the budget (raising
-    [Bdd.Limits.Exhausted] on a breach); limits never change results,
-    only whether the computation is allowed to finish. *)
+    [gfp Z. f /\ /\_k EX (E[f U (Z /\ h_k)])], each nested [EU] swept
+    by [Check.eu_rings] — with the rings of its last outer iteration,
+    whose input is the converged [Z], one per effective constraint.
+    Every function below accepts [?limits]: outer iterations and nested
+    fixpoint iterations each charge one step against the budget
+    (raising [Bdd.Limits.Exhausted] on a breach); limits never change
+    results, only whether the computation is allowed to finish. *)
 
-val eg_with_rings :
-  ?limits:Bdd.Limits.t ->
-  ?hull:Bdd.t ->
-  Kripke.t ->
-  Bdd.t ->
-  Bdd.t * rings list
-(** Fair [EG] together with the ring sequences, one per effective
-    constraint, extracted from the converged fixpoint
-    ([Check.eu_rings] against [Z /\ h_k]).  [hull], when given, must be
-    [eg m f] already computed: the outer fixpoint is then not re-run. *)
+val eg : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t
+(** The hull alone: [fst (eg_rings m f)]. *)
 
 val fair_states : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t
 (** [fair = CheckFairEG true]: states at the start of some fair path.
@@ -65,9 +61,6 @@ val fair_states : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t
 
 val ex : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t
 (** [CheckFairEX f = CheckEX (f /\ fair)]. *)
-
-val eu : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t -> Bdd.t
-(** [CheckFairEU f g = CheckEU f (g /\ fair)]. *)
 
 val sat : ?limits:Bdd.Limits.t -> Kripke.t -> Syntax.t -> Bdd.t
 (** Full CTL over fair paths ([CheckFair]). *)

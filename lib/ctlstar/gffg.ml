@@ -151,16 +151,18 @@ let witness ?limits m cs ~start =
       m.Kripke.space resolved
   in
   let m' = Kripke.with_fairness m ps in
-  let target = Ctl.Fair.eg ?limits m' qs in
+  (* The prefix runs into the fair-EG hull, and the lasso descends the
+     rings of that same fixpoint. *)
+  let hull = Ctl.Fair.eg_rings ?limits m' qs in
   let prefix =
-    Counterex.Witness.eu ?limits m ~f:m.Kripke.space ~g:target ~start
+    Counterex.Witness.eu ?limits m ~f:m.Kripke.space ~g:(fst hull) ~start
   in
   let anchor =
     match List.rev (Kripke.Trace.states prefix) with
     | st :: _ -> st
     | [] -> assert false
   in
-  let lasso = Counterex.Witness.eg ?limits m' ~f:qs ~start:anchor in
+  let lasso = Counterex.Witness.eg ?limits ~hull m' ~f:qs ~start:anchor in
   Kripke.Trace.append prefix lasso
 
 let witness_ok m cs tr =

@@ -179,6 +179,38 @@ let prop_resolution_length =
           = List.length sets)
         (Kripke.states_in m sat))
 
+(* The lasso descends the rings of the fixpoint that found its target:
+   resolving the disjunctions runs no fair EG, so a witness adds
+   exactly the outer iterations of one fair EG on its reduced model. *)
+let prop_witness_one_fair_fixpoint =
+  prop "Gffg witness runs one fair EG fixpoint" model_and_conjuncts
+    (fun (rm, cs) ->
+      let m = rm.Models.sym in
+      let bman = m.Kripke.man in
+      let sets = List.map snd cs in
+      let added k =
+        let outer () = (Ctl.Fair.fixpoint_stats ()).Ctl.Fair.outer_iterations in
+        let before = outer () in
+        ignore (k ());
+        outer () - before
+      in
+      List.for_all
+        (fun st ->
+          let ps, qs =
+            List.fold_left2
+              (fun (ps, qs) choice (c : Ctlstar.Gffg.conjunct) ->
+                match choice with
+                | Ctlstar.Gffg.Took_gf -> (c.gf :: ps, qs)
+                | Ctlstar.Gffg.Took_fg -> (ps, Bdd.and_ bman qs c.fg))
+              ([], m.Kripke.space)
+              (Ctlstar.Gffg.resolve m sets ~start:st)
+              sets
+          in
+          let reduced = Kripke.with_fairness m (List.rev ps) in
+          added (fun () -> Ctlstar.Gffg.witness m sets ~start:st)
+          = added (fun () -> Ctl.Fair.eg_rings reduced qs))
+        (Kripke.states_in m (Ctlstar.Gffg.check m sets)))
+
 (* ------------------------------------------------------------------ *)
 (* check_state on formulas, against the CTL checker where they overlap. *)
 
@@ -246,6 +278,7 @@ let suite =
     prop_witness_validates;
     prop_witness_refused_outside;
     prop_resolution_length;
+    prop_witness_one_fair_fixpoint;
     prop_e_gf_true_is_space;
     prop_e_fg_matches_ctl;
     prop_a_dual;
