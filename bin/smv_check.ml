@@ -268,8 +268,10 @@ let cache_models_arg =
     value & opt int 8
     & info [ "cache-models" ] ~docv:"N"
         ~doc:
-          "With $(b,--serve): keep up to N compiled models warm; the \
-           least recently used idle model is evicted beyond that.")
+          "With $(b,--serve): keep up to N compiled models warm, each \
+           with its fixpoint memo; beyond that an idle model is \
+           evicted, one used only once first, then the least \
+           recently used.")
 
 let max_pending_arg =
   Arg.(
@@ -464,8 +466,9 @@ let cmd =
         "Server mode: $(b,--serve) turns the checker into a long-lived \
          daemon speaking length-prefixed JSON frames on stdin/stdout \
          or a Unix socket ($(b,--socket)).  Compiled models stay warm \
-         in an LRU pool ($(b,--cache-models)), so repeat checks skip \
-         compilation, BDD construction and the reachability fixpoint.  \
+         in a pool ($(b,--cache-models)), so repeat checks skip \
+         compilation, BDD construction, the reachability fixpoint and \
+         every spec fixpoint an earlier request ran.  \
          Every reply carries the verdicts, the one-shot CLI's exact \
          output text, and per-request statistics; a request that trips \
          a budget or an injected fault is answered UNDETERMINED while \

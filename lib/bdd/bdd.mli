@@ -48,6 +48,11 @@ val set_cache_limit : man -> int option -> unit
 val cache_limit : man -> int option
 (** The current operation-cache capacity cap, if bounded. *)
 
+val cache_hard_cap : int
+(** Entries per operation cache when unbounded (2^14): a manager pooled
+    by the server keeps its caches for life, and past this size they
+    gain few hits. *)
+
 (** {1 Constants and variables} *)
 
 val zero : man -> t

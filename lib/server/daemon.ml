@@ -157,8 +157,8 @@ let process cache ~id ~model ~specs ~(options : Engine.options) ~cancel =
     let ppf = Format.formatter_of_buffer buf in
     match
       (* Never [~debug]: exceptions must become replies, not crashes. *)
-      Engine.run ppf compiled ~opts:options ~specs ~cancel ~debug:false
-        ~prepare:warm_reach
+      Engine.run ~memo:(Cache.memo entry) ppf compiled ~opts:options ~specs
+        ~cancel ~debug:false ~prepare:warm_reach
     with
     | Error msg -> Protocol.error_reply ~id msg
     | Ok ((reach_reused, reach_states), o) ->
@@ -223,6 +223,8 @@ let send_status cfg cache pool ov persist conn =
             ms_warm = i.Cache.i_warm;
             ms_live_nodes = i.Cache.i_live;
             ms_clamped = i.Cache.i_clamped;
+            ms_memo_sets = i.Cache.i_memo_sets;
+            ms_memo_layers = i.Cache.i_memo_layers;
           })
       infos
   in

@@ -143,8 +143,9 @@ let set_level t ~live ~hw level' =
          live hw prev level' (level_name level'))
   end
 
-(* One watchdog tick.  Rung order under pressure: evict idle LRU
-   entries, then clamp + gc idle op-caches, and only if the pool is
+(* One watchdog tick.  Rung order under pressure: evict idle entries
+   in the pool's victim order, then clamp + gc idle op-caches (their
+   memos cleared first), and only if the pool is
    still over water refuse cold-model admissions.  When pressure
    clears the clamps are undone and the level drops back to 0.  The
    caller guarantees single-threaded ticks (the accept loop or the

@@ -19,8 +19,9 @@
        against the high-water mark.  Over the mark it walks a
        degradation ladder at server granularity — mirroring the
        per-request [Robust.Ladder], but trading {e warmth} instead of
-       fidelity: (1) evict idle LRU cache entries, (2) clamp idle
-       managers' op-caches and gc them, (3) refuse cold-model
+       fidelity: (1) evict idle cache entries in the pool's victim
+       order, (2) clamp idle managers' op-caches, clear their memos
+       and gc them, (3) refuse cold-model
        admissions (warm models, [ping] and [status] are still served).
        Every level transition is logged and counted; when pressure
        clears the clamps are restored and the level returns to 0.}

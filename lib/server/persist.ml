@@ -84,6 +84,11 @@ let counters t =
 
 let path_of t key = Filename.concat t.dir (key ^ suffix)
 
+(* The entry's use count at its last write, beside its warm file (whose
+   format stays as it is), so a restored entry keeps its place in the
+   pool's victim order. *)
+let uses_path t key = Filename.concat t.dir (key ^ ".uses")
+
 (* ------------------------------------------------------------------ *)
 (* Writing. *)
 
@@ -118,7 +123,8 @@ let write_atomic t ~path blob =
 let save_entry t ~key ~uses compiled =
   match
     let blob = encode ~key compiled in
-    write_atomic t ~path:(path_of t key) blob
+    write_atomic t ~path:(path_of t key) blob;
+    write_atomic t ~path:(uses_path t key) (string_of_int uses)
   with
   | () ->
     Mutex.lock t.lock;
@@ -207,6 +213,13 @@ let quarantine t path reason =
   Mutex.unlock t.lock;
   warn t "quarantined warm-state file %s: %s" path reason
 
+(* 0 when the count is missing or unreadable: the entry then ranks
+   like a model used once. *)
+let read_uses t key =
+  match In_channel.with_open_bin (uses_path t key) In_channel.input_all with
+  | s -> max 0 (Option.value ~default:0 (int_of_string_opt (String.trim s)))
+  | exception Sys_error _ -> 0
+
 let rehydrate t cache =
   let files =
     match Sys.readdir t.dir with
@@ -222,13 +235,14 @@ let rehydrate t cache =
         let key_of_name = Filename.chop_suffix name suffix in
         match load_entry path with
         | key, compiled when key = key_of_name ->
-          if Cache.seed cache ~key ~compiled then begin
+          let uses = read_uses t key in
+          if Cache.seed cache ~key ~uses ~compiled then begin
             Mutex.lock t.lock;
             t.restores <- t.restores + 1;
-            (* Seeded entries start at [uses = 0]; recording 0 keeps
-               the first watchdog tick from rewriting an identical
-               snapshot. *)
-            Hashtbl.replace t.persisted_uses key 0;
+            (* Seeded entries start at their persisted count; recording
+               it keeps the first watchdog tick from rewriting an
+               identical snapshot. *)
+            Hashtbl.replace t.persisted_uses key uses;
             Mutex.unlock t.lock
           end
         | _, _ -> quarantine t path "key does not match file name"

@@ -2,7 +2,9 @@
 
     With [--state-dir DIR] the daemon keeps one file per pooled model
     under [DIR] — [<digest>.warm], where the digest is the existing
-    {!Cache.digest} pool key.  Each file wraps a {!Bdd.Snapshot} of
+    {!Cache.digest} pool key, and beside it [<digest>.uses], the
+    entry's use count at that write (so a restored entry keeps its
+    place in the pool's victim order).  Each warm file wraps a {!Bdd.Snapshot} of
     the model's manager (columns, order, roots — everything that makes
     it warm) together with the marshalled pure-data shadow of the
     compiled artifact, the whole body checksummed so a torn write or a
@@ -49,7 +51,9 @@ val flush : t -> Cache.t -> unit
 
 val rehydrate : t -> Cache.t -> int
 (** Scan the state directory and seed the pool with every valid warm
-    file; returns how many entries were restored.  Invalid files are
+    file, each with its persisted use count (0 when its [.uses] file
+    is missing or unreadable); returns how many entries were
+    restored.  Invalid files are
     quarantined and counted.  Intended at daemon startup, before the
     socket starts accepting. *)
 

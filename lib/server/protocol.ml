@@ -207,6 +207,8 @@ type model_status = {
   ms_warm : bool;
   ms_live_nodes : int;
   ms_clamped : bool;
+  ms_memo_sets : int;
+  ms_memo_layers : int;
 }
 
 type server_status = {
@@ -253,6 +255,8 @@ let status_reply s =
                ("warm", Bool m.ms_warm);
                ("live_nodes", Num (float_of_int m.ms_live_nodes));
                ("clamped", Bool m.ms_clamped);
+               ("memo_sets", Num (float_of_int m.ms_memo_sets));
+               ("memo_layers", Num (float_of_int m.ms_memo_layers));
              ])
          s.ss_models)
   in

@@ -118,6 +118,8 @@ type model_status = {
   ms_warm : bool;
   ms_live_nodes : int;
   ms_clamped : bool;
+  ms_memo_sets : int;    (** formula sets in the entry's fixpoint memo *)
+  ms_memo_layers : int;  (** ring layers in the entry's fixpoint memo *)
 }
 
 (** Everything the ["status"] op reports; the daemon assembles it from

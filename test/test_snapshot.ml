@@ -323,7 +323,7 @@ let test_persist_dirty_tracking () =
   let key = Cache.digest ~source:mutex_source in
   let p = Persist.create ~dir ~debug:false in
   let cache = Cache.create ~capacity:4 in
-  Alcotest.(check bool) "seed" true (Cache.seed cache ~key ~compiled);
+  Alcotest.(check bool) "seed" true (Cache.seed cache ~key ~uses:0 ~compiled);
   Persist.tick p cache;
   Alcotest.(check int) "first tick writes" 1 (Persist.counters p).Persist.snapshots;
   Persist.tick p cache;
@@ -337,6 +337,23 @@ let test_persist_dirty_tracking () =
   Persist.tick p cache;
   Alcotest.(check int) "used entry rewritten" 2
     (Persist.counters p).Persist.snapshots
+
+let test_persist_restores_uses () =
+  with_state_dir @@ fun dir ->
+  let compiled = Smv.load_string mutex_source in
+  let key = Cache.digest ~source:mutex_source in
+  let p = Persist.create ~dir ~debug:false in
+  Alcotest.(check bool) "save" true (Persist.save_entry p ~key ~uses:5 compiled);
+  let restored_uses () =
+    let cache = Cache.create ~capacity:4 in
+    ignore (Persist.rehydrate (Persist.create ~dir ~debug:false) cache);
+    List.map (fun i -> i.Cache.i_uses) (Cache.snapshot cache)
+  in
+  Alcotest.(check (list int)) "restored with its persisted count" [ 5 ]
+    (restored_uses ());
+  Sys.remove (Filename.concat dir (key ^ ".uses"));
+  Alcotest.(check (list int)) "a missing count reads 0" [ 0 ]
+    (restored_uses ())
 
 let suite =
   [
@@ -357,4 +374,6 @@ let suite =
       test_persist_rehydrate_and_quarantine;
     Alcotest.test_case "persist: dirty tracking" `Quick
       test_persist_dirty_tracking;
+    Alcotest.test_case "persist: restored entries keep their use count"
+      `Quick test_persist_restores_uses;
   ]
