@@ -25,21 +25,25 @@
    reuse may only move time and node counts.
 
    The churn rows replay serve-mix's pool pressure: its seven models
-   against a pool of six, with 15% of the requests one-off sources;
-   the warm hit ratio is the share of requests for the seven models
-   that found theirs pooled.  churn7 asks for the same seven all run
-   long; churn7-shift replaces one of them by an edited version every
-   tenth of the run, so the hot set moves.  The cap rows run perfbench's one-shot
-   inputs (and larger siblings) with the op caches capped at 2^14
-   entries (Bdd.cache_hard_cap) and at 2^18 (the former cap, installed
-   as a cache limit). *)
+   against a pool of six, with 15% of the requests one-off sources and
+   20% a model's source with one of its fixed extra formulas; the warm
+   hit ratio is the share of requests for the seven models that found
+   theirs pooled, and the repeat latencies (median, mean, and the mean
+   of the per-model medians) show what the evictions that remain cost.
+   churn7 asks for the same seven all run long; churn7-shift replaces
+   one of them by an edited version every tenth of the run, so the hot
+   set moves.  The cap rows run perfbench's one-shot inputs (and
+   larger siblings) with the op caches capped at 2^14 entries
+   (Bdd.cache_hard_cap) and at 2^18 (the former cap, installed as a
+   cache limit). *)
 
 (* One daemon-shaped request against a shared cache: acquire the
    entry, compile on a miss, reach, then [Server.Engine.run] on the
-   entry's memo under its lock, release.  Returns the verdicts, the
-   warm flag, the per-request node delta (Bdd.diff_stats over the
-   request window — the same accounting the server reports per
-   reply) and the printed output. *)
+   entry's memo under its lock, [Server.Cache.after_request] (the
+   daemon's cost charge and collection), release.  Returns the
+   verdicts, the warm flag, the per-request node delta (Bdd.diff_stats
+   over the request window — the same accounting the server reports
+   per reply) and the printed output. *)
 let request cache ~source ?extra_spec () =
   let key = Server.Cache.digest ~source in
   let entry, warm = Server.Cache.acquire cache ~key in
@@ -70,6 +74,7 @@ let request cache ~source ?extra_spec () =
   | Ok ((), o) ->
     Format.pp_print_flush ppf ();
     let after = Bdd.stats m.Kripke.man in
+    Server.Cache.after_request cache entry;
     ( List.map (fun (_, r) -> r.Server.Engine.verdict) o.Server.Engine.verdicts,
       warm,
       (Bdd.diff_stats after before).Bdd.total_nodes,
@@ -124,54 +129,93 @@ let with_specs source specs =
   |> String.concat "\n"
   |> fun s -> s ^ String.concat "" (List.map (Printf.sprintf "SPEC %s\n") specs)
 
-(* serve-mix's seven models (perfbench/workloads.py SERVE_MODELS). *)
+(* serve-mix's seven models (perfbench/workloads.py SERVE_MODELS), each
+   with three fixed extra formulas in the shape of serve-mix's
+   candidates (its templates over the model's atoms). *)
 let serve_models () =
   let committed name =
     In_channel.with_open_bin (Filename.concat "examples/models" name)
       In_channel.input_all
   in
-  [ committed "mutex.smv"; committed "philosophers.smv";
-    committed "cache.smv"; committed "ring.smv";
-    with_specs (Workloads.arbiter_smv 6)
-      [ "AG !(ack0 & ack1)"; "AG (req2 -> AF ack2)"; "EF (req3 & ack3)" ];
-    with_specs (Exp_overhead.philosophers 5)
-      [ "AG !(p0.eating & p1.eating)"; "AG (p2.st = hungry -> AF p2.eating)";
-        "EF p4.eating" ];
-    with_specs (Workloads.counter_smv 8)
-      [ "EF (b7 & b6 & b0)"; "AG (b0 -> EF !b0)"; "AG EF !b7" ] ]
+  [ ( committed "mutex.smv",
+      [ "EF (p = crit & q = try)"; "AG (p = try -> AF p = crit)";
+        "AG (q = try -> EX q = crit)" ] );
+    ( committed "philosophers.smv",
+      [ "EF (p0.eating & p2.eating)"; "AG (p0.st = hungry -> AF p0.eating)";
+        "AG !(p1.eating & p2.eating)" ] );
+    ( committed "cache.smv",
+      [ "EF (c0 = owned & op = rd1)"; "AG (c0 = shared -> AF c1 = owned)";
+        "AG !(c0 = owned & c1 = shared)" ] );
+    ( committed "ring.smv",
+      [ "EF (g1.out & !g3.out)"; "AG (g1.out -> AF g2.out)";
+        "AG (g2.out -> EX g3.out)" ] );
+    ( with_specs (Workloads.arbiter_smv 6)
+        [ "AG !(ack0 & ack1)"; "AG (req2 -> AF ack2)"; "EF (req3 & ack3)" ],
+      [ "EF (req1 & ack4)"; "AG (req0 -> AF ack0)"; "AG !(ack2 & ack5)" ] );
+    ( with_specs (Exp_overhead.philosophers 5)
+        [ "AG !(p0.eating & p1.eating)"; "AG (p2.st = hungry -> AF p2.eating)";
+          "EF p4.eating" ],
+      [ "EF (p1.eating & p3.eating)"; "AG (p1.st = hungry -> AF p1.eating)";
+        "AG (p0.eating -> EX p4.st = hungry)" ] );
+    ( with_specs (Workloads.counter_smv 8)
+        [ "EF (b7 & b6 & b0)"; "AG (b0 -> EF !b0)"; "AG EF !b7" ],
+      [ "EF (b3 & !b0)"; "AG (b1 -> AF b2)"; "AG (b5 -> EX !b7)" ] ) ]
 
-(* The pool under serve-mix's pressure: [requests] draws, 15% of them
-   a one-off edit of one of the seven sources (always cold), the rest
-   a request for a model drawn uniformly.  With [shift_every = n] the
-   hot set moves: every n-th draw replaces the next of the seven by an
-   edited version (the old one is never asked for again).  Returns the
-   warm hit ratio of the model requests and their median latency. *)
+let median times =
+  let sorted = List.sort Float.compare times in
+  List.nth sorted (List.length sorted / 2)
+
+(* The pool under serve-mix's pressure: [requests] draws of a model,
+   drawn uniformly; 15% of them are a one-off edit of its source
+   (always cold), 20% add one of its fixed extra formulas (newspec),
+   the rest repeat its source.  With [shift_every = n] the hot set
+   moves: every n-th draw replaces the next of the seven by an edited
+   version (the old one is never asked for again).  Returns the warm
+   hit ratio of the repeat and newspec requests, then the median and
+   the mean latency of the repeats, and the mean over the models of
+   each one's repeat median: a pooled median is mostly the cheap
+   models' repeats, while a costly model's repeats are what an
+   eviction of its memo slows; the mean is the repeats' total time. *)
 let churn ?shift_every ~requests () =
   let models = Array.of_list (serve_models ()) in
   let cache = Server.Cache.create ~capacity:6 in
-  Array.iter (fun source -> ignore (request cache ~source ())) models;
+  Array.iter (fun (source, _) -> ignore (request cache ~source ())) models;
   let rng = Harness.rng 14 in
-  let hits = ref 0 and repeats = ref 0 and times = ref [] in
+  let hits = ref 0 and asked = ref 0 in
+  let times = Array.make (Array.length models) [] in
   for k = 1 to requests do
     (match shift_every with
     | Some n when k mod n = 0 ->
       let i = k / n mod Array.length models in
-      models.(i) <- Printf.sprintf "%s-- version %d\n" models.(i) k
+      let source, extra = models.(i) in
+      models.(i) <- (Printf.sprintf "%s-- version %d\n" source k, extra)
     | _ -> ());
-    let source = models.(Random.State.int rng (Array.length models)) in
-    if Random.State.float rng 1.0 < 0.15 then
+    let i = Random.State.int rng (Array.length models) in
+    let source, extra = models.(i) in
+    let draw = Random.State.float rng 1.0 in
+    if draw < 0.15 then
       ignore
         (request cache ~source:(Printf.sprintf "%s-- edit %d\n" source k) ())
     else begin
-      let (_, warm, _, _), t = Harness.time_once (request cache ~source) in
-      incr repeats;
+      let extra_spec =
+        if draw < 0.35 then
+          Some (List.nth extra (Random.State.int rng (List.length extra)))
+        else None
+      in
+      let (_, warm, _, _), t =
+        Harness.time_once (request cache ~source ?extra_spec)
+      in
+      incr asked;
       if warm then incr hits;
-      times := t :: !times
+      if extra_spec = None then times.(i) <- t :: times.(i)
     end
   done;
-  let sorted = List.sort Float.compare !times in
-  ( float_of_int !hits /. float_of_int (max 1 !repeats),
-    List.nth sorted (List.length sorted / 2) )
+  let per_model = List.filter (( <> ) []) (Array.to_list times) in
+  let mean ts = List.fold_left ( +. ) 0. ts /. float_of_int (List.length ts) in
+  ( float_of_int !hits /. float_of_int (max 1 !asked),
+    median (List.concat per_model),
+    mean (List.concat per_model),
+    mean (List.map median per_model) )
 
 (* One one-shot input checked as the CLI does under --certify (and
    [step_limit]), on a fresh compile whose op caches are capped at [cap]
@@ -268,31 +312,41 @@ let run ~full =
   let churn_rows =
     List.map
       (fun (workload, shift_every) ->
-        let hit_ratio, warm_p50 = churn ?shift_every ~requests () in
+        let hit_ratio, warm_p50, warm_mean, model_p50 =
+          churn ?shift_every ~requests ()
+        in
         Harness.emit_json ~experiment:"E14"
           [
             ("workload", Harness.String workload);
             ("models", Harness.Int 7);
             ("capacity", Harness.Int 6);
             ("one_off_share", Harness.Float 0.15);
+            ("newspec_share", Harness.Float 0.20);
             ("shift_every", Harness.Int (Option.value shift_every ~default:0));
             ("requests", Harness.Int requests);
             ("warm_hit_ratio", Harness.Float hit_ratio);
             ("repeat_p50_s", Harness.Float warm_p50);
+            ("repeat_mean_s", Harness.Float warm_mean);
+            ("model_repeat_p50_mean_s", Harness.Float model_p50);
           ];
         [
           workload;
           string_of_int requests;
           Printf.sprintf "%.2f" hit_ratio;
           Harness.seconds_string warm_p50;
+          Harness.seconds_string warm_mean;
+          Harness.seconds_string model_p50;
         ])
       [ ("churn7", None); ("churn7-shift", Some (requests / 10)) ]
   in
   Harness.print_table
     ~title:
       "E14: pool churn — serve-mix's 7 models, capacity 6, 15% one-off \
-       sources (churn7-shift: one model replaced every tenth of the run)"
-    ~header:[ "workload"; "requests"; "warm hit ratio"; "repeat p50" ]
+       sources, 20% newspec (churn7-shift: one model replaced every \
+       tenth of the run)"
+    ~header:
+      [ "workload"; "requests"; "warm hit ratio"; "repeat p50";
+        "repeat mean"; "mean model repeat p50" ]
     churn_rows;
   let caps = [ Bdd.cache_hard_cap; 1 lsl 18 ] in
   let cap_rows =

@@ -70,40 +70,47 @@ let explain_with ops formula ~start =
    structural hashing is sound), the rings of every [EU] and the hull
    of every fair [EG] its traversals meet, with the rings of its last
    outer iteration (keyed by their operand sets, which is how the
-   witness primitives ask for them).  An [EU]'s set is the last of its
-   rings — [eu_rings] is the sweep [Ctl.Fair.eu_with] runs — so no
-   fixpoint runs twice while the memo lives, and diagrams being
-   canonical, every set is the very [Bdd.t] [Ctl.Fair.sat] returns.
-   [layers] counts the ring layers held, so {!size} is two field
-   reads. *)
+   witness primitives ask for them), and every fair-[EG] lasso built
+   from a hull (keyed by its operand and start state).  An [EU]'s set
+   is the last of its rings — [eu_rings] is the sweep [Ctl.Fair.eu_with]
+   runs — so no fixpoint runs twice while the memo lives, and diagrams
+   being canonical, every set is the very [Bdd.t] [Ctl.Fair.sat]
+   returns.  [layers] counts the ring layers held, so {!size} is two
+   field reads. *)
 type memo = {
   model : Kripke.t;
   sets : (Ctl.t, Bdd.t) Hashtbl.t;
   rings : (Bdd.t * Bdd.t, Bdd.t array) Hashtbl.t;
   hulls : (Bdd.t, Bdd.t * Ctl.Fair.rings list) Hashtbl.t;
+  lassos : (Bdd.t * Kripke.state, Kripke.state list * Kripke.state list) Hashtbl.t;
   mutable layers : int;
 }
 
 let memo m =
   { model = m; sets = Hashtbl.create 16; rings = Hashtbl.create 4;
-    hulls = Hashtbl.create 4; layers = 0 }
+    hulls = Hashtbl.create 4; lassos = Hashtbl.create 4; layers = 0 }
 
 let clear mm =
   Hashtbl.reset mm.sets;
   Hashtbl.reset mm.rings;
   Hashtbl.reset mm.hulls;
+  Hashtbl.reset mm.lassos;
   mm.layers <- 0
 
 let size mm = (Hashtbl.length mm.sets, mm.layers)
 
+(* Keys and values alike: a gc that roots these keeps the memo usable,
+   since no key's handle can be recycled for another set. *)
 let roots mm =
-  Hashtbl.fold (fun _ s acc -> s :: acc) mm.sets
-    (Hashtbl.fold (fun _ r acc -> Array.to_list r @ acc) mm.rings
+  Hashtbl.fold (fun f s acc -> (s :: Ctl.preds f) @ acc) mm.sets
+    (Hashtbl.fold (fun (f, g) r acc -> f :: g :: Array.to_list r @ acc) mm.rings
        (Hashtbl.fold
-          (fun _ (z, rs) acc ->
-            z :: List.concat_map (fun r -> Array.to_list r.Ctl.Fair.layers) rs
+          (fun f (z, rs) acc ->
+            f :: z
+            :: List.concat_map (fun r -> Array.to_list r.Ctl.Fair.layers) rs
             @ acc)
-          mm.hulls []))
+          mm.hulls
+          (Hashtbl.fold (fun (f, _) _ acc -> f :: acc) mm.lassos [])))
 
 let lookup tbl key compute =
   match Hashtbl.find_opt tbl key with
@@ -169,9 +176,10 @@ let with_ops ?limits ?memo:given m k =
           (Witness.eu ?limits ?rings m ~f ~g ~start).prefix);
       eg =
         (fun ~f ~start ->
-          let hull = Hashtbl.find_opt mm.hulls f in
-          let tr = Witness.eg ?limits ?hull m ~f ~start in
-          (tr.prefix, tr.cycle));
+          lookup mm.lassos (f, start) (fun () ->
+              let hull = Hashtbl.find_opt mm.hulls f in
+              let tr = Witness.eg ?limits ?hull m ~f ~start in
+              (tr.prefix, tr.cycle)));
     }
   in
   Bdd.with_root bman (fun () -> roots mm) (fun () -> k ops)

@@ -55,14 +55,15 @@ val explain_with :
 
 type memo
 (** Every formula's fair set asked for so far, the rings of every [EU]
-    (its set is their last layer) and the hull and rings
-    ({!Ctl.Fair.eg_rings}) of every fair [EG] its traversals met, on
-    one model.  Its sets are rooted only while a function below runs
-    (or by a caller rooting {!roots}), and its keys — the formulas'
-    [Pred] sets and the operand sets of each [EU] and fair [EG] — not
-    at all: every [Bdd.gc] of the model's manager must {!clear} a memo
-    that will be used again first, or a recycled key would hit a stale
-    entry. *)
+    (its set is their last layer), the hull and rings
+    ({!Ctl.Fair.eg_rings}) of every fair [EG] its traversals met, and
+    every fair-[EG] lasso explained from such a hull (keyed by its
+    operand and start state, so a repeat runs none of the lasso's
+    closing sweeps), on one model.  Its diagrams are rooted only while
+    a function below runs, or by a caller rooting {!roots}: a [Bdd.gc]
+    of the model's manager that roots {!roots} keeps the memo usable;
+    any other gc must {!clear} a memo that will be used again first,
+    or a recycled key would hit a stale entry. *)
 
 val memo : Kripke.t -> memo
 (** A fresh, empty memo on the model. *)
@@ -76,7 +77,9 @@ val size : memo -> int * int
     read from another domain is harmless. *)
 
 val roots : memo -> Bdd.t list
-(** Every diagram the memo holds as a value (not its keys). *)
+(** Every diagram the memo holds, keys included: its values, the
+    [Pred] sets inside its formula keys and the operand sets that key
+    its rings, hulls and lassos. *)
 
 val holds : ?limits:Bdd.Limits.t -> memo -> Ctl.t -> bool
 (** [Ctl.Fair.holds] through the memo: the same verdict from the same

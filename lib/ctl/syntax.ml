@@ -23,8 +23,7 @@ let ( ||| ) a b = Or (a, b)
 let ( ==> ) a b = Imp (a, b)
 let neg f = Not f
 
-(* Rebuild a formula with every embedded [Pred] state set rewritten;
-   callers also use it to collect a spec's state sets for rooting. *)
+(* Rebuild a formula with every embedded [Pred] state set rewritten. *)
 let rec map_pred fn = function
   | (True | False | Atom _) as f -> f
   | Pred b -> Pred (fn b)
@@ -41,6 +40,11 @@ let rec map_pred fn = function
   | AF f -> AF (map_pred fn f)
   | AG f -> AG (map_pred fn f)
   | AU (a, b) -> AU (map_pred fn a, map_pred fn b)
+
+let preds f =
+  let acc = ref [] in
+  ignore (map_pred (fun b -> acc := b :: !acc; b) f);
+  !acc
 
 let rec enf = function
   | (True | False | Atom _ | Pred _) as f -> f

@@ -38,6 +38,10 @@ val map_pred : (Bdd.t -> Bdd.t) -> t -> t
 (** Rewrite every embedded [Pred] state set, leaving the formula
     skeleton untouched. *)
 
+val preds : t -> Bdd.t list
+(** Every embedded [Pred] state set: what a caller keeping the formula
+    across a [Bdd.gc] must root. *)
+
 (** {1 Normal form} *)
 
 val enf : t -> t

@@ -1,8 +1,8 @@
 (* Warm manager pool.  See the interface for the design; the
    implementation is a mutex-guarded hashtable whose idle entries are
-   evicted in one order: once-used first, then least recently
-   released; a short list remembers the keys of once-used entries
-   evicted lately. *)
+   evicted in one order: once-used first, then least GreedyDual
+   credit, then least recently released; a short list remembers the
+   keys of once-used entries evicted lately. *)
 
 type entry = {
   key : string;
@@ -13,6 +13,9 @@ type entry = {
   mutable uses : int;
   mutable last_used : float;
   mutable clamped : bool;
+  mutable cost : int;
+  mutable credit : int;
+  mutable kept : int;
 }
 
 type t = {
@@ -21,12 +24,16 @@ type t = {
   mutable ghosts : string list;
       (* keys of the last [capacity] once-used entries evicted, most
          recent first *)
+  mutable floor : int;
+  collections : int Atomic.t;
+  collected_nodes : int Atomic.t;
   pool_lock : Mutex.t;
 }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
-  { capacity; table = Hashtbl.create 16; ghosts = [];
+  { capacity; table = Hashtbl.create 16; ghosts = []; floor = 0;
+    collections = Atomic.make 0; collected_nodes = Atomic.make 0;
     pool_lock = Mutex.create () }
 
 let digest ~source = Digest.to_hex (Digest.string source)
@@ -45,13 +52,20 @@ let fresh_entry ~key ~compiled ~uses =
     uses;
     last_used = Bdd.now_monotonic ();
     clamped = false;
+    cost = 0;
+    credit = 0;
+    kept = 0;
   }
 
 (* The one victim order of every eviction path: entries used at most
-   once first, then the least recently released. *)
+   once first, then the least credit, then the least recently
+   released. *)
 let victim_order a b =
   match Bool.compare (a.uses > 1) (b.uses > 1) with
-  | 0 -> Float.compare a.last_used b.last_used
+  | 0 -> (
+    match Int.compare a.credit b.credit with
+    | 0 -> Float.compare a.last_used b.last_used
+    | c -> c)
   | c -> c
 
 (* Idle entries with at most [max_uses] uses, in victim order. *)
@@ -62,9 +76,10 @@ let victims ?(max_uses = max_int) t =
   |> List.sort victim_order
 
 (* Under the pool lock: drop [e], remembering its key if it was used
-   only once.  Evicted managers and memos are reclaimed by the GC —
-   nothing outside the entry references them once it leaves the
-   table. *)
+   only once, else raising the floor to its credit (the credits of the
+   entries that stay age by that much).  Evicted managers and memos
+   are reclaimed by the GC — nothing outside the entry references them
+   once it leaves the table. *)
 let evict t e =
   Hashtbl.remove t.table e.key;
   if e.uses <= 1 then
@@ -72,6 +87,7 @@ let evict t e =
       List.filteri
         (fun i _ -> i < t.capacity)
         (e.key :: List.filter (( <> ) e.key) t.ghosts)
+  else t.floor <- max t.floor e.credit
 
 (* Under the pool lock: evict idle entries with at most [max_uses] uses,
    in victim order, until the pool is back at capacity or none is
@@ -109,6 +125,7 @@ let release t entry =
   with_lock t.pool_lock @@ fun () ->
   entry.busy <- max 0 (entry.busy - 1);
   entry.last_used <- Bdd.now_monotonic ();
+  entry.credit <- t.floor + entry.cost;
   evict_over_capacity t
 
 let memo entry =
@@ -120,8 +137,52 @@ let memo entry =
     mm
   | None, None -> invalid_arg "Cache.memo: the entry holds no compiled model"
 
+(* What evicting a model throws away, given the nodes the request that
+   built its entry allocated: those, plus the part of a compile that
+   allocates none (parsing, building the model), which weighs about as
+   much as 1,024 nodes: a cold request on serve-mix's models takes
+   about 1 ms plus 0.8 us per node allocated.  Without it the costliest
+   model's credit outlived it by so much that a replaced version held
+   its slot for hundreds of requests (E14's churn7-shift). *)
+let rebuild_cost nodes = 1024 + nodes
+
+let collect t entry =
+  match entry.compiled with
+  | None -> 0
+  | Some c ->
+    let man = c.Smv.Compile.model.Kripke.man in
+    let freed =
+      Bdd.with_root man
+        (fun () ->
+          Option.fold ~none:[] ~some:Counterex.Explain.roots entry.memo
+          @ c.Smv.Compile.clusters)
+        (fun () -> Bdd.gc man)
+    in
+    entry.kept <- Bdd.live_nodes man;
+    Atomic.incr t.collections;
+    ignore (Atomic.fetch_and_add t.collected_nodes freed);
+    freed
+
+(* Collect once a pooled manager holds more than twice what its last
+   collection left, and at least this many live nodes. *)
+let collect_min_live = 4096
+
+let after_request t entry =
+  match entry.compiled with
+  | None -> ()
+  | Some c ->
+    let man = c.Smv.Compile.model.Kripke.man in
+    if entry.cost = 0 then entry.cost <- rebuild_cost (Bdd.count_nodes man);
+    let live = Bdd.live_nodes man in
+    if entry.uses > 1 && live >= collect_min_live && live > 2 * entry.kept
+    then ignore (collect t entry)
+
 let size t = with_lock t.pool_lock @@ fun () -> Hashtbl.length t.table
 let capacity t = t.capacity
+let credit_floor t = with_lock t.pool_lock @@ fun () -> t.floor
+
+let collections t =
+  (Atomic.get t.collections, Atomic.get t.collected_nodes)
 
 (* ------------------------------------------------------------------ *)
 (* Memory-pressure hooks (the daemon's watchdog) and introspection
@@ -179,10 +240,11 @@ let clamp_idle t ~limit =
       | Some c when e.busy = 0 && not e.clamped ->
         let man = c.Smv.Compile.model.Kripke.man in
         Bdd.set_cache_limit man (Some limit);
-        (* The memo's keys are not rooted: it goes before the gc, and
-           its sets with it. *)
+        (* Under pressure the memo's sets are what there is to reclaim:
+           it goes before the gc. *)
         Option.iter Counterex.Explain.clear e.memo;
         ignore (Bdd.gc man);
+        e.kept <- Bdd.live_nodes man;
         e.clamped <- true;
         acc + 1
       | _ -> acc)
@@ -218,8 +280,12 @@ let seed t ~key ~uses ~compiled =
   with_lock t.pool_lock @@ fun () ->
   if Hashtbl.mem t.table key then false
   else begin
-    Hashtbl.replace t.table key
-      (fresh_entry ~key ~compiled:(Some compiled) ~uses);
+    let e = fresh_entry ~key ~compiled:(Some compiled) ~uses in
+    (* A rehydrated manager's node count is its whole served history;
+       the rehydration allocated its live nodes. *)
+    e.cost <- rebuild_cost (Bdd.live_nodes compiled.Smv.Compile.model.Kripke.man);
+    e.credit <- t.floor + e.cost;
+    Hashtbl.replace t.table key e;
     evict_over_capacity t;
     true
   end
@@ -234,6 +300,8 @@ type info = {
   i_clamped : bool;
   i_memo_sets : int;
   i_memo_layers : int;
+  i_cost : int;
+  i_credit : int;
 }
 
 let snapshot t =
@@ -253,6 +321,8 @@ let snapshot t =
         i_clamped = e.clamped;
         i_memo_sets;
         i_memo_layers;
+        i_cost = e.cost;
+        i_credit = e.credit;
       }
       :: acc)
     t.table []

@@ -19,24 +19,49 @@
     Each entry also keeps one fixpoint memo for its model's life
     ({!memo}, a [Counterex.Explain.memo]): every request on the entry
     decides and explains through it, so a warm repeat re-runs none of
-    the fixpoints an earlier request ran.  The memo goes with the
-    entry when it is evicted, and {!clamp_idle} clears it before its
-    gc.  [--state-dir] does not persist it.
+    the fixpoints, and none of the fair lassos, an earlier request
+    ran.  The memo goes with the entry when it is evicted, and
+    {!clamp_idle} clears it before its gc.  [--state-dir] does not
+    persist it.
 
-    Eviction is scan-resistant.  Every eviction path — capacity on
-    {!acquire}, settling on {!release}, {!seed} and the watchdog's
-    {!evict_idle_until} — takes idle entries in one victim order:
-    entries used at most once first, then the least recently released.
-    {!acquire} only makes room among the once-used, so a stream of
-    one-off sources cannot push out models that are asked for again;
-    {!release} settles the pool back to capacity, so the one-off
-    source usually evicts itself.  The pool remembers the keys of the
-    last [capacity] once-used entries it evicted: such a key that
-    comes back enters as a reused entry, so a model that becomes hot
-    once the pool is full of reused ones is pooled from its third
-    request, and its release evicts the least recently released
-    entry.  Busy entries are never evicted, so the pool exceeds its
-    capacity while more entries than that are held. *)
+    Victim order.  Every eviction path — capacity on {!acquire},
+    settling on {!release}, {!seed} and the watchdog's
+    {!evict_idle_until} — takes idle entries in one order: entries used
+    at most once first, then the least GreedyDual credit, then the
+    least recently released.  An entry's [cost] is the BDD nodes its
+    compiling request allocated ([Bdd.count_nodes] when
+    {!after_request} first sees it compiled; for a restored entry, the
+    live nodes of its rehydrated manager at {!seed}, which is what the
+    rehydration allocated), plus 1,024 for the part of a compile that
+    allocates no nodes: a deterministic measure of what evicting it
+    throws away.  Each release sets the entry's
+    [credit] to the pool's [floor] plus its cost, and evicting a reused
+    entry raises the floor to that entry's credit.  So the cheapest
+    model to rebuild goes first, and a costly model that stops being
+    asked for still leaves once cheaper evictions have raised the floor
+    past its credit.  With equal costs the order is least recently
+    released.
+
+    Scan resistance.  {!acquire} only makes room among the once-used,
+    so a stream of one-off sources cannot push out models that are
+    asked for again; {!release} settles the pool back to capacity, so
+    the one-off source usually evicts itself.  The pool remembers the
+    keys of the last [capacity] once-used entries it evicted: such a
+    key that comes back enters as a reused entry, so a model that
+    becomes hot once the pool is full of reused ones is pooled from
+    its third request, and its release evicts the entry of least
+    credit.  Busy entries are never evicted, so the pool exceeds its
+    capacity while more entries than that are held.
+
+    Collection at release.  A pooled manager never frees nodes on its
+    own, so a model kept warm would also keep the garbage of every
+    request it served.  {!after_request}, run under the entry lock
+    once the reply is built, collects a manager that stays pooled (used
+    more than once) when it holds more than twice the live nodes its
+    last collection left, and at least 4,096: a [Bdd.gc] with the
+    memo rooted, keys included ([Counterex.Explain.roots]), so the memo
+    survives it and the next warm hit still re-runs nothing.  The gc
+    drops the manager's op caches. *)
 
 type t
 
@@ -57,6 +82,11 @@ type entry = {
   mutable clamped : bool;
       (** op-caches clamped by the memory watchdog; {!unclamp_idle}
           restores them when pressure clears *)
+  mutable cost : int;
+      (** BDD nodes its compiling request allocated, plus 1,024; 0
+          until charged *)
+  mutable credit : int;  (** pool floor + cost, set on every release *)
+  mutable kept : int;    (** live nodes its last collection left *)
 }
 
 val create : capacity:int -> t
@@ -76,9 +106,24 @@ val acquire : t -> key:string -> entry * bool
     {!release} when done. *)
 
 val release : t -> entry -> unit
-(** Drop the holder count, stamp [last_used], and evict idle entries
-    in victim order (the released one included) until the pool is
-    back at capacity. *)
+(** Drop the holder count, stamp [last_used], set [credit] to the
+    floor plus [cost], and evict idle entries in victim order (the
+    released one included) until the pool is back at capacity. *)
+
+val after_request : t -> entry -> unit
+(** The pool's work once a request's reply is built, under
+    [entry.lock] and before {!release}: charge the entry's [cost] if
+    it has none yet, then {!collect} it if it was used more than once
+    and its manager holds at least 4,096 live nodes and more than
+    twice [kept].  A no-op on an entry with nothing compiled.  The
+    daemon and E14 both call it, so they run one policy. *)
+
+val collect : t -> entry -> int
+(** [Bdd.gc] on the entry's manager with its memo (keys included) and
+    the compiled clusters rooted; updates [kept] and the pool's
+    collection counters and returns the nodes freed (0 when nothing is
+    compiled).  Call it under [entry.lock].  Verdict-neutral: the memo
+    stays valid and the model's own diagrams are rooted. *)
 
 val memo : entry -> Counterex.Explain.memo
 (** The fixpoint memo of the entry's compiled model, opened on first
@@ -90,6 +135,15 @@ val size : t -> int
 
 val capacity : t -> int
 (** The configured capacity. *)
+
+val credit_floor : t -> int
+(** The pool's GreedyDual floor: the credit of the last reused entry
+    evicted (0 before any). *)
+
+val collections : t -> int * int
+(** [(collections, nodes)]: how many collections {!after_request} (or
+    a direct {!collect}) ran since the pool was created, and the nodes
+    they freed. *)
 
 (** {2 Memory-pressure hooks}
 
@@ -139,7 +193,10 @@ val with_idle :
 val seed : t -> key:string -> uses:int -> compiled:Smv.Compile.compiled -> bool
 (** Insert a pre-compiled model (a rehydrated snapshot) under [key]
     with the use count it was persisted with, if no entry exists yet;
-    returns whether it was inserted.  Settles the pool back to
+    returns whether it was inserted.  The entry's [cost] comes from its
+    manager's live nodes (its [Bdd.count_nodes], persisted with the
+    snapshot, counts every request it served) and its credit is the
+    floor plus that.  Settles the pool back to
     capacity in victim order, like {!release}. *)
 
 (** {2 Introspection} — the [Status] reply's cache section. *)
@@ -154,6 +211,8 @@ type info = {
   i_clamped : bool;   (** op-caches currently clamped by the watchdog *)
   i_memo_sets : int;  (** formula sets in the entry's memo *)
   i_memo_layers : int;  (** ring layers in the entry's memo *)
+  i_cost : int;       (** nodes its compiling request allocated *)
+  i_credit : int;     (** its GreedyDual credit *)
 }
 
 val snapshot : t -> info list

@@ -155,28 +155,34 @@ let process cache ~id ~model ~specs ~(options : Engine.options) ~cancel =
     in
     let buf = Buffer.create 512 in
     let ppf = Format.formatter_of_buffer buf in
-    match
-      (* Never [~debug]: exceptions must become replies, not crashes. *)
-      Engine.run ~memo:(Cache.memo entry) ppf compiled ~opts:options ~specs
-        ~cancel ~debug:false ~prepare:warm_reach
-    with
-    | Error msg -> Protocol.error_reply ~id msg
-    | Ok ((reach_reused, reach_states), o) ->
-      Format.pp_print_flush ppf ();
-      let stats =
-        if options.Engine.stats then
-          Some (Bdd.diff_stats (Bdd.stats man) stats_before)
-        else None
-      in
-      Protocol.check_reply ~id ~exit_code:o.Engine.exit_code
-        ~verdicts:
-          (List.map
-             (fun (sv_name, sv_report) -> { Protocol.sv_name; sv_report })
-             o.Engine.verdicts)
-        ~output:(Buffer.contents buf) ~warm ~reach_reused ?reach_states
-        ?stats
-        ~faults_fired:(Bdd.Fault.fired man - fired_before)
-        ~time_ms:((Bdd.now_monotonic () -. t0) *. 1000.) ())
+    let reply =
+      match
+        (* Never [~debug]: exceptions must become replies, not crashes. *)
+        Engine.run ~memo:(Cache.memo entry) ppf compiled ~opts:options
+          ~specs ~cancel ~debug:false ~prepare:warm_reach
+      with
+      | Error msg -> Protocol.error_reply ~id msg
+      | Ok ((reach_reused, reach_states), o) ->
+        Format.pp_print_flush ppf ();
+        let stats =
+          if options.Engine.stats then
+            Some (Bdd.diff_stats (Bdd.stats man) stats_before)
+          else None
+        in
+        Protocol.check_reply ~id ~exit_code:o.Engine.exit_code
+          ~verdicts:
+            (List.map
+               (fun (sv_name, sv_report) -> { Protocol.sv_name; sv_report })
+               o.Engine.verdicts)
+          ~output:(Buffer.contents buf) ~warm ~reach_reused ?reach_states
+          ?stats
+          ~faults_fired:(Bdd.Fault.fired man - fired_before)
+          ~time_ms:((Bdd.now_monotonic () -. t0) *. 1000.) ()
+    in
+    (* Charge the entry's cost and collect its garbage while the entry
+       lock is still held, so the next request finds it tidy. *)
+    Cache.after_request cache entry;
+    reply)
 
 (* The never-raise wrapper around [process]: whatever escapes the
    engine's own isolation becomes an error reply, and the server
@@ -212,6 +218,7 @@ let send_status cfg cache pool ov persist conn =
   let faults =
     List.fold_left (fun acc i -> acc + i.Cache.i_faults) 0 infos
   in
+  let collections, collected_nodes = Cache.collections cache in
   let models =
     List.map
       (fun (i : Cache.info) ->
@@ -225,6 +232,8 @@ let send_status cfg cache pool ov persist conn =
             ms_clamped = i.Cache.i_clamped;
             ms_memo_sets = i.Cache.i_memo_sets;
             ms_memo_layers = i.Cache.i_memo_layers;
+            ms_cost = i.Cache.i_cost;
+            ms_credit = i.Cache.i_credit;
           })
       infos
   in
@@ -255,6 +264,9 @@ let send_status cfg cache pool ov persist conn =
            ss_restarts = cfg.restarts;
            ss_checks = s.Overload.checks;
            ss_cache_capacity = Cache.capacity cache;
+           ss_cache_floor = Cache.credit_floor cache;
+           ss_collections = collections;
+           ss_collected_nodes = collected_nodes;
            ss_models = models;
          })
 

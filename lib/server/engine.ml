@@ -264,8 +264,8 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
      through the run's memo, unless a fault is armed: that spec runs on
      a fresh memo, so where the fault lands depends only on the spec.
      Every later attempt starts a fresh one.  The run's memo is
-     cleared before any gc below: its keys are not rooted, and the gc
-     then reclaims every set the breached run built. *)
+     cleared before any gc below, so the gc reclaims every set the
+     breached run built. *)
   let memo = ref None in
   let shared = if Option.is_some inject then None else run_memo in
   let gc () =
@@ -351,11 +351,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?inject
      reachable from the model's roots; a ladder gc between attempts
      (or a concurrent request's gc on a warm server) must not sweep
      them out from under the remaining attempts. *)
-  let spec_preds =
-    let acc = ref [] in
-    ignore (Ctl.map_pred (fun b -> acc := b :: !acc; b) spec);
-    !acc
-  in
+  let spec_preds = Ctl.preds spec in
   (* Arm the injected fault (chaos testing) for this specification;
      one-shot, and disarmed on every exit path so a fault armed for
      spec k can never leak into spec k+1.  Filling the fair-states memo

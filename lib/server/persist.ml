@@ -190,11 +190,7 @@ let load_entry path =
      root pins them today, but a later re-snapshot of this manager
      must keep pinning them through any number of [Bdd.gc] runs. *)
   let spec_preds =
-    List.concat_map
-      (fun (_, spec) ->
-        let acc = ref [] in
-        ignore (Ctl.map_pred (fun b -> acc := b :: !acc; b) spec);
-        !acc)
+    List.concat_map (fun (_, spec) -> Ctl.preds spec)
       compiled.Smv.Compile.specs
   in
   ignore

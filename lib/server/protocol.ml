@@ -209,6 +209,8 @@ type model_status = {
   ms_clamped : bool;
   ms_memo_sets : int;
   ms_memo_layers : int;
+  ms_cost : int;
+  ms_credit : int;
 }
 
 type server_status = {
@@ -234,6 +236,9 @@ type server_status = {
   ss_restarts : int;
   ss_checks : int;
   ss_cache_capacity : int;
+  ss_cache_floor : int;
+  ss_collections : int;
+  ss_collected_nodes : int;
   ss_models : model_status list;
 }
 
@@ -257,6 +262,8 @@ let status_reply s =
                ("clamped", Bool m.ms_clamped);
                ("memo_sets", Num (float_of_int m.ms_memo_sets));
                ("memo_layers", Num (float_of_int m.ms_memo_layers));
+               ("cost", Num (float_of_int m.ms_cost));
+               ("credit", Num (float_of_int m.ms_credit));
              ])
          s.ss_models)
   in
@@ -289,6 +296,8 @@ let status_reply s =
                ("quarantines", Num (float_of_int s.ss_quarantines));
                ("restarts", Num (float_of_int s.ss_restarts));
                ("checks", Num (float_of_int s.ss_checks));
+               ("collections", Num (float_of_int s.ss_collections));
+               ("collected_nodes", Num (float_of_int s.ss_collected_nodes));
              ] );
          ("pressure_level", Num (float_of_int s.ss_pressure_level));
          ("mem_live_nodes", Num (float_of_int s.ss_mem_live_nodes));
@@ -300,6 +309,7 @@ let status_reply s =
            Obj
              [
                ("capacity", Num (float_of_int s.ss_cache_capacity));
+               ("floor", Num (float_of_int s.ss_cache_floor));
                ("entries", Num (float_of_int (List.length s.ss_models)));
                ("warm", Num (float_of_int warm));
                ("models", models);

@@ -120,6 +120,8 @@ type model_status = {
   ms_clamped : bool;
   ms_memo_sets : int;    (** formula sets in the entry's fixpoint memo *)
   ms_memo_layers : int;  (** ring layers in the entry's fixpoint memo *)
+  ms_cost : int;         (** BDD nodes its compiling request allocated *)
+  ms_credit : int;       (** its GreedyDual credit in the victim order *)
 }
 
 (** Everything the ["status"] op reports; the daemon assembles it from
@@ -147,6 +149,9 @@ type server_status = {
   ss_restarts : int;
   ss_checks : int;         (** checks replied since startup *)
   ss_cache_capacity : int;
+  ss_cache_floor : int;    (** the pool's GreedyDual credit floor *)
+  ss_collections : int;    (** collections of pooled managers at release *)
+  ss_collected_nodes : int;  (** nodes those collections freed *)
   ss_models : model_status list;
 }
 

@@ -640,12 +640,7 @@ let compile ?partitioned:_ ?static_order:_ (program : Ast.program) =
      the artifact's lifetime; otherwise a gc would sweep them and any
      later use of the compiled specs would dangle. *)
   let spec_preds =
-    List.concat_map
-      (fun (_, spec) ->
-        let acc = ref [] in
-        ignore (Ctl.map_pred (fun b -> acc := b :: !acc; b) spec);
-        !acc)
-      compiled.specs
+    List.concat_map (fun (_, spec) -> Ctl.preds spec) compiled.specs
   in
   ignore
     (Bdd.add_root model.Kripke.man (fun () -> spec_preds @ compiled.clusters)

@@ -15,7 +15,10 @@
    - --jobs 0 sizes the worker pool to the core count;
    - drain: SIGINT while a request is in flight still yields that
      request's reply and a clean exit 0;
-   - socket mode: the same loop served over a Unix-domain socket.
+   - socket mode: the same loop served over a Unix-domain socket;
+   - churn: four models through a pool of two, in an order that
+     evicts entries and collects a pooled manager, every reply equal
+     to the one-shot CLI run on the same source and specs.
 
    The test links the server library for its Frame/Json modules — the
    same code the server uses, which is fine because what is under test
@@ -291,6 +294,76 @@ let test_socket_mode () =
   expect "socket server exits 0" (wait_exit srv = 0);
   expect "socket file removed on exit" (not (Sys.file_exists path))
 
+(* ------------------------------------------------------------------ *)
+(* 7. Byte identity under churn *)
+
+let test_churn () =
+  let srv = spawn_server [ "--cache-models"; "2" ] in
+  let oneshot = Hashtbl.create 8 in
+  (* One request at a time, so the pool's evictions follow the order
+     below: counter12's repeats (over 4,096 live nodes) are collected,
+     the once-used and then the cheapest reused entries are evicted. *)
+  let requests =
+    [ ("counter12.smv", []); ("mutex.smv", []); ("counter12.smv", []);
+      ("counter12.smv", [ "EF (b3 = b0 & b5)" ]);
+      ("philosophers.smv", []); ("mutex.smv", [ "EF (p = crit & q = try)" ]);
+      ("philosophers.smv", [ "AG (p1.st = hungry -> AF p1.eating)" ]);
+      ("cache.smv", []); ("cache.smv", [ "EF (c0 = owned & op = rd1)" ]);
+      ("counter12.smv", [ "EF (b3 = b0 & b5)" ]); ("mutex.smv", []);
+      ("philosophers.smv", [ "AG (p1.st = hungry -> AF p1.eating)" ]);
+      ("mutex.smv", [ "EF (p = crit & q = try)" ]); ("counter12.smv", []) ]
+  in
+  List.iteri
+    (fun i (m, specs) ->
+      let what =
+        Printf.sprintf "churn request %d (%s%s)" (i + 1) m
+          (String.concat "" (List.map (fun f -> ", " ^ f) specs))
+      in
+      let code, out =
+        match Hashtbl.find_opt oneshot (m, specs) with
+        | Some r -> r
+        | None ->
+          let r =
+            run_cli
+              (model_path m
+              :: List.concat_map (fun f -> [ "--spec"; f ]) specs)
+          in
+          Hashtbl.replace oneshot (m, specs) r;
+          r
+      in
+      let id = string_of_int i in
+      send srv (check_req ~id ~specs (read_file (model_path m)));
+      match recv srv with
+      | Some v ->
+        expect (what ^ ": output and exit code equal the one-shot run")
+          (str "id" v = Some id
+          && str "output" v = Some out
+          && num "exit_code" v = Some (float_of_int code))
+      | None -> expect (what ^ ": answered") false)
+    requests;
+  send srv (Json.Obj [ ("op", Json.Str "status") ]);
+  (match recv srv with
+  | Some v ->
+    let field path =
+      List.fold_left (fun v k -> Option.bind v (Json.member k)) (Some v) path
+      |> fun v -> Option.bind v Json.to_num
+    in
+    expect "churn: a pooled manager was collected"
+      (match field [ "counters"; "collections" ] with
+      | Some n -> n >= 1.
+      | None -> false);
+    expect "churn: the collections freed nodes"
+      (match field [ "counters"; "collected_nodes" ] with
+      | Some n -> n > 0.
+      | None -> false);
+    expect "churn: a reused entry was evicted (the floor rose)"
+      (match field [ "cache"; "floor" ] with Some n -> n > 0. | None -> false);
+    expect "churn: the pool is back at its capacity"
+      (field [ "cache"; "entries" ] = Some 2.)
+  | None -> expect "churn: status answered" false);
+  send srv (Json.Obj [ ("op", Json.Str "shutdown") ]);
+  expect "churn: server exits 0" (wait_exit srv = 0)
+
 let () =
   (* A stuck server must fail the alias, not hang CI. *)
   ignore (Unix.alarm 300);
@@ -300,4 +373,5 @@ let () =
   test_jobs_zero ();
   test_sigint_drain ();
   test_socket_mode ();
+  test_churn ();
   finish "deviation(s) from the --serve contract"

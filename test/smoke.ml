@@ -129,11 +129,14 @@ let str k v = Option.bind (Json.member k v) Json.to_str
 let num k v = Option.bind (Json.member k v) Json.to_num
 let boolean k v = Option.bind (Json.member k v) Json.to_bool
 
-let check_req ?(options = []) ~id model_src =
+let check_req ?(options = []) ?(specs = []) ~id model_src =
   Json.Obj
     ([
        ("op", Json.Str "check");
        ("id", Json.Str id);
        ("model", Json.Str model_src);
      ]
-    @ if options = [] then [] else [ ("options", Json.Obj options) ])
+    @ (if options = [] then [] else [ ("options", Json.Obj options) ])
+    @
+    if specs = [] then []
+    else [ ("specs", Json.Arr (List.map (fun f -> Json.Str f) specs)) ])

@@ -614,6 +614,9 @@ let test_protocol_status_reply () =
         ss_restarts = 3;
         ss_checks = 7;
         ss_cache_capacity = 8;
+        ss_cache_floor = 640;
+        ss_collections = 5;
+        ss_collected_nodes = 61168;
         ss_models =
           [
             {
@@ -625,6 +628,8 @@ let test_protocol_status_reply () =
               ms_clamped = false;
               ms_memo_sets = 4;
               ms_memo_layers = 21;
+              ms_cost = 71175;
+              ms_credit = 71815;
             };
           ];
       }
@@ -660,9 +665,15 @@ let test_protocol_status_reply () =
       (Option.bind (Json.member "restarts" counters) Json.to_num);
     Alcotest.(check (option (float 0.))) "checks" (Some 7.)
       (Option.bind (Json.member "checks" counters) Json.to_num);
+    Alcotest.(check (option (float 0.))) "collections" (Some 5.)
+      (Option.bind (Json.member "collections" counters) Json.to_num);
+    Alcotest.(check (option (float 0.))) "collected_nodes" (Some 61168.)
+      (Option.bind (Json.member "collected_nodes" counters) Json.to_num);
     let cache = Json.member "cache" v |> Option.get in
     Alcotest.(check (option (float 0.))) "cache entries" (Some 1.)
       (Option.bind (Json.member "entries" cache) Json.to_num);
+    Alcotest.(check (option (float 0.))) "cache floor" (Some 640.)
+      (Option.bind (Json.member "floor" cache) Json.to_num);
     let models =
       Option.bind (Json.member "models" cache) Json.to_list |> Option.get
     in
@@ -675,7 +686,11 @@ let test_protocol_status_reply () =
     Alcotest.(check (option (float 0.))) "model memo sets" (Some 4.)
       (Option.bind (Json.member "memo_sets" m0) Json.to_num);
     Alcotest.(check (option (float 0.))) "model memo layers" (Some 21.)
-      (Option.bind (Json.member "memo_layers" m0) Json.to_num)
+      (Option.bind (Json.member "memo_layers" m0) Json.to_num);
+    Alcotest.(check (option (float 0.))) "model cost" (Some 71175.)
+      (Option.bind (Json.member "cost" m0) Json.to_num);
+    Alcotest.(check (option (float 0.))) "model credit" (Some 71815.)
+      (Option.bind (Json.member "credit" m0) Json.to_num)
 
 let daemon_cfg ?default_timeout ?default_node_limit ?max_timeout () =
   {
@@ -911,6 +926,98 @@ let model_source name =
   In_channel.with_open_bin (Filename.concat "../examples/models" name)
     In_channel.input_all
 
+(* GreedyDual credit: a request's entry is charged its cost (the nodes
+   its compile allocated) by [Cache.after_request], its release sets
+   its credit to the floor plus that cost, and a reused entry's
+   eviction raises the floor to its credit. *)
+let serve cache source =
+  let key = Cache.digest ~source in
+  let e, _ = Cache.acquire cache ~key in
+  if e.Cache.compiled = None then e.Cache.compiled <- Some (compile source);
+  Cache.after_request cache e;
+  Cache.release cache e;
+  key
+
+let cost_of cache key =
+  match List.find_opt (fun i -> i.Cache.i_key = key) (Cache.snapshot cache) with
+  | Some i -> i.Cache.i_cost
+  | None -> Alcotest.fail "the entry is not pooled"
+
+(* The cost [Cache.after_request] charges a fresh compile of [source]. *)
+let compile_cost source =
+  1024 + Bdd.count_nodes (compile source).Smv.Compile.model.Kripke.man
+
+(* Two requests: the first is evicted as once-used, the second comes
+   back as a remembered key and enters as reused. *)
+let serve_twice cache source =
+  ignore (serve cache source);
+  serve cache source
+
+let test_cache_costly_outlives_cheaper () =
+  let cache = Cache.create ~capacity:1 in
+  let costly = serve_twice cache (model_source "philosophers.smv") in
+  let cheap = serve_twice cache mutex_source in
+  Alcotest.(check bool) "the costly entry stays" true (pooled cache costly);
+  Alcotest.(check bool) "the cheaper one released after it goes" false
+    (pooled cache cheap);
+  Alcotest.(check int) "its cost is the nodes its compile allocated"
+    (compile_cost (model_source "philosophers.smv"))
+    (cost_of cache costly)
+
+let test_cache_equal_costs_lru () =
+  let cache = Cache.create ~capacity:2 in
+  let variant tag = mutex_source ^ "-- " ^ tag ^ "\n" in
+  let a = serve_twice cache (variant "a") in
+  let b = serve_twice cache (variant "b") in
+  Alcotest.(check int) "a comment does not change the cost"
+    (cost_of cache a) (cost_of cache b);
+  let c = serve_twice cache (variant "c") in
+  Alcotest.(check bool) "the least recently released goes" true
+    ((not (pooled cache a)) && pooled cache b && pooled cache c)
+
+(* A costly entry that is no longer asked for: every round a cheaper
+   model comes back as reused and is evicted at its credit, floor +
+   cheap, which raises the floor by cheap.  The costly entry leaves on
+   the first round whose credit reaches its own (a tie evicts the less
+   recently released), round ceil(costly / cheap), and not before. *)
+let test_cache_costly_ages_out () =
+  let phil = model_source "philosophers.smv" in
+  let costly_cost = compile_cost phil and cheap = compile_cost mutex_source in
+  Alcotest.(check bool) "philosophers costs more than mutex" true
+    (costly_cost > cheap);
+  let bound = (costly_cost + cheap - 1) / cheap in
+  let cache = Cache.create ~capacity:1 in
+  let costly = serve_twice cache phil in
+  for round = 1 to bound - 1 do
+    ignore (serve_twice cache mutex_source);
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d evicts the cheap entry" round)
+      true (pooled cache costly);
+    Alcotest.(check int)
+      (Printf.sprintf "round %d raises the floor by its cost" round)
+      (round * cheap) (Cache.credit_floor cache)
+  done;
+  let last = serve_twice cache mutex_source in
+  Alcotest.(check bool)
+    (Printf.sprintf "round %d evicts the costly entry" bound)
+    true
+    ((not (pooled cache costly)) && pooled cache last);
+  Alcotest.(check int) "at its credit" costly_cost (Cache.credit_floor cache)
+
+let test_cache_restored_entry_cost () =
+  let cache = Cache.create ~capacity:1 in
+  let source = model_source "philosophers.smv" in
+  let key = Cache.digest ~source in
+  let compiled = compile source in
+  Alcotest.(check bool) "seeded" true (Cache.seed cache ~key ~uses:3 ~compiled);
+  Alcotest.(check int) "charged its live nodes at seed"
+    (1024 + Bdd.live_nodes compiled.Smv.Compile.model.Kripke.man)
+    (cost_of cache key);
+  let cheap = serve_twice cache mutex_source in
+  Alcotest.(check bool) "the restored entry outlives a cheaper reused one"
+    true
+    (pooled cache key && not (pooled cache cheap))
+
 let run_to_string ?memo ?(specs = []) ?(opts = Engine.default) compiled =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
@@ -935,8 +1042,8 @@ let request_on cache ~key ?specs ?opts () =
 let certify = { Engine.default with certify = true }
 
 (* Without --certify, whose certificate computes its own sets on
-   purpose, and on models whose traces need no fair lasso, whose
-   closing rounds run sweeps of their own (philosophers, arbiter). *)
+   purpose.  philosophers.smv's trace is a fair lasso: the memo keeps
+   it, so its closing sweeps do not run again either. *)
 let test_memo_warm_repeat () =
   List.iter
     (fun name ->
@@ -948,7 +1055,8 @@ let test_memo_warm_repeat () =
       Alcotest.(check string) (name ^ ": warm output byte-identical") cold warm;
       Alcotest.(check int) (name ^ ": 0 EU iterations on the warm repeat") 0
         (Ctl.Check.fixpoint_stats ()).Ctl.Check.eu_iterations)
-    [ "mutex.smv"; "counter12.smv"; "ring.smv"; "cache.smv" ]
+    [ "mutex.smv"; "counter12.smv"; "ring.smv"; "cache.smv";
+      "philosophers.smv" ]
 
 let test_memo_clamp () =
   let source = model_source "philosophers.smv" in
@@ -1010,6 +1118,137 @@ let test_memo_breach_clears () =
   | _ -> Alcotest.fail "expected two SPECs");
   Alcotest.(check (pair int int)) "the breach cleared it before the gc" (0, 0)
     (Counterex.Explain.size memo)
+
+(* Collection at release keeps the memo: its keys are rooted, so a
+   warm repeat after a gc still re-runs no fixpoint and prints the
+   same bytes. *)
+let collect_now cache key =
+  let e, _ = Cache.acquire cache ~key in
+  Fun.protect ~finally:(fun () -> Cache.release cache e) @@ fun () ->
+  Cache.collect cache e
+
+let memo_size cache key =
+  match List.find_opt (fun i -> i.Cache.i_key = key) (Cache.snapshot cache) with
+  | Some i -> (i.Cache.i_memo_sets, i.Cache.i_memo_layers)
+  | None -> Alcotest.fail "the entry is not pooled"
+
+let test_memo_survives_collection () =
+  List.iter
+    (fun (name, extra) ->
+      let cache = Cache.create ~capacity:2 in
+      let key = warm_into cache (model_source name) in
+      let request () = request_on cache ~key ~specs:[ extra ] () in
+      let cold = request () in
+      let size = memo_size cache key in
+      Alcotest.(check bool) (name ^ ": the gc frees nodes") true
+        (collect_now cache key > 0);
+      Alcotest.(check (pair int int)) (name ^ ": the memo is kept") size
+        (memo_size cache key);
+      Ctl.Check.reset_fixpoint_stats ();
+      Alcotest.(check string) (name ^ ": warm output byte-identical") cold
+        (request ());
+      Alcotest.(check int) (name ^ ": 0 EU iterations after the gc") 0
+        (Ctl.Check.fixpoint_stats ()).Ctl.Check.eu_iterations;
+      (* The extra spec's [Pred] set lives only in its memo key: had
+         the gc swept it, its recompiled set would key a new entry. *)
+      Alcotest.(check (pair int int)) (name ^ ": and every set is a hit") size
+        (memo_size cache key))
+    (* comparisons: their sets are built for the spec, unlike a boolean
+       variable's label *)
+    [ ("counter12.smv", "AG (b3 = b0 -> EF !b0)");
+      ("philosophers.smv", "AG !(p1.st = hungry & p2.st = left)") ]
+
+(* The daemon's request shape, [Cache.after_request] before release:
+   whether it collected, against the trigger computed from the live
+   nodes and [kept] it found. *)
+let served cache source =
+  let key = Cache.digest ~source in
+  let e, _ = Cache.acquire cache ~key in
+  Fun.protect ~finally:(fun () -> Cache.release cache e) @@ fun () ->
+  if e.Cache.compiled = None then e.Cache.compiled <- Some (compile source);
+  ignore (run_to_string ~memo:(Cache.memo e) (Option.get e.Cache.compiled));
+  let live = Cache.live_nodes cache and kept = e.Cache.kept in
+  let before = fst (Cache.collections cache) in
+  Cache.after_request cache e;
+  ( fst (Cache.collections cache) > before,
+    e.Cache.uses > 1 && live >= 4096 && live > 2 * kept )
+
+let test_after_request_collects () =
+  List.iter
+    (fun (name, expected) ->
+      let cache = Cache.create ~capacity:2 in
+      let outcomes =
+        List.init 5 (fun i ->
+            let collected, due = served cache (model_source name) in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s request %d: collected iff due" name (i + 1))
+              due collected;
+            collected)
+      in
+      Alcotest.(check (list bool)) (name ^ ": collections") expected outcomes)
+    [ (* once-used at its first request; each repeat's 4,096-state
+         trace allocates more than the last collection kept *)
+      ("counter12.smv", [ false; true; true; true; true ]);
+      (* never 4,096 live nodes *)
+      ("mutex.smv", [ false; false; false; false; false ]) ]
+
+(* Random request sequences on one pooled entry, with a collection
+   forced after every request, print what a fresh compile prints.  The
+   extra formulas come in pairs of one shape, so a key whose handle a
+   gc recycled would likely meet a formula of its shape; whether the
+   keys survive at all is what [test_memo_survives_collection] pins. *)
+let prop_collected_entry_prints_fresh =
+  let models =
+    [|
+      ( "mutex.smv",
+        [ "EF (p = crit & q = try)"; "EF (p = try & q = crit)";
+          "AG (p = try -> AF q = crit)"; "AG (q = try -> AF p = crit)" ] );
+      ( "philosophers.smv",
+        [ "EF (p0.eating & p2.st = hungry)"; "EF (p1.eating & p0.st = hungry)";
+          "AG (p0.st = hungry -> AF p0.eating)";
+          "AG (p1.st = hungry -> AF p1.eating)" ] );
+      ( "cache.smv",
+        [ "EF (c0 = owned & op = rd1)"; "EF (c1 = owned & op = wr0)";
+          "AG (c0 = shared -> AF c1 = owned)";
+          "AG (c1 = shared -> AF c0 = owned)" ] );
+    |]
+  in
+  let fresh = Hashtbl.create 64 in
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (int_bound (Array.length models - 1))
+        (list_size (int_range 1 5) (pair (list_repeat 4 bool) bool)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40
+       ~name:"cache: a collected entry prints what a fresh compile prints" gen
+       (fun (i, requests) ->
+         let name, formulas = models.(i) in
+         let source = model_source name in
+         let cache = Cache.create ~capacity:1 in
+         let key = warm_into cache source in
+         List.iter
+           (fun (pick, with_certify) ->
+             let specs =
+               List.filteri (fun j _ -> List.nth pick j) formulas
+             in
+             let opts = if with_certify then certify else Engine.default in
+             let warm = request_on cache ~key ~specs ~opts () in
+             ignore (collect_now cache key);
+             let expected =
+               match Hashtbl.find_opt fresh (i, specs, with_certify) with
+               | Some out -> out
+               | None ->
+                 let out = fst (run_to_string ~specs ~opts (compile source)) in
+                 Hashtbl.replace fresh (i, specs, with_certify) out;
+                 out
+             in
+             if warm <> expected then
+               QCheck2.Test.fail_reportf "%s, specs [%s]:\nwarm:\n%s\nfresh:\n%s"
+                 name (String.concat "; " specs) warm expected)
+           requests;
+         true))
 
 (* Deciding every spec through one run-wide memo prints exactly what
    deciding each through its own fresh memo printed, traces, their
@@ -1201,6 +1440,14 @@ let suite =
       test_cache_restored_entry_survives;
     Alcotest.test_case "cache: the watchdog evicts in victim order" `Quick
       test_cache_watchdog_victim_order;
+    Alcotest.test_case "cache: a costly entry outlives a cheaper one" `Quick
+      test_cache_costly_outlives_cheaper;
+    Alcotest.test_case "cache: equal costs evict the least recently released"
+      `Quick test_cache_equal_costs_lru;
+    Alcotest.test_case "cache: a costly entry no longer asked for ages out"
+      `Quick test_cache_costly_ages_out;
+    Alcotest.test_case "cache: a restored entry is ordered by its cost" `Quick
+      test_cache_restored_entry_cost;
     Alcotest.test_case "memo: a warm repeat runs no EU fixpoint" `Quick
       test_memo_warm_repeat;
     Alcotest.test_case "memo: clamp_idle reclaims it, output unchanged"
@@ -1210,4 +1457,9 @@ let suite =
     Alcotest.test_case "memo: a breach clears it before the gc" `Quick
       test_memo_breach_clears;
     prop_run_memo_per_spec;
+    Alcotest.test_case "memo: a collection keeps it, output unchanged" `Quick
+      test_memo_survives_collection;
+    Alcotest.test_case "cache: after_request collects a grown manager" `Quick
+      test_after_request_collects;
+    prop_collected_entry_prints_fresh;
   ]
