@@ -15,7 +15,11 @@
       process peak RSS (VmHWM) afterwards;
    3. live heap words per BDD node, measured on a dense random-cube
       workload with everything rooted (the footprint-regression number
-      test/test_store.ml asserts).
+      test/test_store.ml asserts);
+   4. the kernel rows: the median check_s of a fresh compile-and-check,
+      its ite and relprod cache misses, and the [store_words] of a
+      fresh manager, the fixed costs every operation, image and
+      manager pays.
 
    BENCH_nodestore.json keeps one row set per store generation
    ([store_label] below): the "boxed" rows were produced by this same
@@ -25,6 +29,13 @@
    then in declaration order) reads. *)
 
 let store_label = "packed"
+
+(* The kernel rows' generation: "before" rows come from this experiment
+   compiled against the library before the kernel's fixed costs were
+   taken out (polymorphic [min], a cube rebuilt per image, a fresh
+   manager of 32K column slots and 4K-entry caches), "after" rows from
+   the current tree. *)
+let kernel_label = "after"
 
 (* Peak resident set of this process, in kB, from the kernel's
    accounting; 0 where /proc is unavailable.  Process-wide and
@@ -123,9 +134,59 @@ let words_per_node ~cubes ~width ~vars =
   ignore (Sys.opaque_identity man);
   (float_of_int (w1 - w0) /. float_of_int (max 1 live), live)
 
+(* The kernel row of one workload: [reps] fresh compiles, each checked
+   once; check_s is the median check, the miss counts are the check's
+   own (the same in every rep). *)
+let kernel_row ~workload ~reps src =
+  let one () =
+    let c = Smv.load_string src in
+    let m = c.Smv.Compile.model in
+    let before = Bdd.stats m.Kripke.man in
+    let verdicts, t =
+      Harness.time_once (fun () ->
+          List.map (fun (_, f) -> Ctl.Check.holds m f) c.Smv.Compile.specs)
+    in
+    (verdicts, t, Bdd.diff_stats (Bdd.stats m.Kripke.man) before)
+  in
+  let runs = List.init reps (fun _ -> one ()) in
+  let times = List.sort Float.compare (List.map (fun (_, t, _) -> t) runs) in
+  let t = List.nth times (reps / 2) in
+  let verdicts, _, s = List.hd runs in
+  let fresh = (Bdd.stats (Bdd.create ())).Bdd.store_words in
+  let verdicts =
+    String.concat "" (List.map (fun v -> if v then "T" else "F") verdicts)
+  in
+  Harness.emit_json ~experiment:"E16"
+    [
+      ("workload", Harness.String workload);
+      ("kernel", Harness.String kernel_label);
+      ("check_s", Harness.Float t);
+      ("ite_misses", Harness.Int s.Bdd.ite.Bdd.misses);
+      ("relprod_misses", Harness.Int s.Bdd.relprod.Bdd.misses);
+      ("fresh_store_words", Harness.Int fresh);
+      ("verdicts", Harness.String verdicts);
+    ];
+  [
+    workload;
+    kernel_label;
+    Harness.seconds_string t;
+    string_of_int s.Bdd.ite.Bdd.misses;
+    string_of_int s.Bdd.relprod.Bdd.misses;
+    string_of_int fresh;
+    verdicts;
+  ]
+
 let run ~full =
   let arb_users = if full then 10 else 8 in
   let ctr_bits = if full then 14 else 10 in
+  let kernel =
+    List.map
+      (fun (workload, src) -> kernel_row ~workload ~reps:7 src)
+      [
+        (Printf.sprintf "arbiter%d" arb_users, Workloads.arbiter_smv arb_users);
+        (Printf.sprintf "counter%d" ctr_bits, Workloads.counter_smv ctr_bits);
+      ]
+  in
   let rows =
     run_workload
       ~workload:(Printf.sprintf "arbiter%d" arb_users)
@@ -177,7 +238,13 @@ let run ~full =
   Harness.note
     "cube workload, live heap words per rooted node.  BENCH_nodestore.json";
   Harness.note
-    "keeps boxed rows from the pre-packed seed next to current packed rows."
+    "keeps boxed rows from the pre-packed seed next to current packed rows.";
+  Harness.print_table
+    ~title:"E16: kernel — fresh compile-and-check (median of 7)"
+    ~header:
+      [ "workload"; "kernel"; "check"; "ite misses"; "relprod misses";
+        "fresh store words"; "verdicts" ]
+    kernel
 
 let bechamel =
   let src = lazy (Workloads.arbiter_smv 6) in

@@ -23,7 +23,13 @@
    (counted as an eviction).  This replaces the boxed scheme's
    tuple-keyed hash tables with whole-table reset eviction: results
    never change — caches only affect sharing of work — so a displaced
-   entry merely forces recomputation.
+   entry merely forces recomputation.  [ite] keys its cache by a
+   standard triple (see [ite]), so equivalent calls share an entry.
+
+   A fresh manager is small: 1,024 column slots and 256 entries per
+   cache, about 8K words.  Both grow with use (the columns double when
+   full, a cache once its stores outrun its size), so a one-variable
+   model does not pay to touch the pages a 100K-node model needs.
 
    Invariants maintained by [mk]:
    - ordering: on every path from the root, variable *levels* strictly
@@ -89,6 +95,7 @@ type stats = {
   unique_probes : int;
   store_capacity : int;
   unique_capacity : int;
+  store_words : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -197,7 +204,6 @@ type man = {
   mutable cache_cap : int;
       (* realised per-cache capacity cap: the largest power of two
          within [cache_limit], or the hard cap when unbounded *)
-  cache_entries0 : int; (* initial (and post-clear) per-cache entries *)
   mutable evictions : int;
   mutable unique_lookups : int; (* unique-table find-or-insert probes *)
   mutable unique_probes : int;  (* slots inspected across all lookups *)
@@ -220,6 +226,12 @@ type man = {
       (* armed fault injection, if any (chaos testing only) *)
   mutable faults_fired : int;
 }
+
+(* Int-typed [min]/[max], shadowing [Stdlib]'s polymorphic pair: without
+   flambda those are an out-of-line call plus a [caml_lessequal] C call
+   each, paid on every cache miss of the recursions below. *)
+let[@inline] min (a : int) b = if a <= b then a else b
+let[@inline] max (a : int) b = if a >= b then a else b
 
 (* How many cache probes between full limit checks (wall-clock read +
    unique-table length).  The countdown decrement itself is the only
@@ -245,8 +257,16 @@ let pow2_at_most n =
    cache past 16K entries gains few hits on the models served here
    (within 2% of the misses at 256K, E14's cap rows) and costs resident
    memory for the manager's whole life (each entry is 3-4 words), which
-   a pooled manager keeps across requests. *)
+   a pooled manager keeps across requests.  Caches start at
+   [cache_initial] entries and double towards this cap. *)
 let cache_hard_cap = 1 lsl 14
+
+(* Entries per cache in a fresh manager, and again after [clear_caches].
+   A cache doubles once its stores since the last resize exceed twice its
+   entries, so a busy cache reaches the cap after about 32K stores, while
+   a small model's manager never touches pages it does not use (a
+   first-touched 4 KB page costs a few microseconds). *)
+let cache_initial = 256
 
 let cache_make stride entries =
   {
@@ -260,15 +280,18 @@ let cache_make stride entries =
 
 let fresh_sub () = { s_slots = Array.make 16 (-1); s_count = 0 }
 
-let create ?(unique_size = 20_011) ?(cache_size = 20_011) ?cache_limit () =
+(* The placeholder in [subs] past [nvars]: [ensure_var] puts a fresh
+   subtable in a slot before any node lands there, so it is never
+   written. *)
+let no_sub = { s_slots = [||]; s_count = 0 }
+
+let create ?(unique_size = 1024) ?cache_limit () =
   let climit = match cache_limit with Some n -> n | None -> max_int in
   let cache_cap =
     if climit = max_int then cache_hard_cap
     else max 1 (pow2_at_most (max 1 climit))
   in
-  let entries0 =
-    min (pow2_at_least (max 256 (min 4096 (max 1 (cache_size / 8))))) cache_cap
-  in
+  let entries0 = min cache_initial cache_cap in
   (* [unique_size] sizes the initial node-store columns (clamped to a
      sane power-of-two range); the per-variable subtables start small
      and grow geometrically as nodes actually land in them. *)
@@ -281,7 +304,7 @@ let create ?(unique_size = 20_011) ?(cache_size = 20_011) ?cache_limit () =
     n_next = 2;
     free_head = -1;
     total_created = 0;
-    subs = Array.init 64 (fun _ -> fresh_sub ());
+    subs = Array.make 64 no_sub;
     nvars = 0;
     var2lvl = Array.make 64 (-1);
     lvl2var = Array.make 64 (-1);
@@ -294,7 +317,6 @@ let create ?(unique_size = 20_011) ?(cache_size = 20_011) ?cache_limit () =
     shift_cache = cache_make 3 entries0;
     cache_limit = climit;
     cache_cap;
-    cache_entries0 = entries0;
     evictions = 0;
     unique_lookups = 0;
     unique_probes = 0;
@@ -324,10 +346,8 @@ let ensure_var m v =
     let cap = Array.length m.subs in
     if n > cap then begin
       let newcap = max n (2 * cap) in
-      let st =
-        Array.init newcap (fun i ->
-            if i < cap then m.subs.(i) else fresh_sub ())
-      in
+      let st = Array.make newcap no_sub in
+      Array.blit m.subs 0 st 0 m.nvars;
       let grow a =
         let a' = Array.make newcap (-1) in
         Array.blit a 0 a' 0 m.nvars;
@@ -339,6 +359,7 @@ let ensure_var m v =
       m.lvl2var <- l2v
     end;
     for i = m.nvars to n - 1 do
+      m.subs.(i) <- fresh_sub ();
       m.var2lvl.(i) <- i;
       m.lvl2var.(i) <- i
     done;
@@ -384,6 +405,7 @@ let unique_capacity m =
   !acc
 
 let stats m =
+  let unique = unique_capacity m in
   {
     ite = snapshot_op m.ite_stat;
     exists = snapshot_op m.exists_stat;
@@ -401,7 +423,10 @@ let stats m =
     unique_lookups = m.unique_lookups;
     unique_probes = m.unique_probes;
     store_capacity = m.n_cap;
-    unique_capacity = unique_capacity m;
+    unique_capacity = unique;
+    store_words =
+      (3 * m.n_cap) + unique
+      + List.fold_left (fun n c -> n + Array.length c.c_data) 0 (caches m);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -457,7 +482,7 @@ let limits_check_now m (l : limits) =
 
 (* The cooperative poll on the hot path: a countdown decrement per
    cache probe, a full check every [poll_interval] probes. *)
-let poll m =
+let[@inline] poll m =
   m.poll_countdown <- m.poll_countdown - 1;
   if m.poll_countdown <= 0 then begin
     m.poll_countdown <- poll_interval;
@@ -471,7 +496,7 @@ let poll m =
    [Out_of_memory]: the same exception a genuine allocation failure at
    that site would surface, so recovery code cannot tell injected
    pressure from real pressure. *)
-let fault_tick m site =
+let[@inline] fault_tick m site =
   match m.fault with
   | None -> ()
   | Some f ->
@@ -495,11 +520,11 @@ let fault_tick m site =
    [cache_evictions]).  Correctness never depends on the caches, only
    sharing does, so a displaced entry merely forces recomputation. *)
 
-let mix2 a b =
+let[@inline] mix2 a b =
   let h = (a * 0x9e3779b1) lxor (b * 0x85ebca77) in
   h lxor (h lsr 16)
 
-let mix3 a b c =
+let[@inline] mix3 a b c =
   let h = (a * 0x9e3779b1) lxor (b * 0x85ebca77) lxor (c * 0xc2b2ae3d) in
   h lxor (h lsr 16)
 
@@ -590,7 +615,7 @@ let cache_store3 m c k1 k2 k3 r =
    [Hashtbl.reset]: contents gone, resident memory returned.  A cache
    still at that size is emptied in place, allocating nothing. *)
 let cache_reset m c =
-  let entries = min m.cache_entries0 m.cache_cap in
+  let entries = min cache_initial m.cache_cap in
   if c.c_mask + 1 = entries then
     Array.fill c.c_data 0 (Array.length c.c_data) (-1)
   else begin
@@ -647,7 +672,7 @@ let free_node m n =
   m.free_head <- n;
   m.live <- m.live - 1
 
-let hash_uid lo hi =
+let[@inline] hash_uid lo hi =
   let h = (lo * 0x9e3779b1) lxor (hi * 0x61c88647) in
   h lxor (h lsr 16)
 
@@ -699,7 +724,7 @@ let id (f : t) : int = f
 let is_zero f = f = 0
 let is_one f = f = 1
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
+let compare = Int.compare
 let hash (f : t) = f
 
 let topvar m f =
@@ -712,7 +737,7 @@ let high m f = if f >= 2 then m.n_hi.(f) else invalid_arg "Bdd.high: constant"
    default identity order this is the root variable index, so every
    level comparison below reproduces the historic var comparison
    bit-for-bit. *)
-let lvl m f = if f < 2 then max_int else m.var2lvl.(m.n_var.(f))
+let[@inline] lvl m f = if f < 2 then max_int else m.var2lvl.(m.n_var.(f))
 
 (* The only node constructor: reduces and hash-conses. *)
 let mk m v lo hi =
@@ -760,32 +785,48 @@ let nvar m v =
 
 (* Cofactors with respect to a variable at or above the root: two
    branch tests and an array load each, no allocation. *)
-let cof0 m f v = if f >= 2 && m.n_var.(f) = v then m.n_lo.(f) else f
-let cof1 m f v = if f >= 2 && m.n_var.(f) = v then m.n_hi.(f) else f
+let[@inline] cof0 m f v = if f >= 2 && m.n_var.(f) = v then m.n_lo.(f) else f
+let[@inline] cof1 m f v = if f >= 2 && m.n_var.(f) = v then m.n_hi.(f) else f
 
+(* [ite] first rewrites its triple to a standard one (Brace, Rudell and
+   Bryant, DAC 1990): an operand equal to [f] becomes the constant it
+   must be there ([ite f f h = ite f 1 h], [ite f g f = ite f g 0]), and
+   the commutative AND ([ite f g 0]) and OR ([ite f 1 h]) put their
+   operands in handle order, so [and_ f g] and [and_ g f] share one
+   cache entry.  Every rewrite keeps the function and the top variable,
+   so the recursion visits the same subproblems and allocates the same
+   nodes; it only hits the cache more often. *)
 let rec ite m f g h =
   m.ite_stat.calls <- m.ite_stat.calls + 1;
   if f = 1 then g
   else if f = 0 then h
-  else if g = h then g
-  else if g = 1 && h = 0 then f
   else begin
-    let r = cache_find3 m m.ite_stat m.ite_cache f g h in
-    if r >= 0 then r
-    else begin
-      let l = min (lvl m f) (min (lvl m g) (lvl m h)) in
-      let v = m.lvl2var.(l) in
-      let f0 = cof0 m f v
-      and f1 = cof1 m f v
-      and g0 = cof0 m g v
-      and g1 = cof1 m g v
-      and h0 = cof0 m h v
-      and h1 = cof1 m h v in
-      let lo = ite m f0 g0 h0 and hi = ite m f1 g1 h1 in
-      let r = mk m v lo hi in
-      cache_store3 m m.ite_cache f g h r;
-      r
-    end
+    let g = if g = f then 1 else g and h = if h = f then 0 else h in
+    if g = h then g
+    else if g = 1 && h = 0 then f
+    else if h = 0 && g < f then ite_step m g f 0
+    else if g = 1 && h < f then ite_step m h 1 f
+    else ite_step m f g h
+  end
+
+(* The cache probe and Shannon expansion of a standard, non-terminal
+   triple. *)
+and ite_step m f g h =
+  let r = cache_find3 m m.ite_stat m.ite_cache f g h in
+  if r >= 0 then r
+  else begin
+    let l = min (lvl m f) (min (lvl m g) (lvl m h)) in
+    let v = m.lvl2var.(l) in
+    let f0 = cof0 m f v
+    and f1 = cof1 m f v
+    and g0 = cof0 m g v
+    and g1 = cof1 m g v
+    and h0 = cof0 m h v
+    and h1 = cof1 m h v in
+    let lo = ite m f0 g0 h0 and hi = ite m f1 g1 h1 in
+    let r = mk m v lo hi in
+    cache_store3 m m.ite_cache f g h r;
+    r
   end
 
 let not_ m f = ite m f 0 1
@@ -814,7 +855,7 @@ let restrict m f v b =
   go f
 
 let cube m vs =
-  let sorted = List.sort_uniq Stdlib.compare vs in
+  let sorted = List.sort_uniq Int.compare vs in
   List.iter
     (fun v ->
       if v < 0 then invalid_arg "Bdd.cube: negative variable";
@@ -823,7 +864,7 @@ let cube m vs =
   (* Build bottom-up in *level* order, deepest variable innermost. *)
   let by_level =
     List.stable_sort
-      (fun a b -> Stdlib.compare m.var2lvl.(a) m.var2lvl.(b))
+      (fun a b -> Int.compare m.var2lvl.(a) m.var2lvl.(b))
       sorted
   in
   List.fold_right (fun v acc -> mk m v 0 acc) by_level 1
@@ -844,7 +885,7 @@ let minterm m lits =
       else if b then mk m v 0 acc
       else mk m v acc 0)
     (List.stable_sort
-       (fun (a, _) (b, _) -> Stdlib.compare m.var2lvl.(a) m.var2lvl.(b))
+       (fun (a, _) (b, _) -> Int.compare m.var2lvl.(a) m.var2lvl.(b))
        lits)
     1
 
@@ -1006,7 +1047,7 @@ let support m f =
   in
   go f;
   Hashtbl.fold (fun v () acc -> v :: acc) vars []
-  |> List.sort Stdlib.compare
+  |> List.sort Int.compare
 
 let size ?(cap = max_int) m f =
   let seen = Hashtbl.create 64 in
@@ -1078,7 +1119,7 @@ let any_sat m f =
      depends on the variable order; only its listing is sorted by
      variable index.  Callers needing an order-independent point
      cofactor variable by variable instead (see [Kripke.pick_state]). *)
-  go [] f |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
+  go [] f |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let any_sat_total m f ~vars =
   let partial = any_sat m f in
@@ -1090,7 +1131,7 @@ let any_sat_total m f ~vars =
       (fun v ->
         Hashtbl.replace mentioned v ();
         (v, match Hashtbl.find_opt tbl v with Some b -> b | None -> false))
-      (List.sort_uniq Stdlib.compare vars)
+      (List.sort_uniq Int.compare vars)
   in
   List.iter
     (fun (v, _) ->
@@ -1118,7 +1159,7 @@ let fold_sat m f vars ~init ~f:k =
     Array.of_list
       (List.stable_sort
          (fun i j ->
-           Stdlib.compare m.var2lvl.(vars_a.(i)) m.var2lvl.(vars_a.(j)))
+           Int.compare m.var2lvl.(vars_a.(i)) m.var2lvl.(vars_a.(j)))
          (Array.to_list order))
   in
   let assign = Array.make nv false in
@@ -1181,6 +1222,7 @@ let diff_stats after before =
     unique_probes = after.unique_probes - before.unique_probes;
     store_capacity = after.store_capacity;
     unique_capacity = after.unique_capacity;
+    store_words = after.store_words;
   }
 
 let reset_peak m = m.peak_nodes <- m.live
@@ -1226,6 +1268,11 @@ let pp_stats ppf s =
     s.live_nodes s.unique_capacity
     (float_of_int s.unique_probes /. float_of_int (max 1 s.unique_lookups))
     s.cache_stores;
+  let columns = 3 * s.store_capacity in
+  let kb words = ((words * (Sys.word_size / 8)) + 1023) / 1024 in
+  Format.fprintf ppf "@,  store: %d KB (columns %d KB, unique %d KB, caches %d KB)"
+    (kb s.store_words) (kb columns) (kb s.unique_capacity)
+    (kb (s.store_words - columns - s.unique_capacity));
   Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ *)
@@ -1568,7 +1615,7 @@ module Snapshot = struct
        pinning exactly the nodes these providers reach today. *)
     let root_handles =
       Hashtbl.fold (fun _ provider acc -> provider () @ acc) m.roots []
-      |> List.sort_uniq Stdlib.compare
+      |> List.sort_uniq Int.compare
     in
     put (List.length root_handles);
     List.iter put root_handles;
@@ -1603,7 +1650,7 @@ module Snapshot = struct
     if n_next < 2 then corrupt "bad watermark %d" n_next;
     if nvars < 0 then corrupt "bad variable count %d" nvars;
     if live < 0 || live > n_next - 2 then corrupt "bad live count %d" live;
-    let m = create ~unique_size:1024 () in
+    let m = create () in
     let cap = pow2_at_least (max 1024 n_next) in
     m.n_var <- Array.make cap (-1);
     m.n_lo <- Array.make cap 0;

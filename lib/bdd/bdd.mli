@@ -26,12 +26,14 @@ type man
 type t
 (** A BDD over the manager it was created from. *)
 
-val create :
-  ?unique_size:int -> ?cache_size:int -> ?cache_limit:int -> unit -> man
+val create : ?unique_size:int -> ?cache_limit:int -> unit -> man
 (** [create ()] makes a fresh manager.  [unique_size] sizes the initial
-    node-store columns (rounded to a power of two; the per-variable
-    open-addressing subtables start small and grow geometrically as
-    nodes land in them), and [cache_size] the initial operation caches.
+    node-store columns (rounded to a power of two, at least and by
+    default 1,024 slots; the columns double as nodes arrive, and the
+    per-variable open-addressing subtables start small and grow
+    geometrically as nodes land in them).  Each operation cache starts
+    at 256 entries (and returns there at {!clear_caches}) and doubles
+    as stores accumulate.
     [cache_limit], when given, caps every operation cache at the
     largest power of two within it: the caches are direct-mapped, so at
     the cap an insert that collides with a live entry of a different
@@ -254,6 +256,10 @@ type stats = {
   unique_capacity : int;  (** open-addressing slots across all per-variable
                               subtables; load factor =
                               live_nodes / unique_capacity *)
+  store_words : int;      (** words the manager's arrays hold: the three
+                              node columns ([3 * store_capacity]), the
+                              unique subtables ([unique_capacity]) and
+                              the operation caches *)
 }
 (** A snapshot of the manager's counters. *)
 

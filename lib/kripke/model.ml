@@ -28,6 +28,10 @@ type t = {
   space : Bdd.t;
   init : Bdd.t;
   trans : Bdd.t;
+  (* The quantification cubes of the monolithic images, built once with
+     the model: [pre] and [post] run once per fixpoint iteration. *)
+  cur_cube : Bdd.t;
+  nxt_cube : Bdd.t;
   pre_schedule : schedule_step list option;
   post_schedule : schedule_step list option;
   fairness : Bdd.t list;
@@ -52,7 +56,7 @@ let roots m =
     | Some steps ->
       List.concat_map (fun s -> [ s.cluster; s.quant ]) steps
   in
-  (m.space :: m.init :: m.trans :: m.fairness)
+  (m.space :: m.init :: m.trans :: m.cur_cube :: m.nxt_cube :: m.fairness)
   @ List.map snd m.labels
   @ schedule_roots m.pre_schedule
   @ schedule_roots m.post_schedule
@@ -97,9 +101,6 @@ let unprime m f = Bdd.shift m.man f (-1)
 let cur_cube_of man nbits = Bdd.cube man (List.init nbits (fun b -> 2 * b))
 let nxt_cube_of man nbits = Bdd.cube man (List.init nbits (fun b -> (2 * b) + 1))
 
-let cur_cube m = cur_cube_of m.man m.nbits
-let nxt_cube m = nxt_cube_of m.man m.nbits
-
 (* Encoding of "variable (copy) has value index i" as a cube. *)
 let bits_encode man bits ~primed i =
   Array.to_list bits
@@ -120,7 +121,7 @@ let make ~man ~vars ~nbits ?space ~init ~trans ?(fairness = []) ?(labels = [])
   let declared =
     Array.to_list vars
     |> List.concat_map (fun v -> Array.to_list v.bits)
-    |> List.sort_uniq Stdlib.compare
+    |> List.sort_uniq Int.compare
   in
   if List.exists (fun b -> b < 0 || b >= nbits) declared then
     invalid_arg "Kripke.make: variable bit out of range";
@@ -137,6 +138,8 @@ let make ~man ~vars ~nbits ?space ~init ~trans ?(fairness = []) ?(labels = [])
   register_roots
     {
       man; vars; nbits; space; init; trans;
+      cur_cube = cur_cube_of man nbits;
+      nxt_cube = nxt_cube_of man nbits;
       pre_schedule = None; post_schedule = None;
       fairness; labels; fair_memo = None; reach_memo = None;
     }
@@ -196,13 +199,13 @@ let with_partition m clusters =
   let pre_schedule =
     make_schedule m.man
       ~relevant:(fun v -> v mod 2 = 1)
-      ~all_cube:(nxt_cube_of m.man m.nbits)
+      ~all_cube:m.nxt_cube
       parts
   in
   let post_schedule =
     make_schedule m.man
       ~relevant:(fun v -> v mod 2 = 0)
-      ~all_cube:(cur_cube_of m.man m.nbits)
+      ~all_cube:m.cur_cube
       parts
   in
   register_roots
@@ -217,13 +220,13 @@ let pre m s =
   | Some schedule -> image_with_schedule m.man schedule (prime m s)
   | None ->
     let s' = prime m s in
-    Bdd.and_exists m.man (nxt_cube m) m.trans s'
+    Bdd.and_exists m.man m.nxt_cube m.trans s'
 
 let post m s =
   match m.post_schedule with
   | Some schedule -> unprime m (image_with_schedule m.man schedule s)
   | None ->
-    let img = Bdd.and_exists m.man (cur_cube m) m.trans s in
+    let img = Bdd.and_exists m.man m.cur_cube m.trans s in
     unprime m img
 
 (* Charge one fixpoint iteration against the optional limits. *)
@@ -428,6 +431,8 @@ let of_skeleton ~man sk =
       space = sk.sk_space;
       init = sk.sk_init;
       trans = sk.sk_trans;
+      cur_cube = cur_cube_of man sk.sk_nbits;
+      nxt_cube = nxt_cube_of man sk.sk_nbits;
       pre_schedule = Option.map steps sk.sk_pre;
       post_schedule = Option.map steps sk.sk_post;
       fairness = sk.sk_fairness;

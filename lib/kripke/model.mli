@@ -45,6 +45,12 @@ type t = private {
   space : Bdd.t;    (** valid encodings (non-power-of-two domains) *)
   init : Bdd.t;     (** S0, a subset of [space] *)
   trans : Bdd.t;    (** N(v, v'), both endpoints within [space] *)
+  cur_cube : Bdd.t;
+      (** the cube of every current-copy BDD variable, which {!post}
+          quantifies; built once with the model and rooted with it *)
+  nxt_cube : Bdd.t;
+      (** the cube of every next-copy BDD variable, which {!pre}
+          quantifies; built once with the model and rooted with it *)
   pre_schedule : schedule_step list option;
       (** when set, {!pre} uses the partitioned relation *)
   post_schedule : schedule_step list option;
@@ -76,8 +82,8 @@ val make :
     [Bdd.gc]), so an explicit collection never sweeps them. *)
 
 val roots : t -> Bdd.t list
-(** Every BDD the model owns (space, init, transition relation,
-    schedules, fairness constraints, labels) — the set {!make} registers
+(** Every BDD the model owns (space, init, transition relation, image
+    cubes, schedules, fairness constraints, labels) — the set {!make} registers
     with [Bdd.add_root]. *)
 
 val with_partition : t -> Bdd.t list -> t
@@ -140,12 +146,6 @@ val prime : t -> Bdd.t -> Bdd.t
 
 val unprime : t -> Bdd.t -> Bdd.t
 (** Rename a next-copy predicate to the current copy. *)
-
-val cur_cube : t -> Bdd.t
-(** Quantification cube of all current-copy BDD variables. *)
-
-val nxt_cube : t -> Bdd.t
-(** Quantification cube of all next-copy BDD variables. *)
 
 (** {1 Images} *)
 
@@ -243,5 +243,6 @@ val skeleton : t -> skeleton
 
 val of_skeleton : man:Bdd.man -> skeleton -> t
 (** Rebuild a model over [man] from a skeleton taken against it (or
-    against the manager its snapshot came from).  Re-registers GC
+    against the manager its snapshot came from).  Rebuilds the image
+    cubes in [man] (a skeleton does not carry them) and re-registers GC
     roots exactly as {!make} does. *)

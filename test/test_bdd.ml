@@ -288,6 +288,23 @@ let prop_ite =
         (fun env ->
           if eval_expr env ef then eval_expr env eg else eval_expr env eh))
 
+(* [ite]'s standard triples: commuted AND/OR operands and an operand
+   equal to the condition give the same node, and a commuted repeat of
+   an AND is answered from the cache. *)
+let prop_standard_triples =
+  prop "ite standard triples"
+    QCheck2.Gen.(triple expr_gen expr_gen expr_gen)
+    (fun (ef, eg, eh) ->
+      let f = bdd_of_expr ef and g = bdd_of_expr eg and h = bdd_of_expr eh in
+      let fg = Bdd.and_ man f g in
+      let misses = (Bdd.stats man).Bdd.ite.Bdd.misses in
+      let gf = Bdd.and_ man g f in
+      Bdd.equal fg gf
+      && (Bdd.stats man).Bdd.ite.Bdd.misses = misses
+      && Bdd.equal (Bdd.or_ man f g) (Bdd.or_ man g f)
+      && Bdd.equal (Bdd.ite man f f h) (Bdd.or_ man f h)
+      && Bdd.equal (Bdd.ite man f g f) fg)
+
 let prop_exists_semantics =
   prop "exists v f = f|v=0 \\/ f|v=1"
     QCheck2.Gen.(pair expr_gen (int_bound (nvars - 1)))
@@ -429,6 +446,7 @@ let suite =
     prop_canonicity;
     prop_not_involution;
     prop_ite;
+    prop_standard_triples;
     prop_exists_semantics;
     prop_forall_dual;
     prop_and_exists;

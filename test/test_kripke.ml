@@ -322,9 +322,55 @@ let test_successors_are_post () =
         reach)
     [ m; pm ]
 
+let philosophers () =
+  (Smv.load_file (Filename.concat "../examples/models" "philosophers.smv"))
+    .Smv.Compile.model
+
+(* The image cubes are built once and rooted with the model: after a
+   collection whose swept slots are refilled with garbage, the cubes
+   are still the cubes and [pre]/[post] return the same diagrams. *)
+let test_cubes_survive_gc () =
+  let m = philosophers () in
+  let man = m.Kripke.man in
+  let s = m.Kripke.init in
+  let pre0 = Kripke.pre m s and post0 = Kripke.post m s in
+  let root = Bdd.add_root man (fun () -> [ pre0; post0 ]) in
+  ignore (Bdd.gc man);
+  let st = Random.State.make [| 3 |] in
+  for _ = 1 to 500 do
+    let v () = Random.State.int st (2 * m.Kripke.nbits) in
+    ignore (Bdd.and_ man (Bdd.var man (v ())) (Bdd.nvar man (v ())) : Bdd.t)
+  done;
+  let bits k = List.init m.Kripke.nbits (fun b -> (2 * b) + k) in
+  Alcotest.(check bool) "cur_cube intact" true
+    (Bdd.equal m.Kripke.cur_cube (Bdd.cube man (bits 0)));
+  Alcotest.(check bool) "nxt_cube intact" true
+    (Bdd.equal m.Kripke.nxt_cube (Bdd.cube man (bits 1)));
+  Alcotest.(check bool) "pre unchanged" true (Bdd.equal (Kripke.pre m s) pre0);
+  Alcotest.(check bool) "post unchanged" true
+    (Bdd.equal (Kripke.post m s) post0);
+  Bdd.remove_root man root
+
+(* A skeleton carries no cubes: [of_skeleton] rebuilds them, in the
+   same manager or in a snapshot of it, and the rebuilt model's [pre]
+   is the original's diagram (snapshots keep handles). *)
+let test_skeleton_pre () =
+  let m = philosophers () in
+  let s = m.Kripke.init in
+  let p = Kripke.pre m s in
+  let sk = Kripke.skeleton m in
+  let same = Kripke.of_skeleton ~man:m.Kripke.man sk in
+  Alcotest.(check bool) "same manager" true (Bdd.equal (Kripke.pre same s) p);
+  let man' = Bdd.Snapshot.load (Bdd.Snapshot.dump m.Kripke.man) in
+  let m' = Kripke.of_skeleton ~man:man' sk in
+  Alcotest.(check int) "restored manager" (Bdd.id p) (Bdd.id (Kripke.pre m' s))
+
 let suite =
   suite
-  @ [ Alcotest.test_case "trace golden rendering" `Quick test_trace_golden;
+  @ [ Alcotest.test_case "image cubes survive gc" `Quick test_cubes_survive_gc;
+      Alcotest.test_case "of_skeleton rebuilds the cubes" `Quick
+        test_skeleton_pre;
+      Alcotest.test_case "trace golden rendering" `Quick test_trace_golden;
       Alcotest.test_case "trace rendering bytes" `Quick test_trace_bytes;
       Alcotest.test_case "successors by cofactor" `Quick
         test_successors_are_post ]

@@ -144,6 +144,39 @@ let test_stats_instrumentation () =
   Alcotest.(check bool) "unique capacity covers live" true
     (s.Bdd.unique_capacity >= s.Bdd.live_nodes)
 
+(* The words held by a manager's operation caches. *)
+let cache_words (s : Bdd.stats) =
+  s.Bdd.store_words - (3 * s.Bdd.store_capacity) - s.Bdd.unique_capacity
+
+(* A fresh manager touches only what it uses: its columns, subtables
+   and caches hold under 16K words.  Grown to 50K nodes by random
+   cubes, the columns cover every node and the caches have doubled
+   past their initial size. *)
+let test_fresh_store_small () =
+  let man = Bdd.create () in
+  let fresh = Bdd.stats man in
+  if fresh.Bdd.store_words >= 16 * 1024 then
+    Alcotest.failf "a fresh manager holds %d words" fresh.Bdd.store_words;
+  let st = Random.State.make [| 7 |] in
+  let held = ref [] in
+  while Bdd.live_nodes man < 50_000 do
+    let cube = ref (Bdd.one man) in
+    for _ = 1 to 10 do
+      let v = Random.State.int st 1000 in
+      let lit = if Random.State.bool st then Bdd.var man v else Bdd.nvar man v in
+      cube := Bdd.and_ man !cube lit
+    done;
+    held := !cube :: !held
+  done;
+  let grown = Bdd.stats man in
+  Alcotest.(check bool) "columns cover 50K nodes" true
+    (grown.Bdd.store_capacity >= 50_000);
+  Alcotest.(check bool) "caches grew" true
+    (cache_words grown > cache_words fresh);
+  Alcotest.(check bool) "store words add up" true
+    (grown.Bdd.store_words
+     >= (3 * grown.Bdd.store_capacity) + grown.Bdd.unique_capacity)
+
 (* Footprint regression: the number E16 measures (bench/exp_nodestore).
    Build 20k random 10-literal cubes over 1000 variables, everything
    rooted, collecting every 2000 cubes so the free list recycles the
@@ -194,5 +227,7 @@ let suite =
     Alcotest.test_case "unique_size honored" `Quick test_unique_size_honored;
     Alcotest.test_case "store instrumentation" `Quick
       test_stats_instrumentation;
+    Alcotest.test_case "fresh store is small and grows" `Quick
+      test_fresh_store_small;
     Alcotest.test_case "footprint words per node" `Slow test_footprint;
   ]
