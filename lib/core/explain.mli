@@ -21,14 +21,16 @@ exception Cannot_explain of string
 
 (** What the recursion needs of a representation: ['set] is a state
     set, ['state] a single state.  [sat] evaluates under fair
-    semantics; [fair] intersects a set with the fair states; [ex],
-    [eu] and [eg] are the witness primitives for a start state that
-    satisfies the operator ([ex] and [eu] return the path from
-    [start], [eg] a (prefix, cycle) lasso whose prefix may be empty
-    when the cycle starts at [start]). *)
+    semantics; [holds_at] asks whether a state satisfies a formula
+    (the symbolic instance answers an [EU] from its rings, extended
+    only until they hold the state); [fair] intersects a set with the
+    fair states; [ex], [eu] and [eg] are the witness primitives for a
+    start state that satisfies the operator ([ex] and [eu] return the
+    path from [start], [eg] a (prefix, cycle) lasso whose prefix may be
+    empty when the cycle starts at [start]). *)
 type ('set, 'state) ops = {
   sat : Ctl.t -> 'set;
-  mem : 'set -> 'state -> bool;
+  holds_at : Ctl.t -> 'state -> bool;
   fair : 'set -> 'set;
   ex : f:'set -> start:'state -> 'state list;
   eu : f:'set -> g:'set -> start:'state -> 'state list;
@@ -55,15 +57,25 @@ val explain_with :
 
 type memo
 (** Every formula's fair set asked for so far, the rings of every [EU]
-    (its set is their last layer), the hull and rings
-    ({!Ctl.Fair.eg_rings}) of every fair [EG] its traversals met, and
-    every fair-[EG] lasso explained from such a hull (keyed by its
-    operand and start state, so a repeat runs none of the lasso's
-    closing sweeps), on one model.  Its diagrams are rooted only while
-    a function below runs, or by a caller rooting {!roots}: a [Bdd.gc]
-    of the model's manager that roots {!roots} keeps the memo usable;
-    any other gc must {!clear} a memo that will be used again first,
-    or a recycled key would hit a stale entry. *)
+    its queries met, the hull and rings ({!Ctl.Fair.eg_rings}) of every
+    fair [EG] its traversals met, and every fair-[EG] lasso explained
+    from such a hull (keyed by its operand and start state, so a repeat
+    runs none of the lasso's closing sweeps), on one model.
+
+    An [EU]'s rings may be a prefix [Q_0 .. Q_j] of
+    {!Ctl.Check.eu_rings}'s sequence ({!Ctl.Check.sweep}): each query
+    resumes the one sweep only as far as it needs.  Every set [sat]
+    returns, nested or not, forces its fixpoint; {!holds} on an [EU]
+    spec stops once the rings cover the initial states, on a spec
+    whose negation is an [EU] once they meet them; a trace stops once
+    they hold its start state (the least initial state, for a trace
+    from the initial states) and descends only the layers below it.
+
+    Its diagrams are rooted only while a function below runs, or by a
+    caller rooting {!roots}: a [Bdd.gc] of the model's manager that
+    roots {!roots} keeps the memo usable; any other gc must {!clear} a
+    memo that will be used again first, or a recycled key would hit a
+    stale entry. *)
 
 val memo : Kripke.t -> memo
 (** A fresh, empty memo on the model. *)
@@ -73,19 +85,25 @@ val clear : memo -> unit
 
 val size : memo -> int * int
 (** [(sets, layers)]: the formula sets the memo holds and the ring
-    layers of its [EU]s and fair [EG]s.  Two field reads, so a racy
-    read from another domain is harmless. *)
+    layers of its [EU]s (converged or not) and fair [EG]s.  Two field
+    reads, so a racy read from another domain is harmless. *)
 
 val roots : memo -> Bdd.t list
-(** Every diagram the memo holds, keys included: its values, the
-    [Pred] sets inside its formula keys and the operand sets that key
-    its rings, hulls and lassos. *)
+(** Every diagram the memo holds, keys included: its values (the
+    layers of unconverged rings among them), the [Pred] sets inside its
+    formula keys and the operand sets that key its rings, hulls and
+    lassos. *)
 
 val holds : ?limits:Bdd.Limits.t -> memo -> Ctl.t -> bool
-(** [Ctl.Fair.holds] through the memo: the same verdict from the same
-    fixpoints, in the same order and charging [limits] alike; each
-    [EU] and each fair [EG] keeps its rings for a later {!witness} or
-    {!counterexample} on the same memo. *)
+(** [Ctl.Fair.holds] through the memo: the same verdict from a prefix
+    of the same fixpoints, in the same order and charging [limits]
+    alike.  When [push_neg f] is [E[a U b]] the spec holds as soon as
+    its rings cover the initial states; when [push_neg (Not f)] is an
+    [EU] ([AG], [!EF], [!EU] specs) it fails as soon as a layer meets
+    them; either sweep runs on to its fixpoint only when that never
+    happens.  Each [EU] and each fair [EG] keeps its rings for a later
+    {!witness} or {!counterexample} on the same memo, which resumes
+    them. *)
 
 val explain :
   ?limits:Bdd.Limits.t ->

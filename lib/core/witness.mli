@@ -69,7 +69,9 @@ val eu :
 (** Finite witness for [E[f U g]] (no fairness): a shortest-via-rings
     path from [start] through [f]-states to a [g]-state.  [rings], when
     given, must be [Ctl.Check.eu_rings m f g] already computed (the
-    fixpoint that decided [E[f U g]]); otherwise they are built here. *)
+    fixpoint that decided [E[f U g]]), or a prefix of it whose last
+    layer holds [start]: the descent reads only the layers below
+    [start]'s least one.  Otherwise they are built here. *)
 
 val eg :
   ?limits:Bdd.Limits.t ->

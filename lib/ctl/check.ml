@@ -58,33 +58,57 @@ let eu ?limits (m : Kripke.t) f g =
       in
       go g)
 
-let eu_rings ?limits ?until (m : Kripke.t) f g =
-  let bman = m.Kripke.man in
-  let meets q =
-    match until with
-    | Some u -> not (Bdd.is_zero (Bdd.and_ bman q u))
-    | None -> false
-  in
-  let layers = ref [ g ] in
-  Bdd.with_root bman
-    (fun () -> (f :: Option.to_list until) @ !layers)
-    (fun () ->
-      let rec go acc q =
-        if meets q then List.rev acc
-        else begin
-          Atomic.incr eu_iters;
-          tick m limits;
-          let q' = Bdd.or_ bman q (Bdd.and_ bman f (ex m q)) in
-          if Bdd.equal q q' then List.rev acc
-          else begin
-            layers := q' :: !layers;
-            go (q' :: acc) q'
+type sweep = {
+  mutable layers : Bdd.t array;
+  mutable converged : bool;
+}
+
+let sweep g =
+  Atomic.incr rings_built;
+  { layers = [| g |]; converged = false }
+
+(* The one sweep loop: [stop] is asked of the last layer before each
+   iteration.  The layers it builds join [s] on every exit, a breach
+   included; each is a complete ring. *)
+let eu_resume ?limits ?(stop = fun _ -> false) (m : Kripke.t) f s =
+  if not s.converged then begin
+    let bman = m.Kripke.man in
+    let fresh = ref [] in
+    Bdd.with_root bman
+      (fun () -> f :: Array.to_list s.layers @ !fresh)
+      (fun () ->
+        let rec go q =
+          if not (stop q) then begin
+            Atomic.incr eu_iters;
+            tick m limits;
+            let q' = Bdd.or_ bman q (Bdd.and_ bman f (ex m q)) in
+            if Bdd.equal q q' then s.converged <- true
+            else begin
+              fresh := q' :: !fresh;
+              Atomic.incr rings_built;
+              go q'
+            end
           end
-        end
-      in
-      let rings = Array.of_list (go [ g ] g) in
-      ignore (Atomic.fetch_and_add rings_built (Array.length rings) : int);
-      rings)
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            if !fresh <> [] then
+              s.layers <-
+                Array.append s.layers (Array.of_list (List.rev !fresh)))
+          (fun () -> go s.layers.(Array.length s.layers - 1)))
+  end
+
+let eu_rings ?limits ?until (m : Kripke.t) f g =
+  let s = sweep g in
+  let stop =
+    Option.map
+      (fun u q -> not (Bdd.is_zero (Bdd.and_ m.Kripke.man q u)))
+      until
+  in
+  Bdd.with_root m.Kripke.man
+    (fun () -> Option.to_list until)
+    (fun () -> eu_resume ?limits ?stop m f s);
+  s.layers
 
 (* The forward dual of [eu_rings ~until:from f target]: grow
    [F_0 = from /\ f], [F_(k+1) = F_k \/ (f /\ post F_k)] and stop as

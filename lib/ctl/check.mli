@@ -9,9 +9,13 @@ exception Unknown_atom of string
 
 type fixpoint_stats = {
   eu_iterations : int;
-      (** [EU] fixpoint steps, {!eu_rings} sweeps included *)
+      (** [EU] fixpoint steps, {!eu_resume} sweeps included: a sweep
+          that stops short of its fixpoint counts only the layers it
+          built, and a resumed one only its new layers *)
   eg_iterations : int;  (** plain [EG] fixpoint steps *)
-  ring_layers : int;    (** layers saved by {!eu_rings} *)
+  ring_layers : int;
+      (** layers built by {!sweep} and {!eu_resume}, each counted once,
+          when it is built *)
   forward_iterations : int;  (** {!reaches} image steps *)
 }
 (** Iteration counters, accumulated process-wide (across all models)
@@ -52,6 +56,32 @@ val sat_with :
 (** Generic traversal with the three basic operators supplied; the fair
     checker instantiates it with [CheckFairEX/EU/EG] (Section 5). *)
 
+type sweep = {
+  mutable layers : Bdd.t array;
+      (** [Q_0 .. Q_j], a prefix of the sequence below; never empty *)
+  mutable converged : bool;  (** [Q_j] is the fixpoint *)
+}
+(** The onion rings of one [E[f U g]], built as far as a consumer
+    needed them. *)
+
+val sweep : Bdd.t -> sweep
+(** [sweep g] — the rings [[| g |]], not converged. *)
+
+val eu_resume :
+  ?limits:Bdd.Limits.t ->
+  ?stop:(Bdd.t -> bool) ->
+  Kripke.t ->
+  Bdd.t ->
+  sweep ->
+  unit
+(** [eu_resume m f s] extends [s] by [Q_{i+1} = Q_i \/ (f /\ EX Q_i)]
+    until [stop] (default: never) holds of its last layer or the
+    fixpoint is reached; [f] must be the operand [s] was swept with.
+    Each iteration charges [limits] one step.  The layers built so far
+    stay in [s] when a breach (or any exception) ends the sweep, so a
+    later call resumes where it stopped.  The caller roots whatever
+    [stop] reads. *)
+
 val eu_rings :
   ?limits:Bdd.Limits.t ->
   ?until:Bdd.t ->
@@ -61,8 +91,9 @@ val eu_rings :
   Bdd.t array
 (** The increasing approximation sequence [Q_0 = g, Q_{i+1} = Q_i \/ (f
     /\ EX Q_i)] up to (and including) the fixpoint — the "onion rings"
-    that witness construction walks down.  [Q_i] is the set of states
-    that can reach [g] in [i] or fewer steps through [f]-states.
+    that witness construction walks down: {!eu_resume} of a fresh
+    {!sweep}.  [Q_i] is the set of states that can reach [g] in [i] or
+    fewer steps through [f]-states.
 
     With [until], the sweep stops at the least layer that meets
     [until] instead: the result is the prefix [Q_0 .. Q_j] of the full

@@ -62,7 +62,7 @@ let explain t ~sat formula ~start =
     Counterex.Explain.explain_with
       {
         sat;
-        mem = (fun mask i -> mask.(i));
+        holds_at = (fun f i -> (sat f).(i));
         fair = (fun mask -> Array.map2 ( && ) mask fair_mask);
         ex = (fun ~f ~start -> found (Explicit.Ewitness.ex graph ~f ~start));
         eu =

@@ -134,7 +134,7 @@ type random_model = {
 
 let atom_names = [ "p"; "q"; "r" ]
 
-let random_model_gen ?(max_states = 8) ?(nfair = 0) () =
+let random_model_gen ?(max_states = 8) ?(nfair = 0) ?(ninit = 1) () =
   let open QCheck2.Gen in
   let* n = int_range 1 max_states in
   let state = int_bound (n - 1) in
@@ -146,6 +146,9 @@ let random_model_gen ?(max_states = 8) ?(nfair = 0) () =
   in
   let* fair_sets = list_repeat nfair (list_size (int_range 1 n) state) in
   let* init0 = state in
+  let* more =
+    if ninit > 1 then list_size (int_bound (ninit - 1)) state else return []
+  in
   let edges =
     Array.to_list (Array.mapi (fun i j -> (i, j)) forced) @ extra
   in
@@ -153,7 +156,7 @@ let random_model_gen ?(max_states = 8) ?(nfair = 0) () =
     List.map (Explicit.Egraph.mask_of_list ~nstates:n) fair_sets
   in
   let graph =
-    Explicit.Egraph.make ~nstates:n ~edges ~init:[ init0 ] ~fairness ()
+    Explicit.Egraph.make ~nstates:n ~edges ~init:(List.sort_uniq Int.compare (init0 :: more)) ~fairness ()
   in
   let labels = List.combine atom_names label_sets in
   let sym, encode = Explicit.Bridge.to_kripke ~labels graph in

@@ -512,7 +512,7 @@ let test_engine_ladder_keeps_order () =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
   let opts =
-    { Engine.default with certify = true; step_limit = Some 2; retries = 3 }
+    { Engine.default with certify = true; step_limit = Some 1; retries = 3 }
   in
   (match
      Engine.run ppf compiled ~opts ~specs:[] ~cancel:(Atomic.make false)
