@@ -237,6 +237,22 @@ let philosophers n =
   done;
   Buffer.contents b
 
+(* Two tiny SMV rows with certified traces, so the code that measures
+   the deep and philosophers rows runs under [--smoke]: a 6-bit counter
+   (the fixed targets read modulo 64: EF of 61 and 63) and three
+   philosophers.  A trace that does not certify fails the smoke run. *)
+let smoke () =
+  match
+    ignore (smv_row "counter-6 EF deep" (deep_counter 6) : string list);
+    ignore (smv_row "philosophers-3 fair lasso" (philosophers 3) : string list)
+  with
+  | () ->
+    Format.printf "bench-smoke: E8 rows OK (every trace certified)@.";
+    true
+  | exception Failure msg ->
+    Format.printf "bench-smoke: %s@." msg;
+    false
+
 let run ~full =
   let rows = ref [] in
   let add r = rows := r :: !rows in

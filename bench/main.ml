@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- --only E2 E3 # a subset
      dune exec bench/main.exe -- --raw        # Bechamel OLS estimates
      dune exec bench/main.exe -- --json       # also emit JSON rows
-     dune exec bench/main.exe -- --smoke      # tiny eviction smoke run *)
+     dune exec bench/main.exe -- --smoke      # tiny eviction and E8 smoke run *)
 
 let experiments =
   [
@@ -67,11 +67,15 @@ let () =
       args
   in
   let selected id = selected_ids = [] || List.mem id selected_ids in
-  if List.mem "--smoke" args then
+  if List.mem "--smoke" args then begin
     (* A seconds-scale workload with bounded op-caches and stats output,
        wired to the @bench-smoke alias; non-zero exit on any verdict
-       divergence between bounded and unbounded caches. *)
-    exit (if Exp_fair.smoke () then 0 else 1)
+       divergence between bounded and unbounded caches, or on an E8
+       smoke trace that does not certify. *)
+    let evictions = Exp_fair.smoke () in
+    let traces = Exp_overhead.smoke () in
+    exit (if evictions && traces then 0 else 1)
+  end
   else if raw then run_raw ()
   else begin
     Format.printf "Benchmarks reproducing the evaluation artifacts of@.";

@@ -25,6 +25,8 @@
    never change — caches only affect sharing of work — so a displaced
    entry merely forces recomputation.  [ite] keys its cache by a
    standard triple (see [ite]), so equivalent calls share an entry.
+   Two walks probe no op cache: [cofactor_shift] and [subset] memoise
+   through one per-call table on the manager (see [memo]).
 
    A fresh manager is small: 1,024 column slots and 256 entries per
    cache, about 8K words.  Both grow with use (the columns double when
@@ -178,6 +180,21 @@ type cache = {
   mutable c_since : int; (* stores since the last resize/clear *)
 }
 
+(* The per-call memo of the walks that keep nothing in the op caches
+   ([cofactor_shift], [subset]): open addressing over (key, key) pairs,
+   four ints per slot (stamp, key1, key2, value).  A slot belongs to
+   the running walk iff its stamp is the current generation, so
+   starting a walk is one increment, not a clear.  The table doubles
+   at 3/4 load and never shrinks, so it stays as large as the largest
+   walk the manager has run: for [cofactor_shift], the nodes of the
+   transition relation. *)
+type memo = {
+  mutable mm_data : int array;
+  mutable mm_mask : int; (* slots - 1, slots a power of two *)
+  mutable mm_gen : int;  (* stamp of the running walk *)
+  mutable mm_count : int; (* slots the running walk has filled *)
+}
+
 type man = {
   (* --- the node store: struct-of-arrays columns --- *)
   mutable n_var : int array; (* variable, or -1 for a free slot *)
@@ -199,6 +216,7 @@ type man = {
   relprod_cache : cache;
   constrain_cache : cache;
   shift_cache : cache;
+  memo : memo;
   mutable cache_limit : int;
       (* requested per-cache entry bound; [max_int] means unbounded *)
   mutable cache_cap : int;
@@ -278,6 +296,12 @@ let cache_make stride entries =
     c_since = 0;
   }
 
+let memo_initial = 64
+
+let memo_make () =
+  { mm_data = Array.make (4 * memo_initial) 0; mm_mask = memo_initial - 1;
+    mm_gen = 0; mm_count = 0 }
+
 let fresh_sub () = { s_slots = Array.make 16 (-1); s_count = 0 }
 
 (* The placeholder in [subs] past [nvars]: [ensure_var] puts a fresh
@@ -315,6 +339,7 @@ let create ?(unique_size = 1024) ?cache_limit () =
     relprod_cache = cache_make 4 entries0;
     constrain_cache = cache_make 3 entries0;
     shift_cache = cache_make 3 entries0;
+    memo = memo_make ();
     cache_limit = climit;
     cache_cap;
     evictions = 0;
@@ -626,6 +651,52 @@ let cache_reset m c =
 
 let clear_caches m = List.iter (cache_reset m) (caches m)
 
+(* The per-call memo ([memo] above).  Values are handles or flags, all
+   >= 0, so [memo_find]'s -1 is a miss.  A walk adds each key once,
+   after its children, so [memo_add] never meets its own key. *)
+
+let memo_start mm =
+  mm.mm_gen <- mm.mm_gen + 1;
+  mm.mm_count <- 0
+
+let memo_find mm k1 k2 =
+  let d = mm.mm_data and mask = mm.mm_mask and gen = mm.mm_gen in
+  let i = ref (mix2 k1 k2 land mask) and r = ref (-2) in
+  while !r = -2 do
+    let b = 4 * !i in
+    if d.(b) <> gen then r := -1
+    else if d.(b + 1) = k1 && d.(b + 2) = k2 then r := d.(b + 3)
+    else i := (!i + 1) land mask
+  done;
+  !r
+
+let memo_put d mask gen k1 k2 v =
+  let i = ref (mix2 k1 k2 land mask) in
+  while d.(4 * !i) = gen do
+    i := (!i + 1) land mask
+  done;
+  let b = 4 * !i in
+  d.(b) <- gen;
+  d.(b + 1) <- k1;
+  d.(b + 2) <- k2;
+  d.(b + 3) <- v
+
+let memo_add mm k1 k2 v =
+  memo_put mm.mm_data mm.mm_mask mm.mm_gen k1 k2 v;
+  mm.mm_count <- mm.mm_count + 1;
+  if 4 * mm.mm_count > 3 * (mm.mm_mask + 1) then begin
+    let old = mm.mm_data and gen = mm.mm_gen in
+    let slots = 2 * (mm.mm_mask + 1) in
+    let d = Array.make (4 * slots) 0 in
+    for i = 0 to mm.mm_mask do
+      let b = 4 * i in
+      if old.(b) = gen then
+        memo_put d (slots - 1) gen old.(b + 1) old.(b + 2) old.(b + 3)
+    done;
+    mm.mm_data <- d;
+    mm.mm_mask <- slots - 1
+  end
+
 (* ------------------------------------------------------------------ *)
 (* The node store: column allocation and the open-addressing unique
    subtables. *)
@@ -838,7 +909,27 @@ let iff m f g = ite m f g (not_ m g)
 let diff m f g = ite m f (not_ m g) 0
 let conj m fs = List.fold_left (and_ m) 1 fs
 let disj m fs = List.fold_left (or_ m) 0 fs
-let subset m f g = is_zero (diff m f g)
+
+(* Implication without building [diff f g]: walk both diagrams in step
+   and stop at the first path where [f] holds and [g] does not.  Only
+   pairs found to imply are memoised: a counter-path ends the walk. *)
+let subset m f g =
+  let mm = m.memo in
+  memo_start mm;
+  let rec leq f g =
+    if f = 0 || g = 1 || f = g then true
+    else if f = 1 || g = 0 then false
+    else if memo_find mm f g >= 0 then true
+    else begin
+      poll m;
+      let v = m.lvl2var.(min (lvl m f) (lvl m g)) in
+      leq (cof0 m f v) (cof0 m g v)
+      && leq (cof1 m f v) (cof1 m g v)
+      && (memo_add mm f g 1;
+          true)
+    end
+  in
+  leq f g
 
 let restrict m f v b =
   if v < 0 then invalid_arg "Bdd.restrict: negative variable";
@@ -1033,6 +1124,48 @@ let rec shift m f d =
       r
     end
   end
+
+(* One state's successors in one walk: the pinned variables follow
+   their literal and every other variable moves to [v + d], rebuilt as
+   [shift] rebuilds it.  Shared subgraphs are walked once through the
+   per-call memo, and no op cache is probed: the result is the same
+   [shift (restrict ...)] the two passes built, without the nodes of
+   the intermediate cofactor.  A pinned node is only a step towards one
+   child, so it takes no memo entry: its path ends at the first free
+   node, which is memoised. *)
+let cofactor_shift m f ~pin ~d =
+  let np = Array.length pin in
+  let mm = m.memo in
+  memo_start mm;
+  let rec go f =
+    if f < 2 then f
+    else
+      let v = m.n_var.(f) in
+      let p = if v < np then pin.(v) else -1 in
+      if p = 0 then go m.n_lo.(f)
+      else if p = 1 then go m.n_hi.(f)
+      else begin
+        let r = memo_find mm f 0 in
+        if r >= 0 then r
+        else begin
+          poll m;
+          let w = v + d in
+          if w < 0 then
+            invalid_arg "Bdd.cofactor_shift: negative target variable";
+          ensure_var m w;
+          let lo = go m.n_lo.(f) in
+          let hi = go m.n_hi.(f) in
+          let l = m.var2lvl.(w) in
+          let r =
+            if l < lvl m lo && l < lvl m hi then mk m w lo hi
+            else ite m (var m w) hi lo
+          in
+          memo_add mm f 0 r;
+          r
+        end
+      end
+  in
+  go f
 
 let support m f =
   let seen = Hashtbl.create 64 in

@@ -119,7 +119,9 @@ val disj : man -> t list -> t
 (** Disjunction of a list (false for the empty list). *)
 
 val subset : man -> t -> t -> bool
-(** [subset m f g] holds iff f implies g (as state sets: f ⊆ g). *)
+(** [subset m f g] holds iff f implies g (as state sets: f ⊆ g).  It
+    builds no node: the walk stops at the first path on which [f] holds
+    and [g] does not. *)
 
 (** {1 Restriction and quantification} *)
 
@@ -165,6 +167,17 @@ val shift : man -> t -> int -> t
     order; cheapest when each target sits just below its source, as a
     level-adjacent current/next pair does.  Raises [Invalid_argument]
     when a target would be negative. *)
+
+val cofactor_shift : man -> t -> pin:int array -> d:int -> t
+(** [cofactor_shift m f ~pin ~d] fixes each variable [v] with
+    [pin.(v)] = 0 or 1 to that value and renames every other variable
+    [v] (those at or past [Array.length pin] included) to [v + d]: the
+    [shift] of the cofactor, in one walk that builds no intermediate
+    diagram.  With a state's bits pinned on the current copy and
+    [d = -1], it maps the transition relation to the state's successor
+    set.  Its memo lasts one call and lives on the manager; no op cache
+    is probed.  Correct under any variable order.  Raises
+    [Invalid_argument] when a target would be negative. *)
 
 (** {1 Inspection} *)
 

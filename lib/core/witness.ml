@@ -131,54 +131,50 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
     | Some _ | None -> ());
     st :: acc
   in
-  let visit_constraint (acc, current) (r : Ctl.Fair.rings) =
+  let visit_constraint acc (r : Ctl.Fair.rings) (j, first) =
     timed 1 @@ fun () ->
     ring_tick m limits;
-    match min_layer m r.Ctl.Fair.layers (Kripke.successors m current) with
-    | None -> raise (No_witness "EG: no fairness constraint reachable")
-    | Some (j, first) ->
-      let acc = emit acc first in
-      (match (!reach_t, strategy) with
-      | None, Precompute ->
-        reach_t :=
-          Some (Ctl.Check.eu ?limits m egf (Kripke.state_to_bdd m first))
-      | None, Restart | Some _, (Restart | Precompute) -> ());
-      let rest = descend ?limits m r.Ctl.Fair.layers ~start:first ~level:j in
-      let acc = List.fold_left emit acc rest in
-      let current = match acc with st :: _ -> st | [] -> assert false in
-      (acc, current)
+    let acc = emit acc first in
+    (match (!reach_t, strategy) with
+    | None, Precompute ->
+      reach_t :=
+        Some (Ctl.Check.eu ?limits m egf (Kripke.state_to_bdd m first))
+    | None, Restart | Some _, (Restart | Precompute) -> ());
+    let rest = descend ?limits m r.Ctl.Fair.layers ~start:first ~level:j in
+    let acc = List.fold_left emit acc rest in
+    let current = match acc with st :: _ -> st | [] -> assert false in
+    (acc, current)
   in
   (* Visit the nearest constraint first: order rings by the distance
      from [s] to their nearest layer containing a successor of [s];
      recomputing the greedy choice before every segment follows the
      paper ("we choose the first fairness constraint that can be
-     reached"), so segments re-sort dynamically. *)
+     reached"), so segments re-sort dynamically.  The successors of
+     [current] are computed once per choice, and the chosen ring's
+     layer and state start its segment. *)
   let rec rounds acc current remaining =
     match remaining with
     | [] -> (acc, current)
-    | first_r :: _ ->
-      let dist r = timed 0 @@ fun () ->
-        match min_layer m r.Ctl.Fair.layers (Kripke.successors m current) with
-        | Some (j, _) -> j
-        | None -> max_int
+    | _ :: _ ->
+      let succ = Kripke.successors m current in
+      let closer best r =
+        let hit = timed 0 @@ fun () -> min_layer m r.Ctl.Fair.layers succ in
+        match (hit, best) with
+        | None, _ -> best
+        | Some (j, _), Some (_, (bj, _)) when j >= bj -> best
+        | Some hit, _ -> Some (r, hit)
       in
-      let best, best_d =
-        List.fold_left
-          (fun (br, bd) r ->
-            let d = dist r in
-            if d < bd then (r, d) else (br, bd))
-          (first_r, dist first_r)
-          (List.tl remaining)
-      in
-      if best_d = max_int then
-        raise (No_witness "EG: no fairness constraint reachable");
-      let acc, current = visit_constraint (acc, current) best in
-      let remaining' =
-        List.filter
-          (fun r' -> not (Bdd.equal r'.Ctl.Fair.constr best.Ctl.Fair.constr))
-          remaining
-      in
-      rounds acc current remaining'
+      match List.fold_left closer None remaining with
+      | None -> raise (No_witness "EG: no fairness constraint reachable")
+      | Some (best, hit) ->
+        let acc, current = visit_constraint acc best hit in
+        let remaining' =
+          List.filter
+            (fun r' ->
+              not (Bdd.equal r'.Ctl.Fair.constr best.Ctl.Fair.constr))
+            remaining
+        in
+        rounds acc current remaining'
   in
   match rounds [] s rings with
   | exception Early_exit acc -> Failed (List.rev acc)

@@ -1,25 +1,61 @@
 exception Too_large of int
 
+(* The codes of a (current-copy) state set, folded in [Bdd.fold_sat]'s
+   order: variables by level, the [false] branch first.  [vars] holds
+   the current-copy variables in level order. *)
+let fold_codes man vars set ~init ~f =
+  let nv = Array.length vars in
+  let rec go j set code acc =
+    if Bdd.is_zero set then acc
+    else if j = nv then f acc code
+    else begin
+      let v = vars.(j) in
+      let top = (not (Bdd.is_one set)) && Bdd.topvar man set = v in
+      let lo = if top then Bdd.low man set else set
+      and hi = if top then Bdd.high man set else set in
+      let acc = go (j + 1) lo code acc in
+      go (j + 1) hi (code lor (1 lsl (v / 2))) acc
+    end
+  in
+  go 0 set 0 init
+
 let of_kripke ?(max_states = 65536) (m : Kripke.t) =
   let count = Kripke.count_states m m.Kripke.space in
-  if count > float_of_int max_states then
+  if count > float_of_int max_states || m.Kripke.nbits >= Sys.int_size then
     raise (Too_large (int_of_float count));
-  let states = Array.of_list (Kripke.states_in m m.Kripke.space) in
+  let nbits = m.Kripke.nbits in
+  let vars =
+    Bdd.Reorder.order m.Kripke.man
+    |> Array.to_list
+    |> List.filter (fun v -> v mod 2 = 0 && v < 2 * nbits)
+    |> Array.of_list
+  in
+  (* States are indexed by their bits packed into an int (bit [b] of
+     the state is bit [b] of the code), in [Kripke.states_in]'s
+     order. *)
+  let codes =
+    Array.of_list
+      (List.rev
+         (fold_codes m.Kripke.man vars m.Kripke.space ~init:[]
+            ~f:(fun acc code -> code :: acc)))
+  in
+  let states =
+    Array.map (fun c -> Array.init nbits (fun b -> (c lsr b) land 1 = 1)) codes
+  in
   let n = Array.length states in
   let index = Hashtbl.create (2 * n) in
-  Array.iteri (fun i st -> Hashtbl.replace index st i) states;
-  let idx st =
-    match Hashtbl.find_opt index st with
+  Array.iteri (fun i code -> Hashtbl.replace index code i) codes;
+  let idx code =
+    match Hashtbl.find_opt index code with
     | Some i -> i
     | None -> invalid_arg "Bridge.of_kripke: state outside the space"
   in
   let edges = ref [] in
   Array.iteri
     (fun i st ->
-      let succ = Kripke.successors m st in
-      List.iter
-        (fun st' -> edges := (i, idx st') :: !edges)
-        (Kripke.states_in m succ))
+      edges :=
+        fold_codes m.Kripke.man vars (Kripke.successors m st) ~init:!edges
+          ~f:(fun acc code -> (i, idx code) :: acc))
     states;
   let mask_of_set set =
     Array.map (fun st -> Kripke.eval_in_state m set st) states

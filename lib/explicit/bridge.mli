@@ -5,7 +5,9 @@
     two technologies on one workload. *)
 
 exception Too_large of int
-(** Raised by {!of_kripke} when the state space exceeds the bound. *)
+(** Raised by {!of_kripke} when the state space exceeds the bound, or
+    when a state has more bits than an int holds (states are indexed by
+    their bits packed into an int); carries the state count. *)
 
 val of_kripke :
   ?max_states:int ->

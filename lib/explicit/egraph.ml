@@ -22,13 +22,22 @@ let make ~nstates ~edges ~init ?(fairness = []) () =
       if Array.length mask <> nstates then
         invalid_arg "Egraph.make: fairness mask of wrong length")
     fairness;
-  let edges = List.sort_uniq Stdlib.compare edges in
+  (* An edge's key [a * nstates + b] orders edges by source, then
+     target: sorting the int keys puts each adjacency list in order and
+     makes duplicates neighbours. *)
+  let keys =
+    Array.of_list (List.rev_map (fun (a, b) -> (a * nstates) + b) edges)
+  in
+  Array.stable_sort Int.compare keys;
   let out = Array.make nstates [] and inc = Array.make nstates [] in
-  List.iter
-    (fun (a, b) ->
-      out.(a) <- b :: out.(a);
-      inc.(b) <- a :: inc.(b))
-    edges;
+  Array.iteri
+    (fun i k ->
+      if i = 0 || keys.(i - 1) <> k then begin
+        let a = k / nstates and b = k mod nstates in
+        out.(a) <- b :: out.(a);
+        inc.(b) <- a :: inc.(b)
+      end)
+    keys;
   {
     nstates;
     succ = Array.map (fun l -> Array.of_list (List.rev l)) out;

@@ -277,19 +277,35 @@ let var_by_name m name =
 
 let label m name = List.assoc name m.labels
 
-let value_of_state v (st : state) =
+let code_of_state v (st : state) =
+  let bits = v.bits in
   let idx = ref 0 in
-  Array.iteri (fun k b -> if st.(b) then idx := !idx lor (1 lsl k)) v.bits;
-  let idx = !idx in
+  for k = Array.length bits - 1 downto 0 do
+    idx := (!idx lsl 1) lor Bool.to_int st.(bits.(k))
+  done;
+  !idx
+
+let enum_name names code =
+  match List.nth_opt names code with
+  | Some s -> s
+  | None -> invalid_arg "Kripke.value_of_state: invalid enum encoding"
+
+let range_value lo hi code =
+  if lo + code > hi then invalid_arg "Kripke.value_of_state: out of range"
+  else lo + code
+
+let value_of_state v st =
+  let code = code_of_state v st in
   match v.vtype with
-  | Bool -> B (idx <> 0)
-  | Enum names ->
-    (match List.nth_opt names idx with
-    | Some s -> S s
-    | None -> invalid_arg "Kripke.value_of_state: invalid enum encoding")
-  | Range (lo, hi) ->
-    if lo + idx > hi then invalid_arg "Kripke.value_of_state: out of range"
-    else I (lo + idx)
+  | Bool -> B (code <> 0)
+  | Enum names -> S (enum_name names code)
+  | Range (lo, hi) -> I (range_value lo hi code)
+
+let string_of_code v code =
+  match v.vtype with
+  | Bool -> if code <> 0 then "1" else "0"
+  | Enum names -> enum_name names code
+  | Range (lo, hi) -> string_of_int (range_value lo hi code)
 
 let state_to_bdd m (st : state) =
   Bdd.minterm m.man (List.init m.nbits (fun b -> (2 * b, st.(b))))
@@ -360,11 +376,16 @@ let pick_random_state m ~rng set =
     Some st
   end
 
-(* Cofactoring the relation by a full current-state minterm leaves a
-   function of the next copy alone: exactly [exists v. N(v,v') /\ st],
-   without the conjunction or the quantification of an image. *)
-let successors m st =
-  unprime m (Bdd.constrain m.man m.trans (state_to_bdd m st))
+(* Cofactoring the relation by a full current-state assignment leaves
+   a function of the next copy alone: exactly [exists v. N(v,v') /\ st],
+   without the conjunction or the quantification of an image.  The
+   cofactor and the unprime are one walk of [trans]. *)
+let successors m (st : state) =
+  let pin = Array.make (2 * m.nbits) (-1) in
+  for b = 0 to m.nbits - 1 do
+    pin.(2 * b) <- Bool.to_int st.(b)
+  done;
+  Bdd.cofactor_shift m.man m.trans ~pin ~d:(-1)
 
 let pick_successor m st target =
   pick_state m (Bdd.and_ m.man (successors m st) target)

@@ -187,6 +187,18 @@ val value_of_state : var -> state -> value
     encodings of enums / ranges raise [Invalid_argument] (cannot happen
     for states drawn from [space]). *)
 
+val code_of_state : var -> state -> int
+(** A variable's value index in a state: its bits read as a binary
+    number, least significant first.  The index of an enum constant is
+    its position in the declaration, of a range value its offset from
+    the lower bound. *)
+
+val string_of_code : var -> int -> string
+(** [string_of_code v code] is {!string_of_value} of the value with
+    index [code], without building the value.  Raises
+    [Invalid_argument] on an index outside the domain, as
+    {!value_of_state} does. *)
+
 val state_to_bdd : t -> state -> Bdd.t
 (** The singleton set containing a state (a full cube over the current
     copy). *)
@@ -209,9 +221,11 @@ val pick_random_state : t -> rng:Random.State.t -> Bdd.t -> state option
 
 val successors : t -> state -> Bdd.t
 (** [successors m s] — the successor set of one state, equal to
-    [post m (state_to_bdd m s)] but computed by cofactoring the
-    transition relation on the state's cube (no image computation, so
-    it is the same under a partitioned schedule). *)
+    [post m (state_to_bdd m s)] but computed by one
+    {!Bdd.cofactor_shift} walk of the transition relation: the current
+    copy follows the state's bits and the next copy is unprimed on the
+    way (no image computation, so it is the same under a partitioned
+    schedule). *)
 
 val pick_successor : t -> state -> Bdd.t -> state option
 (** [pick_successor m s target] — a successor of [s] inside [target]. *)

@@ -29,37 +29,38 @@ let append a b =
       invalid_arg "Trace.append: traces do not share the junction state";
     { prefix = a.prefix @ rest; cycle = b.cycle }
 
-(* One pass into a buffer: each state is decoded once into a value
-   array and diffed against the previous state's array.  The layout is
-   the vertical-box rendering SMV users know, byte for byte: every
-   changed variable on its own line indented by two, and a line holding
-   just that indentation closing each state. *)
+(* One pass into a buffer: each variable is decoded to its int code and
+   compared with the previous state's code, and only a changed code is
+   turned into text.  The layout is the vertical-box rendering SMV
+   users know, byte for byte: every changed variable on its own line
+   indented by two, and a line holding just that indentation closing
+   each state. *)
 let render (m : Model.t) tr =
   let vars = m.Model.vars in
   let buf = Buffer.create 256 in
+  (* Codes are >= 0, so the first state differs everywhere.  A code
+     equal to the previous one was checked against its domain when it
+     first appeared, so checking changed codes checks them all. *)
+  let prev = Array.make (Array.length vars) (-1) in
   let count = ref 0 in
-  let prev = ref None in
   let add_state loop_start st =
     incr count;
     if loop_start then Buffer.add_string buf "-- loop starts here --\n";
     Buffer.add_string buf "state 1.";
     Buffer.add_string buf (string_of_int !count);
     Buffer.add_string buf ":\n  ";
-    let values = Array.map (fun v -> Model.value_of_state v st) vars in
-    Array.iteri
-      (fun i value ->
-        let changed =
-          match !prev with None -> true | Some p -> p.(i) <> value
-        in
-        if changed then begin
-          Buffer.add_string buf vars.(i).Model.var_name;
-          Buffer.add_string buf " = ";
-          Buffer.add_string buf (Model.string_of_value value);
-          Buffer.add_string buf "\n  "
-        end)
-      values;
-    Buffer.add_char buf '\n';
-    prev := Some values
+    for i = 0 to Array.length vars - 1 do
+      let v = vars.(i) in
+      let code = Model.code_of_state v st in
+      if code <> prev.(i) then begin
+        Buffer.add_string buf v.Model.var_name;
+        Buffer.add_string buf " = ";
+        Buffer.add_string buf (Model.string_of_code v code);
+        Buffer.add_string buf "\n  ";
+        prev.(i) <- code
+      end
+    done;
+    Buffer.add_char buf '\n'
   in
   List.iter (add_state false) tr.prefix;
   List.iteri (fun i st -> add_state (i = 0) st) tr.cycle;

@@ -12,6 +12,7 @@ let default_threshold = 65536
 
 let fits ?(threshold = default_threshold) (m : Kripke.t) =
   Kripke.count_states m m.Kripke.space <= float_of_int threshold
+  && m.Kripke.nbits < Sys.int_size
 
 let build ?max_states m =
   let graph, states, mask = Explicit.Bridge.of_kripke ?max_states m in

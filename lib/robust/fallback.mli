@@ -30,7 +30,9 @@ val fits : ?threshold:int -> Kripke.t -> bool
     [count_states] of the model's [space] — an over-approximation of
     the reachable set, so a [true] answer is conservative, and the
     check costs one weighted BDD count, no fixpoint (the whole point
-    is deciding this while the symbolic engine is drowning). *)
+    is deciding this while the symbolic engine is drowning).  A state
+    must also fit an int ({!Explicit.Bridge.of_kripke} indexes states by
+    their packed bits). *)
 
 val build : ?max_states:int -> Kripke.t -> t
 (** Enumerate the model ([Explicit.Bridge.of_kripke]).  Raises

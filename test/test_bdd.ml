@@ -381,6 +381,33 @@ let prop_subset =
           (fun env -> not (eval_expr env e1) || eval_expr env e2)
           (fun _ -> true))
 
+(* The implication walk answers as the complement-building test did,
+   and allocates nothing. *)
+let prop_subset_no_nodes =
+  prop "subset = is_zero (diff f g), building no node"
+    QCheck2.Gen.(pair expr_gen expr_gen)
+    (fun (e1, e2) ->
+      let f = bdd_of_expr e1 and g = bdd_of_expr e2 in
+      let expected = Bdd.is_zero (Bdd.diff man f g) in
+      let before = Bdd.count_nodes man in
+      let got = Bdd.subset man f g in
+      got = expected && Bdd.count_nodes man = before)
+
+(* [cofactor_shift] is the shift of the cofactor by its pinned
+   literals, whatever is pinned. *)
+let prop_cofactor_shift =
+  prop "cofactor_shift = shift of the restriction"
+    QCheck2.Gen.(pair expr_gen (array_size (return nvars) (int_range (-1) 1)))
+    (fun (e, pin) ->
+      let f = bdd_of_expr e in
+      let restricted = ref f in
+      Array.iteri
+        (fun v p -> if p >= 0 then restricted := Bdd.restrict man !restricted v (p = 1))
+        pin;
+      Bdd.equal
+        (Bdd.cofactor_shift man f ~pin ~d:nvars)
+        (Bdd.shift man !restricted nvars))
+
 let prop_support_sound =
   prop "restricting a non-support variable is the identity"
     QCheck2.Gen.(pair expr_gen (int_bound (nvars - 1)))
@@ -456,6 +483,8 @@ let suite =
     prop_any_sat;
     prop_fold_sat_count;
     prop_subset;
+    prop_subset_no_nodes;
+    prop_cofactor_shift;
     prop_support_sound;
   ]
 
@@ -560,6 +589,33 @@ let test_shift_after_gc () =
   Alcotest.(check bool) "fresh result after gc" true
     (Bdd.equal (Bdd.shift m h 1) (Bdd.var m (k + 1)))
 
+(* The walk's memo lives on the manager: a parity diagram (two nodes
+   per level, 2^40 paths) is walked once per node, in a fresh manager
+   and in one restored from a snapshot; a pinned variable is a step to
+   one child, and a negative target is rejected. *)
+let test_cofactor_shift_memo () =
+  let n = 40 in
+  let m = Bdd.create () in
+  let parity = List.fold_left (Bdd.xor m) (Bdd.zero m) (List.init n (Bdd.var m)) in
+  let check m label =
+    Alcotest.(check bool) label true
+      (Bdd.equal
+         (Bdd.cofactor_shift m parity ~pin:[||] ~d:n)
+         (Bdd.shift m parity n));
+    Alcotest.(check bool) (label ^ ", pinned") true
+      (Bdd.equal
+         (Bdd.cofactor_shift m parity ~pin:[| 1 |] ~d:n)
+         (Bdd.shift m (Bdd.restrict m parity 0 true) n))
+  in
+  check m "fresh manager";
+  let root = Bdd.add_root m (fun () -> [ parity ]) in
+  let restored = Bdd.Snapshot.load (Bdd.Snapshot.dump m) in
+  Bdd.remove_root m root;
+  check restored "restored manager";
+  Alcotest.check_raises "negative target rejected"
+    (Invalid_argument "Bdd.cofactor_shift: negative target variable")
+    (fun () -> ignore (Bdd.cofactor_shift m parity ~pin:[||] ~d:(-1)))
+
 let test_minterm () =
   let lits = [ (3, false); (0, true); (2, true) ] in
   let expect =
@@ -652,6 +708,7 @@ let stats_suite =
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
     Alcotest.test_case "shift negative target" `Quick test_shift_negative;
     Alcotest.test_case "shift after gc" `Quick test_shift_after_gc;
+    Alcotest.test_case "cofactor_shift memo" `Quick test_cofactor_shift_memo;
     Alcotest.test_case "minterm" `Quick test_minterm;
     Alcotest.test_case "eviction canonicity" `Quick test_eviction_canonicity;
     Alcotest.test_case "gc" `Quick test_gc;

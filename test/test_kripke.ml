@@ -374,3 +374,207 @@ let suite =
       Alcotest.test_case "trace rendering bytes" `Quick test_trace_bytes;
       Alcotest.test_case "successors by cofactor" `Quick
         test_successors_are_post ]
+
+(* ------------------------------------------------------------------ *)
+(* One state's successors: the cofactor and the unprime in one walk.   *)
+
+(* An explicit graph's relation in a fresh manager under the order
+   [order_of width] (a permutation of the 2 * width BDD variables), so
+   the walk meets next bits above their current bits. *)
+let graph_model (g : Explicit.Egraph.t) order_of =
+  let n = g.Explicit.Egraph.nstates in
+  let vtype = Kripke.Range (0, n - 1) in
+  let width = Kripke.width vtype in
+  let man = Bdd.create () in
+  Bdd.Reorder.set_order man (order_of width);
+  let code copy i =
+    List.init width (fun k -> ((2 * k) + copy, (i lsr k) land 1 = 1))
+  in
+  let trans =
+    Bdd.disj man
+      (List.concat
+         (List.init n (fun i ->
+              Array.to_list
+                (Array.map
+                   (fun j -> Bdd.minterm man (code 0 i @ code 1 j))
+                   g.Explicit.Egraph.succ.(i)))))
+  in
+  let init =
+    Bdd.disj man (List.map (fun i -> Bdd.minterm man (code 0 i)) g.Explicit.Egraph.init)
+  in
+  let m =
+    Kripke.make ~man
+      ~vars:[ Kripke.mk_var ~name:"s" ~vtype ~first_bit:0 ]
+      ~nbits:width ~init ~trans ()
+  in
+  (m, fun i -> Option.get (Kripke.pick_state m (Bdd.minterm man (code 0 i))))
+
+(* Each next bit directly above its current bit. *)
+let swapped_pairs width = Array.init (2 * width) (fun l -> l lxor 1)
+
+(* Every next bit above every current bit, the next bits in reverse:
+   a shifted variable lands below the ones already rebuilt, so the
+   walk takes its [ite] path. *)
+let next_block_reversed width =
+  Array.init (2 * width) (fun l ->
+      if l < width then (2 * (width - 1 - l)) + 1 else 2 * (l - width))
+
+let successors_are_post m encode n =
+  List.for_all
+    (fun i ->
+      let st = encode i in
+      Bdd.equal (Kripke.successors m st)
+        (Kripke.post m (Kripke.state_to_bdd m st)))
+    (List.init n Fun.id)
+
+let prop_successors_are_post =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"successors = post of the singleton" ~count:200
+       (Models.random_model_gen ~max_states:8 ())
+       (fun rm ->
+         let n = rm.Models.graph.Explicit.Egraph.nstates in
+         let m = rm.Models.sym in
+         let man = m.Kripke.man in
+         (* Two clusters that conjoin to the relation, split on the
+            next copy of bit 0. *)
+         let b0' = Kripke.nxt_bit m 0 in
+         let pm =
+           Kripke.with_partition m
+             [ Bdd.or_ man m.Kripke.trans b0';
+               Bdd.or_ man m.Kripke.trans (Bdd.not_ man b0') ]
+         in
+         let under order =
+           let gm, encode = graph_model rm.Models.graph order in
+           successors_are_post gm encode n
+         in
+         successors_are_post m rm.Models.encode n
+         && successors_are_post pm rm.Models.encode n
+         && under swapped_pairs
+         && under next_block_reversed))
+
+(* The next copy of a 30-bit parity is two nodes per level and 2^30
+   paths: the walk finishes only if it visits each shared node once. *)
+let test_successors_share () =
+  let bits = 30 in
+  let b = Kripke.Builder.create () in
+  let xs =
+    List.init bits (fun i -> Kripke.Builder.bool_var b (Printf.sprintf "x%d" i))
+  in
+  let bman = Kripke.Builder.man b in
+  let parity' =
+    List.fold_left (fun acc x -> Bdd.xor bman acc (Kripke.Builder.v' b x))
+      (Bdd.zero bman) xs
+  in
+  Kripke.Builder.add_trans b
+    (Bdd.iff bman parity' (Kripke.Builder.v b (List.hd xs)));
+  let m = Kripke.Builder.build b in
+  let st = Array.make m.Kripke.nbits false in
+  let succ = Kripke.successors m st in
+  Alcotest.(check bool) "equals post" true
+    (Bdd.equal succ (Kripke.post m (Kripke.state_to_bdd m st)));
+  Alcotest.(check (float 0.5)) "the even-parity states"
+    (Float.pow 2.0 (float_of_int (bits - 1)))
+    (Kripke.count_states m succ)
+
+(* ------------------------------------------------------------------ *)
+(* Rendering on int codes against the value-array renderer it
+   replaced, kept here as the oracle: every state decoded to an array
+   of values and diffed with polymorphic [<>]. *)
+
+let oracle_render (m : Kripke.t) (tr : Kripke.Trace.t) =
+  let vars = m.Kripke.vars in
+  let buf = Buffer.create 256 in
+  let count = ref 0 in
+  let prev = ref None in
+  let add_state loop_start st =
+    incr count;
+    if loop_start then Buffer.add_string buf "-- loop starts here --\n";
+    Buffer.add_string buf "state 1.";
+    Buffer.add_string buf (string_of_int !count);
+    Buffer.add_string buf ":\n  ";
+    let values = Array.map (fun v -> Kripke.value_of_state v st) vars in
+    Array.iteri
+      (fun i value ->
+        let changed =
+          match !prev with None -> true | Some p -> p.(i) <> value
+        in
+        if changed then begin
+          Buffer.add_string buf vars.(i).Kripke.var_name;
+          Buffer.add_string buf " = ";
+          Buffer.add_string buf (Kripke.string_of_value value);
+          Buffer.add_string buf "\n  "
+        end)
+      values;
+    Buffer.add_char buf '\n';
+    prev := Some values
+  in
+  List.iter (add_state false) tr.Kripke.Trace.prefix;
+  List.iteri (fun i st -> add_state (i = 0) st) tr.Kripke.Trace.cycle;
+  Buffer.contents buf
+
+(* A boolean, a three-constant enum and the range 2..6: the enum and
+   the range each leave codes of their width unused. *)
+let render_model =
+  lazy
+    (let b = Kripke.Builder.create () in
+     ignore (Kripke.Builder.bool_var b "flag" : Kripke.var);
+     ignore (Kripke.Builder.enum_var b "mode" [ "idle"; "busy"; "done" ] : Kripke.var);
+     ignore (Kripke.Builder.range_var b "n" 2 6 : Kripke.var);
+     Kripke.Builder.add_trans b (Bdd.one (Kripke.Builder.man b));
+     Kripke.Builder.build b)
+
+(* The state whose variables hold the given codes, in declaration
+   order. *)
+let state_of_codes (m : Kripke.t) codes =
+  let st = Array.make m.Kripke.nbits false in
+  Array.iteri
+    (fun i v ->
+      Array.iteri
+        (fun k b -> st.(b) <- (codes.(i) lsr k) land 1 = 1)
+        v.Kripke.bits)
+    m.Kripke.vars;
+  st
+
+let render m tr = Format.asprintf "%a" (Kripke.Trace.pp m) tr
+
+let prop_render_oracle =
+  let state = QCheck2.Gen.(map (fun (f, md, k) -> [| f; md; k |])
+                             (triple (int_bound 1) (int_bound 2) (int_bound 4))) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"int-code rendering = value-array rendering"
+       ~count:300
+       QCheck2.Gen.(pair (list_size (int_range 1 6) state)
+                      (list_size (int_range 0 4) state))
+       (fun (prefix, cycle) ->
+         let m = Lazy.force render_model in
+         let tr =
+           Kripke.Trace.lasso
+             ~prefix:(List.map (state_of_codes m) prefix)
+             ~cycle:(List.map (state_of_codes m) cycle)
+         in
+         render m tr = oracle_render m tr))
+
+let test_render_invalid_code () =
+  let m = Lazy.force render_model in
+  let valid = state_of_codes m [| 0; 1; 2 |] in
+  let bad_enum = state_of_codes m [| 0; 3; 2 |] in
+  let bad_range = state_of_codes m [| 1; 1; 5 |] in
+  List.iter
+    (fun (label, msg, st) ->
+      let tr = Kripke.Trace.finite [ valid; st ] in
+      Alcotest.check_raises label (Invalid_argument msg) (fun () ->
+          ignore (render m tr : string));
+      Alcotest.check_raises (label ^ " (oracle)") (Invalid_argument msg)
+        (fun () -> ignore (oracle_render m tr : string)))
+    [ ("invalid enum code", "Kripke.value_of_state: invalid enum encoding",
+       bad_enum);
+      ("invalid range code", "Kripke.value_of_state: out of range", bad_range) ]
+
+let suite =
+  suite
+  @ [ prop_successors_are_post;
+      Alcotest.test_case "successors share subgraphs" `Quick
+        test_successors_share;
+      prop_render_oracle;
+      Alcotest.test_case "rendering rejects invalid codes" `Quick
+        test_render_invalid_code ]
