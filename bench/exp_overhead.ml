@@ -14,8 +14,8 @@
    philosophers row is perfbench's fair-lasso model: six philosophers,
    one fairness constraint each, and two false liveness specs per
    philosopher whose counterexamples are fair lassos.  Each row also
-   splits the trace time of its fair-EG lassos
-   ([Counterex.Witness.phase_seconds]) into nearest-constraint choice,
+   splits the trace time of its fair-EG lassos (the phase seconds of
+   their [Counterex.Witness.stats]) into nearest-constraint choice,
    descents and closing sweeps; the rings they descend are the
    verdict's own, kept by its fair-EG fixpoint.  The two
    SMV rows also time what [smv_check --certify] does with each trace
@@ -35,20 +35,26 @@ let phase_names = [ "choice_s"; "descents_s"; "closing_s" ]
    under [--certify]: render each, then certify each. *)
 type evidence = { render : unit -> unit; certify : unit -> unit }
 
+(* The seconds of each phase, summed over a run's fair-EG lassos. *)
+let phase_sums (stats : Counterex.Witness.stats list) =
+  let sum f = List.fold_left (fun acc st -> acc +. f st) 0.0 stats in
+  Counterex.Witness.
+    [| sum (fun st -> st.choice_s); sum (fun st -> st.descents_s);
+       sum (fun st -> st.closing_s) |]
+
 (* [setup] builds a fresh model for every run, so neither op-cache hits
    nor memoised fair states carry over from one run to the next.
-   [trace] returns the row's evidence steps, if it has any. *)
+   [trace] returns the row's evidence steps, if it has any, and the
+   stats of the fair-EG lassos it built. *)
 let row name ~setup ~check ~trace =
-  let phases = Counterex.Witness.phase_seconds in
   let once () =
     let x = setup () in
     let eu0 = eu_iterations () in
     let (), t_check = Harness.time_once (fun () -> check x) in
     let eu1 = eu_iterations () in
-    Array.fill phases 0 (Array.length phases) 0.0;
-    let evidence, t_trace = Harness.time_once (fun () -> trace x) in
+    let (evidence, lassos), t_trace = Harness.time_once (fun () -> trace x) in
     let eu2 = eu_iterations () in
-    let phases = Array.copy phases in
+    let phases = phase_sums lassos in
     let t_evidence =
       Option.map
         (fun ev ->
@@ -120,18 +126,24 @@ let specs m formulas =
 let decide specs =
   List.iter (fun s -> s.holds <- Counterex.Explain.holds s.memo s.formula) specs
 
-(* Each spec's trace, paired with its spec. *)
-let explain m =
-  List.filter_map (fun s ->
-      let memo = s.memo in
-      let tr =
-        match (s.holds, s.formula) with
-        | true, (Ctl.EF _ | Ctl.EX _ | Ctl.EG _ | Ctl.EU _) ->
-          Counterex.Explain.witness ~memo m s.formula
-        | true, _ -> None
-        | false, _ -> Counterex.Explain.counterexample ~memo m s.formula
-      in
-      Option.map (fun tr -> (s, tr)) tr)
+(* Each spec's trace, paired with its spec, and the stats of the
+   fair-EG lassos they took. *)
+let explain m specs =
+  let traces =
+    List.filter_map
+      (fun s ->
+        let memo = s.memo in
+        let tr =
+          match (s.holds, s.formula) with
+          | true, (Ctl.EF _ | Ctl.EX _ | Ctl.EG _ | Ctl.EU _) ->
+            Counterex.Explain.witness ~memo m s.formula
+          | true, _ -> None
+          | false, _ -> Counterex.Explain.counterexample ~memo m s.formula
+        in
+        Option.map (fun tr -> (s, tr)) tr)
+      specs
+  in
+  (traces, List.concat_map (fun s -> Counterex.Explain.lasso_stats s.memo) specs)
 
 (* Render and certify the traces as [smv_check --certify] prints and
    checks them; a trace that does not certify stops the experiment. *)
@@ -162,7 +174,9 @@ let smv_row name source =
       let m = c.Smv.Compile.model in
       (m, specs m (List.map snd c.Smv.Compile.specs)))
     ~check:(fun (_, ss) -> decide ss)
-    ~trace:(fun (m, ss) -> Some (evidence m (explain m ss)))
+    ~trace:(fun (m, ss) ->
+      let traces, lassos = explain m ss in
+      (Some (evidence m traces), lassos))
 
 (* witness-deep's fixed EF targets. *)
 let deep_targets = [ 959; 1021 ]
@@ -237,14 +251,23 @@ let philosophers n =
   done;
   Buffer.contents b
 
-(* Two tiny SMV rows with certified traces, so the code that measures
-   the deep and philosophers rows runs under [--smoke]: a 6-bit counter
-   (the fixed targets read modulo 64: EF of 61 and 63) and three
-   philosophers.  A trace that does not certify fails the smoke run. *)
+(* Three tiny SMV rows with certified traces, so the code that
+   measures the deep and philosophers rows runs under [--smoke]: a 6-bit
+   counter (the fixed targets read modulo 64: EF of 61 and 63), three
+   philosophers, and a three-user arbiter whose [AG (req1 -> AF !req1)]
+   fails with a lasso.  The first two models keep bit order, so their
+   traces pick each state off one walk; the arbiter's proximity order
+   does not, so its trace takes the per-bit pick, and the smoke run
+   fails if it ever keeps bit order.  A trace that does not certify
+   fails the smoke run too. *)
 let smoke () =
+  let arbiter = Workloads.arbiter_smv 3 in
   match
     ignore (smv_row "counter-6 EF deep" (deep_counter 6) : string list);
-    ignore (smv_row "philosophers-3 fair lasso" (philosophers 3) : string list)
+    ignore (smv_row "philosophers-3 fair lasso" (philosophers 3) : string list);
+    ignore (smv_row "arbiter-3 liveness lasso" arbiter : string list);
+    if (Smv.load_string arbiter).Smv.Compile.model.Kripke.bit_order then
+      failwith "E8: the arbiter row keeps bit order; no trace took the per-bit pick"
   with
   | () ->
     Format.printf "bench-smoke: E8 rows OK (every trace certified)@.";
@@ -266,7 +289,7 @@ let run ~full =
          let arb = Circuit.Arbiter.model arb_users in
          (arb, specs arb [ arb_spec ]))
        ~check:(fun (_, ss) -> decide ss)
-       ~trace:(fun (arb, ss) -> ignore (explain arb ss); None));
+       ~trace:(fun (arb, ss) -> (None, snd (explain arb ss))));
   (* Fair EG witness on the SCC chain, descending the verdict's rings. *)
   let chain =
     Workloads.scc_chain ~fair_last:true ~components:(if full then 10 else 6)
@@ -280,10 +303,11 @@ let run ~full =
        ~check:(fun (cm, _, hull) ->
          hull := Some (Ctl.Fair.eg_rings cm cm.Kripke.space))
        ~trace:(fun (cm, encode, hull) ->
-         ignore
-           (Counterex.Witness.eg ?hull:!hull cm ~f:cm.Kripke.space
-              ~start:(encode 0));
-         None));
+         let _, stats =
+           Counterex.Witness.eg_stats ?hull:!hull cm ~f:cm.Kripke.space
+             ~start:(encode 0)
+         in
+         (None, [ stats ])));
   (* CTL* witness. *)
   let togglers = if full then 7 else 5 in
   let setup () =
@@ -301,8 +325,7 @@ let run ~full =
     (row "ctlstar 3 conjuncts" ~setup
        ~check:(fun (tog, cs, _) -> ignore (Ctlstar.Gffg.check tog cs))
        ~trace:(fun (tog, cs, start) ->
-         ignore (Ctlstar.Gffg.witness tog cs ~start);
-         None));
+         (None, [ snd (Ctlstar.Gffg.witness_stats tog cs ~start) ])));
   (* Fair lassos: the starvation counterexamples. *)
   add (smv_row "philosophers-6 fair lasso" (philosophers 6));
   (* Deep EF witnesses on the counter, last: its garbage would skew the

@@ -25,8 +25,9 @@
    never change — caches only affect sharing of work — so a displaced
    entry merely forces recomputation.  [ite] keys its cache by a
    standard triple (see [ite]), so equivalent calls share an entry.
-   Two walks probe no op cache: [cofactor_shift] and [subset] memoise
-   through one per-call table on the manager (see [memo]).
+   Three walks probe no op cache: [cofactor_shift], [subset] and
+   [least_meet] memoise through one per-call table on the manager (see
+   [memo]).
 
    A fresh manager is small: 1,024 column slots and 256 entries per
    cache, about 8K words.  Both grow with use (the columns double when
@@ -181,13 +182,13 @@ type cache = {
 }
 
 (* The per-call memo of the walks that keep nothing in the op caches
-   ([cofactor_shift], [subset]): open addressing over (key, key) pairs,
-   four ints per slot (stamp, key1, key2, value).  A slot belongs to
-   the running walk iff its stamp is the current generation, so
-   starting a walk is one increment, not a clear.  The table doubles
-   at 3/4 load and never shrinks, so it stays as large as the largest
-   walk the manager has run: for [cofactor_shift], the nodes of the
-   transition relation. *)
+   ([cofactor_shift], [subset], [least_meet]): open addressing over
+   (key, key) pairs, four ints per slot (stamp, key1, key2, value).  A
+   slot belongs to the running walk iff its stamp is the current
+   generation, so starting a walk is one increment, not a clear.  The
+   table doubles at 3/4 load and never shrinks, so it stays as large as
+   the largest walk the manager has run: for [cofactor_shift], the
+   nodes of the transition relation. *)
 type memo = {
   mutable mm_data : int array;
   mutable mm_mask : int; (* slots - 1, slots a power of two *)
@@ -1166,6 +1167,70 @@ let cofactor_shift m f ~pin ~d =
       end
   in
   go f
+
+(* The least common point of [f], its pinned variables following their
+   literal, and of [g] read at [v + d]: a depth-first search over
+   (f node, g node) pairs in level order that tries [false] first.  A
+   non-zero pair of reduced diagrams need not meet, so a pair whose two
+   branches both fail is memoised as dead and never walked again; the
+   walk builds no node.  [above] is the level the pair was reached
+   through: a shifted [g] node that does not sit below it would make
+   the path test a variable twice. *)
+let least_meet m f ~pin g ~d path =
+  let np = Array.length pin and npath = Array.length path in
+  let mm = m.memo in
+  memo_start mm;
+  let rec follow f =
+    if f < 2 then f
+    else
+      let v = m.n_var.(f) in
+      let p = if v < np then pin.(v) else -1 in
+      if p = 0 then follow m.n_lo.(f)
+      else if p = 1 then follow m.n_hi.(f)
+      else f
+  in
+  let rec go f g above =
+    let f = follow f in
+    if f = 0 || g = 0 then false
+    else if f = 1 && g = 1 then true
+    else if memo_find mm f g >= 0 then false
+    else begin
+      poll m;
+      let lf = lvl m f in
+      let lg =
+        if g < 2 then max_int
+        else begin
+          let w = m.n_var.(g) + d in
+          if w < 0 then invalid_arg "Bdd.least_meet: negative target variable";
+          if w < np && pin.(w) >= 0 then
+            invalid_arg "Bdd.least_meet: g meets a pinned variable";
+          ensure_var m w;
+          m.var2lvl.(w)
+        end
+      in
+      let l = min lf lg in
+      if l <= above then
+        invalid_arg "Bdd.least_meet: the shift breaks g's level order";
+      let v = m.lvl2var.(l) in
+      if v >= npath then invalid_arg "Bdd.least_meet: path too short";
+      let f0 = if lf = l then m.n_lo.(f) else f
+      and f1 = if lf = l then m.n_hi.(f) else f
+      and g0 = if lg = l then m.n_lo.(g) else g
+      and g1 = if lg = l then m.n_hi.(g) else g in
+      path.(v) <- 0;
+      go f0 g0 l
+      || begin
+        path.(v) <- 1;
+        go f1 g1 l
+        || begin
+          path.(v) <- -1;
+          memo_add mm f g 0;
+          false
+        end
+      end
+    end
+  in
+  go f g (-1)
 
 let support m f =
   let seen = Hashtbl.create 64 in

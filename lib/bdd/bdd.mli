@@ -179,6 +179,23 @@ val cofactor_shift : man -> t -> pin:int array -> d:int -> t
     is probed.  Correct under any variable order.  Raises
     [Invalid_argument] when a target would be negative. *)
 
+val least_meet : man -> t -> pin:int array -> t -> d:int -> int array -> bool
+(** [least_meet m f ~pin g ~d path] looks for the least assignment, in
+    level order with [false] before [true], on which [f] (each variable
+    [v] with [pin.(v)] = 0 or 1 fixed to that value) and [g] (each
+    variable [v] read as [v + d]) both hold.  It returns [false] when
+    there is none; otherwise it sets [path.(v)] to 0 or 1 for each
+    variable the found path tests and returns [true].  The caller fills
+    [path] with -1 first: an untested variable keeps it and is free.
+    With a state's bits pinned on the current copy of the transition
+    relation and a state set as [g] with [d = 1], it reads the least
+    successor inside the set off one walk.  Builds no node; its memo
+    lasts one call and lives on the manager, as {!cofactor_shift}'s.
+    Raises [Invalid_argument] when the walk meets a variable of [g]
+    whose shift is pinned or negative, or sits above a variable the path
+    has already tested (the shift does not keep [g]'s level order), or
+    when [path] is too short for a variable the walk tests. *)
+
 (** {1 Inspection} *)
 
 val support : man -> t -> int list

@@ -89,7 +89,10 @@ type memo = {
   rings : (Bdd.t * Bdd.t, Ctl.Check.sweep) Hashtbl.t;
   eus : (Ctl.t, Bdd.t * Bdd.t) Hashtbl.t;
   hulls : (Bdd.t, Bdd.t * Ctl.Fair.rings list) Hashtbl.t;
-  lassos : (Bdd.t * Kripke.state, Kripke.state list * Kripke.state list) Hashtbl.t;
+  lassos :
+    ( Bdd.t * Kripke.state,
+      Kripke.state list * Kripke.state list * Witness.stats )
+    Hashtbl.t;
   mutable layers : int;
 }
 
@@ -117,6 +120,8 @@ let clear mm =
   mm.layers <- 0
 
 let size mm = (Hashtbl.length mm.sets, mm.layers)
+
+let lasso_stats mm = Hashtbl.fold (fun _ (_, _, st) acc -> st :: acc) mm.lassos []
 
 (* Keys and values alike: a gc that roots these keeps the memo usable,
    since no key's handle can be recycled for another set. *)
@@ -273,10 +278,13 @@ let with_ops ?limits ?memo:given m k =
           (Witness.eu ?limits ?rings m ~f ~g ~start).prefix);
       eg =
         (fun ~f ~start ->
-          lookup mm.lassos (f, start) (fun () ->
-              let hull = Hashtbl.find_opt mm.hulls f in
-              let tr = Witness.eg ?limits ?hull m ~f ~start in
-              (tr.prefix, tr.cycle)));
+          let prefix, cycle, _ =
+            lookup mm.lassos (f, start) (fun () ->
+                let hull = Hashtbl.find_opt mm.hulls f in
+                let tr, st = Witness.eg_stats ?limits ?hull m ~f ~start in
+                (tr.prefix, tr.cycle, st))
+          in
+          (prefix, cycle));
     }
   in
   Bdd.with_root bman (fun () -> roots mm) (fun () -> k ops)

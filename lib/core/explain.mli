@@ -88,6 +88,10 @@ val size : memo -> int * int
     layers of its [EU]s (converged or not) and fair [EG]s.  Two field
     reads, so a racy read from another domain is harmless. *)
 
+val lasso_stats : memo -> Witness.stats list
+(** The {!Witness.eg_stats} of every fair-[EG] lasso the memo holds:
+    its rounds and the seconds each phase of its construction took. *)
+
 val roots : memo -> Bdd.t list
 (** Every diagram the memo holds, keys included: its values (the
     layers of unconverged rings among them), the [Pred] sets inside its

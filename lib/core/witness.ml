@@ -5,6 +5,9 @@ type strategy = Restart | Precompute
 type stats = {
   restarts : int;
   rounds : int;
+  choice_s : float;
+  descents_s : float;
+  closing_s : float;
 }
 
 exception
@@ -16,12 +19,12 @@ exception
 
 let in_set m set st = Kripke.eval_in_state m set st
 
-let phase_seconds = Array.make 3 0.0
-
-let timed i k =
+(* Seconds one lasso construction spent in each phase of {!stats}
+   (choice, descents, closing), kept by the construction itself. *)
+let timed phases i k =
   let t0 = Bdd.now_monotonic () in
   Fun.protect k ~finally:(fun () ->
-      phase_seconds.(i) <- phase_seconds.(i) +. Bdd.now_monotonic () -. t0)
+      phases.(i) <- phases.(i) +. Bdd.now_monotonic () -. t0)
 
 (* Charge one ring-descent segment against the optional resource
    limits (shared by every descent below). *)
@@ -63,17 +66,15 @@ let min_layer m (layers : Bdd.t array) set =
    state; returns the states strictly after [start], in order.  A state
    in [Q_j] but not in [Q_(j-1)] is an [f]-state with a successor in
    [Q_(j-1)] and none in [Q_(j-2)] (else it would lie in [Q_(j-1)]), so
-   each step intersects [layers.(j-1)] alone and the picked successor's
-   least layer is again [j-1]: one intersection per step, a linear
-   descent. *)
+   each step picks a successor in [layers.(j-1)] alone and the picked
+   successor's least layer is again [j-1]: a linear descent, one
+   {!Kripke.pick_successor} per step. *)
 let descend ?limits m layers ~start ~level:j0 =
-  let bman = m.Kripke.man in
   let rec go acc st j =
     if j = 0 then List.rev acc
     else begin
       ring_tick m limits;
-      let below = Bdd.and_ bman layers.(j - 1) (Kripke.successors m st) in
-      match Kripke.pick_state m below with
+      match Kripke.pick_successor m st layers.(j - 1) with
       | Some next -> go (next :: acc) next (j - 1)
       | None -> raise (No_witness "internal: ring descent stuck")
     end
@@ -89,10 +90,8 @@ let level_of m layers st =
 (* EX and EU (no fairness).                                            *)
 
 let ex ?limits m ~f ~start =
-  let bman = m.Kripke.man in
   ring_tick m limits;
-  let target = Bdd.and_ bman (Kripke.successors m start) f in
-  match Kripke.pick_state m target with
+  match Kripke.pick_successor m start f with
   | Some next -> Kripke.Trace.finite [ start; next ]
   | None -> raise (No_witness "EX: start state has no successor in f")
 
@@ -121,7 +120,8 @@ type round_outcome =
       (** round states walked before giving up; restart at their last
           (or at [s] if empty — impossible, rounds always move) *)
 
-let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
+let run_round ?limits m ~phases ~strategy ~f ~egf
+    ~(rings : Ctl.Fair.rings list) s =
   let exception Early_exit of Kripke.state list in
   (* Precompute strategy: set once [t] is known. *)
   let reach_t = ref None in
@@ -132,7 +132,7 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
     st :: acc
   in
   let visit_constraint acc (r : Ctl.Fair.rings) (j, first) =
-    timed 1 @@ fun () ->
+    timed phases 1 @@ fun () ->
     ring_tick m limits;
     let acc = emit acc first in
     (match (!reach_t, strategy) with
@@ -158,7 +158,9 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
     | _ :: _ ->
       let succ = Kripke.successors m current in
       let closer best r =
-        let hit = timed 0 @@ fun () -> min_layer m r.Ctl.Fair.layers succ in
+        let hit =
+          timed phases 0 @@ fun () -> min_layer m r.Ctl.Fair.layers succ
+        in
         match (hit, best) with
         | None, _ -> best
         | Some (j, _), Some (_, (bj, _)) when j >= bj -> best
@@ -193,7 +195,7 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
        backward iteration: the rings are not charged twice (the
        attached limits' deadline and cancellation still poll inside
        every BDD operation). *)
-    timed 2 @@ fun () ->
+    timed phases 2 @@ fun () ->
     let t_set = Kripke.state_to_bdd m t in
     let succ = Kripke.successors m s' in
     if not (Ctl.Check.reaches ?limits m ~f ~from:succ ~target:t_set) then
@@ -221,13 +223,14 @@ let eg_stats ?limits ?hull ?(strategy = Restart) ?(max_restarts = 1_000_000)
      states; [max_restarts] is a hard backstop against implementation
      bugs.  On exhaustion the collected prefix and round counts are
      preserved in the exception so the failure is diagnosable. *)
+  let phases = Array.make 3 0.0 in
   let rec loop prefix_rev s restarts =
     if restarts > max_restarts then
       raise
         (Restart_bound_exceeded
            { restarts; rounds = restarts; prefix = List.rev prefix_rev });
     note_progress limits prefix_rev;
-    match run_round ?limits m ~strategy ~f ~egf ~rings s with
+    match run_round ?limits m ~phases ~strategy ~f ~egf ~rings s with
     | Closed (round_states, closing) ->
       let prefix = List.rev prefix_rev in
       (* closing = u .. t ; drop the final t (it opens the cycle). *)
@@ -237,7 +240,9 @@ let eg_stats ?limits ?hull ?(strategy = Restart) ?(max_restarts = 1_000_000)
         | [] -> []
       in
       let cycle = round_states @ closing_body in
-      (Kripke.Trace.lasso ~prefix ~cycle, { restarts; rounds = restarts + 1 })
+      ( Kripke.Trace.lasso ~prefix ~cycle,
+        { restarts; rounds = restarts + 1; choice_s = phases.(0);
+          descents_s = phases.(1); closing_s = phases.(2) } )
     | Failed round_states ->
       let s' =
         match List.rev round_states with

@@ -34,6 +34,9 @@ type strategy =
 type stats = {
   restarts : int;  (** completed constraint rounds that failed to close *)
   rounds : int;    (** total constraint-visiting rounds (restarts + 1) *)
+  choice_s : float;  (** seconds in nearest-constraint choices *)
+  descents_s : float;  (** seconds in descents into constraints *)
+  closing_s : float;  (** seconds in closing sweeps and their descents *)
 }
 
 exception
@@ -45,11 +48,6 @@ exception
 (** Raised by {!eg_stats} / {!eg} when the construction exceeds its
     restart bound, preserving the work done so far for diagnosis
     (unlike {!No_witness}, which reports contract violations). *)
-
-val phase_seconds : float array
-(** Seconds {!eg_stats} spent (process-wide; zeroed by the caller) in
-    nearest-constraint choices, descents into constraints, and closing
-    sweeps with their descents. *)
 
 val ex :
   ?limits:Bdd.Limits.t ->
@@ -95,7 +93,7 @@ val eg_stats :
   Kripke.Trace.t * stats
 (** Like {!eg} but also reports how many rounds the construction
     needed — the quantity the strategy ablation (experiment E3)
-    measures.  [max_restarts] (default one million, a backstop far
+    measures — and where its time went (experiment E8).  [max_restarts] (default one million, a backstop far
     above the state-count bound on legitimate restarts) caps the failed
     rounds; exceeding it raises {!Restart_bound_exceeded} with the
     collected prefix and counts. *)

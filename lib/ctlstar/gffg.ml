@@ -133,7 +133,7 @@ let resolved_conjuncts ?limits m cs ~start =
       | Took_gf -> (choice, c.gf))
     choices cs
 
-let witness ?limits m cs ~start =
+let witness_stats ?limits m cs ~start =
   let bman = m.Kripke.man in
   let resolved = resolved_conjuncts ?limits m cs ~start in
   let ps =
@@ -162,8 +162,12 @@ let witness ?limits m cs ~start =
     | st :: _ -> st
     | [] -> assert false
   in
-  let lasso = Counterex.Witness.eg ?limits ~hull m' ~f:qs ~start:anchor in
-  Kripke.Trace.append prefix lasso
+  let lasso, stats =
+    Counterex.Witness.eg_stats ?limits ~hull m' ~f:qs ~start:anchor
+  in
+  (Kripke.Trace.append prefix lasso, stats)
+
+let witness ?limits m cs ~start = fst (witness_stats ?limits m cs ~start)
 
 let witness_ok m cs tr =
   Counterex.Validate.path_ok m tr = Ok ()

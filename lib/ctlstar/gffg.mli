@@ -56,6 +56,14 @@ val witness :
     on the cycle, every resolved [GF p] set is visited and every
     resolved [FG q] set contains all cycle states. *)
 
+val witness_stats :
+  ?limits:Bdd.Limits.t ->
+  Kripke.t ->
+  conjunct list ->
+  start:Kripke.state ->
+  Kripke.Trace.t * Counterex.Witness.stats
+(** {!witness} and the {!Counterex.Witness.eg_stats} of its lasso. *)
+
 val witness_ok : Kripke.t -> conjunct list -> Kripke.Trace.t -> bool
 (** Independent validation: the trace is a valid lasso of the model and
     its cycle satisfies every conjunct ([gf] hit at least once, or all

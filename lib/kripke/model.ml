@@ -45,6 +45,12 @@ type t = {
      whole life — a warm check server reuses it across requests.  Same
      rooting story as [fair_memo]. *)
   mutable reach_memo : Bdd.t option;
+  (* Whether both copies' variables sit at levels that increase with
+     bit index ([bit_order_of]): then the least state in bit-index
+     order is the least path in level order.  The manager's order is
+     installed before its first node and never moves, so the flag,
+     computed once with the model, stays true to it. *)
+  bit_order : bool;
 }
 
 (* Every BDD a model owns, for GC root registration: as long as the
@@ -115,6 +121,18 @@ let var_space man v =
     Bdd.disj man
       (List.init n (fun i -> bits_encode man v.bits ~primed:false i))
 
+let bit_order_of man nbits =
+  let order = Bdd.Reorder.order man in
+  let level = Array.make (Array.length order) 0 in
+  Array.iteri (fun l v -> level.(v) <- l) order;
+  let rec ok b =
+    b + 1 >= nbits
+    || level.(2 * b) < level.((2 * b) + 2)
+       && level.((2 * b) + 1) < level.((2 * b) + 3)
+       && ok (b + 1)
+  in
+  ok 0
+
 let make ~man ~vars ~nbits ?space ~init ~trans ?(fairness = []) ?(labels = [])
     () =
   let vars = Array.of_list vars in
@@ -135,13 +153,14 @@ let make ~man ~vars ~nbits ?space ~init ~trans ?(fairness = []) ?(labels = [])
   let trans = Bdd.conj man [ trans; space; Bdd.shift man space 1 ] in
   let init = Bdd.and_ man init space in
   let fairness = List.map (Bdd.and_ man space) fairness in
+  let nxt_cube = nxt_cube_of man nbits in
+  let cur_cube = cur_cube_of man nbits in
   register_roots
     {
-      man; vars; nbits; space; init; trans;
-      cur_cube = cur_cube_of man nbits;
-      nxt_cube = nxt_cube_of man nbits;
+      man; vars; nbits; space; init; trans; cur_cube; nxt_cube;
       pre_schedule = None; post_schedule = None;
       fairness; labels; fair_memo = None; reach_memo = None;
+      bit_order = bit_order_of man nbits;
     }
 
 (* Eliminate variables cluster by cluster: each step conjoins its
@@ -310,16 +329,17 @@ let string_of_code v code =
 let state_to_bdd m (st : state) =
   Bdd.minterm m.man (List.init m.nbits (fun b -> (2 * b, st.(b))))
 
-let pick_state m set =
+(* The least state in bit-index order, whatever the variable order:
+   cofactor the current-copy bits 0..nbits-1 in turn, taking [false]
+   whenever the set allows it.  (A path read off the diagram is least
+   in *level* order, so under an order that is not bit order the
+   representative, and with it every trace, would depend on the order
+   the compiler installed.)  [pick_state] and [pick_successor] return
+   what it returns, and off bit order it is their only path. *)
+let pick_by_bits m set =
   let set = Bdd.and_ m.man set m.space in
   if Bdd.is_zero set then None
   else begin
-    (* The least state in bit-index order, whatever the variable order:
-       cofactor the current-copy bits 0..nbits-1 in turn, taking
-       [false] whenever the set allows it.  (A cube read off the
-       diagram would be least in *level* order, so the representative,
-       and with it every trace, would depend on the order the compiler
-       installed.) *)
     let st = Array.make m.nbits false in
     let cur = ref set in
     for b = 0 to m.nbits - 1 do
@@ -337,6 +357,31 @@ let pick_state m set =
       invalid_arg "Kripke.pick_state: set constrains next-state variables";
     Some st
   end
+
+exception Off_bit_order
+
+(* Under bit order, the least path of [Bdd.least_meet] is the
+   reference's state, read off the [copy] its bits branch on, so long
+   as the path tests no variable of the other copy (a set that
+   constrains it, which the reference may reject) and the walk accepts
+   its operands; otherwise [Off_bit_order] sends the caller to the
+   reference. *)
+let least_state m f ~pin g ~d ~copy =
+  let path = Array.make (2 * m.nbits) (-1) in
+  match Bdd.least_meet m.man f ~pin g ~d path with
+  | exception Invalid_argument _ -> raise Off_bit_order
+  | false -> None
+  | true ->
+    for b = 0 to m.nbits - 1 do
+      if path.((2 * b) + 1 - copy) >= 0 then raise Off_bit_order
+    done;
+    Some (Array.init m.nbits (fun b -> path.((2 * b) + copy) = 1))
+
+let pick_state m set =
+  if not m.bit_order then pick_by_bits m set
+  else
+    try least_state m set ~pin:[||] m.space ~d:0 ~copy:0
+    with Off_bit_order -> pick_by_bits m set
 
 (* Uniform random member of a state set, without enumerating it: walk
    the current-copy bits in order, choosing each bit with probability
@@ -369,26 +414,38 @@ let pick_random_state m ~rng set =
       st.(b) <- take_true;
       cur := if take_true then f1 else f0
     done;
-    (* Same guard as {!pick_state}: a state set must constrain
+    (* Same guard as [pick_by_bits]: a state set must constrain
        current-copy variables only. *)
     if not (Bdd.eval m.man set (fun v -> v mod 2 = 0 && st.(v / 2))) then
       invalid_arg "Kripke.pick_random_state: set constrains next-state variables";
     Some st
   end
 
-(* Cofactoring the relation by a full current-state assignment leaves
-   a function of the next copy alone: exactly [exists v. N(v,v') /\ st],
-   without the conjunction or the quantification of an image.  The
-   cofactor and the unprime are one walk of [trans]. *)
-let successors m (st : state) =
+let pin_state m (st : state) =
   let pin = Array.make (2 * m.nbits) (-1) in
   for b = 0 to m.nbits - 1 do
     pin.(2 * b) <- Bool.to_int st.(b)
   done;
-  Bdd.cofactor_shift m.man m.trans ~pin ~d:(-1)
+  pin
 
+(* Cofactoring the relation by a full current-state assignment leaves
+   a function of the next copy alone: exactly [exists v. N(v,v') /\ st],
+   without the conjunction or the quantification of an image.  The
+   cofactor and the unprime are one walk of [trans]. *)
+let successors m st =
+  Bdd.cofactor_shift m.man m.trans ~pin:(pin_state m st) ~d:(-1)
+
+(* [pick_by_bits] of the successors inside [target].  Under bit order
+   it is one walk of the relation, its current copy pinned to [st], and
+   of [target] read on the next copy: no successor set, no meet, no
+   cofactor is built.  [trans] confines both endpoints to [space], so
+   the walk needs no third operand. *)
 let pick_successor m st target =
-  pick_state m (Bdd.and_ m.man (successors m st) target)
+  let by_bits () = pick_by_bits m (Bdd.and_ m.man target (successors m st)) in
+  if not m.bit_order then by_bits ()
+  else
+    try least_state m m.trans ~pin:(pin_state m st) target ~d:1 ~copy:1
+    with Off_bit_order -> by_bits ()
 
 let states_in m set =
   let set = Bdd.and_ m.man set m.space in
@@ -444,6 +501,8 @@ let skeleton m =
 
 let of_skeleton ~man sk =
   let steps = List.map (fun (cluster, quant) -> { cluster; quant }) in
+  let nxt_cube = nxt_cube_of man sk.sk_nbits in
+  let cur_cube = cur_cube_of man sk.sk_nbits in
   register_roots
     {
       man;
@@ -452,12 +511,13 @@ let of_skeleton ~man sk =
       space = sk.sk_space;
       init = sk.sk_init;
       trans = sk.sk_trans;
-      cur_cube = cur_cube_of man sk.sk_nbits;
-      nxt_cube = nxt_cube_of man sk.sk_nbits;
+      cur_cube;
+      nxt_cube;
       pre_schedule = Option.map steps sk.sk_pre;
       post_schedule = Option.map steps sk.sk_post;
       fairness = sk.sk_fairness;
       labels = sk.sk_labels;
       fair_memo = sk.sk_fair_memo;
       reach_memo = sk.sk_reach_memo;
+      bit_order = bit_order_of man sk.sk_nbits;
     }

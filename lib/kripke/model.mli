@@ -60,6 +60,11 @@ type t = private {
       (** cached fair-EG fixpoint; see {!fair_memo} *)
   mutable reach_memo : Bdd.t option;
       (** cached reachable-state fixpoint; see {!reach_memo} *)
+  bit_order : bool;
+      (** both copies' variables sit at levels that increase with bit
+          index, so {!pick_state} and {!pick_successor} read their
+          state off one {!Bdd.least_meet} walk; computed once with the
+          model (the manager's order never moves) *)
 }
 (** A symbolic Kripke structure.  Use {!make} (or [Builder]) to obtain
     one; the constructor enforces the [space] invariants. *)
@@ -210,7 +215,10 @@ val pick_state : t -> Bdd.t -> state option
     {e total} assignment: state bits the set does not constrain are
     pinned to [false], so [state_to_bdd] of the result is always a
     subset of the set.  Raises [Invalid_argument] if the set constrains
-    next-copy variables (it is then not a state set). *)
+    next-copy variables (it is then not a state set).  Under bit order
+    ([bit_order]) the state is the least path of the set and [space],
+    found by one walk that builds no node; otherwise, or when that
+    path tests a next-copy variable, the set is cofactored bit by bit. *)
 
 val pick_random_state : t -> rng:Random.State.t -> Bdd.t -> state option
 (** A uniformly random member of a state set, chosen symbolically (one
@@ -228,7 +236,12 @@ val successors : t -> state -> Bdd.t
     schedule). *)
 
 val pick_successor : t -> state -> Bdd.t -> state option
-(** [pick_successor m s target] — a successor of [s] inside [target]. *)
+(** [pick_successor m s target] — the successor of [s] inside [target]
+    that {!pick_state} picks from [successors m s ∧ target].  Under bit
+    order it is one {!Bdd.least_meet} walk of the relation (its current
+    copy pinned to [s]) and of [target] on the next copy, which builds
+    no node; otherwise, or when [target] constrains next-copy
+    variables, it builds that meet and picks from it. *)
 
 val states_in : t -> Bdd.t -> state list
 (** Enumerate a state set (intended for small sets / tests). *)

@@ -570,11 +570,127 @@ let test_render_invalid_code () =
        bad_enum);
       ("invalid range code", "Kripke.value_of_state: out of range", bad_range) ]
 
+(* ------------------------------------------------------------------ *)
+(* Picking a state: one walk under bit order, per-bit cofactoring
+   otherwise.  Both stand for the reference below. *)
+
+(* Cofactor the current-copy bits in index order, taking [false]
+   whenever the set allows it, then reject a state the set does not
+   hold with the next copy false. *)
+let pick_by_bits (m : Kripke.t) set =
+  let man = m.Kripke.man in
+  let set = Bdd.and_ man set m.Kripke.space in
+  if Bdd.is_zero set then None
+  else begin
+    let st = Array.make m.Kripke.nbits false in
+    let cur = ref set in
+    for b = 0 to m.Kripke.nbits - 1 do
+      let f0 = Bdd.restrict man !cur (2 * b) false in
+      if Bdd.is_zero f0 then begin
+        st.(b) <- true;
+        cur := Bdd.restrict man !cur (2 * b) true
+      end
+      else cur := f0
+    done;
+    if not (Bdd.eval man set (fun v -> v mod 2 = 0 && st.(v / 2))) then
+      invalid_arg "Kripke.pick_state: set constrains next-state variables";
+    Some st
+  end
+
+let outcome k = match k () with r -> Ok r | exception Invalid_argument e -> Error e
+
+(* A random order of the [2 * width] variables.  With [bit], a random
+   merge of the two copies, each kept in bit order; otherwise a random
+   permutation (which may keep bit order too). *)
+let random_order ~bit seed width =
+  let rng = Random.State.make [| seed |] in
+  let n = 2 * width in
+  if bit then begin
+    let cur = ref 0 and nxt = ref 0 in
+    Array.init n (fun _ ->
+        if !nxt >= width || (!cur < width && Random.State.bool rng) then begin
+          incr cur;
+          2 * (!cur - 1)
+        end
+        else begin
+          incr nxt;
+          (2 * (!nxt - 1)) + 1
+        end)
+  end
+  else begin
+    let order = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- t
+    done;
+    order
+  end
+
+let keeps_bit_order order =
+  let level = Array.make (Array.length order) 0 in
+  Array.iteri (fun l v -> level.(v) <- l) order;
+  let w = Array.length order / 2 in
+  List.for_all
+    (fun b ->
+      level.(2 * b) < level.((2 * b) + 2)
+      && level.((2 * b) + 1) < level.((2 * b) + 3))
+    (List.init (max 0 (w - 1)) Fun.id)
+
+let prop_pick_is_per_bit =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"pick_state and pick_successor = per-bit reference"
+       ~count:300
+       QCheck2.Gen.(
+         quad (Models.random_model_gen ~max_states:16 ()) bool int int)
+       (fun (rm, bit, seed, set_seed) ->
+         let n = rm.Models.graph.Explicit.Egraph.nstates in
+         let order = random_order ~bit seed in
+         let m, _ = graph_model rm.Models.graph order in
+         let man = m.Kripke.man in
+         let width = m.Kripke.nbits in
+         let rng = Random.State.make [| set_seed |] in
+         (* Any codes of the width, those outside [space] included. *)
+         let codes =
+           List.filter
+             (fun _ -> Random.State.bool rng)
+             (List.init (1 lsl width) Fun.id)
+         in
+         let cube copy i =
+           List.init width (fun k -> ((2 * k) + copy, (i lsr k) land 1 = 1))
+         in
+         let set = Bdd.disj man (List.map (fun i -> Bdd.minterm man (cube 0 i)) codes) in
+         let nxt = Kripke.nxt_bit m (Random.State.int rng width) in
+         (* Sets that constrain a next-copy variable: the reference
+            rejects some and picks from others. *)
+         let sets =
+           [ set; Bdd.one man; Bdd.and_ man set nxt;
+             Bdd.and_ man set (Bdd.not_ man nxt); Bdd.or_ man set nxt;
+             Bdd.xor man set nxt ]
+         in
+         let state i = Array.init width (fun k -> (i lsr k) land 1 = 1) in
+         m.Kripke.bit_order = keeps_bit_order (order width)
+         && List.for_all
+              (fun s ->
+                outcome (fun () -> Kripke.pick_state m s)
+                = outcome (fun () -> pick_by_bits m s)
+                && List.for_all
+                     (fun i ->
+                       let st = state i in
+                       outcome (fun () -> Kripke.pick_successor m st s)
+                       = outcome (fun () ->
+                             pick_by_bits m
+                               (Bdd.and_ man (Kripke.successors m st) s)))
+                     (List.init n Fun.id))
+              sets))
+
 let suite =
   suite
   @ [ prop_successors_are_post;
       Alcotest.test_case "successors share subgraphs" `Quick
         test_successors_share;
+      prop_pick_is_per_bit;
       prop_render_oracle;
       Alcotest.test_case "rendering rejects invalid codes" `Quick
         test_render_invalid_code ]

@@ -741,3 +741,35 @@ let suite =
       prop_witness_deterministic;
       Alcotest.test_case "AU counterexample" `Quick test_au_counterexample;
     ]
+
+(* A 10-bit counter (bit i toggles when all lower bits are 1, as in
+   perfbench's witness-deep): the descent of its 960-state EF witness,
+   from rings already swept, builds no node.  Each step is one walk of
+   the relation and the next ring. *)
+let test_descent_builds_no_node () =
+  let bits = 10 and target = 959 in
+  let m = Models.counter bits in
+  let man = m.Kripke.man in
+  let g =
+    Bdd.conj man
+      (List.init bits (fun i ->
+           let b = Kripke.label m (Printf.sprintf "b%d" i) in
+           if (target lsr i) land 1 = 1 then b else Bdd.not_ man b))
+  in
+  let f = m.Kripke.space in
+  let rings = Ctl.Check.eu_rings m f g in
+  let start = Option.get (Kripke.pick_state m m.Kripke.init) in
+  Alcotest.(check bool) "bit order" true m.Kripke.bit_order;
+  let before = Bdd.count_nodes m.Kripke.man in
+  let tr = Counterex.Witness.eu ~rings m ~f ~g ~start in
+  Alcotest.(check int) "nodes built by the descent" 0
+    (Bdd.count_nodes m.Kripke.man - before);
+  Alcotest.(check int) "witness length" (target + 1)
+    (List.length tr.Kripke.Trace.prefix);
+  Alcotest.(check bool) "witness validates" true
+    (Counterex.Validate.eu_witness m ~f ~g tr = Ok ())
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "ring descent builds no node" `Quick
+        test_descent_builds_no_node ]
