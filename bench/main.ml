@@ -8,7 +8,8 @@
      dune exec bench/main.exe -- --only E2 E3 # a subset
      dune exec bench/main.exe -- --raw        # Bechamel OLS estimates
      dune exec bench/main.exe -- --json       # also emit JSON rows
-     dune exec bench/main.exe -- --smoke      # tiny eviction and E8 smoke run *)
+     dune exec bench/main.exe -- --smoke      # tiny eviction, E8 and E19 smoke run
+     dune exec bench/main.exe -- E19 --checker PATH  # E19 on another build *)
 
 let experiments =
   [
@@ -27,6 +28,7 @@ let experiments =
     ("E15", Exp_serve.run_overload, Exp_serve.bechamel_overload);
     ("E16", Exp_nodestore.run, Exp_nodestore.bechamel);
     ("E17", Exp_serve.run_restart, Exp_serve.bechamel_restart);
+    ("E19", Exp_startup.run, Exp_startup.bechamel);
   ]
 
 let run_raw () =
@@ -61,6 +63,12 @@ let () =
   let full = List.mem "--full" args in
   let raw = List.mem "--raw" args in
   Harness.json_enabled := List.mem "--json" args;
+  let rec checker = function
+    | "--checker" :: path :: _ -> Some path
+    | _ :: rest -> checker rest
+    | [] -> None
+  in
+  Exp_startup.checker := checker args;
   let selected_ids =
     List.filter
       (fun a -> String.length a > 0 && a.[0] = 'E')
@@ -70,11 +78,13 @@ let () =
   if List.mem "--smoke" args then begin
     (* A seconds-scale workload with bounded op-caches and stats output,
        wired to the @bench-smoke alias; non-zero exit on any verdict
-       divergence between bounded and unbounded caches, or on an E8
-       smoke trace that does not certify. *)
+       divergence between bounded and unbounded caches, on an E8 smoke
+       trace that does not certify, or on a dynamically linked checker
+       (E19). *)
     let evictions = Exp_fair.smoke () in
     let traces = Exp_overhead.smoke () in
-    exit (if evictions && traces then 0 else 1)
+    let startup = Exp_startup.smoke () in
+    exit (if evictions && traces && startup then 0 else 1)
   end
   else if raw then run_raw ()
   else begin

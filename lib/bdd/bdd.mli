@@ -113,10 +113,12 @@ val diff : man -> t -> t -> t
 (** [diff m f g] is f /\ ~g. *)
 
 val conj : man -> t list -> t
-(** Conjunction of a list (true for the empty list). *)
+(** Conjunction of a list (true for the empty list), combined as a
+    balanced tree of pairwise meets. *)
 
 val disj : man -> t list -> t
-(** Disjunction of a list (false for the empty list). *)
+(** Disjunction of a list (false for the empty list), combined as a
+    balanced tree of pairwise joins. *)
 
 val subset : man -> t -> t -> bool
 (** [subset m f g] holds iff f implies g (as state sets: f ⊆ g).  It

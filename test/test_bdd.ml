@@ -272,6 +272,18 @@ let prop_canonicity =
       in
       equiv = Bdd.equal b1 b2)
 
+(* [conj]/[disj] combine as balanced trees; the canonical result must
+   be the left fold's, for every list length (empty and singleton
+   included). *)
+let prop_balanced_folds =
+  prop "balanced conj/disj = left folds"
+    QCheck2.Gen.(list_size (int_bound 9) expr_gen)
+    (fun es ->
+      let fs = List.map bdd_of_expr es in
+      Bdd.equal (Bdd.conj man fs) (List.fold_left (Bdd.and_ man) (Bdd.one man) fs)
+      && Bdd.equal (Bdd.disj man fs)
+           (List.fold_left (Bdd.or_ man) (Bdd.zero man) fs))
+
 let prop_not_involution =
   prop "not is an involution" expr_gen (fun e ->
       let b = bdd_of_expr e in
@@ -471,6 +483,7 @@ let suite =
     Alcotest.test_case "clear caches" `Quick test_clear_caches;
     prop_eval_agrees;
     prop_canonicity;
+    prop_balanced_folds;
     prop_not_involution;
     prop_ite;
     prop_standard_triples;
